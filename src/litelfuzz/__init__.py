@@ -11,9 +11,7 @@ from .campaign import (CampaignConfig, CampaignReport, export_trace,
 from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import (SCHEMES, FuzzParams, FuzzResult, NoValidSpawn,
                       SpawnGeometry, TestCase, init_test_case,
-                      lookahead_score, ma_next_testcase, run_fuzzing,
-                      run_ma_fuzzing, run_random_fuzzing, run_sa_fuzzing,
-                      run_target_only_fuzzing, sa_next_testcase,
+                      lookahead_score, run_fuzzing, sa_next_testcase,
                       spawn_candidates)
 from .influence import (InfluenceGraph, KeyNodeSequence, NonConvergent,
                         build_influence_graph, cal_deviation, katz_centrality,

@@ -38,6 +38,17 @@ class CampaignConfig:
             raise ValueError("workers must be >= 1")
 
 
+_OPTIONAL_NUMBER = (int, float, type(None))
+# every CampaignReport field with the JSON type a saved report holds for it
+_REPORT_FIELD_TYPES = {
+    "scheme": str, "base_seed": int, "executions": int, "failures": int,
+    "failure_counts": dict, "failure_rate": (int, float),
+    "mean_steps_to_failure": _OPTIONAL_NUMBER,
+    "median_steps_to_failure": _OPTIONAL_NUMBER,
+    "invalid_total": int, "records": list,
+}
+
+
 @dataclass
 class CampaignReport:
     scheme: str
@@ -64,6 +75,24 @@ class CampaignReport:
             "invalid_total": self.invalid_total,
             "records": self.records,
         }
+
+    @classmethod
+    def from_dict(cls, data) -> "CampaignReport":
+        """Inverse of :meth:`to_dict`; a malformed report raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("report is not a JSON object")
+        missing = [name for name in _REPORT_FIELD_TYPES if name not in data]
+        if missing:
+            raise ValueError(f"report lacks {', '.join(missing)}")
+        for name, kind in _REPORT_FIELD_TYPES.items():
+            value = data[name]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"report field {name} has type "
+                                 f"{type(value).__name__}")
+        if not all(type(n) is int for n in data["failure_counts"].values()):
+            raise ValueError("report field failure_counts must map each "
+                             "failure kind to an integer count")
+        return cls(**{name: data[name] for name in _REPORT_FIELD_TYPES})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -47,20 +47,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_summarize(args) -> int:
+def _read_report(path: str) -> CampaignReport:
     try:
-        data = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        report = CampaignReport(
-            scheme=data["scheme"], base_seed=data["base_seed"],
-            executions=data["executions"], failures=data["failures"],
-            failure_counts=data["failure_counts"],
-            failure_rate=data["failure_rate"],
-            mean_steps_to_failure=data["mean_steps_to_failure"],
-            median_steps_to_failure=data["median_steps_to_failure"],
-            invalid_total=data["invalid_total"], records=data["records"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ScenarioError(f"cannot read report {args.report}: {exc}") from exc
-    sys.stdout.write(summarize(report))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return CampaignReport.from_dict(data)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ScenarioError(f"cannot read report {path}: {exc}") from exc
+
+
+def _cmd_summarize(args) -> int:
+    sys.stdout.write(summarize(_read_report(args.report)))
     return 0
 
 
@@ -71,21 +67,7 @@ def _cmd_plot(args) -> int:
                              seed=args.seed, record_trace=True)
         csv = robustness_curve_csv(result.trace)
     else:
-        reports = []
-        for path in args.reports:
-            try:
-                data = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ScenarioError(f"cannot read report {path}: {exc}") from exc
-            reports.append(CampaignReport(
-                scheme=data["scheme"], base_seed=data["base_seed"],
-                executions=data["executions"], failures=data["failures"],
-                failure_counts=data["failure_counts"],
-                failure_rate=data["failure_rate"],
-                mean_steps_to_failure=data["mean_steps_to_failure"],
-                median_steps_to_failure=data["median_steps_to_failure"],
-                invalid_total=data["invalid_total"], records=[]))
-        csv = scheme_comparison_csv(reports)
+        csv = scheme_comparison_csv([_read_report(p) for p in args.reports])
     if args.out is None:
         sys.stdout.write(csv)
     else:

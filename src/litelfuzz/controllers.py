@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, WorldState,
-                    clamp_norm)
+                    clamp_norm, norm)
 
 _EPS = 1e-9
 
@@ -23,7 +23,7 @@ def _attraction(position: np.ndarray, target: np.ndarray, v_max: float,
                 slow_radius: float) -> np.ndarray:
     """Full-speed pull toward ``target``, ramping down inside ``slow_radius``."""
     delta = target - position
-    dist = float(np.linalg.norm(delta))
+    dist = norm(delta)
     if dist < _EPS:
         return np.zeros_like(position)
     speed = v_max * min(1.0, dist / slow_radius)
@@ -44,7 +44,7 @@ def _repulsion(agent_id: int, position: np.ndarray, world: WorldState,
         if other.id == agent_id:
             continue
         away = position - other.position
-        d = float(np.linalg.norm(away))
+        d = norm(away)
         if d < influence_radius:
             d = max(d, 1e-6)
             mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
@@ -130,7 +130,7 @@ class ApfNavigationController:
         if self.waypoint_index >= len(wps) - 1:
             return
         switch = self.waypoint_switch_radius
-        if float(np.linalg.norm(leader.position - wps[self.waypoint_index])) <= switch:
+        if norm(leader.position - wps[self.waypoint_index]) <= switch:
             self.waypoint_index += 1
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
@@ -150,7 +150,7 @@ class ApfNavigationController:
                 target = self._current_waypoint(world)
                 att = _attraction(agent.position, target, spec.v_max,
                                   self.slow_radius)
-                if float(np.linalg.norm(agent.position - spec.goal)) <= spec.goal_tolerance:
+                if norm(agent.position - spec.goal) <= spec.goal_tolerance:
                     att = np.zeros_like(att)
             else:
                 slot = self._slot(agent.id, world)
@@ -173,7 +173,7 @@ class ApfNavigationController:
             return False
         if self.waypoint_index < len(world.leader_waypoints) - 1:
             return False
-        if float(np.linalg.norm(leader.position - spec.goal)) > spec.goal_tolerance:
+        if norm(leader.position - spec.goal) > spec.goal_tolerance:
             return False
         followers = [a for a in world.swarm() if a.role != ROLE_LEADER]
         if self.formation_frame == "centroid":
@@ -182,14 +182,14 @@ class ApfNavigationController:
             # held up by an intruder) does not stall the mission forever
             docked = sum(
                 1 for a in followers
-                if float(np.linalg.norm(
+                if norm(
                     a.position - (spec.goal + self.formation_offsets[a.id])
-                )) <= self.formation_tolerance)
+                ) <= self.formation_tolerance)
             return docked * 2 > len(followers)
         for agent in followers:
             slot = self._slot(agent.id, world)
             if slot is None or \
-                    float(np.linalg.norm(agent.position - slot)) > self.formation_tolerance:
+                    norm(agent.position - slot) > self.formation_tolerance:
                 return False
         return True
 
@@ -248,7 +248,7 @@ class DispersalSearchController:
             self.visits[self._cell_of(agent.position)] += 1
             for k, target in enumerate(self.targets):
                 if not self.found[k] and \
-                        float(np.linalg.norm(agent.position - target)) <= self.target_radius:
+                        norm(agent.position - target) <= self.target_radius:
                     self.found[k] = True
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
@@ -266,7 +266,7 @@ class DispersalSearchController:
                 if other.id == agent.id:
                     continue
                 away = agent.position - other.position
-                d = float(np.linalg.norm(away))
+                d = norm(away)
                 if d >= self.neighbor_radius:
                     continue
                 if d < 1e-9:
@@ -308,7 +308,7 @@ class DispersalSearchController:
         for k, target in enumerate(self.targets):
             if self.found[k]:
                 continue
-            d = float(np.linalg.norm(agent.position - target))
+            d = norm(agent.position - target)
             if d < best_d:
                 best, best_d = target, d
         return best

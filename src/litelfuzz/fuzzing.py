@@ -27,7 +27,7 @@ import numpy as np
 from .influence import build_influence_graph, key_node_sequence
 from .mission import ATTACKER_ID, AttackerAction, Simulation
 from .planner import Infeasible, plan_path
-from .world import ROLE_ATTACKER, AgentState, FailureKind, clamp_norm
+from .world import ROLE_ATTACKER, AgentState, FailureKind, clamp_norm, norm
 
 SCHEMES = ("sa", "ma", "random", "target_only")
 
@@ -127,7 +127,7 @@ def spawn_candidates(target: AgentState, world, geom: SpawnGeometry,
         point = target.position + offset
         ok = True
         for agent in world.agents:
-            d = float(np.linalg.norm(agent.position - point))
+            d = norm(agent.position - point)
             if d < safe_distance:
                 ok = False
                 break
@@ -150,7 +150,7 @@ def spawn_candidates(target: AgentState, world, geom: SpawnGeometry,
 def _standoff_point(target_position: np.ndarray, approach_from: np.ndarray,
                     standoff: float) -> np.ndarray:
     away = approach_from - target_position
-    n = float(np.linalg.norm(away))
+    n = norm(away)
     if n < 1e-12:
         away = np.zeros_like(target_position)
         away[0] = 1.0
@@ -174,7 +174,7 @@ def _pursuit_command(attacker: AgentState, target: AgentState,
     cmd = clamp_norm(target.velocity + (desired - attacker.position) / dt, v_max)
     floor = 0.75 * standoff
     gap = attacker.position - target.position
-    dist = float(np.linalg.norm(gap))
+    dist = norm(gap)
     if dist > 1e-12 and math.isfinite(a_max):
         inward = -gap / dist
         rel = cmd - target.velocity
@@ -185,7 +185,7 @@ def _pursuit_command(attacker: AgentState, target: AgentState,
             cmd = clamp_norm(target.velocity + rel, v_max)
     predicted_target = target.position + target.velocity * dt
     predicted_gap = attacker.position + cmd * dt - predicted_target
-    gap_norm = float(np.linalg.norm(predicted_gap))
+    gap_norm = norm(predicted_gap)
     if gap_norm < floor:
         direction = predicted_gap / gap_norm if gap_norm > 1e-12 else \
             _standoff_point(np.zeros_like(cmd), attacker.position - target.position, 1.0)
@@ -224,7 +224,7 @@ def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
         except KeyError:
             break
         if approaching and \
-                float(np.linalg.norm(candidate - attacker.position)) > step_len:
+                norm(candidate - attacker.position) > step_len:
             cmd = clamp_norm((candidate - attacker.position) / probe.spec.dt,
                              params.attacker_v_max)
         else:
@@ -282,29 +282,23 @@ def sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
     reach = params.reach_radius(sim.spec.dt)
     swarm = sim.world.swarm()
     near = [a.id for a in swarm
-            if float(np.linalg.norm(a.position - attacker.position)) <= reach]
+            if norm(a.position - attacker.position) <= reach]
     if near:
         graph = build_influence_graph(sim.world, sim.controller, sim.spec,
                                       params.graph_radius, node_ids=near)
         target_id = key_node_sequence(graph, params.alpha_factor).key_node
     else:
         target_id = min(swarm, key=lambda a: (
-            float(np.linalg.norm(a.position - attacker.position)), a.id)).id
+            norm(a.position - attacker.position), a.id)).id
     candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
                                   sim.spec.safe_distance)
     reachable = [p for p in candidates
-                 if float(np.linalg.norm(p - attacker.position)) <= reach]
+                 if norm(p - attacker.position) <= reach]
     if reachable:
         candidates = reachable
     point, score = _argmin_candidate(sim, candidates, target_id, params,
                                      from_current=True)
     return _make_testcase(sim, target_id, point, score)
-
-
-def ma_next_testcase(sim: Simulation, geom: SpawnGeometry,
-                     params: FuzzParams) -> TestCase:
-    """Global selection; the attacker may teleport arbitrarily far."""
-    return init_test_case(sim, geom, params)
 
 
 def random_target(rng: np.random.Generator, swarm_ids: list[int]) -> int:
@@ -361,7 +355,6 @@ class _FuzzDriver:
         self.settle_budget = params.settle_steps
 
     def _next_testcase(self, force_init: bool) -> TestCase:
-        first = force_init or self.current is None
         if self.scheme == "random":
             return _random_testcase(self.sim, self.geom, self.params, self.rng)
         if self.scheme == "target_only":
@@ -374,9 +367,8 @@ class _FuzzDriver:
                     graph, self.params.alpha_factor).key_node
             return _target_only_testcase(self.sim, self.geom, self.params,
                                          self.fixed_target, self.rng)
-        if self.scheme == "ma":
-            return ma_next_testcase(self.sim, self.geom, self.params)
-        if first:
+        if self.scheme == "ma" or force_init or self.current is None:
+            # ma selects globally every epoch: its attacker may teleport
             return init_test_case(self.sim, self.geom, self.params)
         return sa_next_testcase(self.sim, self.geom, self.params)
 
@@ -435,7 +427,7 @@ class _FuzzDriver:
         attacker = self.sim.attacker()
         step_len = self.params.attacker_v_max * self.sim.spec.dt
         while self.path_index < len(self.path) and \
-                float(np.linalg.norm(self.path[self.path_index] - attacker.position)) <= step_len:
+                norm(self.path[self.path_index] - attacker.position) <= step_len:
             self.path_index += 1
         if self.path_index >= len(self.path):
             self.phase = "settle"
@@ -483,8 +475,7 @@ class _FuzzDriver:
         if attacker is None:
             return
         for agent in self.sim.world.swarm():
-            if float(np.linalg.norm(agent.position - attacker.position)) \
-                    < self.sim.spec.collision_radius:
+            if norm(agent.position - attacker.position) < self.sim.spec.collision_radius:
                 self.invalid += 1
                 self.sim.event(f"invalid test case: attacker contact with "
                                f"agent {agent.id}")
@@ -492,8 +483,9 @@ class _FuzzDriver:
                 return
 
 
-def _run_fuzzing(scenario, scheme: str, budget: Optional[int], seed: int,
-                 record_trace: bool) -> FuzzResult:
+def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
+                seed: int = 0, record_trace: bool = False) -> FuzzResult:
+    """One fuzzing execution of ``scheme`` with at most ``budget`` epochs."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
@@ -507,7 +499,7 @@ def _run_fuzzing(scenario, scheme: str, budget: Optional[int], seed: int,
         if not sim.done:
             driver.check_contact()
     failed = sim.failure_kind is not None
-    result = FuzzResult(
+    return FuzzResult(
         scheme=scheme,
         seed=seed,
         outcome=OUTCOME_SUCCESSFUL_ATTACK if failed else OUTCOME_SWARM_SECURE,
@@ -518,29 +510,3 @@ def _run_fuzzing(scenario, scheme: str, budget: Optional[int], seed: int,
         test_cases=driver.test_cases,
         trace=sim.trace,
     )
-    return result
-
-
-def run_sa_fuzzing(scenario, budget: Optional[int] = None, seed: int = 0,
-                   record_trace: bool = False) -> FuzzResult:
-    return _run_fuzzing(scenario, "sa", budget, seed, record_trace)
-
-
-def run_ma_fuzzing(scenario, budget: Optional[int] = None, seed: int = 0,
-                   record_trace: bool = False) -> FuzzResult:
-    return _run_fuzzing(scenario, "ma", budget, seed, record_trace)
-
-
-def run_random_fuzzing(scenario, budget: Optional[int] = None, seed: int = 0,
-                       record_trace: bool = False) -> FuzzResult:
-    return _run_fuzzing(scenario, "random", budget, seed, record_trace)
-
-
-def run_target_only_fuzzing(scenario, budget: Optional[int] = None, seed: int = 0,
-                            record_trace: bool = False) -> FuzzResult:
-    return _run_fuzzing(scenario, "target_only", budget, seed, record_trace)
-
-
-def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
-                seed: int = 0, record_trace: bool = False) -> FuzzResult:
-    return _run_fuzzing(scenario, scheme, budget, seed, record_trace)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .world import MissionSpec, WorldState
+from .world import MissionSpec, WorldState, norm
 
 
 class NonConvergent(RuntimeError):
@@ -61,11 +61,11 @@ def cal_deviation(i: int, j: int, world: WorldState, controller,
         raise ValueError("influence is defined between distinct agents")
     pi = world.agent(i).position
     pj = world.agent(j).position
-    if float(np.linalg.norm(pi - pj)) > influence_radius:
+    if norm(pi - pj) > influence_radius:
         return 0.0
     with_i = controller.commands(world, spec)[j]
     without_i = controller.commands(world.without(i), spec)[j]
-    return float(np.linalg.norm(with_i - without_i)) / spec.v_max
+    return norm(with_i - without_i) / spec.v_max
 
 
 def build_influence_graph(world: WorldState, controller, spec: MissionSpec,
@@ -84,11 +84,11 @@ def build_influence_graph(world: WorldState, controller, spec: MissionSpec,
         for j in ids:
             if i == j:
                 continue
-            if float(np.linalg.norm(positions[i] - positions[j])) > influence_radius:
+            if norm(positions[i] - positions[j]) > influence_radius:
                 continue
             if i not in removed_cache:
                 removed_cache[i] = controller.commands(world.without(i), spec)
-            dev = float(np.linalg.norm(baseline[j] - removed_cache[i][j])) / spec.v_max
+            dev = norm(baseline[j] - removed_cache[i][j]) / spec.v_max
             if dev > 0.0:
                 graph.edges[(i, j)] = dev
     return graph

@@ -1,8 +1,12 @@
 """Mission execution: the deterministic world-stepping loop.
 
-A :class:`Simulation` owns one world plus its controller and produces one
-robustness record per step. It is cheap to clone, which the fuzzer uses
-for lookahead scoring on throwaway copies.
+A :class:`Simulation` owns one world plus its controller. A traced run
+records one robustness record per step and emits a violation event the
+first time each (agent, constraint) pair is violated. An untraced run only
+keeps the goal-distance histories; it computes the current step's record
+when :attr:`Simulation.last_record` is first read and emits no violation
+events. Simulations are cheap to clone, which the fuzzer uses for
+lookahead scoring on throwaway copies.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import numpy as np
 from .robustness import ConstraintParams, RobustnessRecord, \
     constraint_violations, swarm_robustness
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, MissionSpec,
-                    WorldState, detect_failure, integrate_step)
+                    WorldState, detect_failure, integrate_step, norm)
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_FAILURE = "Failure"
@@ -42,7 +46,13 @@ class Trace:
 
 
 class Simulation:
-    """Deterministic discrete-time execution of one mission."""
+    """Deterministic discrete-time execution of one mission.
+
+    With ``record_trace`` every step appends a snapshot and a robustness
+    record to :attr:`trace` and emits violation events. Without it the
+    robustness of the current step is computed on first read of
+    :attr:`last_record`, and no violation events are emitted.
+    """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
                  constraint_params: ConstraintParams, attacker_v_max: float | None = None,
@@ -60,7 +70,8 @@ class Simulation:
         self.events: list[tuple[int, str]] = self.trace.events if self.trace else []
         self.outcome: str | None = None
         self.failure_kind: FailureKind | None = None
-        self.last_record: RobustnessRecord | None = None
+        self._record: RobustnessRecord | None = None
+        self._record_stale = False
         self._seen_violations: set[tuple[int, int]] = set()
         if self.trace is not None:
             self.trace.snapshots.append(world.copy())
@@ -72,8 +83,16 @@ class Simulation:
         sim.histories = {k: list(v) for k, v in self.histories.items()}
         sim.outcome = self.outcome
         sim.failure_kind = self.failure_kind
-        sim._seen_violations = set(self._seen_violations)
         return sim
+
+    @property
+    def last_record(self) -> RobustnessRecord | None:
+        """Robustness of the current step; None before the first step."""
+        if self._record_stale:
+            self._record = swarm_robustness(self.world, self.histories,
+                                            self.cparams)
+            self._record_stale = False
+        return self._record
 
     @property
     def done(self) -> bool:
@@ -137,18 +156,20 @@ class Simulation:
             if goal is None:
                 history.clear()
             else:
-                history.append(float(np.linalg.norm(agent.position - goal)))
+                history.append(norm(agent.position - goal))
                 if len(history) > self.cparams.window + 1:
                     del history[0]
+        if self.trace is None:
+            self._record_stale = True
+            return
         record = swarm_robustness(self.world, self.histories, self.cparams)
-        self.last_record = record
+        self._record = record
         for violation in constraint_violations(record, self.cparams):
             if violation not in self._seen_violations:
                 self._seen_violations.add(violation)
                 self.event(f"violation agent={violation[0]} constraint={violation[1]}")
-        if self.trace is not None:
-            self.trace.snapshots.append(self.world.copy())
-            self.trace.robustness.append(record)
+        self.trace.snapshots.append(self.world.copy())
+        self.trace.robustness.append(record)
 
     def _check_outcome(self) -> None:
         failure = detect_failure(self.world, self.spec)

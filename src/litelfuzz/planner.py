@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import ROLE_ATTACKER, WorldState
+from .world import ROLE_ATTACKER, WorldState, norm
 
 _VIA_SCALES = (1.05, 1.2, 1.5, 2.0, 3.0)
 _MAX_VIAS = 200
@@ -25,9 +25,9 @@ def _segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> floa
     ab = b - a
     denom = float(np.dot(ab, ab))
     if denom < 1e-18:
-        return float(np.linalg.norm(p - a))
+        return norm(p - a)
     t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    return float(np.linalg.norm(a + t * ab - p))
+    return norm(a + t * ab - p)
 
 
 def _cover_box(lo: np.ndarray, hi: np.ndarray,
@@ -36,7 +36,7 @@ def _cover_box(lo: np.ndarray, hi: np.ndarray,
     extent = hi - lo
     counts = np.maximum(np.ceil(extent / cell_target).astype(int), 1)
     cell = extent / counts
-    radius = 0.5 * float(np.linalg.norm(cell))
+    radius = 0.5 * norm(cell)
     return [(lo + (np.asarray(idx, dtype=float) + 0.5) * cell, radius)
             for idx in np.ndindex(*counts)]
 
@@ -97,14 +97,14 @@ class _CircleField:
 
 
 def _lateral_units(direction: np.ndarray) -> list[np.ndarray]:
-    d = direction / max(float(np.linalg.norm(direction)), 1e-12)
+    d = direction / max(norm(direction), 1e-12)
     if len(d) == 2:
         side = np.array([-d[1], d[0]])
         return [side, -side]
     # 3D: two orthogonal lateral axes, four candidate sides
     ref = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     u = np.cross(d, ref)
-    u = u / max(float(np.linalg.norm(u)), 1e-12)
+    u = u / max(norm(u), 1e-12)
     v = np.cross(d, u)
     return [u, -u, v, -v]
 
@@ -135,7 +135,7 @@ def _via_point(a: np.ndarray, b: np.ndarray, blocker, field: _CircleField,
                 if first:
                     # anchor near the segment so simple detours stay short
                     via_dir = foot + side * cur_radius * scale - cur_center
-                    n = float(np.linalg.norm(via_dir))
+                    n = norm(via_dir)
                     if n < 1e-12:
                         via_dir, n = side, 1.0
                     via = cur_center + via_dir * (cur_radius * scale / n)
@@ -179,7 +179,7 @@ def _route_greedy(a: np.ndarray, b: np.ndarray, field: _CircleField,
 
 
 def _path_length(path: list[np.ndarray]) -> float:
-    return sum(float(np.linalg.norm(path[k + 1] - path[k]))
+    return sum(norm(path[k + 1] - path[k])
                for k in range(len(path) - 1))
 
 
@@ -196,7 +196,7 @@ def path_clearance(path: list[np.ndarray], world: WorldState,
             for agent in world.agents:
                 if agent.role == ROLE_ATTACKER or agent.id in ignore_ids:
                     continue
-                best = min(best, float(np.linalg.norm(agent.position - p)))
+                best = min(best, norm(agent.position - p))
     return float(best)
 
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .world import WorldState, min_obstacle_distance
+from .world import WorldState, min_obstacle_distance, norm
 
 N_CONSTRAINTS = 5
 
@@ -116,7 +114,7 @@ def _visible_pairwise(agent_id: int, world: WorldState,
     for other in world.swarm():
         if other.id == agent_id:
             continue
-        d = float(np.linalg.norm(other.position - agent.position))
+        d = norm(other.position - agent.position)
         if d <= params.sensing_radius:
             out.append(d)
     return out
@@ -129,8 +127,8 @@ def individual_robustness(agent_id: int, world: WorldState,
     agent = world.agent(agent_id)
     d = min_obstacle_distance(agent, world)
     raw1, r1 = margin_safe_distance(d, params)
-    speed = float(np.linalg.norm(agent.velocity))
-    accel = float(np.linalg.norm(agent.acceleration))
+    speed = norm(agent.velocity)
+    accel = norm(agent.acceleration)
     (raw2, r2), (raw3, r3) = margin_kinematics(speed, accel, params)
     raw4, r4 = margin_formation(_visible_pairwise(agent_id, world, params), params)
     if goal_distance_history is None or len(goal_distance_history) < 2:

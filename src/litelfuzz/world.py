@@ -6,7 +6,8 @@ dimension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -17,6 +18,16 @@ ROLE_SEARCHER = "searcher"
 ROLE_ATTACKER = "attacker"
 
 SWARM_ROLES = (ROLE_LEADER, ROLE_FOLLOWER, ROLE_SEARCHER)
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean length of a real 1-D array.
+
+    Bit-identical to ``np.linalg.norm(v)``, which computes exactly
+    ``sqrt(v.dot(v))`` for such an array, minus numpy's per-call dispatch.
+    ``math.hypot`` and ``np.sqrt(np.sum(v * v))`` round differently.
+    """
+    return math.sqrt(v.dot(v))
 
 
 class InvalidState(ValueError):
@@ -58,9 +69,9 @@ class Obstacle:
         """Signed distance from ``point`` to the obstacle surface (< 0 inside)."""
         p = np.asarray(point, dtype=float)
         if self.kind == "circle":
-            return float(np.linalg.norm(p - self.center) - self.radius)
+            return norm(p - self.center) - self.radius
         outward = np.maximum(np.maximum(self.lo - p, p - self.hi), 0.0)
-        d = float(np.linalg.norm(outward))
+        d = norm(outward)
         if d > 0.0:
             return d
         # inside: negative penetration depth to the nearest face
@@ -74,7 +85,7 @@ class Obstacle:
         else:
             closest = np.clip(p, self.lo, self.hi)
             v = p - closest
-            if float(np.linalg.norm(v)) == 0.0:
+            if norm(v) == 0.0:
                 # inside the box: push out through the nearest face
                 gaps_lo = p - self.lo
                 gaps_hi = self.hi - p
@@ -82,7 +93,7 @@ class Obstacle:
                 axis = int(np.argmin(np.minimum(gaps_lo, gaps_hi)))
                 v[axis] = -1.0 if gaps_lo[axis] < gaps_hi[axis] else 1.0
                 return v
-        n = float(np.linalg.norm(v))
+        n = norm(v)
         if n == 0.0:
             v = np.zeros_like(p)
             v[0] = 1.0
@@ -93,7 +104,7 @@ class Obstacle:
         if self.kind == "circle":
             return self.center, self.radius
         center = 0.5 * (self.lo + self.hi)
-        return center, float(np.linalg.norm(self.hi - center))
+        return center, norm(self.hi - center)
 
 
 @dataclass
@@ -136,10 +147,6 @@ class MissionSpec:
         if self.collision_radius >= self.safe_distance:
             raise ValueError("collision_radius must be < safe_distance")
 
-    @property
-    def step_budget(self) -> int:
-        return int(round(self.nominal_steps * self.timeout_multiplier))
-
 
 @dataclass
 class WorldState:
@@ -171,7 +178,7 @@ class WorldState:
 
 
 def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n > limit:
         return v * (limit / n)
     return v
@@ -185,8 +192,8 @@ def integrate_step(agent: AgentState, commanded_velocity: np.ndarray,
     v_max; the recorded acceleration is the realized delta-v over dt.
     """
     cmd = np.asarray(commanded_velocity, dtype=float)
-    if not (np.all(np.isfinite(cmd)) and np.all(np.isfinite(agent.position))
-            and np.all(np.isfinite(agent.velocity))):
+    if not (np.isfinite(cmd).all() and np.isfinite(agent.position).all()
+            and np.isfinite(agent.velocity).all()):
         raise InvalidState(f"non-finite state for agent {agent.id}")
     dv = clamp_norm(cmd - agent.velocity, spec.a_max * spec.dt)
     new_v = clamp_norm(agent.velocity + dv, spec.v_max)
@@ -204,7 +211,7 @@ def min_obstacle_distance(agent: AgentState, world: WorldState) -> float:
     for other in world.agents:
         if other.id == agent.id:
             continue
-        best = min(best, float(np.linalg.norm(other.position - agent.position)))
+        best = min(best, norm(other.position - agent.position))
     return float(min(max(best, 0.0), agent.sensing_radius))
 
 
@@ -220,7 +227,7 @@ def detect_failure(world: WorldState, spec: MissionSpec,
     if spec.formation_enabled:
         for i, a in enumerate(swarm):
             for b in swarm[i + 1:]:
-                if float(np.linalg.norm(a.position - b.position)) < spec.collision_radius:
+                if norm(a.position - b.position) < spec.collision_radius:
                     return FailureKind.DRONES_COLLIDE
     for a in swarm:
         for obs in world.obstacles:

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from litelfuzz.campaign import (CampaignConfig, robustness_curve_csv,
+from litelfuzz.campaign import (CampaignConfig, CampaignReport,
+                                robustness_curve_csv,
                                 run_campaign, scheme_comparison_csv,
                                 summarize, summarize_records, trace_to_jsonl)
 from litelfuzz.fuzzing import OUTCOME_SUCCESSFUL_ATTACK, run_fuzzing
@@ -71,6 +72,34 @@ class TestAggregation:
         report.save(path)
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(report.to_dict(), sort_keys=True))
+
+
+class TestReportFromDict:
+    def report(self):
+        return summarize_records("sa", 0, [fake_record(0, "ObstacleCrash", 7),
+                                           fake_record(1)])
+
+    def test_round_trip(self):
+        report = self.report()
+        data = json.loads(report.to_json())
+        assert CampaignReport.from_dict(data) == report
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d.pop("scheme"),
+        lambda d: d.update(failure_counts=[]),
+        lambda d: d.update(executions="2"),
+        lambda d: d.update(failures=True),
+        lambda d: d.update(failure_counts={"ObstacleCrash": "1"}),
+    ])
+    def test_malformed_raises_value_error(self, change):
+        data = self.report().to_dict()
+        change(data)
+        with pytest.raises(ValueError):
+            CampaignReport.from_dict(data)
+
+    def test_non_object_raises_value_error(self):
+        with pytest.raises(ValueError):
+            CampaignReport.from_dict([])
 
 
 class TestWorkerInvariance:

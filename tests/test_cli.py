@@ -87,6 +87,20 @@ def test_plot_schemes(tmp_path, capsys):
     assert csv.splitlines()[0] == "scheme,executions,failures,failure_rate"
 
 
+def test_plot_schemes_malformed_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "c"
+    main(["run", "a1_navigate", "--scheme", "random", "--executions", "1",
+          "--budget", "1", "--out", str(out)])
+    report = json.loads((out / "report_random.json").read_text())
+    del report["failures"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["plot", "schemes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "failures" in err
+
+
 def test_scenario_dump(capsys):
     assert main(["scenario-dump", "a2_search"]) == 0
     data = json.loads(capsys.readouterr().out)

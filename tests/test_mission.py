@@ -128,3 +128,34 @@ class TestRecording:
         trace = run_mission(a1_navigate(), seed=0)
         assert len(trace.robustness) == len(trace.snapshots) - 1
         assert all(np.isfinite(r.swarm) for r in trace.robustness)
+
+
+class TestLazyRobustness:
+    def test_fresh_untraced_simulation_has_no_record(self):
+        sim = a1_navigate().build_simulation(seed=0, record_trace=False)
+        assert sim.last_record is None
+
+    @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
+    def test_lazy_record_equals_eager_record(self, scenario):
+        traced = scenario().build_simulation(seed=2)
+        for _ in range(5):
+            traced.step()
+        lazy = traced.clone()
+        assert lazy.trace is None and lazy.last_record is None
+        target = traced.world.swarm()[1].position
+        dim = len(target)
+        push = np.zeros(dim)
+        push[0] = 0.5
+        actions = ([None, AttackerAction(spawn=make_attacker(target + 0.3))]
+                   + [AttackerAction(command=push)] * 6
+                   + [AttackerAction(teleport=target - 0.3)]
+                   + [AttackerAction(command=-push)] * 6
+                   + [AttackerAction(despawn=True)] + [None] * 5)
+        for action in actions:
+            traced.step(action)
+            lazy.step(action)
+            assert lazy.last_record == traced.trace.robustness[-1]
+            assert lazy.last_record is lazy.last_record  # computed once
+            if traced.done:
+                break
+        assert lazy.outcome == traced.outcome

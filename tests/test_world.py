@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from litelfuzz.world import (AgentState, FailureKind, InvalidState, MissionSpec,
                              Obstacle, WorldState, clamp_norm, detect_failure,
-                             integrate_step, min_obstacle_distance)
+                             integrate_step, min_obstacle_distance, norm)
 
 
 def make_spec(**overrides):
@@ -24,6 +24,28 @@ def make_agent(pos, vel=None, agent_id=0, sensing=0.5, role="follower"):
     pos = np.asarray(pos, dtype=float)
     vel = np.zeros_like(pos) if vel is None else np.asarray(vel, dtype=float)
     return AgentState(agent_id, pos, vel, np.zeros_like(pos), sensing, role)
+
+
+# -- small-vector norm -------------------------------------------------------
+
+_COMPONENT = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                     1e-300, -1e-300, 1e300, -1e300]))
+
+
+class TestNorm:
+    @given(st.integers(2, 3), st.integers(1, 3),
+           st.lists(_COMPONENT, min_size=9, max_size=9))
+    def test_bit_identical_to_numpy(self, dim, stride, values):
+        # stride > 1 gives a non-contiguous view of the backing array
+        v = np.array(values)[:dim * stride:stride]
+        assert v.shape == (dim,)
+        with np.errstate(over="ignore"):  # both overflow alike near 1e300
+            got = norm(v)
+            expected = float(np.linalg.norm(v))
+        assert type(got) is float
+        assert got == expected
 
 
 # -- obstacles ---------------------------------------------------------------
