@@ -13,8 +13,8 @@ from .fuzzing import (SCHEMES, FuzzParams, FuzzResult, NoValidSpawn,
                       SpawnGeometry, TestCase, init_test_case,
                       lookahead_score, run_fuzzing, sa_next_testcase,
                       spawn_candidates)
-from .influence import (InfluenceGraph, KeyNodeSequence, NonConvergent,
-                        build_influence_graph, cal_deviation, katz_centrality,
+from .influence import (InfluenceGraph, KeyNodeSequence,
+                        build_influence_graph, katz_centrality,
                         key_node_sequence)
 from .mission import (ATTACKER_ID, OUTCOME_FAILURE, OUTCOME_SUCCESS,
                       OUTCOME_SWARM_SECURE, AttackerAction, Simulation, Trace,

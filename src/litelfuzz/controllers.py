@@ -9,7 +9,7 @@ controller for area search. Controllers keep their mutable state out of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,13 +72,7 @@ class ApfNavigationController:
     waypoint_index: int = 0
 
     def clone(self) -> "ApfNavigationController":
-        return ApfNavigationController(self.formation_offsets,
-                                       self.influence_radius,
-                                       self.repulsion_gain, self.slow_radius,
-                                       self.waypoint_switch_radius,
-                                       self.formation_tolerance,
-                                       self.formation_frame,
-                                       self.waypoint_index)
+        return replace(self)
 
     def _leader(self, world: WorldState):
         for a in world.agents:
@@ -228,12 +222,7 @@ class DispersalSearchController:
             self.found = [False] * len(self.targets)
 
     def clone(self) -> "DispersalSearchController":
-        return DispersalSearchController(self.bounds_lo, self.bounds_hi,
-                                         self.targets, self.neighbor_radius,
-                                         self.sensor_range, self.target_radius,
-                                         self.cell_size, self.explore_weight,
-                                         self.obstacle_gain,
-                                         self.visits.copy(), list(self.found))
+        return replace(self, visits=self.visits.copy(), found=list(self.found))
 
     def _cell_of(self, position: np.ndarray) -> tuple[int, ...]:
         idx = np.floor((position - self.bounds_lo) / self.cell_size).astype(int)
@@ -313,14 +302,3 @@ class DispersalSearchController:
                 best, best_d = target, d
         return best
 
-
-def apf_swarm_controller(world: WorldState, spec: MissionSpec,
-                         controller: ApfNavigationController) -> dict[int, np.ndarray]:
-    """Functional wrapper over :class:`ApfNavigationController`."""
-    return controller.commands(world, spec)
-
-
-def dispersal_controller(world: WorldState, spec: MissionSpec,
-                         controller: DispersalSearchController) -> dict[int, np.ndarray]:
-    """Functional wrapper over :class:`DispersalSearchController`."""
-    return controller.commands(world, spec)

@@ -25,14 +25,14 @@ from typing import Optional
 import numpy as np
 
 from .influence import build_influence_graph, key_node_sequence
-from .mission import ATTACKER_ID, AttackerAction, Simulation
+from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
+                      Simulation)
 from .planner import Infeasible, plan_path
 from .world import ROLE_ATTACKER, AgentState, FailureKind, clamp_norm, norm
 
 SCHEMES = ("sa", "ma", "random", "target_only")
 
 OUTCOME_SUCCESSFUL_ATTACK = "SuccessfulAttack"
-OUTCOME_SWARM_SECURE = "SwarmSecure"
 
 _FAILURE_SCORE_BASE = -1.0e9
 
@@ -56,13 +56,13 @@ class SpawnGeometry:
 
 @dataclass
 class FuzzParams:
+    attacker_v_max: float
+    graph_radius: float             # influence-graph edge eligibility radius
+    standoff: float                 # hover distance kept from the target drone
     lookahead: int = 10
     settle_steps: int = 5
-    attacker_v_max: float = 1.0
     attacker_a_max: Optional[float] = None   # None: same limit as the swarm
-    graph_radius: float = 1.0       # influence-graph edge eligibility radius
     alpha_factor: float = 0.85
-    standoff: float = 0.1           # hover distance kept from the target drone
     warmup_steps: int = 10
 
     def reach_radius(self, dt: float) -> float:
@@ -256,12 +256,18 @@ def _make_testcase(sim: Simulation, target_id: int, attack_position: np.ndarray,
                     np.asarray(attack_position, dtype=float), score)
 
 
+def _key_node(sim: Simulation, params: FuzzParams,
+              node_ids: Optional[list[int]] = None) -> int:
+    """Top Katz node of the influence graph over ``node_ids`` (default: swarm)."""
+    graph = build_influence_graph(sim.world, sim.controller, sim.spec,
+                                  params.graph_radius, node_ids=node_ids)
+    return key_node_sequence(graph, params.alpha_factor).key_node
+
+
 def init_test_case(sim: Simulation, geom: SpawnGeometry,
                    params: FuzzParams) -> TestCase:
     """Global key node target plus robustness-minimizing spawn point."""
-    graph = build_influence_graph(sim.world, sim.controller, sim.spec,
-                                  params.graph_radius)
-    target_id = key_node_sequence(graph, params.alpha_factor).key_node
+    target_id = _key_node(sim, params)
     candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
                                   sim.spec.safe_distance)
     point, score = _argmin_candidate(sim, candidates, target_id, params)
@@ -284,9 +290,7 @@ def sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
     near = [a.id for a in swarm
             if norm(a.position - attacker.position) <= reach]
     if near:
-        graph = build_influence_graph(sim.world, sim.controller, sim.spec,
-                                      params.graph_radius, node_ids=near)
-        target_id = key_node_sequence(graph, params.alpha_factor).key_node
+        target_id = _key_node(sim, params, node_ids=near)
     else:
         target_id = min(swarm, key=lambda a: (
             norm(a.position - attacker.position), a.id)).id
@@ -305,25 +309,9 @@ def random_target(rng: np.random.Generator, swarm_ids: list[int]) -> int:
     return swarm_ids[int(rng.integers(len(swarm_ids)))]
 
 
-def _random_testcase(sim: Simulation, geom: SpawnGeometry, params: FuzzParams,
-                     rng: np.random.Generator) -> TestCase:
-    ids = sorted(a.id for a in sim.world.swarm())
-    target_id = random_target(rng, ids)
-    candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
-                                  sim.spec.safe_distance)
-    return _make_testcase(sim, target_id,
-                          candidates[int(rng.integers(len(candidates)))])
-
-
-def _target_only_testcase(sim: Simulation, geom: SpawnGeometry,
-                          params: FuzzParams, target_id: int,
-                          rng: np.random.Generator) -> TestCase:
-    """Fixed key-node target, uniformly drawn attack position.
-
-    This arm isolates the value of target selection: it keeps the
-    centrality-chosen target but drops the robustness-guided scoring of
-    attack positions.
-    """
+def _uniform_testcase(sim: Simulation, geom: SpawnGeometry, target_id: int,
+                      rng: np.random.Generator) -> TestCase:
+    """Uniformly drawn attack position around ``target_id``, no scoring."""
     candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
                                   sim.spec.safe_distance)
     return _make_testcase(sim, target_id,
@@ -356,17 +344,17 @@ class _FuzzDriver:
 
     def _next_testcase(self, force_init: bool) -> TestCase:
         if self.scheme == "random":
-            return _random_testcase(self.sim, self.geom, self.params, self.rng)
+            # seeded draw order: the target, then the sector
+            ids = sorted(a.id for a in self.sim.world.swarm())
+            return _uniform_testcase(self.sim, self.geom,
+                                     random_target(self.rng, ids), self.rng)
         if self.scheme == "target_only":
+            # keeps the centrality-chosen target but drops the robustness
+            # scoring of attack positions: isolates target selection
             if self.fixed_target is None:
-                graph = build_influence_graph(self.sim.world,
-                                              self.sim.controller,
-                                              self.sim.spec,
-                                              self.params.graph_radius)
-                self.fixed_target = key_node_sequence(
-                    graph, self.params.alpha_factor).key_node
-            return _target_only_testcase(self.sim, self.geom, self.params,
-                                         self.fixed_target, self.rng)
+                self.fixed_target = _key_node(self.sim, self.params)
+            return _uniform_testcase(self.sim, self.geom, self.fixed_target,
+                                     self.rng)
         if self.scheme == "ma" or force_init or self.current is None:
             # ma selects globally every epoch: its attacker may teleport
             return init_test_case(self.sim, self.geom, self.params)

@@ -5,9 +5,10 @@ controller command is computed with and without i present, and the
 normalized command difference becomes the weight of the directed edge
 i -> j. Pairs farther apart than the eligibility radius are ignored.
 
-Centrality uses the out-influence orientation x = alpha * A x + beta, so
+Centrality uses the out-influence orientation x = alpha * A x + 1, so
 the top-ranked node is the strongest influencer rather than the most
-influenced one.
+influenced one. It is solved in closed form, x = (I - alpha A)^-1 1
+(Katz 1953), with alpha a fixed fraction of 1 / spectral radius.
 """
 from __future__ import annotations
 
@@ -16,14 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .world import MissionSpec, WorldState, norm
-
-
-class NonConvergent(RuntimeError):
-    """Katz iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, scores: dict[int, float]):
-        super().__init__("katz centrality did not converge")
-        self.scores = scores
 
 
 @dataclass
@@ -52,20 +45,6 @@ class KeyNodeSequence:
     @property
     def key_node(self) -> int:
         return self.order[0]
-
-
-def cal_deviation(i: int, j: int, world: WorldState, controller,
-                  spec: MissionSpec, influence_radius: float) -> float:
-    """One-step counterfactual influence of agent i on agent j's command."""
-    if i == j:
-        raise ValueError("influence is defined between distinct agents")
-    pi = world.agent(i).position
-    pj = world.agent(j).position
-    if norm(pi - pj) > influence_radius:
-        return 0.0
-    with_i = controller.commands(world, spec)[j]
-    without_i = controller.commands(world.without(i), spec)[j]
-    return norm(with_i - without_i) / spec.v_max
 
 
 def build_influence_graph(world: WorldState, controller, spec: MissionSpec,
@@ -99,16 +78,21 @@ def _spectral_radius_estimate(a: np.ndarray) -> float:
 
     Computed from the full eigenvalue set: power iteration is unreliable
     on periodic structures (e.g. pure cycles), where the ratio estimate
-    oscillates and can undershoot badly enough to break Katz convergence.
+    oscillates and can undershoot badly enough that alpha passes 1 / rho
+    and the Katz series diverges.
     """
     if a.shape[0] == 0 or not np.any(a):
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def katz_centrality(graph: InfluenceGraph, alpha_factor: float = 0.85,
-                    tol: float = 1e-8, max_iter: int = 1000) -> dict[int, float]:
-    """Fixed-point solve of x = alpha * A x + 1 in the out-influence orientation."""
+def katz_centrality(graph: InfluenceGraph,
+                    alpha_factor: float = 0.85) -> dict[int, float]:
+    """Solve x = alpha * A x + 1 in the out-influence orientation.
+
+    ``alpha = alpha_factor / spectral radius``, so I - alpha A is
+    invertible and x is the sum of the series sum_k (alpha A)^k 1.
+    """
     if not 0.0 < alpha_factor < 1.0:
         raise ValueError("alpha_factor must lie in (0, 1)")
     a, order = graph.adjacency()
@@ -117,18 +101,17 @@ def katz_centrality(graph: InfluenceGraph, alpha_factor: float = 0.85,
         return {}
     lam = _spectral_radius_estimate(a)
     alpha = alpha_factor / lam if lam > 1e-12 else alpha_factor
-    x = np.ones(n)
-    for _ in range(max_iter):
-        x_next = alpha * (a @ x) + 1.0
-        if float(np.max(np.abs(x_next - x))) < tol:
-            return {node: float(s) for node, s in zip(order, x_next)}
-        x = x_next
-    raise NonConvergent({node: float(s) for node, s in zip(order, x)})
+    y = np.linalg.solve(np.eye(n) - alpha * a, np.ones(n))
+    # One fixed-point step on the solution. The LU solve leaves nodes
+    # without out-edges at 1 +- 1 ulp, which reorders exact ties in the
+    # ranking; the step gives them exactly 1.0 and moves the rest by an ulp.
+    x = alpha * (a @ y) + 1.0
+    return {node: float(s) for node, s in zip(order, x)}
 
 
-def key_node_sequence(graph: InfluenceGraph, alpha_factor: float = 0.85,
-                      tol: float = 1e-8, max_iter: int = 1000) -> KeyNodeSequence:
+def key_node_sequence(graph: InfluenceGraph,
+                      alpha_factor: float = 0.85) -> KeyNodeSequence:
     """Rank agents by descending centrality; ties broken by ascending id."""
-    scores = katz_centrality(graph, alpha_factor, tol, max_iter)
+    scores = katz_centrality(graph, alpha_factor)
     order = sorted(scores, key=lambda n: (-scores[n], n))
     return KeyNodeSequence(order=order, scores=scores)

@@ -167,14 +167,12 @@ def swarm_robustness(world: WorldState,
 
 
 def constraint_violations(record: RobustnessRecord,
-                          params: ConstraintParams | None = None
-                          ) -> list[tuple[int, int]]:
+                          params: ConstraintParams) -> list[tuple[int, int]]:
     """(agent_id, constraint_number) pairs with raw margin <= 0, boundary inclusive."""
-    formation_enabled = params.formation_enabled if params is not None else True
     out = []
     for entry in record.per_agent:
         for k, raw in enumerate(entry.raw):
-            if k == 3 and not formation_enabled:
+            if k == 3 and not params.formation_enabled:
                 continue
             if raw <= 0.0:
                 out.append((entry.agent_id, k + 1))

@@ -1,13 +1,19 @@
 """Scenario configuration: JSON schema, validation and built-in presets.
 
 Scenario files are strict JSON with units suffixed on key names
-(``_m``, ``_mps``, ``_s``). Unknown keys are rejected so typos fail loudly.
+(``_m``, ``_mps``, ``_s``). Unknown keys are rejected at load so typos fail
+loudly, in the ``apf``, ``search``, ``spawn`` and ``fuzz`` sections too.
+Each section key maps to one field of the dataclass it configures; a key
+left out takes that field's default, so the defaults live only in
+:class:`ApfNavigationController`, :class:`DispersalSearchController`,
+:class:`SpawnGeometry` and :class:`FuzzParams`.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +52,36 @@ class _Fields:
         if self.data:
             unknown = ", ".join(sorted(self.data))
             raise ScenarioError(f"{self.context}: unknown key(s): {unknown}")
+
+
+# scenario key -> dataclass field, one table per section
+_SECTION_FIELDS = {
+    "apf": {"influence_radius_m": "influence_radius",
+            "repulsion_gain": "repulsion_gain",
+            "slow_radius_m": "slow_radius",
+            "waypoint_switch_radius_m": "waypoint_switch_radius",
+            "formation_tolerance_m": "formation_tolerance",
+            "formation_frame": "formation_frame"},
+    "search": {"bounds_lo_m": "bounds_lo", "bounds_hi_m": "bounds_hi",
+               "targets_m": "targets", "neighbor_radius_m": "neighbor_radius",
+               "sensor_range_m": "sensor_range",
+               "target_radius_m": "target_radius", "cell_size_m": "cell_size",
+               "explore_weight": "explore_weight",
+               "obstacle_gain": "obstacle_gain"},
+    "spawn": {"inner_radius_m": "inner_radius",
+              "outer_radius_m": "outer_radius", "sectors": "sectors"},
+    "fuzz": {"lookahead_steps": "lookahead", "settle_steps": "settle_steps",
+             "attacker_v_max_mps": "attacker_v_max",
+             "attacker_a_max_mps2": "attacker_a_max",
+             "graph_radius_m": "graph_radius", "alpha_factor": "alpha_factor",
+             "standoff_m": "standoff", "warmup_steps": "warmup_steps"},
+}
+_SEARCH_REQUIRED = ("bounds_lo_m", "bounds_hi_m", "targets_m")
+_array = partial(np.asarray, dtype=float)
+# section keys whose value is converted before it reaches its field
+_CONVERT = {"lookahead_steps": int, "settle_steps": int, "warmup_steps": int,
+            "sectors": int, "bounds_lo_m": _array, "bounds_hi_m": _array,
+            "targets_m": lambda targets: [_array(t) for t in targets]}
 
 
 def _vec(value, dim: int, context: str) -> np.ndarray:
@@ -117,11 +153,22 @@ class ScenarioConfig:
             raise ScenarioError("nominal_steps must be >= 1")
         if self.controller_kind == "apf_navigate" and not self.leader_waypoints:
             raise ScenarioError("apf_navigate requires leader_waypoints_m")
-        geom = self.spawn_geometry()
-        if geom.inner_radius <= 0:
-            raise ScenarioError("spawn inner_radius_m must be > 0")
+        required = _SEARCH_REQUIRED \
+            if self.controller_kind == "dispersal_search" else ()
+        for name, fields in _SECTION_FIELDS.items():
+            f = _Fields(getattr(self, name), name)
+            for key in fields:
+                f.take(key, ... if key in required else None)
+            f.finish()
+        self.spawn_geometry()
 
     # -- derived objects ---------------------------------------------------
+
+    def _field_kwargs(self, section: str) -> dict:
+        """Dataclass keyword arguments for the keys present in ``section``."""
+        fields = _SECTION_FIELDS[section]
+        return {fields[key]: _CONVERT.get(key, lambda v: v)(value)
+                for key, value in getattr(self, section).items()}
 
     def mission_spec(self) -> MissionSpec:
         return MissionSpec(goal=self.goal, goal_tolerance=self.goal_tolerance,
@@ -131,8 +178,6 @@ class ScenarioConfig:
                            nominal_steps=self.nominal_steps,
                            timeout_multiplier=self.timeout_multiplier,
                            collision_radius=self.collision_radius,
-                           mission_kind="navigate"
-                           if self.controller_kind == "apf_navigate" else "search",
                            formation_enabled=self.formation_constraint_enabled)
 
     def constraint_params(self) -> ConstraintParams:
@@ -162,25 +207,9 @@ class ScenarioConfig:
         if self.controller_kind == "apf_navigate":
             offsets = {a.id: a.formation_offset for a in self.agents
                        if a.formation_offset is not None}
-            return ApfNavigationController(
-                formation_offsets=offsets,
-                influence_radius=self.apf.get("influence_radius_m", 0.15),
-                repulsion_gain=self.apf.get("repulsion_gain", 0.05),
-                slow_radius=self.apf.get("slow_radius_m", 0.3),
-                waypoint_switch_radius=self.apf.get("waypoint_switch_radius_m", 0.2),
-                formation_tolerance=self.apf.get("formation_tolerance_m", 0.15),
-                formation_frame=self.apf.get("formation_frame", "leader"))
-        return DispersalSearchController(
-            bounds_lo=np.asarray(self.search["bounds_lo_m"], dtype=float),
-            bounds_hi=np.asarray(self.search["bounds_hi_m"], dtype=float),
-            targets=[np.asarray(t, dtype=float)
-                     for t in self.search["targets_m"]],
-            neighbor_radius=self.search.get("neighbor_radius_m", 2.0),
-            sensor_range=self.search.get("sensor_range_m", 2.0),
-            target_radius=self.search.get("target_radius_m", 1.0),
-            cell_size=self.search.get("cell_size_m", 2.0),
-            explore_weight=self.search.get("explore_weight", 0.6),
-            obstacle_gain=self.search.get("obstacle_gain", 2.0))
+            return ApfNavigationController(formation_offsets=offsets,
+                                           **self._field_kwargs("apf"))
+        return DispersalSearchController(**self._field_kwargs("search"))
 
     def build_simulation(self, seed: int = 0, controller=None,
                          record_trace: bool = True) -> Simulation:
@@ -195,24 +224,29 @@ class ScenarioConfig:
                           attacker_a_max=params.attacker_a_max,
                           record_trace=record_trace)
 
+    # The five fallbacks below depend on the scenario, so they cannot be
+    # field defaults; an absent, null or zero key falls back.
+
     def spawn_geometry(self) -> SpawnGeometry:
-        sensing = min(a.sensing_radius for a in self.agents)
-        inner = self.spawn.get("inner_radius_m") or sensing
-        outer = self.spawn.get("outer_radius_m") or 1.5 * inner
-        return SpawnGeometry(inner_radius=inner, outer_radius=outer,
-                             sectors=int(self.spawn.get("sectors", 8)))
+        kwargs = self._field_kwargs("spawn")
+        kwargs["inner_radius"] = kwargs.get("inner_radius") \
+            or min(a.sensing_radius for a in self.agents)
+        kwargs["outer_radius"] = kwargs.get("outer_radius") \
+            or 1.5 * kwargs["inner_radius"]
+        try:
+            return SpawnGeometry(**kwargs)
+        except ValueError as exc:
+            raise ScenarioError(
+                f"spawn: {exc} (keys inner_radius_m, outer_radius_m, sectors)"
+            ) from exc
 
     def fuzz_params(self) -> FuzzParams:
-        sensing = min(a.sensing_radius for a in self.agents)
-        return FuzzParams(
-            lookahead=int(self.fuzz.get("lookahead_steps", 10)),
-            settle_steps=int(self.fuzz.get("settle_steps", 5)),
-            attacker_v_max=self.fuzz.get("attacker_v_max_mps") or self.v_max,
-            attacker_a_max=self.fuzz.get("attacker_a_max_mps2"),
-            graph_radius=self.fuzz.get("graph_radius_m") or 2.0 * sensing,
-            alpha_factor=self.fuzz.get("alpha_factor", 0.85),
-            standoff=self.fuzz.get("standoff_m") or self.safe_distance,
-            warmup_steps=int(self.fuzz.get("warmup_steps", 10)))
+        kwargs = self._field_kwargs("fuzz")
+        kwargs["attacker_v_max"] = kwargs.get("attacker_v_max") or self.v_max
+        kwargs["graph_radius"] = kwargs.get("graph_radius") \
+            or 2.0 * min(a.sensing_radius for a in self.agents)
+        kwargs["standoff"] = kwargs.get("standoff") or self.safe_distance
+        return FuzzParams(**kwargs)
 
     # -- serialization -----------------------------------------------------
 
@@ -319,10 +353,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         leader_waypoints=[_vec(w, dimension, "leader_waypoints_m")
                           for w in top.take("leader_waypoints_m", [])],
         obstacles=obstacles,
-        apf=dict(top.take("apf", {})),
-        search=dict(top.take("search", {})),
-        spawn=dict(top.take("spawn", {})),
-        fuzz=dict(top.take("fuzz", {})),
+        **{name: _Fields(top.take(name, {}), name).data
+           for name in _SECTION_FIELDS},
     )
     top.finish()
     config.validate()
@@ -350,8 +382,6 @@ def _diamond_offsets(count: int, spacing: float, dimension: int) -> list[np.ndar
         phase = (col - 1) % 3
         if phase in (0, 1):
             pattern.append((-col * dx, dy if phase == 0 else -dy))
-            if phase == 1:
-                pass
         else:
             pattern.append((-col * dx, 0.0))
         # two slots per off-axis column
@@ -436,8 +466,7 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
                 "slow_radius_m": 0.3,
                 "waypoint_switch_radius_m": 0.2,
                 "formation_tolerance_m": 0.15,
-                "formation_frame": "leader",
-                "inter_robot_distance_m": inter_robot},
+                "formation_frame": "leader"},
         "search": {},
         "spawn": {"inner_radius_m": 0.5, "outer_radius_m": 1.0, "sectors": 8},
         "fuzz": {"lookahead_steps": 20, "settle_steps": 12,
@@ -535,8 +564,7 @@ def a3_navigate3d(size: int = 6, nominal_steps: int | None = None) -> ScenarioCo
         ],
         "apf": {"influence_radius_m": 2.0, "repulsion_gain": 2.0,
                 "slow_radius_m": 2.0, "waypoint_switch_radius_m": 1.0,
-                "formation_tolerance_m": 1.0,
-                "inter_robot_distance_m": inter_robot},
+                "formation_tolerance_m": 1.0},
         "search": {},
         "spawn": {"inner_radius_m": 2.0, "outer_radius_m": 3.0, "sectors": 8},
         "fuzz": {"lookahead_steps": 10, "settle_steps": 5,

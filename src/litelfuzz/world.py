@@ -134,7 +134,6 @@ class MissionSpec:
     nominal_steps: int
     timeout_multiplier: float = 2.0
     collision_radius: float = 0.0
-    mission_kind: str = "navigate"  # "navigate" or "search"
     formation_enabled: bool = True  # False when the controller has no mutual avoidance
 
     def __post_init__(self):

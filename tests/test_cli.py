@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from litelfuzz.cli import main
-from litelfuzz.scenarios import a1_navigate
+from litelfuzz.scenarios import a1_navigate, a2_search
 
 
 def test_run_to_stdout(capsys):
@@ -46,6 +46,16 @@ def test_invalid_scenario_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x"}')
     assert main(["run", str(path)]) == 2
+
+
+def test_missing_search_key_exits_2(tmp_path, capsys):
+    data = a2_search().to_dict()
+    del data["search"]["bounds_lo_m"]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert "search: missing required key 'bounds_lo_m'" \
+        in capsys.readouterr().err
 
 
 def test_bad_executions_exits_2(capsys):

@@ -160,7 +160,7 @@ def search_controller(**overrides):
 class TestDispersalSearch:
     def test_targets_marked_found(self):
         ctl = search_controller()
-        spec = make_spec(mission_kind="search")
+        spec = make_spec()
         world = WorldState(0, [make_agent([8.2, 8.0], agent_id=0,
                                           role="searcher", sensing=2.0)], [])
         ctl.update(world, spec)
@@ -170,12 +170,12 @@ class TestDispersalSearch:
     def test_mission_complete_when_all_found(self):
         ctl = search_controller()
         ctl.found = [True, True]
-        spec = make_spec(mission_kind="search")
+        spec = make_spec()
         assert ctl.mission_complete(WorldState(0, [], []), spec)
 
     def test_close_searchers_disperse(self):
         ctl = search_controller()
-        spec = make_spec(mission_kind="search")
+        spec = make_spec()
         world = WorldState(0, [make_agent([5.0, 5.0], agent_id=0, role="searcher"),
                                make_agent([5.5, 5.0], agent_id=1, role="searcher")],
                            [])
@@ -185,7 +185,7 @@ class TestDispersalSearch:
 
     def test_bounds_push_back_inside(self):
         ctl = search_controller()
-        spec = make_spec(mission_kind="search")
+        spec = make_spec()
         world = WorldState(0, [make_agent([0.2, 5.0], agent_id=0,
                                           role="searcher")], [])
         cmds = ctl.commands(world, spec)
@@ -193,7 +193,7 @@ class TestDispersalSearch:
 
     def test_goal_for_nearest_unfound_target(self):
         ctl = search_controller()
-        spec = make_spec(mission_kind="search")
+        spec = make_spec()
         world = WorldState(0, [make_agent([7.0, 7.5], agent_id=0,
                                           role="searcher")], [])
         np.testing.assert_allclose(ctl.goal_for(world, 0, spec), [8.0, 8.0])

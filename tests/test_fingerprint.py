@@ -10,7 +10,7 @@ import json
 import pytest
 
 from litelfuzz.campaign import CampaignConfig, run_campaign
-from litelfuzz.scenarios import a1_navigate
+from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 
 # a1_navigate, seeds 0-4, budget 5, one worker
 FINGERPRINTS = {
@@ -18,10 +18,33 @@ FINGERPRINTS = {
     "ma": "acb032ea8e05ac43fb8b1d10b52f3d417c384c531a9c6b45fc8ceab37ed9a3df",
 }
 
+# seeds 0-2, budget 5, one worker: the dispersal controller with its
+# ``search`` section, the two uniform draws, and Katz on 3D graphs
+OTHER_FINGERPRINTS = {
+    ("a2_search", "target_only"):
+        "a8bfed05d6e0061f9c30984133cb577506e51b8df0cabb832605cf778196f787",
+    ("a2_search", "random"):
+        "5f06a8825a5fed19cddc1d61ad72d2c1ebf1437370c664d4f7ae360b76a09de8",
+    ("a3_navigate3d", "ma"):
+        "b54f2971ecf8bbe7921dff34a57496e5b005399b6670dac738ead9af3011a4aa",
+}
+PRESETS = {"a2_search": a2_search, "a3_navigate3d": a3_navigate3d}
+
+
+def records_digest(scenario, scheme: str, executions: int) -> str:
+    config = CampaignConfig(scheme=scheme, executions=executions,
+                            base_seed=0, budget=5)
+    records = run_campaign(scenario, config).records
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 @pytest.mark.parametrize("scheme", sorted(FINGERPRINTS))
 def test_a1_records_fingerprint(scheme):
-    config = CampaignConfig(scheme=scheme, executions=5, base_seed=0, budget=5)
-    records = run_campaign(a1_navigate(), config).records
-    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == FINGERPRINTS[scheme]
+    assert records_digest(a1_navigate(), scheme, 5) == FINGERPRINTS[scheme]
+
+
+@pytest.mark.parametrize("preset,scheme", sorted(OTHER_FINGERPRINTS))
+def test_a2_a3_records_fingerprint(preset, scheme):
+    assert records_digest(PRESETS[preset](), scheme, 3) \
+        == OTHER_FINGERPRINTS[(preset, scheme)]

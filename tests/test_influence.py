@@ -7,9 +7,9 @@ Oracles:
 """
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from litelfuzz.influence import (InfluenceGraph, KeyNodeSequence, NonConvergent,
-                                 build_influence_graph, cal_deviation,
+from litelfuzz.influence import (InfluenceGraph, build_influence_graph,
                                  katz_centrality, key_node_sequence)
 from litelfuzz.world import AgentState, MissionSpec, WorldState
 
@@ -107,24 +107,6 @@ class TestBuildInfluenceGraph:
                                       spec, 1.0)
         assert graph.nodes == [0] and graph.edges == {}
 
-    def test_cal_deviation_rejects_self(self):
-        spec = make_spec()
-        world = random_world(np.random.default_rng(0), n=2)
-        with pytest.raises(ValueError):
-            cal_deviation(1, 1, world, NeighborAverageController(), spec, 1.0)
-
-    def test_cal_deviation_matches_graph(self):
-        rng = np.random.default_rng(11)
-        spec = make_spec()
-        ctl = NeighborAverageController()
-        world = random_world(rng, n=5)
-        graph = build_influence_graph(world, ctl, spec, 1.0)
-        for i in graph.nodes:
-            for j in graph.nodes:
-                if i != j:
-                    assert cal_deviation(i, j, world, ctl, spec, 1.0) \
-                        == pytest.approx(graph.weight(i, j), abs=1e-12)
-
 
 # -- Katz centrality ----------------------------------------------------------
 
@@ -212,9 +194,23 @@ class TestKatzCentrality:
         with pytest.raises(ValueError):
             katz_centrality(graph, 1.0)
 
-    def test_nonconvergent_carries_last_iterate(self):
-        graph = random_digraph(np.random.default_rng(1), 6)
-        with pytest.raises(NonConvergent) as info:
-            katz_centrality(graph, 0.85, tol=1e-15, max_iter=2)
-        assert set(info.value.scores) == set(graph.nodes)
-        assert all(np.isfinite(v) for v in info.value.scores.values())
+    @given(st.data())
+    def test_sinks_exact_and_order_consistent(self, data):
+        # nodes without out-edges score exactly 1: a plain LU solve leaves
+        # them 1 ulp off, which breaks exact ties in the ranking
+        n = data.draw(st.integers(1, 12))
+        graph = InfluenceGraph(nodes=list(range(n)))
+        for i in range(n):
+            if data.draw(st.booleans()):
+                continue
+            for j in range(n):
+                if i != j and data.draw(st.booleans()):
+                    graph.edges[(i, j)] = data.draw(st.floats(0.05, 1.0))
+        scores = katz_centrality(graph, 0.85)
+        sources = {i for i, _ in graph.edges}
+        for node, score in scores.items():
+            assert score >= 1.0
+            if node not in sources:
+                assert score == 1.0
+        assert key_node_sequence(graph, 0.85).order \
+            == sorted(scores, key=lambda k: (-scores[k], k))

@@ -25,6 +25,20 @@ class TestStrictParsing:
         data["unexpected_key"] = 1
         with pytest.raises(ScenarioError, match="unexpected_key"):
             scenario_from_dict(data)
+        # section typos are named with their section
+        for section, key in [("apf", "influence_radius"),
+                             ("search", "bounds_lo"), ("spawn", "sector"),
+                             ("fuzz", "lookahed_steps")]:
+            data = self.base()
+            data[section][key] = 1
+            with pytest.raises(ScenarioError, match=f"^{section}: .*{key}"):
+                scenario_from_dict(data)
+
+    def test_bad_spawn_ring_names_section(self):
+        data = self.base()
+        data["spawn"] = {"inner_radius_m": 1.0, "outer_radius_m": 0.5}
+        with pytest.raises(ScenarioError, match="spawn"):
+            scenario_from_dict(data)
 
     def test_unknown_agent_key_rejected(self):
         data = self.base()
@@ -84,7 +98,6 @@ class TestPresets:
         scn = a1_navigate()
         assert len(scn.agents) == 4
         assert scn.apf["influence_radius_m"] == pytest.approx(0.15)
-        assert scn.apf["inter_robot_distance_m"] == pytest.approx(0.22)
         assert scn.goal_tolerance == pytest.approx(0.05)
         assert scn.dimension == 2
         # follower formation offsets keep the published spacing to their
@@ -95,8 +108,7 @@ class TestPresets:
             gaps = [np.linalg.norm(off - other) for other in offsets
                     if other is not off]
             gaps.append(np.linalg.norm(off))  # leader at the origin
-            assert min(gaps) == pytest.approx(
-                scn.apf["inter_robot_distance_m"], abs=1e-9)
+            assert min(gaps) == pytest.approx(0.22, abs=1e-9)
 
     def test_navigate_radius_override(self):
         scn = a1_navigate(influence_radius=0.10)
@@ -164,4 +176,3 @@ class TestDerivedObjects:
         assert spec.formation_enabled is True
         spec2 = a2_search().mission_spec()
         assert spec2.formation_enabled is False
-        assert spec2.mission_kind == "search"
