@@ -5,6 +5,13 @@ corrects formation slots with artificial potential fields, and a dispersal
 controller for area search. Controllers keep their mutable state out of
 ``commands`` so a command computation never changes the controller;
 ``update`` is called once per world step by the mission loop.
+
+Each controller also has array forms (``*_rows``) of ``update``,
+``commands``, ``goal_for`` and ``mission_complete`` that act on a
+:class:`WorldRows` batch, with the mutable state held per row as a tuple
+of arrays (see ``row_state``). Row by row they compute exactly what the
+scalar forms compute: the lookahead steps all spawn candidates of an epoch
+this way.
 """
 from __future__ import annotations
 
@@ -13,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, WorldState,
-                    clamp_norm, norm)
+from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, WorldRows,
+                    WorldState, clamp_norm, clamp_norms, norm, row_norms)
 
 _EPS = 1e-9
 
@@ -28,6 +35,54 @@ def _attraction(position: np.ndarray, target: np.ndarray, v_max: float,
         return np.zeros_like(position)
     speed = v_max * min(1.0, dist / slow_radius)
     return delta * (speed / dist)
+
+
+def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
+                     slow_radius: float) -> np.ndarray:
+    """:func:`_attraction` of every vector along the last axis."""
+    delta = target - position
+    dist = row_norms(delta)
+    far = dist >= _EPS
+    dist = np.where(far, dist, 1.0)
+    speed = v_max * np.minimum(1.0, dist / slow_radius)
+    return np.where(far[..., None], delta * (speed / dist)[..., None], 0.0)
+
+
+def _others(rows: WorldRows) -> np.ndarray:
+    """(S, M) mask: swarm column s and world column k are different agents."""
+    return np.asarray(rows.swarm)[:, None] != np.arange(len(rows.agents))
+
+
+def _repulsion_rows(rows: WorldRows, influence_radius: float,
+                    gain: float) -> np.ndarray:
+    """:func:`_repulsion` of every swarm column of ``rows``: (B, S, d).
+
+    The terms are added one at a time in the scalar order, obstacles in
+    list order and then agents in world order, with +0.0 for a term out of
+    range (``total`` starts at +0.0 and so is never -0.0, which makes that
+    add exact); a single ``sum(axis=...)`` would round differently.
+    """
+    pos = rows.position[:, rows.swarm]
+    total = np.zeros_like(pos)
+
+    def push(near, d, direction):
+        mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
+        return np.where(near[..., None], mag[..., None] * direction, 0.0)
+
+    for obs in rows.obstacles:
+        d = obs.surface_distances(pos)
+        near = d < influence_radius
+        if near.any():
+            total = total + push(near, np.maximum(d, 1e-6),
+                                 obs.outward_directions(pos))
+    away = pos[:, :, None] - rows.position[:, None]
+    d = row_norms(away)
+    near = (d < influence_radius) & _others(rows)
+    d = np.maximum(d, 1e-6)
+    terms = push(near, d, away / d[..., None])
+    for k in range(terms.shape[2]):
+        total = total + terms[:, :, k]
+    return total
 
 
 def _repulsion(agent_id: int, position: np.ndarray, world: WorldState,
@@ -190,6 +245,124 @@ class ApfNavigationController:
     def goal_for(self, world: WorldState, agent_id: int, spec: MissionSpec):
         return spec.goal
 
+    # -- array forms over WorldRows; the per-row state is (waypoint_index,)
+
+    def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
+        return (np.full(rows, self.waypoint_index),)
+
+    def _leader_column(self, rows: WorldRows) -> int | None:
+        for k, a in enumerate(rows.agents):
+            if a.role == ROLE_LEADER:
+                return k
+        return None
+
+    def _followers(self, rows: WorldRows) -> list[int]:
+        return [k for k in rows.swarm if rows.agents[k].role != ROLE_LEADER]
+
+    def _offsets(self, rows: WorldRows, columns: list[int]) -> np.ndarray:
+        return np.array([self.formation_offsets[rows.agents[k].id]
+                         for k in columns])
+
+    def _waypoint_rows(self, index: np.ndarray, rows: WorldRows) -> np.ndarray:
+        wps = np.asarray(rows.leader_waypoints)
+        return wps[np.minimum(index, len(wps) - 1)]
+
+    def _pack_rows(self, rows: WorldRows):
+        """:meth:`_pack` of every row, or None."""
+        followers = self._followers(rows)
+        if not followers:
+            return None
+        centroid = np.mean(rows.position[:, followers], axis=1)
+        dim = rows.position.shape[2]
+        mean_offset = np.mean(
+            [self.formation_offsets.get(rows.agents[k].id, np.zeros(dim))
+             for k in followers], axis=0)
+        return centroid, mean_offset
+
+    def _slot_rows(self, rows: WorldRows, columns: list[int]):
+        """:meth:`_slot` of the followers in ``columns``: (B, F, d), or None."""
+        offsets = self._offsets(rows, columns)
+        if self.formation_frame == "leader":
+            leader = self._leader_column(rows)
+            if leader is None:
+                return None
+            return rows.position[:, leader, None] + offsets
+        centroid, mean_offset = self._pack_rows(rows)
+        return centroid[:, None] + offsets - mean_offset
+
+    def update_rows(self, state, rows: WorldRows, spec: MissionSpec):
+        (index,) = state
+        leader = self._leader_column(rows)
+        last = len(rows.leader_waypoints) - 1
+        if leader is None or last < 1:
+            return state
+        gap = rows.position[:, leader] - self._waypoint_rows(index, rows)
+        switch = (index < last) & (row_norms(gap) <= self.waypoint_switch_radius)
+        return (index + switch,)
+
+    def commands_rows(self, state, rows: WorldRows,
+                      spec: MissionSpec) -> np.ndarray:
+        """(B, S, d) commands of the swarm columns, in world order."""
+        (index,) = state
+        feedforward = None
+        if self.formation_frame == "centroid":
+            pack = self._pack_rows(rows)
+            if pack is not None:
+                centroid, mean_offset = pack
+                pack_target = self._waypoint_rows(index, rows) + mean_offset
+                feedforward = _attraction_rows(centroid, pack_target,
+                                               spec.v_max, self.slow_radius)
+        pos = rows.position[:, rows.swarm]
+        att = np.empty_like(pos)
+        roles = [rows.agents[k].role for k in rows.swarm]
+        lead = [n for n, role in enumerate(roles) if role == ROLE_LEADER]
+        follow = [n for n, role in enumerate(roles) if role != ROLE_LEADER]
+        if lead:
+            target = self._waypoint_rows(index, rows)[:, None]
+            pull = _attraction_rows(pos[:, lead], target, spec.v_max,
+                                    self.slow_radius)
+            at_goal = row_norms(pos[:, lead] - spec.goal) <= spec.goal_tolerance
+            att[:, lead] = np.where(at_goal[..., None], 0.0, pull)
+        if follow:
+            slots = self._slot_rows(rows, [rows.swarm[n] for n in follow])
+            if slots is None:
+                # counterfactual without any reference agent: hold
+                pull = np.zeros_like(pos[:, follow])
+            else:
+                pull = _attraction_rows(pos[:, follow], slots, spec.v_max,
+                                        self.slow_radius)
+            if feedforward is not None:
+                pull = pull + feedforward[:, None]
+            att[:, follow] = pull
+        rep = _repulsion_rows(rows, self.influence_radius, self.repulsion_gain)
+        return clamp_norms(att + rep, spec.v_max)
+
+    def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
+        """(B, S, d) goals of the swarm columns; NaN stands for no goal."""
+        return np.broadcast_to(spec.goal, rows.position[:, rows.swarm].shape)
+
+    def mission_complete_rows(self, state, rows: WorldRows,
+                              spec: MissionSpec) -> np.ndarray:
+        (index,) = state
+        leader = self._leader_column(rows)
+        if leader is None:
+            return np.zeros(len(index), dtype=bool)
+        done = (index >= len(rows.leader_waypoints) - 1) & (
+            row_norms(rows.position[:, leader] - spec.goal)
+            <= spec.goal_tolerance)
+        followers = self._followers(rows)
+        if self.formation_frame == "centroid":
+            if not followers:
+                return np.zeros_like(done)
+            gaps = rows.position[:, followers] - (
+                spec.goal + self._offsets(rows, followers))
+            docked = (row_norms(gaps) <= self.formation_tolerance).sum(axis=1)
+            return done & (docked * 2 > len(followers))
+        if not followers:
+            return done
+        gaps = rows.position[:, followers] - self._slot_rows(rows, followers)
+        return done & (row_norms(gaps) <= self.formation_tolerance).all(axis=1)
+
 
 @dataclass
 class DispersalSearchController:
@@ -302,3 +475,96 @@ class DispersalSearchController:
                 best, best_d = target, d
         return best
 
+    # -- array forms over WorldRows; the per-row state is (visits, found)
+
+    def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
+        return (np.repeat(self.visits[None], rows, axis=0),
+                np.tile(np.array(self.found, dtype=bool), (rows, 1)))
+
+    def _cells_rows(self, position: np.ndarray) -> np.ndarray:
+        """:meth:`_cell_of` of every point: integer cell indices (..., d)."""
+        idx = np.floor((position - self.bounds_lo) / self.cell_size).astype(int)
+        return np.clip(idx, 0, np.asarray(self.visits.shape) - 1)
+
+    def _target_distances(self, position: np.ndarray) -> np.ndarray:
+        """(B, S, K) distances from swarm points (B, S, d) to the targets."""
+        return row_norms(position[:, :, None] - np.asarray(self.targets))
+
+    def update_rows(self, state, rows: WorldRows, spec: MissionSpec):
+        visits, found = state
+        pos = rows.position[:, rows.swarm]
+        visits = visits.copy()
+        cells = self._cells_rows(pos)
+        np.add.at(visits, (np.arange(len(pos))[:, None],
+                           *np.moveaxis(cells, -1, 0)), 1)
+        if self.targets:
+            near = self._target_distances(pos) <= self.target_radius
+            found = found | near.any(axis=1)
+        return visits, found
+
+    def commands_rows(self, state, rows: WorldRows,
+                      spec: MissionSpec) -> np.ndarray:
+        """(B, S, d) commands of the swarm columns, in world order."""
+        visits, found = state
+        pos = rows.position[:, rows.swarm]
+        count, size, dim = pos.shape
+        ids = [rows.agents[k].id for k in rows.swarm]
+        rank = np.argsort(np.argsort(ids, kind="stable"), kind="stable")
+        cell_order = np.argsort(visits.reshape(count, -1), axis=1,
+                                kind="stable")
+        least = cell_order[:, rank % cell_order.shape[1]]
+        cells = np.stack(np.unravel_index(least, self.visits.shape), axis=-1)
+        drift_target = self.bounds_lo + (cells.astype(float) + 0.5) \
+            * self.cell_size
+        # neighbours in world order; co-located ones splay by agent rank
+        away = pos[:, :, None] - rows.position[:, None]
+        d = row_norms(away)
+        near = (d < self.neighbor_radius) & _others(rows)
+        splay = np.zeros((size, dim))
+        for n, r in enumerate(rank):
+            angle = 2.0 * math.pi * int(r) / max(size, 1)
+            splay[n, 0] = math.cos(angle)
+            splay[n, 1] = math.sin(angle)
+        close = d < 1e-9
+        away = np.where(close[..., None], splay[:, None], away)
+        d = np.where(close, 1.0, d)
+        terms = (away / d[..., None]) * spec.v_max \
+            * (1.0 - d / self.neighbor_radius)[..., None]
+        cmd = np.zeros_like(pos)
+        for k in range(terms.shape[2]):
+            cmd = cmd + np.where(near[:, :, k, None], terms[:, :, k], 0.0)
+        push = self.obstacle_gain * spec.v_max
+        for obs in rows.obstacles:
+            d = obs.surface_distances(pos)
+            near = d < self.sensor_range
+            if near.any():
+                ramp = 1.0 - np.maximum(d, 1e-6) / self.sensor_range
+                term = obs.outward_directions(pos) * push * ramp[..., None]
+                cmd = cmd + np.where(near[..., None], term, 0.0)
+        # masked-out wall terms add or subtract +0.0, which leaves cmd as is
+        for axis in range(dim):
+            lo_gap = pos[..., axis] - self.bounds_lo[axis]
+            hi_gap = self.bounds_hi[axis] - pos[..., axis]
+            cmd[..., axis] += np.where(
+                lo_gap < self.sensor_range,
+                push * (1.0 - np.maximum(lo_gap, 0.0) / self.sensor_range), 0.0)
+            cmd[..., axis] -= np.where(
+                hi_gap < self.sensor_range,
+                push * (1.0 - np.maximum(hi_gap, 0.0) / self.sensor_range), 0.0)
+        drift = _attraction_rows(pos, drift_target, spec.v_max, self.cell_size)
+        return clamp_norms(cmd + self.explore_weight * drift, spec.v_max)
+
+    def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
+        """(B, S, d) goals of the swarm columns; NaN stands for no goal."""
+        visits, found = state
+        pos = rows.position[:, rows.swarm]
+        if not self.targets:
+            return np.full(pos.shape, np.nan)
+        d = np.where(found[:, None], np.inf, self._target_distances(pos))
+        goals = np.asarray(self.targets)[np.argmin(d, axis=-1)]
+        return np.where(found.all(axis=1)[:, None, None], np.nan, goals)
+
+    def mission_complete_rows(self, state, rows: WorldRows,
+                              spec: MissionSpec) -> np.ndarray:
+        visits, found = state
+        return found.all(axis=1) & bool(self.targets)

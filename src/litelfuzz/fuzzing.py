@@ -28,7 +28,9 @@ from .influence import build_influence_graph, key_node_sequence
 from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
                       Simulation)
 from .planner import Infeasible, plan_path
-from .world import ROLE_ATTACKER, AgentState, FailureKind, clamp_norm, norm
+from .world import (ROLE_ATTACKER, AgentState, FailureKind, WorldRows,
+                    clamp_norm, clamp_norms, failed_rows, integrate_rows,
+                    norm, row_norms)
 
 SCHEMES = ("sa", "ma", "random", "target_only")
 
@@ -194,8 +196,57 @@ def _pursuit_command(attacker: AgentState, target: AgentState,
     return cmd
 
 
+def _standoff_points(target_position: np.ndarray, approach_from: np.ndarray,
+                     standoff: float) -> np.ndarray:
+    """:func:`_standoff_point` of every row."""
+    away = approach_from - target_position
+    n = row_norms(away)
+    tiny = n < 1e-12
+    away = np.where(tiny[:, None], np.where(np.arange(away.shape[1]) == 0,
+                                            1.0, 0.0), away)
+    n = np.where(tiny, 1.0, n)
+    return target_position + away * (standoff / n)[:, None]
+
+
+def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
+                      target_velocity: np.ndarray, standoff: float,
+                      v_max: float, dt: float, a_max: float) -> np.ndarray:
+    """:func:`_pursuit_command` of every row; positions and velocities (B, d)."""
+    desired = _standoff_points(target, attacker, standoff)
+    cmd = clamp_norms(target_velocity + (desired - attacker) / dt, v_max)
+    floor = 0.75 * standoff
+    gap = attacker - target
+    dist = row_norms(gap)
+    if math.isfinite(a_max):
+        apart = dist > 1e-12
+        inward = -gap / np.where(apart, dist, 1.0)[:, None]
+        rel = cmd - target_velocity
+        closing = np.vecdot(rel, inward)
+        allowed = np.sqrt(2.0 * a_max * np.maximum(dist - floor, 0.0))
+        brake = apart & (closing > allowed)
+        if brake.any():
+            rel = rel - inward * (closing - allowed)[:, None]
+            cmd = np.where(brake[:, None],
+                           clamp_norms(target_velocity + rel, v_max), cmd)
+    predicted_target = target + target_velocity * dt
+    predicted_gap = attacker + cmd * dt - predicted_target
+    gap_norm = row_norms(predicted_gap)
+    close = gap_norm < floor
+    if not close.any():
+        return cmd
+    apart = gap_norm > 1e-12
+    direction = np.where(
+        apart[:, None],
+        predicted_gap / np.where(apart, gap_norm, 1.0)[:, None],
+        _standoff_points(np.zeros_like(cmd), attacker - target, 1.0))
+    held = predicted_target + direction * floor
+    return np.where(close[:, None],
+                    clamp_norms((held - attacker) / dt, v_max), cmd)
+
+
 def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
-                    params: FuzzParams, from_current: bool = False) -> float:
+                    params: FuzzParams,
+                    from_current: bool = False) -> float | list[float]:
     """Swarm robustness after a short simulated attack via ``candidate``.
 
     Runs on a clone, so the caller's simulation is untouched. With
@@ -205,9 +256,15 @@ def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
     (spawn or relocation). A lookahead that already triggers a physical
     failure scores far below any robustness value, earlier failures
     scoring lower.
+
+    A stack of candidates, shape ``(B, d)``, gives the list of their B
+    scores from one batched rollout (:func:`lookahead_scores`).
     """
-    probe = sim.clone()
     candidate = np.asarray(candidate, dtype=float)
+    if candidate.ndim == 2:
+        return lookahead_scores(sim, candidate, target_id, params,
+                                from_current)
+    probe = sim.clone()
     step_len = params.attacker_v_max * probe.spec.dt
     approaching = from_current and probe.attacker() is not None
     if not approaching:
@@ -238,13 +295,167 @@ def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
     return probe.last_record.swarm if probe.last_record is not None else math.inf
 
 
+def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
+                     target_id: int, params: FuzzParams,
+                     from_current: bool = False) -> list[float]:
+    """:func:`lookahead_score` of every candidate, bit for bit, in one rollout.
+
+    The probes of one epoch start from the same world and differ only in
+    the attacker, so they are stepped together as the rows of a
+    :class:`WorldRows` batch, with the controller state, goal-distance
+    history and outcome kept per row. A row that fails or completes the
+    mission freezes, as the scalar probe stops. ``target_id`` must name a
+    swarm agent.
+    """
+    if sim.done or params.lookahead < 1:
+        return [lookahead_score(sim, c, target_id, params, from_current)
+                for c in candidates]
+    spec = sim.spec
+    attack = np.array([np.asarray(c, dtype=float) for c in candidates])
+    count = len(attack)
+    probe = sim.clone()
+    attacker = probe.attacker()
+    approach = np.full(count, from_current and attacker is not None)
+    if approach.any():
+        target = sim.world.agent(target_id)
+        att_pos, att_vel, att_acc, approach = _attacker_step(
+            np.broadcast_to(attacker.position, attack.shape),
+            np.broadcast_to(attacker.velocity, attack.shape),
+            target.position[None], target.velocity[None], attack, approach,
+            sim, params)
+        layout = AgentState(attacker.id, None, None, None,
+                            attacker.sensing_radius, ROLE_ATTACKER)
+    else:
+        att_pos, att_vel, att_acc = attack, np.zeros_like(attack), \
+            np.zeros_like(attack)
+        layout = AgentState(ATTACKER_ID, None, None, None, 1.0, ROLE_ATTACKER)
+    # The first step moves the swarm alike in every row: its commands read
+    # the pre-step world, and failure, completion and goal distances never
+    # read the attacker. One scalar step without the attacker stands in.
+    probe.step(AttackerAction(despawn=True))
+    swarm = probe.world.agents
+    size = len(swarm)
+
+    def stacked(name: str, attacker_rows: np.ndarray) -> np.ndarray:
+        shared = np.array([getattr(a, name) for a in swarm])
+        return np.concatenate([np.broadcast_to(shared, (count,) + shared.shape),
+                               attacker_rows[:, None]], axis=1)
+
+    rows = WorldRows(swarm + [layout], stacked("position", att_pos),
+                     stacked("velocity", att_vel),
+                     stacked("acceleration", att_acc),
+                     probe.world.obstacles, probe.world.leader_waypoints)
+    target_col = rows.column(target_id)
+    controller = probe.controller
+    state = controller.row_state(count)
+    live = np.arange(count)     # candidate index of each row still stepping
+    steps = probe.step_index
+    # goal distance of every swarm agent per batched step; NaN: no goal
+    goal_log = np.empty((params.lookahead - 1, count, size))
+    scores = [math.inf] * count
+
+    def finish(ended: np.ndarray, failed: np.ndarray, logged: int) -> None:
+        for k in np.flatnonzero(ended):
+            row = int(live[k])
+            if failed[k]:
+                scores[row] = _FAILURE_SCORE_BASE + steps
+            else:
+                histories = _extended_histories(
+                    probe.histories, swarm, goal_log[:logged, row],
+                    probe.cparams.window)
+                # through the simulation, as the scalar probe's
+                # last_record computes it
+                scores[row] = probe.robustness(rows.world(k, steps),
+                                               histories).swarm
+
+    if probe.done:
+        finish(np.ones(count, bool),
+               np.full(count, probe.failure_kind is not None), 0)
+        return scores
+    for logged in range(1, params.lookahead):
+        att_pos, att_vel, att_acc, approach = _attacker_step(
+            rows.position[:, -1], rows.velocity[:, -1],
+            rows.position[:, target_col], rows.velocity[:, target_col],
+            attack[live], approach, sim, params)
+        state = controller.update_rows(state, rows, spec)
+        commands = controller.commands_rows(state, rows, spec)
+        pos, vel, acc = integrate_rows(
+            rows.position[:, :size], rows.velocity[:, :size], commands,
+            spec.v_max, spec.a_max, spec.dt)
+        rows = WorldRows(rows.agents,
+                         np.concatenate([pos, att_pos[:, None]], axis=1),
+                         np.concatenate([vel, att_vel[:, None]], axis=1),
+                         np.concatenate([acc, att_acc[:, None]], axis=1),
+                         rows.obstacles, rows.leader_waypoints)
+        steps += 1
+        goal_log[logged - 1, live] = row_norms(
+            pos - controller.goal_rows(state, rows, spec))
+        failed = failed_rows(rows, steps, spec)
+        ended = failed | controller.mission_complete_rows(state, rows, spec)
+        if ended.any():
+            finish(ended, failed, logged)
+            keep = ~ended
+            live, rows = live[keep], rows.select(keep)
+            state = tuple(a[keep] for a in state)
+            approach = approach[keep]
+            if not live.size:
+                return scores
+    finish(np.ones(len(live), bool), np.zeros(len(live), bool),
+           params.lookahead - 1)
+    return scores
+
+
+def _extended_histories(histories: dict[int, list[float]], swarm,
+                        log: np.ndarray, window: int) -> dict:
+    """Goal-distance histories after the steps of ``log`` (steps × agents).
+
+    Each step appends its distance and keeps the last ``window + 1``, as
+    :meth:`Simulation._record_step` does; a NaN (no goal) clears the
+    history instead.
+    """
+    out = dict(histories)
+    for n, agent in enumerate(swarm):
+        column = log[:, n]
+        cleared = np.flatnonzero(np.isnan(column))
+        if cleared.size:
+            history = column[cleared[-1] + 1:].tolist()
+        else:
+            history = histories.get(agent.id, []) + column.tolist()
+        out[agent.id] = history[-(window + 1):]
+    return out
+
+
+def _attacker_step(position, velocity, target, target_velocity, candidates,
+                   approach, sim: Simulation, params: FuzzParams):
+    """One probe step of every row's attacker, as :func:`lookahead_score`
+    commands it: approach the candidate while more than one step away,
+    then pursue the target. Returns the new position, velocity and
+    acceleration and the rows still approaching."""
+    dt = sim.spec.dt
+    if approach.any():
+        approach = approach & (row_norms(candidates - position)
+                               > params.attacker_v_max * dt)
+    cmd = _pursuit_commands(position, target, target_velocity,
+                            params.standoff, params.attacker_v_max, dt,
+                            sim.attacker_a_max)
+    if approach.any():
+        cmd = np.where(approach[:, None],
+                       clamp_norms((candidates - position) / dt,
+                                   params.attacker_v_max), cmd)
+    return (*integrate_rows(position, velocity, cmd, sim.attacker_v_max,
+                            sim.attacker_a_max, dt), approach)
+
+
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
                       target_id: int, params: FuzzParams,
                       from_current: bool = False) -> tuple[np.ndarray, float]:
+    # one call scores the whole stack: lookahead_score is the single entry
+    # point of probe scoring, which perfbench traces as one layer
+    scores = lookahead_score(sim, np.array(candidates), target_id, params,
+                             from_current)
     best = None
     best_score = math.inf
-    for point in candidates:  # ties resolved by candidate index
-        score = lookahead_score(sim, point, target_id, params, from_current)
+    for point, score in zip(candidates, scores):  # ties: lowest index
         if score < best_score:
             best, best_score = point, score
     return best, best_score

@@ -89,10 +89,15 @@ class Simulation:
     def last_record(self) -> RobustnessRecord | None:
         """Robustness of the current step; None before the first step."""
         if self._record_stale:
-            self._record = swarm_robustness(self.world, self.histories,
-                                            self.cparams)
+            self._record = self.robustness(self.world, self.histories)
             self._record_stale = False
         return self._record
+
+    def robustness(self, world: WorldState,
+                   histories: dict[int, list[float]]) -> RobustnessRecord:
+        """Robustness of ``world`` with goal-distance ``histories`` under
+        this mission's constraint parameters."""
+        return swarm_robustness(world, histories, self.cparams)
 
     @property
     def done(self) -> bool:
@@ -162,7 +167,7 @@ class Simulation:
         if self.trace is None:
             self._record_stale = True
             return
-        record = swarm_robustness(self.world, self.histories, self.cparams)
+        record = self.robustness(self.world, self.histories)
         self._record = record
         for violation in constraint_violations(record, self.cparams):
             if violation not in self._seen_violations:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -77,10 +78,13 @@ _SECTION_FIELDS = {
              "standoff_m": "standoff", "warmup_steps": "warmup_steps"},
 }
 _SEARCH_REQUIRED = ("bounds_lo_m", "bounds_hi_m", "targets_m")
+# section keys that must hold an integer (not a bool), with their minimum;
+# SpawnGeometry owns the minimum of sectors
+_COUNT_KEYS = {"lookahead_steps": 1, "settle_steps": 0, "warmup_steps": 0,
+               "sectors": None}
 _array = partial(np.asarray, dtype=float)
 # section keys whose value is converted before it reaches its field
-_CONVERT = {"lookahead_steps": int, "settle_steps": int, "warmup_steps": int,
-            "sectors": int, "bounds_lo_m": _array, "bounds_hi_m": _array,
+_CONVERT = {"bounds_lo_m": _array, "bounds_hi_m": _array,
             "targets_m": lambda targets: [_array(t) for t in targets]}
 
 
@@ -149,6 +153,12 @@ class ScenarioConfig:
             raise ScenarioError("timeout_multiplier must be >= 1")
         if self.dt <= 0:
             raise ScenarioError("dt_s must be > 0")
+        # every speed and acceleration clamp divides by these limits
+        for key, limit in (("v_max_mps", self.v_max),
+                           ("a_max_mps2", self.a_max)):
+            if not (math.isfinite(limit) and limit > 0):
+                raise ScenarioError(f"{key} must be finite and > 0, "
+                                    f"got {limit!r}")
         if self.nominal_steps < 1:
             raise ScenarioError("nominal_steps must be >= 1")
         if self.controller_kind == "apf_navigate" and not self.leader_waypoints:
@@ -156,10 +166,21 @@ class ScenarioConfig:
         required = _SEARCH_REQUIRED \
             if self.controller_kind == "dispersal_search" else ()
         for name, fields in _SECTION_FIELDS.items():
-            f = _Fields(getattr(self, name), name)
+            section = getattr(self, name)
+            f = _Fields(section, name)
             for key in fields:
                 f.take(key, ... if key in required else None)
             f.finish()
+            for key in fields:
+                if key not in _COUNT_KEYS or key not in section:
+                    continue
+                value, least = section[key], _COUNT_KEYS[key]
+                if isinstance(value, bool) or \
+                        not isinstance(value, numbers.Integral) or \
+                        least is not None and value < least:
+                    bound = "" if least is None else f" >= {least}"
+                    raise ScenarioError(f"{name}: {key} must be an integer"
+                                        f"{bound}, got {value!r}")
         self.spawn_geometry()
 
     # -- derived objects ---------------------------------------------------

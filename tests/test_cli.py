@@ -58,6 +58,25 @@ def test_missing_search_key_exits_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_untyped_lookahead_exits_2(tmp_path, capsys):
+    data = a1_navigate().to_dict()
+    data["fuzz"]["lookahead_steps"] = None
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--executions", "1", "--budget", "1"]) == 2
+    assert "fuzz: lookahead_steps must be an integer" \
+        in capsys.readouterr().err
+
+
+def test_zero_speed_limit_exits_2(tmp_path, capsys):
+    data = a1_navigate().to_dict()
+    data["v_max_mps"] = 0
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--executions", "1", "--budget", "1"]) == 2
+    assert "v_max_mps must be finite and > 0" in capsys.readouterr().err
+
+
 def test_bad_executions_exits_2(capsys):
     assert main(["run", "a1_navigate", "--executions", "0"]) == 2
 

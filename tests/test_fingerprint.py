@@ -19,8 +19,13 @@ FINGERPRINTS = {
 }
 
 # seeds 0-2, budget 5, one worker: the dispersal controller with its
-# ``search`` section, the two uniform draws, and Katz on 3D graphs
+# ``search`` section (inside lookahead probes under sa and ma), the two
+# uniform draws, and Katz on 3D graphs
 OTHER_FINGERPRINTS = {
+    ("a2_search", "sa"):
+        "8ab083f1fea75efbb5040ad9bffbf5d20f819d4ec03efeee4ca0201a908c3cf9",
+    ("a2_search", "ma"):
+        "347d9f96cfe87b38c5783974e1ef4385bb6d3f92fc4293c47e379e78a29bca13",
     ("a2_search", "target_only"):
         "a8bfed05d6e0061f9c30984133cb577506e51b8df0cabb832605cf778196f787",
     ("a2_search", "random"):

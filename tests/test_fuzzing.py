@@ -1,13 +1,17 @@
 """Fuzzing engine tests: spawn geometry, schemes and determinism."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from litelfuzz import fuzzing
 from litelfuzz.fuzzing import (FuzzParams, NoValidSpawn, SpawnGeometry,
                                _pursuit_command, lookahead_score,
-                               random_target, run_fuzzing, spawn_candidates)
-from litelfuzz.scenarios import a1_navigate
+                               lookahead_scores, random_target, run_fuzzing,
+                               spawn_candidates)
+from litelfuzz.scenarios import (a1_navigate, a2_search, a3_navigate3d,
+                                 scenario_from_dict)
 from litelfuzz.world import AgentState, Obstacle, WorldState
 
 
@@ -200,3 +204,52 @@ class TestLookaheadScore:
             assert s <= -1e8 or abs(s) < 1e3
         # scoring must not advance the caller's simulation
         assert sim.step_index == params.warmup_steps
+
+
+def _a1_centroid():
+    data = a1_navigate().to_dict()
+    data["apf"]["formation_frame"] = "centroid"
+    return scenario_from_dict(data)
+
+
+class TestBatchedLookahead:
+    def test_scores_equal_scalar_scores_at_every_epoch(self, monkeypatch):
+        """Every epoch of sa and ma runs, re-scored at three horizons."""
+        seen = set()
+        argmin = fuzzing._argmin_candidate
+
+        def checked(sim, candidates, target_id, params, from_current=False):
+            for horizon in sorted({1, 2, params.lookahead}):
+                p = dataclasses.replace(params, lookahead=horizon)
+                scalar = [lookahead_score(sim, c, target_id, p, from_current)
+                          for c in candidates]
+                assert lookahead_scores(sim, candidates, target_id, p,
+                                        from_current) == scalar
+                assert lookahead_score(sim, np.array(candidates), target_id,
+                                       p, from_current) == scalar
+                attacker = sim.attacker() is not None
+                seen.add(("attacker", attacker, from_current))
+                # a failure score holds the step of the failure
+                ends = {s if s < -1e8 else "no failure" for s in scalar}
+                if len(ends) > 1:
+                    seen.add("rows end apart")  # some fail before others
+            return argmin(sim, candidates, target_id, params, from_current)
+
+        monkeypatch.setattr(fuzzing, "_argmin_candidate", checked)
+        for preset in (a1_navigate, _a1_centroid, a2_search, a3_navigate3d):
+            for scheme in ("sa", "ma"):
+                run_fuzzing(preset(), scheme, budget=3, seed=1)
+        assert seen >= {("attacker", False, False), ("attacker", True, True),
+                        ("attacker", True, False), "rows end apart"}
+
+    def test_finished_simulation_scores_as_scalar(self):
+        scn = a1_navigate()
+        sim = scn.build_simulation(seed=0, record_trace=False)
+        while not sim.done:
+            sim.step()
+        target = sim.world.swarm()[1]
+        points = spawn_candidates(target, sim.world, scn.spawn_geometry(),
+                                  sim.spec.safe_distance)
+        params = scn.fuzz_params()
+        assert lookahead_scores(sim, points, target.id, params) == \
+            [lookahead_score(sim, p, target.id, params) for p in points]

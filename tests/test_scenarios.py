@@ -92,6 +92,38 @@ class TestStrictParsing:
         with pytest.raises(ScenarioError, match="collision_radius_m"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("section,key", [
+        ("fuzz", "lookahead_steps"), ("fuzz", "settle_steps"),
+        ("fuzz", "warmup_steps"), ("spawn", "sectors")])
+    @pytest.mark.parametrize("value", [None, "abc", 2.5, True])
+    def test_count_keys_must_be_integers(self, section, key, value):
+        data = self.base()
+        data[section][key] = value
+        with pytest.raises(ScenarioError, match=f"^{section}: {key} must be"):
+            scenario_from_dict(data)
+
+    def test_count_key_minimums(self):
+        for section, key, least in [("fuzz", "lookahead_steps", 1),
+                                    ("fuzz", "settle_steps", 0),
+                                    ("fuzz", "warmup_steps", 0),
+                                    ("spawn", "sectors", 2)]:
+            data = self.base()
+            data[section][key] = least - 1
+            with pytest.raises(ScenarioError, match=f"^{section}: .*{key}"):
+                scenario_from_dict(data)
+            data[section][key] = least
+            config = scenario_from_dict(data)
+            assert config.to_dict()[section][key] == least
+
+    @pytest.mark.parametrize("key", ["v_max_mps", "a_max_mps2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_speed_and_acceleration_limits_positive_finite(self, key, value):
+        data = self.base()
+        data[key] = value
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(data)
+
 
 class TestPresets:
     def test_navigate_preset_published_values(self):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from litelfuzz.world import (AgentState, FailureKind, InvalidState, MissionSpec,
-                             Obstacle, WorldState, clamp_norm, detect_failure,
-                             integrate_step, min_obstacle_distance, norm)
+                             Obstacle, WorldState, clamp_norm, clamp_norms,
+                             detect_failure, integrate_step,
+                             min_obstacle_distance, norm, row_norms)
 
 
 def make_spec(**overrides):
@@ -47,10 +48,54 @@ class TestNorm:
         assert type(got) is float
         assert got == expected
 
+    @given(st.integers(2, 3), st.integers(1, 4), st.integers(1, 4),
+           st.lists(_COMPONENT, min_size=48, max_size=48))
+    def test_row_norms_equal_norm(self, dim, rows, cols, values):
+        points = np.array(values[:rows * cols * dim]).reshape(rows, cols, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = points.reshape(-1, dim)
+            pairwise = points[:, :, None] - points[:, None]
+            fortran = np.asfortranarray(pairwise)
+            for v in (stacked, points, pairwise, fortran):
+                got = row_norms(v)
+                assert got.shape == v.shape[:-1]
+                for index in np.ndindex(got.shape):
+                    expected = norm(v[index])
+                    assert got[index] == expected or \
+                        (math.isnan(expected) and math.isnan(got[index]))
+
+    @given(st.lists(st.floats(-10, 10), min_size=12, max_size=12),
+           st.floats(0.01, 10))
+    def test_clamp_norms_equal_clamp_norm(self, values, limit):
+        v = np.array(values).reshape(4, 3)
+        got = clamp_norms(v, limit)
+        for k in range(4):
+            assert (got[k] == clamp_norm(v[k], limit)).all()
+
 
 # -- obstacles ---------------------------------------------------------------
 
+_OBSTACLES = [Obstacle.circle([0.5, -0.5], 1.0),
+              Obstacle.box([-1.0, -0.5], [1.0, 1.5]),
+              Obstacle.circle([0.0, 0.5, 1.0], 1.0),
+              Obstacle.box([-1.0, -0.5, 0.0], [1.0, 1.5, 0.5])]
+
+
 class TestObstacle:
+    @given(st.sampled_from(_OBSTACLES),
+           st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+                    | st.floats(-3, 3), min_size=18, max_size=18))
+    def test_array_forms_equal_scalar_forms(self, obs, values):
+        # grid values put points on faces, edges, centres and inside
+        dim = len(obs.center if obs.kind == "circle" else obs.lo)
+        points = np.array(values[:6 * dim]).reshape(2, 3, dim)
+        distances = obs.surface_distances(points)
+        directions = obs.outward_directions(points)
+        for index in np.ndindex(2, 3):
+            assert distances[index] == obs.surface_distance(points[index])
+            assert (directions[index]
+                    == obs.outward_direction(points[index])).all()
+
     def test_circle_signed_distance(self):
         obs = Obstacle.circle([1.0, 1.0], 0.5)
         assert obs.surface_distance(np.array([2.5, 1.0])) == pytest.approx(1.0)
