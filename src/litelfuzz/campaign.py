@@ -102,14 +102,19 @@ class CampaignReport:
 
 
 def _run_one(args) -> dict:
+    """One execution's record; an error names the execution's seed and scheme."""
     scenario_dict, scheme, budget, seed, save_trace = args
     from .scenarios import scenario_from_dict
-    scenario = scenario_from_dict(scenario_dict)
-    result = run_fuzzing(scenario, scheme, budget=budget, seed=seed,
-                         record_trace=save_trace)
-    record = result.to_record()
-    if save_trace and result.trace is not None:
-        record["trace_jsonl"] = trace_to_jsonl(result.trace)
+    try:
+        scenario = scenario_from_dict(scenario_dict)
+        result = run_fuzzing(scenario, scheme, budget=budget, seed=seed,
+                             record_trace=save_trace)
+        record = result.to_record()
+        if save_trace and result.trace is not None:
+            record["trace_jsonl"] = trace_to_jsonl(result.trace)
+    except Exception as exc:
+        raise RuntimeError(f"execution seed={seed} scheme={scheme} "
+                           f"failed: {exc}") from exc
     return record
 
 
@@ -199,9 +204,9 @@ def trace_to_jsonl(trace: Trace) -> str:
             "t": world.step_index,
             "agents": [
                 {"id": a.id,
-                 "pos": [float(x) for x in a.position],
-                 "vel": [float(x) for x in a.velocity],
-                 "acc": [float(x) for x in a.acceleration],
+                 "pos": a.position.tolist(),
+                 "vel": a.velocity.tolist(),
+                 "acc": a.acceleration.tolist(),
                  "role": a.role}
                 for a in world.agents
             ],

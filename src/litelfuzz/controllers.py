@@ -85,25 +85,26 @@ def _repulsion_rows(rows: WorldRows, influence_radius: float,
     return total
 
 
-def _repulsion(agent_id: int, position: np.ndarray, world: WorldState,
-               influence_radius: float, gain: float) -> np.ndarray:
-    """Potential-field push away from obstacles and agents within range."""
+def _repulsion(agent_id: int, world: WorldState, influence_radius: float,
+               gain: float) -> np.ndarray:
+    """Potential-field push on an agent of ``world`` away from obstacles and
+    agents within range."""
+    table = world.distances()
+    col = table.column[agent_id]
+    position = world.agents[col].position
     total = np.zeros_like(position)
-    for obs in world.obstacles:
-        d = obs.surface_distance(position)
+    for obs, d in zip(world.obstacles, table.obstacles[col]):
         if d < influence_radius:
             d = max(d, 1e-6)
             mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
             total = total + mag * obs.outward_direction(position)
-    for other in world.agents:
-        if other.id == agent_id:
+    for k, (other, d) in enumerate(zip(world.agents, table.agents[col])):
+        if k == col or not d < influence_radius:
             continue
         away = position - other.position
-        d = norm(away)
-        if d < influence_radius:
-            d = max(d, 1e-6)
-            mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
-            total = total + mag * (away / d)
+        d = max(d, 1e-6)
+        mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
+        total = total + mag * (away / d)
     return total
 
 
@@ -211,8 +212,8 @@ class ApfNavigationController:
                                       self.slow_radius)
                 if feedforward is not None:
                     att = att + feedforward
-            rep = _repulsion(agent.id, agent.position, world,
-                             self.influence_radius, self.repulsion_gain)
+            rep = _repulsion(agent.id, world, self.influence_radius,
+                             self.repulsion_gain)
             cmds[agent.id] = clamp_norm(att + rep, spec.v_max)
         return cmds
 
@@ -418,18 +419,17 @@ class DispersalSearchController:
         # each searcher drifts to its own rank-th least-visited cell so the
         # swarm fans out instead of converging on a single frontier
         cell_order = np.argsort(self.visits.ravel(), kind="stable")
+        table = world.distances()
         cmds: dict[int, np.ndarray] = {}
         for rank, agent in enumerate(swarm):
             least = np.unravel_index(int(cell_order[rank % len(cell_order)]),
                                      self.visits.shape)
             drift_target = self._cell_center(least)
             cmd = np.zeros_like(agent.position)
-            for other in world.agents:
-                if other.id == agent.id:
-                    continue
-                away = agent.position - other.position
-                d = norm(away)
-                if d >= self.neighbor_radius:
+            col = table.column[agent.id]
+            for k, (other, d) in enumerate(zip(world.agents,
+                                               table.agents[col])):
+                if k == col or d >= self.neighbor_radius:
                     continue
                 if d < 1e-9:
                     # co-located: deterministic splay by agent rank
@@ -438,10 +438,11 @@ class DispersalSearchController:
                     away[0] = math.cos(angle)
                     away[1] = math.sin(angle)
                     d = 1.0
+                else:
+                    away = agent.position - other.position
                 cmd = cmd + (away / d) * spec.v_max * (1.0 - d / self.neighbor_radius)
             push = self.obstacle_gain * spec.v_max
-            for obs in world.obstacles:
-                d = obs.surface_distance(agent.position)
+            for obs, d in zip(world.obstacles, table.obstacles[col]):
                 if d < self.sensor_range:
                     d = max(d, 1e-6)
                     cmd = cmd + obs.outward_direction(agent.position) * \

@@ -673,8 +673,12 @@ class _FuzzDriver:
         attacker = self.sim.attacker()
         if attacker is None:
             return
-        for agent in self.sim.world.swarm():
-            if norm(agent.position - attacker.position) < self.sim.spec.collision_radius:
+        world = self.sim.world
+        table = world.distances()
+        row = table.agents[table.column[attacker.id]]
+        for agent, d in zip(world.agents, row):
+            if agent.role != ROLE_ATTACKER and \
+                    d < self.sim.spec.collision_radius:
                 self.invalid += 1
                 self.sim.event(f"invalid test case: attacker contact with "
                                f"agent {agent.id}")

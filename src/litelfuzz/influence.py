@@ -56,14 +56,15 @@ def build_influence_graph(world: WorldState, controller, spec: MissionSpec,
     graph = InfluenceGraph(nodes=list(ids), influence_radius=influence_radius)
     if len(ids) < 2:
         return graph
-    positions = {a.id: a.position for a in world.agents}
+    table = world.distances()
     baseline = controller.commands(world, spec)
     removed_cache: dict[int, dict[int, np.ndarray]] = {}
     for i in ids:
+        row = table.agents[table.column[i]]
         for j in ids:
             if i == j:
                 continue
-            if norm(positions[i] - positions[j]) > influence_radius:
+            if row[table.column[j]] > influence_radius:
                 continue
             if i not in removed_cache:
                 removed_cache[i] = controller.commands(world.without(i), spec)

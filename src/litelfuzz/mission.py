@@ -5,8 +5,10 @@ records one robustness record per step and emits a violation event the
 first time each (agent, constraint) pair is violated. An untraced run only
 keeps the goal-distance histories; it computes the current step's record
 when :attr:`Simulation.last_record` is first read and emits no violation
-events. Simulations are cheap to clone, which the fuzzer uses for
-lookahead scoring on throwaway copies.
+events. Worlds are never mutated, so a trace snapshot is the world
+itself and a clone starts from the same world as its original.
+Simulations are cheap to clone, which the fuzzer uses for lookahead
+scoring on throwaway copies.
 """
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ import numpy as np
 
 from .robustness import ConstraintParams, RobustnessRecord, \
     constraint_violations, swarm_robustness
-from .world import (ROLE_ATTACKER, AgentState, FailureKind, MissionSpec,
-                    WorldState, detect_failure, integrate_step, norm)
+from .world import (AgentState, FailureKind, InvalidState, MissionSpec,
+                    WorldState, detect_failure, integrate_rows,
+                    integrate_step, norm)
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_FAILURE = "Failure"
@@ -74,10 +77,10 @@ class Simulation:
         self._record_stale = False
         self._seen_violations: set[tuple[int, int]] = set()
         if self.trace is not None:
-            self.trace.snapshots.append(world.copy())
+            self.trace.snapshots.append(world)
 
     def clone(self) -> "Simulation":
-        sim = Simulation(self.world.copy(), self.controller.clone(), self.spec,
+        sim = Simulation(self.world, self.controller.clone(), self.spec,
                          self.cparams, self.attacker_v_max, self.attacker_a_max,
                          record_trace=False)
         sim.histories = {k: list(v) for k, v in self.histories.items()}
@@ -120,16 +123,33 @@ class Simulation:
         world = self.world
         self.controller.update(world, self.spec)
         commands = self.controller.commands(world, self.spec)
-        new_agents = []
-        for agent in world.agents:
-            if agent.role == ROLE_ATTACKER:
-                continue
-            new_agents.append(integrate_step(agent, commands[agent.id], self.spec))
+        new_agents = self._integrate_swarm(world.swarm(), commands)
         new_agents.extend(self._advance_attacker(attacker_action))
         self.world = WorldState(world.step_index + 1, new_agents,
                                 world.obstacles, world.leader_waypoints)
         self._record_step()
         self._check_outcome()
+
+    def _integrate_swarm(self, swarm: list[AgentState],
+                         commands: dict[int, np.ndarray]) -> list[AgentState]:
+        """:func:`integrate_step` of every swarm agent, in one array step."""
+        if not swarm:
+            return []
+        spec = self.spec
+        position = np.array([a.position for a in swarm])
+        velocity = np.array([a.velocity for a in swarm])
+        command = np.array([commands[a.id] for a in swarm], dtype=float)
+        try:
+            pos, vel, acc = integrate_rows(position, velocity, command,
+                                           spec.v_max, spec.a_max, spec.dt)
+        except InvalidState:
+            finite = np.isfinite(command).all(axis=1) \
+                & np.isfinite(position).all(axis=1) \
+                & np.isfinite(velocity).all(axis=1)
+            bad = swarm[int(np.argmin(finite))]
+            raise InvalidState(f"non-finite state for agent {bad.id}") from None
+        return [AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius,
+                           a.role) for k, a in enumerate(swarm)]
 
     def _advance_attacker(self, action: AttackerAction | None) -> list[AgentState]:
         attacker = self.attacker()
@@ -145,11 +165,10 @@ class Simulation:
         if attacker is None:
             return []
         if action.teleport is not None:
-            moved = attacker.copy()
-            moved.position = np.asarray(action.teleport, dtype=float)
-            moved.velocity = np.zeros_like(moved.position)
-            moved.acceleration = np.zeros_like(moved.position)
-            return [moved]
+            position = np.array(action.teleport, dtype=float)
+            return [AgentState(attacker.id, position, np.zeros_like(position),
+                               np.zeros_like(position),
+                               attacker.sensing_radius, attacker.role)]
         cmd = action.command if action.command is not None \
             else np.zeros_like(attacker.position)
         return [integrate_step(attacker, cmd, self._attacker_spec)]
@@ -173,7 +192,7 @@ class Simulation:
             if violation not in self._seen_violations:
                 self._seen_violations.add(violation)
                 self.event(f"violation agent={violation[0]} constraint={violation[1]}")
-        self.trace.snapshots.append(self.world.copy())
+        self.trace.snapshots.append(self.world)
         self.trace.robustness.append(record)
 
     def _check_outcome(self) -> None:

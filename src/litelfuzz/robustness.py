@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .world import WorldState, min_obstacle_distance, norm
+from .world import ROLE_ATTACKER, WorldState, min_obstacle_distance, norm
 
 N_CONSTRAINTS = 5
 
@@ -109,12 +109,12 @@ def margin_progress(goal_distance_history: Sequence[float],
 
 def _visible_pairwise(agent_id: int, world: WorldState,
                       params: ConstraintParams) -> list[float]:
-    agent = world.agent(agent_id)
+    table = world.distances()
+    row = table.agents[table.column[agent_id]]
     out = []
-    for other in world.swarm():
-        if other.id == agent_id:
+    for other, d in zip(world.agents, row):
+        if other.role == ROLE_ATTACKER or other.id == agent_id:
             continue
-        d = norm(other.position - agent.position)
         if d <= params.sensing_radius:
             out.append(d)
     return out

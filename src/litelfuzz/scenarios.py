@@ -54,6 +54,34 @@ class _Fields:
             unknown = ", ".join(sorted(self.data))
             raise ScenarioError(f"{self.context}: unknown key(s): {unknown}")
 
+    def _name(self, key: str) -> str:
+        return key if self.context == "scenario" else f"{self.context}: {key}"
+
+    def number(self, key, default=..., *, above=None, least=None) -> float:
+        """A finite JSON number, > ``above`` or else >= ``least``."""
+        value = self.take(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ScenarioError(f"{self._name(key)} must be a number, "
+                                f"got {value!r}")
+        if above is not None:
+            ok, bound = value > above, f"> {above:g}"
+        else:
+            ok, bound = value >= least, f">= {least:g}"
+        if not (ok and math.isfinite(value)):
+            raise ScenarioError(f"{self._name(key)} must be finite and "
+                                f"{bound}, got {value!r}")
+        return float(value)
+
+    def integer(self, key, default=..., *, least=None) -> int:
+        """A JSON integer (not a bool), >= ``least`` if given."""
+        value = self.take(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or least is not None and value < least:
+            bound = "" if least is None else f" >= {least}"
+            raise ScenarioError(f"{self._name(key)} must be an integer"
+                                f"{bound}, got {value!r}")
+        return int(value)
+
 
 # scenario key -> dataclass field, one table per section
 _SECTION_FIELDS = {
@@ -132,8 +160,8 @@ class ScenarioConfig:
     fuzz: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.dimension not in (2, 3):
-            raise ScenarioError("dimension must be 2 or 3")
+        """Cross-key invariants; :func:`scenario_from_dict` checks each
+        scalar's type and range as it reads it."""
         if self.controller_kind not in CONTROLLER_KINDS:
             raise ScenarioError(f"controller must be one of {CONTROLLER_KINDS}")
         ids = [a.id for a in self.agents]
@@ -149,38 +177,18 @@ class ScenarioConfig:
             raise ScenarioError("need 0 < formation_min_m < formation_max_m")
         if self.collision_radius >= self.safe_distance:
             raise ScenarioError("collision_radius_m must be < safe_distance_m")
-        if self.timeout_multiplier < 1:
-            raise ScenarioError("timeout_multiplier must be >= 1")
-        if self.dt <= 0:
-            raise ScenarioError("dt_s must be > 0")
-        # every speed and acceleration clamp divides by these limits
-        for key, limit in (("v_max_mps", self.v_max),
-                           ("a_max_mps2", self.a_max)):
-            if not (math.isfinite(limit) and limit > 0):
-                raise ScenarioError(f"{key} must be finite and > 0, "
-                                    f"got {limit!r}")
-        if self.nominal_steps < 1:
-            raise ScenarioError("nominal_steps must be >= 1")
         if self.controller_kind == "apf_navigate" and not self.leader_waypoints:
             raise ScenarioError("apf_navigate requires leader_waypoints_m")
         required = _SEARCH_REQUIRED \
             if self.controller_kind == "dispersal_search" else ()
         for name, fields in _SECTION_FIELDS.items():
-            section = getattr(self, name)
-            f = _Fields(section, name)
+            f = _Fields(getattr(self, name), name)
             for key in fields:
-                f.take(key, ... if key in required else None)
+                if key in _COUNT_KEYS and key in f.data:
+                    f.integer(key, least=_COUNT_KEYS[key])
+                else:
+                    f.take(key, ... if key in required else None)
             f.finish()
-            for key in fields:
-                if key not in _COUNT_KEYS or key not in section:
-                    continue
-                value, least = section[key], _COUNT_KEYS[key]
-                if isinstance(value, bool) or \
-                        not isinstance(value, numbers.Integral) or \
-                        least is not None and value < least:
-                    bound = "" if least is None else f" >= {least}"
-                    raise ScenarioError(f"{name}: {key} must be an integer"
-                                        f"{bound}, got {value!r}")
         self.spawn_geometry()
 
     # -- derived objects ---------------------------------------------------
@@ -320,8 +328,17 @@ class ScenarioConfig:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """Parse and validate a scenario; a bad one raises :class:`ScenarioError`.
+
+    Physical quantities must be finite JSON numbers in their range and
+    counts JSON integers, so NaN, 2.7 for a count or the string "false"
+    for a flag are rejected here, naming the key, instead of misbehaving
+    in a run.
+    """
     top = _Fields(data, "scenario")
-    dimension = int(top.take("dimension"))
+    dimension = top.integer("dimension")
+    if dimension not in (2, 3):
+        raise ScenarioError("dimension must be 2 or 3")
     agents = []
     for k, raw in enumerate(top.take("agents")):
         f = _Fields(raw, f"agents[{k}]")
@@ -330,9 +347,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ScenarioError(f"agents[{k}]: bad role '{role}'")
         offset = f.take("formation_offset_m", None)
         agents.append(AgentConfig(
-            id=int(f.take("id")), role=role,
+            id=f.integer("id"), role=role,
             start=_vec(f.take("start_m"), dimension, f"agents[{k}].start_m"),
-            sensing_radius=float(f.take("sensing_radius_m")),
+            sensing_radius=f.number("sensing_radius_m", above=0.0),
             formation_offset=None if offset is None
             else _vec(offset, dimension, f"agents[{k}].formation_offset_m")))
         f.finish()
@@ -343,7 +360,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if kind == "circle":
             obstacles.append(Obstacle.circle(
                 _vec(f.take("center_m"), dimension, f"obstacles[{k}].center_m"),
-                float(f.take("radius_m"))))
+                f.number("radius_m", above=0.0)))
         elif kind == "box":
             obstacles.append(Obstacle.box(
                 _vec(f.take("lo_m"), dimension, f"obstacles[{k}].lo_m"),
@@ -351,25 +368,29 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         else:
             raise ScenarioError(f"obstacles[{k}]: bad kind '{kind}'")
         f.finish()
+    formation_enabled = top.take("formation_constraint_enabled", True)
+    if not isinstance(formation_enabled, bool):
+        raise ScenarioError("formation_constraint_enabled must be true or "
+                            f"false, got {formation_enabled!r}")
     config = ScenarioConfig(
         name=str(top.take("name", "unnamed")),
         dimension=dimension,
         controller_kind=top.take("controller"),
         goal=_vec(top.take("goal_m"), dimension, "goal_m"),
-        goal_tolerance=float(top.take("goal_tolerance_m")),
-        safe_distance=float(top.take("safe_distance_m")),
-        v_max=float(top.take("v_max_mps")),
-        a_max=float(top.take("a_max_mps2")),
-        formation_min=float(top.take("formation_min_m")),
-        formation_max=float(top.take("formation_max_m")),
-        dt=float(top.take("dt_s")),
-        nominal_steps=int(top.take("nominal_steps")),
-        timeout_multiplier=float(top.take("timeout_multiplier", 2.0)),
-        collision_radius=float(top.take("collision_radius_m")),
-        formation_constraint_enabled=bool(
-            top.take("formation_constraint_enabled", True)),
-        progress_window=int(top.take("progress_window_steps", 20)),
-        start_jitter=float(top.take("start_jitter_m", 0.0)),
+        goal_tolerance=top.number("goal_tolerance_m", above=0.0),
+        safe_distance=top.number("safe_distance_m", above=0.0),
+        # every speed and acceleration clamp divides by these limits
+        v_max=top.number("v_max_mps", above=0.0),
+        a_max=top.number("a_max_mps2", above=0.0),
+        formation_min=top.number("formation_min_m", above=0.0),
+        formation_max=top.number("formation_max_m", above=0.0),
+        dt=top.number("dt_s", above=0.0),
+        nominal_steps=top.integer("nominal_steps", least=1),
+        timeout_multiplier=top.number("timeout_multiplier", 2.0, least=1.0),
+        collision_radius=top.number("collision_radius_m", least=0.0),
+        formation_constraint_enabled=formation_enabled,
+        progress_window=top.integer("progress_window_steps", 20, least=1),
+        start_jitter=top.number("start_jitter_m", 0.0, least=0.0),
         agents=agents,
         leader_waypoints=[_vec(w, dimension, "leader_waypoints_m")
                           for w in top.take("leader_waypoints_m", [])],

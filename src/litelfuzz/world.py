@@ -194,16 +194,58 @@ class MissionSpec:
             raise ValueError("collision_radius must be < safe_distance")
 
 
+@dataclass(frozen=True)
+class Distances:
+    """Every agent-agent and agent-obstacle distance of one world.
+
+    ``agents[i][j]`` is ``norm(p_i - p_j)`` and ``obstacles[i][o]`` is
+    ``obstacles[o].surface_distance(p_i)``, for the positions ``p`` of the
+    world's agents in world order; ``column`` maps an agent id to its
+    index. Entries are Python floats equal with ``==`` to the scalar forms,
+    and ``norm(a - b) == norm(b - a)``, so either triangle serves.
+    """
+
+    column: dict[int, int]
+    agents: list[list[float]]
+    obstacles: list[list[float]]
+
+    @staticmethod
+    def of(world: "WorldState") -> "Distances":
+        column = {a.id: k for k, a in enumerate(world.agents)}
+        if not world.agents:
+            return Distances(column, [], [])
+        pos = np.array([a.position for a in world.agents])
+        between = row_norms(pos[:, None] - pos[None]).tolist()
+        surface = np.array([obs.surface_distances(pos)
+                            for obs in world.obstacles])
+        return Distances(column, between,
+                         surface.reshape(len(world.obstacles), len(pos))
+                         .T.tolist())
+
+
 @dataclass
 class WorldState:
+    """One instant of a mission: its agents, obstacles and waypoints.
+
+    A world and its agents are never mutated once built; a step makes a
+    new world. That makes it safe to share a world between simulations
+    and trace snapshots, and to cache its :class:`Distances`, which
+    :meth:`distances` builds on first use. :meth:`without` returns a new
+    world, which builds its own table.
+    """
+
     step_index: int
     agents: list[AgentState]
     obstacles: list[Obstacle]
     leader_waypoints: list[np.ndarray] = field(default_factory=list)
+    _distances: Distances | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
-    def copy(self) -> "WorldState":
-        return WorldState(self.step_index, [a.copy() for a in self.agents],
-                          self.obstacles, self.leader_waypoints)
+    def distances(self) -> Distances:
+        """The world's distance table, built once."""
+        if self._distances is None:
+            self._distances = Distances.of(self)
+        return self._distances
 
     def agent(self, agent_id: int) -> AgentState:
         for a in self.agents:
@@ -319,14 +361,16 @@ def integrate_rows(position: np.ndarray, velocity: np.ndarray,
 
 
 def min_obstacle_distance(agent: AgentState, world: WorldState) -> float:
-    """Minimum surface distance to obstacles and other agents, in [0, sensing_radius]."""
-    best = agent.sensing_radius
-    for obs in world.obstacles:
-        best = min(best, obs.surface_distance(agent.position))
-    for other in world.agents:
-        if other.id == agent.id:
-            continue
-        best = min(best, norm(other.position - agent.position))
+    """Minimum surface distance to obstacles and other agents, in [0, sensing_radius].
+
+    ``agent`` is one of the agents of ``world``.
+    """
+    table = world.distances()
+    col = table.column[agent.id]
+    row = table.agents[col]
+    # obstacles in list order, then the other agents in world order
+    best = min((agent.sensing_radius, *table.obstacles[col], *row[:col],
+                *row[col + 1:]))
     return float(min(max(best, 0.0), agent.sensing_radius))
 
 
@@ -338,15 +382,17 @@ def detect_failure(world: WorldState, spec: MissionSpec,
     avoidance (formation_enabled False): such controllers treat overlap as
     benign, so it cannot count as a mission failure.
     """
-    swarm = world.swarm()
+    table = world.distances()
+    swarm = [k for k, a in enumerate(world.agents) if a.role != ROLE_ATTACKER]
     if spec.formation_enabled:
-        for i, a in enumerate(swarm):
-            for b in swarm[i + 1:]:
-                if norm(a.position - b.position) < spec.collision_radius:
+        for n, i in enumerate(swarm):
+            row = table.agents[i]
+            for j in swarm[n + 1:]:
+                if row[j] < spec.collision_radius:
                     return FailureKind.DRONES_COLLIDE
-    for a in swarm:
-        for obs in world.obstacles:
-            if obs.surface_distance(a.position) <= 0.0:
+    for i in swarm:
+        for d in table.obstacles[i]:
+            if d <= 0.0:
                 return FailureKind.OBSTACLE_CRASH
     nominal = spec.nominal_steps if nominal_steps is None else nominal_steps
     if world.step_index > nominal * spec.timeout_multiplier:

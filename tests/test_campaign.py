@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import litelfuzz.campaign
 from litelfuzz.campaign import (CampaignConfig, CampaignReport,
                                 robustness_curve_csv,
                                 run_campaign, scheme_comparison_csv,
@@ -159,3 +160,20 @@ class TestTraceExports:
         assert lines[0] == "scheme,executions,failures,failure_rate"
         assert lines[1].startswith("sa,1,1,")
         assert lines[2].startswith("random,1,0,")
+
+
+def test_failing_execution_names_seed_and_scheme(monkeypatch):
+    real = litelfuzz.campaign.run_fuzzing
+
+    def run_fuzzing(scenario, scheme, seed, **kwargs):
+        if seed == 12:
+            raise ValueError("boom")
+        return real(scenario, scheme, seed=seed, **kwargs)
+
+    monkeypatch.setattr(litelfuzz.campaign, "run_fuzzing", run_fuzzing)
+    config = CampaignConfig(scheme="random", executions=4, base_seed=10,
+                            budget=1)
+    with pytest.raises(RuntimeError) as info:
+        run_campaign(a1_navigate(), config)
+    assert str(info.value) == "execution seed=12 scheme=random failed: boom"
+    assert isinstance(info.value.__cause__, ValueError)

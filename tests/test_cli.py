@@ -77,6 +77,16 @@ def test_zero_speed_limit_exits_2(tmp_path, capsys):
     assert "v_max_mps must be finite and > 0" in capsys.readouterr().err
 
 
+def test_nan_collision_radius_exits_2(tmp_path, capsys):
+    data = a1_navigate().to_dict()
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data).replace(
+        '"collision_radius_m": 0.05', '"collision_radius_m": NaN'))
+    assert main(["run", str(path), "--executions", "1", "--budget", "1"]) == 2
+    assert "collision_radius_m must be finite and >= 0, got nan" \
+        in capsys.readouterr().err
+
+
 def test_bad_executions_exits_2(capsys):
     assert main(["run", "a1_navigate", "--executions", "0"]) == 2
 

@@ -35,15 +35,15 @@ class TestFields:
     def test_repulsion_range_and_direction(self):
         world = WorldState(0, [make_agent([0, 0], agent_id=0),
                                make_agent([0.1, 0.0], agent_id=1)], [])
-        v = _repulsion(0, world.agent(0).position, world, 0.15, 0.05)
+        v = _repulsion(0, world, 0.15, 0.05)
         assert v[0] < 0.0 and v[1] == pytest.approx(0.0)
-        none = _repulsion(0, world.agent(0).position, world, 0.05, 0.05)
+        none = _repulsion(0, world, 0.05, 0.05)
         np.testing.assert_allclose(none, [0.0, 0.0])
 
     def test_obstacle_repulsion_points_outward(self):
         world = WorldState(0, [make_agent([0.0, 0.0])],
                            [Obstacle.circle([0.12, 0.0], 0.05)])
-        v = _repulsion(0, np.array([0.0, 0.0]), world, 0.15, 0.05)
+        v = _repulsion(0, world, 0.15, 0.05)
         assert v[0] < 0.0
 
 

@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from litelfuzz.campaign import CampaignConfig, run_campaign
+from litelfuzz.campaign import CampaignConfig, run_campaign, trace_to_jsonl
+from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 
 # a1_navigate, seeds 0-4, budget 5, one worker
@@ -35,6 +36,11 @@ OTHER_FINGERPRINTS = {
 }
 PRESETS = {"a2_search": a2_search, "a3_navigate3d": a3_navigate3d}
 
+# a3_navigate3d, ma, seeds 0-1, budget 5: the JSONL traces, one after the
+# other; every step of a traced run writes its world and robustness record
+TRACE_FINGERPRINT = \
+    "ac61168f489b1d94ae7ea9e7a2710dca960ca65822c1480d14778ca5f9605b1e"
+
 
 def records_digest(scenario, scheme: str, executions: int) -> str:
     config = CampaignConfig(scheme=scheme, executions=executions,
@@ -53,3 +59,12 @@ def test_a1_records_fingerprint(scheme):
 def test_a2_a3_records_fingerprint(preset, scheme):
     assert records_digest(PRESETS[preset](), scheme, 3) \
         == OTHER_FINGERPRINTS[(preset, scheme)]
+
+
+def test_a3_trace_fingerprint():
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        result = run_fuzzing(a3_navigate3d(), "ma", budget=5, seed=seed,
+                             record_trace=True)
+        digest.update(trace_to_jsonl(result.trace).encode())
+    assert digest.hexdigest() == TRACE_FINGERPRINT

@@ -5,7 +5,7 @@ import pytest
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, Simulation,
                                run_mission)
 from litelfuzz.scenarios import a1_navigate, a2_search
-from litelfuzz.world import AgentState
+from litelfuzz.world import AgentState, InvalidState, WorldState
 
 
 def snapshot_bytes(trace):
@@ -159,3 +159,68 @@ class TestLazyRobustness:
             if traced.done:
                 break
         assert lazy.outcome == traced.outcome
+
+
+def world_bytes(world):
+    return world.step_index, [
+        (a.id, a.role, a.position.tobytes(), a.velocity.tobytes(),
+         a.acceleration.tobytes()) for a in world.agents]
+
+
+class TestImmutableWorlds:
+    @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
+    def test_worlds_and_snapshots_never_change(self, scenario):
+        sim = scenario().build_simulation(seed=4)
+        seen = [(sim.world, world_bytes(sim.world))]
+        target = sim.world.swarm()[1].position
+        push = np.zeros(len(target))
+        push[0] = 0.5
+        actions = ([None, AttackerAction(spawn=make_attacker(target + 0.3))]
+                   + [AttackerAction(command=push)] * 4
+                   + [AttackerAction(teleport=target - 0.3)]
+                   + [AttackerAction(command=-push)] * 4
+                   + [AttackerAction(despawn=True)] + [None] * 3)
+        for action in actions:
+            sim.step(action)
+            # a clone starts from the same world object and steps away
+            probe = sim.clone()
+            assert probe.world is sim.world
+            for _ in range(3):
+                probe.step(AttackerAction(command=push))
+            seen.append((sim.world, world_bytes(sim.world)))
+            seen.append((probe.world, world_bytes(probe.world)))
+            if sim.done:
+                break
+        snapshots = [(w, world_bytes(w)) for w in sim.trace.snapshots]
+        for _ in range(5):
+            sim.step()
+        for world, before in seen + snapshots:
+            assert world_bytes(world) == before
+
+
+class TestInvalidState:
+    def test_non_finite_command_names_the_agent(self):
+        sim = a1_navigate().build_simulation(seed=0, record_trace=False)
+        commands = sim.controller.commands
+
+        def corrupt(world, spec):
+            out = commands(world, spec)
+            out[2] = np.array([np.nan, 0.0])
+            out[3] = np.array([0.0, np.inf])
+            return out
+
+        sim.controller.commands = corrupt
+        with pytest.raises(InvalidState, match=r"for agent 2$"):
+            sim.step()
+
+    def test_non_finite_velocity_names_the_agent(self):
+        sim = a1_navigate().build_simulation(seed=0, record_trace=False)
+        world = sim.world
+        agents = list(world.agents)
+        bad = agents[3]
+        agents[3] = AgentState(bad.id, bad.position, np.array([np.inf, 0.0]),
+                               bad.acceleration, bad.sensing_radius, bad.role)
+        sim.world = WorldState(world.step_index, agents, world.obstacles,
+                               world.leader_waypoints)
+        with pytest.raises(InvalidState, match=f"for agent {bad.id}$"):
+            sim.step()

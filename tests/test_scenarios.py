@@ -115,6 +115,64 @@ class TestStrictParsing:
             config = scenario_from_dict(data)
             assert config.to_dict()[section][key] == least
 
+    @pytest.mark.parametrize("key,value", [
+        ("collision_radius_m", float("nan")),
+        ("goal_tolerance_m", float("nan")),
+        ("dt_s", float("nan")),
+        ("timeout_multiplier", float("nan")),
+        ("goal_tolerance_m", -1),
+        ("goal_tolerance_m", 0.0),
+        ("safe_distance_m", float("nan")),
+        ("formation_max_m", float("inf")),
+        ("collision_radius_m", -0.01),
+        ("start_jitter_m", -0.01),
+        ("start_jitter_m", float("inf")),
+        ("timeout_multiplier", 0.5),
+        ("dt_s", "0.05"),
+        ("dt_s", True),
+        ("dimension", 2.7),
+        ("dimension", True),
+        ("dimension", 4),
+        ("nominal_steps", 40.9),
+        ("nominal_steps", 0),
+        ("nominal_steps", False),
+        ("progress_window_steps", 0),
+        ("progress_window_steps", 1.0),
+        ("formation_constraint_enabled", "false"),
+        ("formation_constraint_enabled", 0),
+    ])
+    def test_bad_top_level_scalar_rejected(self, key, value):
+        data = self.base()
+        data[key] = value
+        with pytest.raises(ScenarioError, match=f"^{key} must be"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("sensing_radius_m", float("nan")), ("sensing_radius_m", -0.5),
+        ("sensing_radius_m", "0.5"), ("id", 1.0), ("id", True),
+        ("id", "1")])
+    def test_bad_agent_scalar_rejected(self, key, value):
+        data = self.base()
+        data["agents"][1][key] = value
+        with pytest.raises(ScenarioError, match=f"^agents\\[1\\]: {key} must be"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, None])
+    def test_bad_obstacle_radius_rejected(self, value):
+        data = a3_navigate3d().to_dict()
+        data["obstacles"][0]["radius_m"] = value
+        with pytest.raises(ScenarioError, match="^obstacles\\[0\\]: radius_m"):
+            scenario_from_dict(data)
+
+    def test_valid_edge_values_load(self):
+        data = self.base()
+        data.update(collision_radius_m=0, start_jitter_m=0,
+                    timeout_multiplier=1, progress_window_steps=1,
+                    formation_constraint_enabled=False, dt_s=1)
+        config = scenario_from_dict(data)
+        assert config.dt == 1.0 and type(config.dt) is float
+        assert config.formation_constraint_enabled is False
+
     @pytest.mark.parametrize("key", ["v_max_mps", "a_max_mps2"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
                                        float("inf")])

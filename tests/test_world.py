@@ -205,6 +205,77 @@ class TestWorldState:
         assert min_obstacle_distance(a, w) == pytest.approx(0.25)
 
 
+# -- distance table ----------------------------------------------------------
+
+_OBSTACLE_SETS = {
+    2: [[], [Obstacle.circle([0.5, -0.5], 1.0),
+             Obstacle.box([-1.0, -0.5], [1.0, 1.5])]],
+    3: [[], [Obstacle.circle([0.0, 0.5, 1.0], 1.0),
+             Obstacle.box([-1.0, -0.5, 0.0], [1.0, 1.5, 0.5])]],
+}
+# grid values put points on box faces and edges, inside boxes and at
+# circle centres
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) | st.floats(-3, 3)
+
+
+@st.composite
+def _worlds(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    spots = draw(st.lists(st.lists(_GRID, min_size=dim, max_size=dim),
+                          min_size=1, max_size=3))
+    # agents take positions from a few spots, so some are co-located
+    picks = draw(st.lists(st.integers(0, len(spots) - 1), min_size=1,
+                          max_size=5))
+    agents = [make_agent(spots[k], agent_id=n) for n, k in enumerate(picks)]
+    if draw(st.booleans()):
+        agents.append(make_agent(spots[draw(st.integers(0, len(spots) - 1))],
+                                 agent_id=1000, role="attacker"))
+    return WorldState(0, agents, draw(st.sampled_from(_OBSTACLE_SETS[dim])))
+
+
+def _same(x, y) -> bool:
+    """Equal floats with equal signs (0.0 and -0.0 differ)."""
+    return type(x) is float and x == y \
+        and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+class TestDistances:
+    @given(_worlds())
+    def test_entries_equal_scalar_forms(self, world):
+        table = world.distances()
+        assert table.column == {a.id: k for k, a in enumerate(world.agents)}
+        for i, a in enumerate(world.agents):
+            for j, b in enumerate(world.agents):
+                assert _same(table.agents[i][j], norm(a.position - b.position))
+            assert len(table.obstacles[i]) == len(world.obstacles)
+            for d, obs in zip(table.obstacles[i], world.obstacles):
+                assert _same(d, obs.surface_distance(a.position))
+        assert world.distances() is table
+
+    @given(_worlds())
+    def test_min_obstacle_distance_equals_scalar_reduction(self, world):
+        for a in world.agents:
+            best = a.sensing_radius
+            for obs in world.obstacles:
+                best = min(best, obs.surface_distance(a.position))
+            for other in world.agents:
+                if other.id != a.id:
+                    best = min(best, norm(other.position - a.position))
+            expected = float(min(max(best, 0.0), a.sensing_radius))
+            assert _same(min_obstacle_distance(a, world), expected)
+
+    def test_empty_world_and_derived_world_tables(self):
+        empty = WorldState(0, [], [Obstacle.circle([0.0, 0.0], 1.0)])
+        table = empty.distances()
+        assert (table.column, table.agents, table.obstacles) == ({}, [], [])
+        w = WorldState(0, [make_agent([0, 0], agent_id=1),
+                           make_agent([3, 4], agent_id=2)], [])
+        assert w.distances().agents == [[0.0, 5.0], [5.0, 0.0]]
+        assert w.distances().obstacles == [[], []]
+        assert w.without(1).distances().agents == [[0.0]]
+        assert "_distances" not in repr(w)
+
+
 # -- failure detection -------------------------------------------------------
 
 class TestDetectFailure:
