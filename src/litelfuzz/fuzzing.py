@@ -43,11 +43,18 @@ class NoValidSpawn(RuntimeError):
     """Every spawn sector around the target is excluded."""
 
 
+# A ``fallback`` field takes a value from the scenario when its key is
+# absent, null or 0 (see ``ScenarioConfig.spawn_geometry`` and
+# ``ScenarioConfig.fuzz_params``).
+_FALLBACK = dict(kind="number", least=0.0, fallback=True)
+
+
 @dataclass
 class SpawnGeometry:
-    inner_radius: float          # target sensing radius
-    outer_radius: float          # slightly larger ring bound
-    sectors: int = 8
+    # target sensing radius, and a slightly larger ring bound
+    inner_radius: float = field(metadata=_FALLBACK)
+    outer_radius: float = field(metadata=_FALLBACK)
+    sectors: int = field(default=8, metadata=dict(kind="integer"))
 
     def __post_init__(self):
         if not 0 < self.inner_radius < self.outer_radius:
@@ -58,14 +65,22 @@ class SpawnGeometry:
 
 @dataclass
 class FuzzParams:
-    attacker_v_max: float
-    graph_radius: float             # influence-graph edge eligibility radius
-    standoff: float                 # hover distance kept from the target drone
-    lookahead: int = 10
-    settle_steps: int = 5
-    attacker_a_max: Optional[float] = None   # None: same limit as the swarm
-    alpha_factor: float = 0.85
-    warmup_steps: int = 10
+    attacker_v_max: float = field(metadata=_FALLBACK)
+    # influence-graph edge eligibility radius
+    graph_radius: float = field(metadata=_FALLBACK)
+    # hover distance kept from the target drone
+    standoff: float = field(metadata=_FALLBACK)
+    lookahead: int = field(default=10, metadata=dict(kind="integer", least=1))
+    settle_steps: int = field(default=5,
+                              metadata=dict(kind="integer", least=0))
+    # None: same limit as the swarm
+    attacker_a_max: Optional[float] = field(
+        default=None, metadata=dict(kind="number", above=0.0))
+    # Katz alpha as a fraction of 1 / spectral radius
+    alpha_factor: float = field(
+        default=0.85, metadata=dict(kind="number", above=0.0, below=1.0))
+    warmup_steps: int = field(default=10,
+                              metadata=dict(kind="integer", least=0))
 
     def reach_radius(self, dt: float) -> float:
         return self.attacker_v_max * self.lookahead * dt
@@ -258,58 +273,31 @@ def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
     scoring lower.
 
     A stack of candidates, shape ``(B, d)``, gives the list of their B
-    scores from one batched rollout (:func:`lookahead_scores`).
+    scores; a single candidate is scored as a stack of one. Either way the
+    candidates roll out together in :func:`lookahead_scores`.
     """
     candidate = np.asarray(candidate, dtype=float)
-    if candidate.ndim == 2:
-        return lookahead_scores(sim, candidate, target_id, params,
-                                from_current)
-    probe = sim.clone()
-    step_len = params.attacker_v_max * probe.spec.dt
-    approaching = from_current and probe.attacker() is not None
-    if not approaching:
-        spawn = AgentState(ATTACKER_ID, candidate.copy(),
-                           np.zeros_like(candidate), np.zeros_like(candidate),
-                           sensing_radius=1.0, role=ROLE_ATTACKER)
-        probe.step(AttackerAction(spawn=spawn))
-    for k in range(params.lookahead - (0 if approaching else 1)):
-        if probe.done:
-            break
-        attacker = probe.attacker()
-        try:
-            target = probe.world.agent(target_id)
-        except KeyError:
-            break
-        if approaching and \
-                norm(candidate - attacker.position) > step_len:
-            cmd = clamp_norm((candidate - attacker.position) / probe.spec.dt,
-                             params.attacker_v_max)
-        else:
-            approaching = False
-            cmd = _pursuit_command(attacker, target, params.standoff,
-                                   params.attacker_v_max, probe.spec.dt,
-                                   probe.attacker_a_max)
-        probe.step(AttackerAction(command=cmd))
-    if probe.failure_kind is not None:
-        return _FAILURE_SCORE_BASE + probe.step_index
-    return probe.last_record.swarm if probe.last_record is not None else math.inf
+    scores = lookahead_scores(sim, np.atleast_2d(candidate), target_id,
+                              params, from_current)
+    return scores if candidate.ndim == 2 else scores[0]
 
 
 def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
                      target_id: int, params: FuzzParams,
                      from_current: bool = False) -> list[float]:
-    """:func:`lookahead_score` of every candidate, bit for bit, in one rollout.
+    """The lookahead score of every candidate, from one rollout.
 
     The probes of one epoch start from the same world and differ only in
     the attacker, so they are stepped together as the rows of a
     :class:`WorldRows` batch, with the controller state, goal-distance
     history and outcome kept per row. A row that fails or completes the
-    mission freezes, as the scalar probe stops. ``target_id`` must name a
-    swarm agent.
+    mission is scored then and leaves the batch. ``target_id`` must name a
+    swarm agent, and ``params.lookahead`` must be at least 1.
     """
-    if sim.done or params.lookahead < 1:
-        return [lookahead_score(sim, c, target_id, params, from_current)
-                for c in candidates]
+    if sim.done:
+        # a finished mission does not step, and has no record to score
+        return [_FAILURE_SCORE_BASE + sim.step_index
+                if sim.failure_kind is not None else math.inf] * len(candidates)
     spec = sim.spec
     attack = np.array([np.asarray(c, dtype=float) for c in candidates])
     count = len(attack)
@@ -363,8 +351,7 @@ def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
                 histories = _extended_histories(
                     probe.histories, swarm, goal_log[:logged, row],
                     probe.cparams.window)
-                # through the simulation, as the scalar probe's
-                # last_record computes it
+                # through the simulation, as its last_record computes it
                 scores[row] = probe.robustness(rows.world(k, steps),
                                                histories).swarm
 
@@ -427,10 +414,9 @@ def _extended_histories(histories: dict[int, list[float]], swarm,
 
 def _attacker_step(position, velocity, target, target_velocity, candidates,
                    approach, sim: Simulation, params: FuzzParams):
-    """One probe step of every row's attacker, as :func:`lookahead_score`
-    commands it: approach the candidate while more than one step away,
-    then pursue the target. Returns the new position, velocity and
-    acceleration and the rows still approaching."""
+    """One probe step of every row's attacker: approach the candidate while
+    more than one step away, then pursue the target. Returns the new
+    position, velocity and acceleration and the rows still approaching."""
     dt = sim.spec.dt
     if approach.any():
         approach = approach & (row_norms(candidates - position)

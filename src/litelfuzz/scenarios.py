@@ -1,20 +1,25 @@
 """Scenario configuration: JSON schema, validation and built-in presets.
 
 Scenario files are strict JSON with units suffixed on key names
-(``_m``, ``_mps``, ``_s``). Unknown keys are rejected at load so typos fail
-loudly, in the ``apf``, ``search``, ``spawn`` and ``fuzz`` sections too.
-Each section key maps to one field of the dataclass it configures; a key
-left out takes that field's default, so the defaults live only in
-:class:`ApfNavigationController`, :class:`DispersalSearchController`,
-:class:`SpawnGeometry` and :class:`FuzzParams`.
+(``_m``, ``_mps``, ``_s``). Each key sets one dataclass field, whose
+``metadata`` holds the key's check: a kind (``number``, ``integer``,
+``choice``, ``text``, ``vector``, ``vectors`` or a nested object) and a
+range (``above``, ``least``, ``below`` or ``choices``). One walker reads
+the key tables with that metadata, at load and to dump a scenario.
+A key left out takes its field's default, so each default lives in one
+class; a field without one is required (a controller's only when the
+scenario runs it) unless it is a ``fallback``, which an absent, null or 0
+key leaves to the scenario. Otherwise null is accepted for a None default.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import partial
+import operator
+import re
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,181 +28,295 @@ from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import FuzzParams, SpawnGeometry
 from .mission import Simulation
 from .robustness import ConstraintParams
-from .world import (ROLE_FOLLOWER, ROLE_LEADER, ROLE_SEARCHER, AgentState,
-                    MissionSpec, Obstacle, WorldState)
-
-CONTROLLER_KINDS = ("apf_navigate", "dispersal_search")
+from .world import (ROLE_LEADER, SWARM_ROLES, AgentState, MissionSpec,
+                    Obstacle, WorldState)
 
 
 class ScenarioError(ValueError):
     """Configuration is missing a key or breaks an invariant."""
 
 
-class _Fields:
-    """Dict wrapper that tracks consumption and names missing keys."""
-
-    def __init__(self, data: dict, context: str):
-        if not isinstance(data, dict):
-            raise ScenarioError(f"{context}: expected an object")
-        self.data = dict(data)
-        self.context = context
-
-    def take(self, key, default=...):
-        if key in self.data:
-            return self.data.pop(key)
-        if default is ...:
-            raise ScenarioError(f"{self.context}: missing required key '{key}'")
-        return default
-
-    def finish(self):
-        if self.data:
-            unknown = ", ".join(sorted(self.data))
-            raise ScenarioError(f"{self.context}: unknown key(s): {unknown}")
-
-    def _name(self, key: str) -> str:
-        return key if self.context == "scenario" else f"{self.context}: {key}"
-
-    def number(self, key, default=..., *, above=None, least=None) -> float:
-        """A finite JSON number, > ``above`` or else >= ``least``."""
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ScenarioError(f"{self._name(key)} must be a number, "
-                                f"got {value!r}")
-        if above is not None:
-            ok, bound = value > above, f"> {above:g}"
-        else:
-            ok, bound = value >= least, f">= {least:g}"
-        if not (ok and math.isfinite(value)):
-            raise ScenarioError(f"{self._name(key)} must be finite and "
-                                f"{bound}, got {value!r}")
-        return float(value)
-
-    def integer(self, key, default=..., *, least=None) -> int:
-        """A JSON integer (not a bool), >= ``least`` if given."""
-        value = self.take(key, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                or least is not None and value < least:
-            bound = "" if least is None else f" >= {least}"
-            raise ScenarioError(f"{self._name(key)} must be an integer"
-                                f"{bound}, got {value!r}")
-        return int(value)
+def _field(default=MISSING, factory=MISSING, **check):
+    """A dataclass field holding its key's ``check`` in its metadata."""
+    return field(default=default, default_factory=factory, metadata=check)
 
 
-# scenario key -> dataclass field, one table per section
-_SECTION_FIELDS = {
-    "apf": {"influence_radius_m": "influence_radius",
-            "repulsion_gain": "repulsion_gain",
-            "slow_radius_m": "slow_radius",
-            "waypoint_switch_radius_m": "waypoint_switch_radius",
-            "formation_tolerance_m": "formation_tolerance",
-            "formation_frame": "formation_frame"},
-    "search": {"bounds_lo_m": "bounds_lo", "bounds_hi_m": "bounds_hi",
-               "targets_m": "targets", "neighbor_radius_m": "neighbor_radius",
-               "sensor_range_m": "sensor_range",
-               "target_radius_m": "target_radius", "cell_size_m": "cell_size",
-               "explore_weight": "explore_weight",
-               "obstacle_gain": "obstacle_gain"},
-    "spawn": {"inner_radius_m": "inner_radius",
-              "outer_radius_m": "outer_radius", "sectors": "sectors"},
-    "fuzz": {"lookahead_steps": "lookahead", "settle_steps": "settle_steps",
-             "attacker_v_max_mps": "attacker_v_max",
-             "attacker_a_max_mps2": "attacker_a_max",
-             "graph_radius_m": "graph_radius", "alpha_factor": "alpha_factor",
-             "standoff_m": "standoff", "warmup_steps": "warmup_steps"},
-}
-_SEARCH_REQUIRED = ("bounds_lo_m", "bounds_hi_m", "targets_m")
-# section keys that must hold an integer (not a bool), with their minimum;
-# SpawnGeometry owns the minimum of sectors
-_COUNT_KEYS = {"lookahead_steps": 1, "settle_steps": 0, "warmup_steps": 0,
-               "sectors": None}
-_array = partial(np.asarray, dtype=float)
-# section keys whose value is converted before it reaches its field
-_CONVERT = {"bounds_lo_m": _array, "bounds_hi_m": _array,
-            "targets_m": lambda targets: [_array(t) for t in targets]}
+_RANGES = (("above", ">", operator.gt), ("least", ">=", operator.ge),
+           ("below", "<", operator.lt))
 
 
-def _vec(value, dim: int, context: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim,):
-        raise ScenarioError(f"{context}: expected a {dim}-vector")
-    return arr
+def _key(name: str, required=True, null=False, **check) -> dict:
+    # a key's check, with its range as (operator, limit, text) triples, the
+    # field it sets, and whether it is required or nullable
+    return dict(check, field=name, required=required, null=null,
+                ranges=[(op, check[r], f"{sign} {check[r]:g}")
+                        for r, sign, op in _RANGES if r in check])
+
+
+def _keys(cls, names: dict[str, str] | None = None) -> dict[str, dict]:
+    """``names`` (scenario key -> field of ``cls``, by default each checked
+    field's ``key`` or name) with each field's check, resolved once."""
+    out = {}
+    for f in fields(cls):
+        fallback = f.metadata.get("fallback", False)
+        bare = f.default is MISSING and f.default_factory is MISSING
+        out[f.name] = _key(f.name, bare and not fallback,
+                           fallback or f.default is None, **f.metadata)
+    if names is None:
+        names = {f.metadata.get("key", f.name): f.name for f in fields(cls)
+                 if f.metadata}
+    return {key: out[name] for key, name in names.items()}
+
+
+def _fields(values: dict, keys: dict) -> dict:
+    """Walked ``values`` keyed by the fields their keys set."""
+    return {keys[key]["field"]: value for key, value in values.items()}
+
+
+def _number(value, spec: dict, name: str):
+    """A finite JSON number (JSON integer for kind ``integer``) in range."""
+    integer = spec["kind"] == "integer"
+    # concrete types first skip the abstract-class check; the largest float
+    # bounds out NaN, infinities and integers too big to be a float
+    typed = isinstance(value, (int, numbers.Integral) if integer else (
+        float, int, numbers.Real)) and not isinstance(value, bool)
+    ok = typed and (integer or abs(value) <= sys.float_info.max)
+    for op, limit, _ in spec["ranges"]:
+        ok = ok and op(value, limit)
+    if ok:
+        return int(value) if integer else float(value)
+    bound = " and ".join(text for *_, text in spec["ranges"])
+    if integer:
+        raise ScenarioError(f"{name} must be an integer"
+                            f"{' ' + bound if bound else ''}, got {value!r}")
+    if not typed:
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    raise ScenarioError(f"{name} must be finite"
+                        f"{' and ' + bound if bound else ''}, got {value!r}")
+
+
+def _vec(value, dim: int, name: str) -> np.ndarray:
+    """A list of ``dim`` finite JSON numbers, as a float array."""
+    if not (isinstance(value, list) and len(value) == dim and all(
+            isinstance(x, (float, int, numbers.Real))
+            and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+            for x in value)):
+        raise ScenarioError(f"{name} must be a list of {dim} finite numbers, "
+                            f"got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _check(value, spec: dict, name: str, scenario: dict):
+    """``value`` checked and converted; ``scenario`` holds the top level."""
+    kind = spec["kind"]
+    if value is None and spec["null"]:
+        return None
+    if kind in ("number", "integer"):
+        return _number(value, spec, name)
+    if kind == "choice":
+        if not any(type(value) is type(c) and value == c
+                   for c in spec["choices"]):
+            raise ScenarioError(f"{name} must be " + " or ".join(
+                map(json.dumps, spec["choices"])) + f", got {value!r}")
+        return value
+    if kind == "text":
+        if not isinstance(value, str):
+            raise ScenarioError(f"{name} must be a string, got {value!r}")
+        return value
+    if kind == "vector":
+        return _vec(value, scenario["dimension"], name)
+    if kind == "section":
+        return _walk(value, spec["keys"], name, scenario, required=spec[
+            "controller"] in (None, scenario["controller"]))
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name} must be a list, got {value!r}")
+    items = [(f"{name}[{k}]", item) for k, item in enumerate(value)]
+    if kind == "vectors":
+        return [_vec(item, scenario["dimension"], n) for n, item in items]
+    if kind == "agents":
+        return [AgentConfig(**_fields(_walk(item, _AGENT_FIELDS, n, scenario),
+                                      _AGENT_FIELDS)) for n, item in items]
+    obstacles = []
+    for n, item in items:
+        # any kind but "box" fails the circle table's check of "kind"
+        keys = _OBSTACLE_FIELDS["box" if isinstance(item, dict)
+                                and item.get("kind") == "box" else "circle"]
+        kwargs = _fields(_walk(item, keys, n, scenario), keys)
+        try:
+            obstacles.append(getattr(Obstacle, kwargs.pop("kind"))(**kwargs))
+        except ValueError as exc:
+            raise _invariant(exc, n, keys) from exc
+    return obstacles
+
+
+def _walk(data, keys: dict, context: str, scenario: dict | None = None,
+          required: bool = True) -> dict:
+    """The keys of ``data`` checked and converted, in ``keys`` order."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{context}: expected an object")
+    out = {}
+    scenario = out if scenario is None else scenario    # the top level
+    prefix = "" if context == "scenario" else context + ": "
+    for key, spec in keys.items():
+        if key in data:
+            out[key] = _check(data[key], spec, prefix + key, scenario)
+        elif required and spec["required"]:
+            raise ScenarioError(f"{context}: missing required key '{key}'")
+    if len(out) < len(data):
+        unknown = ", ".join(sorted(set(data) - set(keys)))
+        raise ScenarioError(f"{context}: unknown key(s): {unknown}")
+    return out
+
+
+def _dump(value, spec: dict):
+    """The JSON form of a value that :func:`_check` read."""
+    kind = spec["kind"]
+    if value is None or kind in ("number", "integer", "choice", "text"):
+        return value
+    if kind == "vector":
+        return [float(x) for x in value]
+    if kind == "vectors":
+        return [[float(x) for x in v] for v in value]
+    if kind == "section":
+        return {key: _dump(v, spec["keys"][key]) for key, v in value.items()}
+    if kind == "agents":
+        return [_dump_fields(a, _AGENT_FIELDS) for a in value]
+    return [_dump_fields(o, _OBSTACLE_FIELDS[o.kind]) for o in value]
+
+
+def _dump_fields(obj, keys: dict) -> dict:
+    return {key: _dump(getattr(obj, spec["field"]), spec)
+            for key, spec in keys.items()}
+
+
+def _invariant(exc: ValueError, context: str, keys: dict) -> ScenarioError:
+    """A broken invariant, naming the keys whose fields ``exc`` names."""
+    words = set(re.findall(r"\w+", str(exc)))
+    named = ", ".join(k for k, spec in keys.items() if spec["field"] in words)
+    prefix = "" if context == "scenario" else context + ": "
+    return ScenarioError(f"{prefix}{exc} (keys {named})")
+
+
+_POSITIVE = dict(kind="number", above=0.0)
+# obstacle kind -> its keys, each with the Obstacle.<kind> argument it sets
+_KIND = {"kind": _key("kind", kind="choice", choices=("circle", "box"))}
+_OBSTACLE_FIELDS = {
+    "circle": {**_KIND, "center_m": _key("center", kind="vector"),
+               "radius_m": _key("radius", **_POSITIVE)},
+    "box": {**_KIND, "lo_m": _key("lo", kind="vector"),
+            "hi_m": _key("hi", kind="vector")}}
 
 
 @dataclass
 class AgentConfig:
-    id: int
-    role: str
-    start: np.ndarray
-    sensing_radius: float
-    formation_offset: np.ndarray | None = None
+    id: int = _field(kind="integer")
+    role: str = _field(kind="choice", choices=SWARM_ROLES)
+    start: np.ndarray = _field(key="start_m", kind="vector")
+    sensing_radius: float = _field(key="sensing_radius_m", **_POSITIVE)
+    formation_offset: np.ndarray | None = _field(
+        None, key="formation_offset_m", kind="vector")
+
+
+_AGENT_FIELDS = _keys(AgentConfig)
+
+# scenario key -> dataclass field, one table per section
+_SECTION_FIELDS = {
+    "apf": _keys(ApfNavigationController, {
+        "influence_radius_m": "influence_radius",
+        "repulsion_gain": "repulsion_gain", "slow_radius_m": "slow_radius",
+        "waypoint_switch_radius_m": "waypoint_switch_radius",
+        "formation_tolerance_m": "formation_tolerance",
+        "formation_frame": "formation_frame"}),
+    "search": _keys(DispersalSearchController, {
+        "bounds_lo_m": "bounds_lo", "bounds_hi_m": "bounds_hi",
+        "targets_m": "targets", "neighbor_radius_m": "neighbor_radius",
+        "sensor_range_m": "sensor_range", "target_radius_m": "target_radius",
+        "cell_size_m": "cell_size", "explore_weight": "explore_weight",
+        "obstacle_gain": "obstacle_gain"}),
+    "spawn": _keys(SpawnGeometry, {
+        "inner_radius_m": "inner_radius", "outer_radius_m": "outer_radius",
+        "sectors": "sectors"}),
+    "fuzz": _keys(FuzzParams, {
+        "lookahead_steps": "lookahead", "settle_steps": "settle_steps",
+        "attacker_v_max_mps": "attacker_v_max",
+        "attacker_a_max_mps2": "attacker_a_max",
+        "graph_radius_m": "graph_radius", "alpha_factor": "alpha_factor",
+        "standoff_m": "standoff", "warmup_steps": "warmup_steps"}),
+}
+
+
+def _section(name: str, controller: str | None = None):
+    # its required keys are required only when the scenario runs controller
+    return _field(factory=dict, kind="section", keys=_SECTION_FIELDS[name],
+                  controller=controller)
 
 
 @dataclass
 class ScenarioConfig:
-    name: str
-    dimension: int
-    controller_kind: str
-    goal: np.ndarray
-    goal_tolerance: float
-    safe_distance: float
-    v_max: float
-    a_max: float
-    formation_min: float
-    formation_max: float
-    dt: float
-    nominal_steps: int
-    timeout_multiplier: float
-    collision_radius: float
-    formation_constraint_enabled: bool
-    progress_window: int
-    start_jitter: float
-    agents: list[AgentConfig]
-    leader_waypoints: list[np.ndarray]
-    obstacles: list[Obstacle]
-    apf: dict = field(default_factory=dict)
-    search: dict = field(default_factory=dict)
-    spawn: dict = field(default_factory=dict)
-    fuzz: dict = field(default_factory=dict)
+    """A scenario. Each field holds the check of the top-level key that sets
+    it (``key``, else the field's name); the walker reads them in order."""
+
+    dimension: int = _field(kind="choice", choices=(2, 3))
+    controller_kind: str = _field(key="controller", kind="choice", choices=(
+        "apf_navigate", "dispersal_search"))
+    goal: np.ndarray = _field(key="goal_m", kind="vector")
+    goal_tolerance: float = _field(key="goal_tolerance_m", **_POSITIVE)
+    safe_distance: float = _field(key="safe_distance_m", **_POSITIVE)
+    # every speed and acceleration clamp divides by these limits
+    v_max: float = _field(key="v_max_mps", **_POSITIVE)
+    a_max: float = _field(key="a_max_mps2", **_POSITIVE)
+    formation_min: float = _field(key="formation_min_m", **_POSITIVE)
+    formation_max: float = _field(key="formation_max_m", **_POSITIVE)
+    dt: float = _field(key="dt_s", **_POSITIVE)
+    nominal_steps: int = _field(kind="integer", least=1)
+    collision_radius: float = _field(key="collision_radius_m",
+                                     kind="number", least=0.0)
+    agents: list[AgentConfig] = _field(kind="agents")
+    name: str = _field("unnamed", kind="text")
+    timeout_multiplier: float = _field(2.0, kind="number", least=1.0)
+    formation_constraint_enabled: bool = _field(True, kind="choice",
+                                                choices=(True, False))
+    progress_window: int = _field(20, key="progress_window_steps",
+                                  kind="integer", least=1)
+    start_jitter: float = _field(0.0, key="start_jitter_m", kind="number",
+                                 least=0.0)
+    leader_waypoints: list[np.ndarray] = _field(
+        factory=list, key="leader_waypoints_m", kind="vectors")
+    obstacles: list[Obstacle] = _field(factory=list, kind="obstacles")
+    apf: dict = _section("apf", "apf_navigate")
+    search: dict = _section("search", "dispersal_search")
+    spawn: dict = _section("spawn")
+    fuzz: dict = _section("fuzz")
 
     def validate(self) -> None:
-        """Cross-key invariants; :func:`scenario_from_dict` checks each
-        scalar's type and range as it reads it."""
-        if self.controller_kind not in CONTROLLER_KINDS:
-            raise ScenarioError(f"controller must be one of {CONTROLLER_KINDS}")
+        """Check the invariants between keys, building each object once."""
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ScenarioError("agent ids must be unique")
         if not self.agents:
             raise ScenarioError("at least one agent is required")
-        for a in self.agents:
+        apf = self.controller_kind == "apf_navigate"
+        for k, a in enumerate(self.agents):
             if a.sensing_radius <= self.safe_distance:
                 raise ScenarioError(
                     f"agent {a.id}: sensing_radius_m must exceed safe_distance_m")
-        if not 0 < self.formation_min < self.formation_max:
-            raise ScenarioError("need 0 < formation_min_m < formation_max_m")
-        if self.collision_radius >= self.safe_distance:
-            raise ScenarioError("collision_radius_m must be < safe_distance_m")
-        if self.controller_kind == "apf_navigate" and not self.leader_waypoints:
+            if apf and a.role != ROLE_LEADER and a.formation_offset is None:
+                raise ScenarioError(
+                    f"agents[{k}]: apf_navigate requires formation_offset_m")
+        if apf and not self.leader_waypoints:
             raise ScenarioError("apf_navigate requires leader_waypoints_m")
-        required = _SEARCH_REQUIRED \
-            if self.controller_kind == "dispersal_search" else ()
-        for name, fields in _SECTION_FIELDS.items():
-            f = _Fields(getattr(self, name), name)
-            for key in fields:
-                if key in _COUNT_KEYS and key in f.data:
-                    f.integer(key, least=_COUNT_KEYS[key])
-                else:
-                    f.take(key, ... if key in required else None)
-            f.finish()
-        self.spawn_geometry()
+        for context, build in [("scenario", self.mission_spec),
+                               ("apf" if apf else "search",
+                                self.build_controller),
+                               ("spawn", self.spawn_geometry),
+                               ("fuzz", self.fuzz_params)]:
+            try:
+                build()
+            except ValueError as exc:
+                raise _invariant(exc, context, _SECTION_FIELDS.get(
+                    context, _TOP_FIELDS)) from exc
 
     # -- derived objects ---------------------------------------------------
-
-    def _field_kwargs(self, section: str) -> dict:
-        """Dataclass keyword arguments for the keys present in ``section``."""
-        fields = _SECTION_FIELDS[section]
-        return {fields[key]: _CONVERT.get(key, lambda v: v)(value)
-                for key, value in getattr(self, section).items()}
 
     def mission_spec(self) -> MissionSpec:
         return MissionSpec(goal=self.goal, goal_tolerance=self.goal_tolerance,
@@ -236,9 +355,11 @@ class ScenarioConfig:
         if self.controller_kind == "apf_navigate":
             offsets = {a.id: a.formation_offset for a in self.agents
                        if a.formation_offset is not None}
-            return ApfNavigationController(formation_offsets=offsets,
-                                           **self._field_kwargs("apf"))
-        return DispersalSearchController(**self._field_kwargs("search"))
+            return ApfNavigationController(
+                formation_offsets=offsets,
+                **_fields(self.apf, _SECTION_FIELDS["apf"]))
+        return DispersalSearchController(
+            **_fields(self.search, _SECTION_FIELDS["search"]))
 
     def build_simulation(self, seed: int = 0, controller=None,
                          record_trace: bool = True) -> Simulation:
@@ -257,20 +378,15 @@ class ScenarioConfig:
     # field defaults; an absent, null or zero key falls back.
 
     def spawn_geometry(self) -> SpawnGeometry:
-        kwargs = self._field_kwargs("spawn")
+        kwargs = _fields(self.spawn, _SECTION_FIELDS["spawn"])
         kwargs["inner_radius"] = kwargs.get("inner_radius") \
             or min(a.sensing_radius for a in self.agents)
         kwargs["outer_radius"] = kwargs.get("outer_radius") \
             or 1.5 * kwargs["inner_radius"]
-        try:
-            return SpawnGeometry(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"spawn: {exc} (keys inner_radius_m, outer_radius_m, sectors)"
-            ) from exc
+        return SpawnGeometry(**kwargs)
 
     def fuzz_params(self) -> FuzzParams:
-        kwargs = self._field_kwargs("fuzz")
+        kwargs = _fields(self.fuzz, _SECTION_FIELDS["fuzz"])
         kwargs["attacker_v_max"] = kwargs.get("attacker_v_max") or self.v_max
         kwargs["graph_radius"] = kwargs.get("graph_radius") \
             or 2.0 * min(a.sensing_radius for a in self.agents)
@@ -280,125 +396,23 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "dimension": self.dimension,
-            "controller": self.controller_kind,
-            "goal_m": [float(x) for x in self.goal],
-            "goal_tolerance_m": self.goal_tolerance,
-            "safe_distance_m": self.safe_distance,
-            "v_max_mps": self.v_max,
-            "a_max_mps2": self.a_max,
-            "formation_min_m": self.formation_min,
-            "formation_max_m": self.formation_max,
-            "dt_s": self.dt,
-            "nominal_steps": self.nominal_steps,
-            "timeout_multiplier": self.timeout_multiplier,
-            "collision_radius_m": self.collision_radius,
-            "formation_constraint_enabled": self.formation_constraint_enabled,
-            "progress_window_steps": self.progress_window,
-            "start_jitter_m": self.start_jitter,
-            "agents": [
-                {"id": a.id, "role": a.role,
-                 "start_m": [float(x) for x in a.start],
-                 "sensing_radius_m": a.sensing_radius,
-                 "formation_offset_m": None if a.formation_offset is None
-                 else [float(x) for x in a.formation_offset]}
-                for a in self.agents
-            ],
-            "leader_waypoints_m": [[float(x) for x in w]
-                                   for w in self.leader_waypoints],
-            "obstacles": [
-                {"kind": "circle", "center_m": [float(x) for x in o.center],
-                 "radius_m": o.radius} if o.kind == "circle" else
-                {"kind": "box", "lo_m": [float(x) for x in o.lo],
-                 "hi_m": [float(x) for x in o.hi]}
-                for o in self.obstacles
-            ],
-            "apf": dict(self.apf),
-            "search": dict(self.search),
-            "spawn": dict(self.spawn),
-            "fuzz": dict(self.fuzz),
-        }
-        return out
+        return _dump_fields(self, _TOP_FIELDS)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2,
                                          sort_keys=True) + "\n")
 
 
+_TOP_FIELDS = _keys(ScenarioConfig)
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Parse and validate a scenario; a bad one raises :class:`ScenarioError`.
 
-    Physical quantities must be finite JSON numbers in their range and
-    counts JSON integers, so NaN, 2.7 for a count or the string "false"
-    for a flag are rejected here, naming the key, instead of misbehaving
-    in a run.
-    """
-    top = _Fields(data, "scenario")
-    dimension = top.integer("dimension")
-    if dimension not in (2, 3):
-        raise ScenarioError("dimension must be 2 or 3")
-    agents = []
-    for k, raw in enumerate(top.take("agents")):
-        f = _Fields(raw, f"agents[{k}]")
-        role = f.take("role")
-        if role not in (ROLE_LEADER, ROLE_FOLLOWER, ROLE_SEARCHER):
-            raise ScenarioError(f"agents[{k}]: bad role '{role}'")
-        offset = f.take("formation_offset_m", None)
-        agents.append(AgentConfig(
-            id=f.integer("id"), role=role,
-            start=_vec(f.take("start_m"), dimension, f"agents[{k}].start_m"),
-            sensing_radius=f.number("sensing_radius_m", above=0.0),
-            formation_offset=None if offset is None
-            else _vec(offset, dimension, f"agents[{k}].formation_offset_m")))
-        f.finish()
-    obstacles = []
-    for k, raw in enumerate(top.take("obstacles", [])):
-        f = _Fields(raw, f"obstacles[{k}]")
-        kind = f.take("kind")
-        if kind == "circle":
-            obstacles.append(Obstacle.circle(
-                _vec(f.take("center_m"), dimension, f"obstacles[{k}].center_m"),
-                f.number("radius_m", above=0.0)))
-        elif kind == "box":
-            obstacles.append(Obstacle.box(
-                _vec(f.take("lo_m"), dimension, f"obstacles[{k}].lo_m"),
-                _vec(f.take("hi_m"), dimension, f"obstacles[{k}].hi_m")))
-        else:
-            raise ScenarioError(f"obstacles[{k}]: bad kind '{kind}'")
-        f.finish()
-    formation_enabled = top.take("formation_constraint_enabled", True)
-    if not isinstance(formation_enabled, bool):
-        raise ScenarioError("formation_constraint_enabled must be true or "
-                            f"false, got {formation_enabled!r}")
-    config = ScenarioConfig(
-        name=str(top.take("name", "unnamed")),
-        dimension=dimension,
-        controller_kind=top.take("controller"),
-        goal=_vec(top.take("goal_m"), dimension, "goal_m"),
-        goal_tolerance=top.number("goal_tolerance_m", above=0.0),
-        safe_distance=top.number("safe_distance_m", above=0.0),
-        # every speed and acceleration clamp divides by these limits
-        v_max=top.number("v_max_mps", above=0.0),
-        a_max=top.number("a_max_mps2", above=0.0),
-        formation_min=top.number("formation_min_m", above=0.0),
-        formation_max=top.number("formation_max_m", above=0.0),
-        dt=top.number("dt_s", above=0.0),
-        nominal_steps=top.integer("nominal_steps", least=1),
-        timeout_multiplier=top.number("timeout_multiplier", 2.0, least=1.0),
-        collision_radius=top.number("collision_radius_m", least=0.0),
-        formation_constraint_enabled=formation_enabled,
-        progress_window=top.integer("progress_window_steps", 20, least=1),
-        start_jitter=top.number("start_jitter_m", 0.0, least=0.0),
-        agents=agents,
-        leader_waypoints=[_vec(w, dimension, "leader_waypoints_m")
-                          for w in top.take("leader_waypoints_m", [])],
-        obstacles=obstacles,
-        **{name: _Fields(top.take(name, {}), name).data
-           for name in _SECTION_FIELDS},
-    )
-    top.finish()
+    Every key is checked as it is read, so NaN, 2.7 for a count or "false"
+    for a flag are rejected here, naming the key, not met in a run."""
+    config = ScenarioConfig(**_fields(_walk(data, _TOP_FIELDS, "scenario"),
+                                      _TOP_FIELDS))
     config.validate()
     return config
 
@@ -418,20 +432,10 @@ def _diamond_offsets(count: int, spacing: float, dimension: int) -> list[np.ndar
     neighbours exactly ``spacing`` apart."""
     dx = spacing * math.cos(math.pi / 6.0)
     dy = spacing * 0.5
-    pattern = []
-    col = 1
-    while len(pattern) < count:
-        phase = (col - 1) % 3
-        if phase in (0, 1):
-            pattern.append((-col * dx, dy if phase == 0 else -dy))
-        else:
-            pattern.append((-col * dx, 0.0))
-        # two slots per off-axis column
-        if phase == 0 and len(pattern) < count:
-            pattern.append((-col * dx, -dy))
-            col += 1
-        elif phase != 0:
-            col += 1
+    # columns cycle through two off-axis slots, one, and one on the axis
+    lateral = ((dy, -dy), (-dy,), (0.0,))
+    pattern = [(-col * dx, y) for col in range(1, count + 1)
+               for y in lateral[(col - 1) % 3]]
     out = []
     for x, y in pattern[:count]:
         v = np.zeros(dimension)
@@ -509,7 +513,6 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
                 "waypoint_switch_radius_m": 0.2,
                 "formation_tolerance_m": 0.15,
                 "formation_frame": "leader"},
-        "search": {},
         "spawn": {"inner_radius_m": 0.5, "outer_radius_m": 1.0, "sectors": 8},
         "fuzz": {"lookahead_steps": 20, "settle_steps": 12,
                  "attacker_v_max_mps": 3.0, "attacker_a_max_mps2": 30.0,
@@ -521,11 +524,9 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
 
 def a2_search(size: int = 10, nominal_steps: int | None = None) -> ScenarioConfig:
     """Dispersal-based coordinated search, no mutual collision avoidance."""
-    agents = []
-    for k in range(size):
-        agents.append({"id": k, "role": "searcher",
-                       "start_m": [-6.0 + 0.1 * (k % 4), -6.0 + 0.1 * (k // 4)],
-                       "sensing_radius_m": 2.0, "formation_offset_m": None})
+    agents = [{"id": k, "role": "searcher",
+               "start_m": [-6.0 + 0.1 * (k % 4), -6.0 + 0.1 * (k // 4)],
+               "sensing_radius_m": 2.0} for k in range(size)]
     data = {
         "name": f"a2_search_{size}",
         "dimension": 2,
@@ -547,13 +548,11 @@ def a2_search(size: int = 10, nominal_steps: int | None = None) -> ScenarioConfi
         "progress_window_steps": 20,
         "start_jitter_m": 0.05,
         "agents": agents,
-        "leader_waypoints_m": [],
         "obstacles": [
             {"kind": "box", "lo_m": [-2.0, -1.0], "hi_m": [0.0, 1.0]},
             {"kind": "circle", "center_m": [4.0, -4.0], "radius_m": 1.2},
             {"kind": "circle", "center_m": [-4.0, 4.0], "radius_m": 1.2},
         ],
-        "apf": {},
         "search": {"bounds_lo_m": [-8.0, -8.0], "bounds_hi_m": [8.0, 8.0],
                    "targets_m": [[6.0, 6.0], [5.0, -5.0]],
                    "neighbor_radius_m": 2.0, "sensor_range_m": 2.0,
@@ -607,7 +606,6 @@ def a3_navigate3d(size: int = 6, nominal_steps: int | None = None) -> ScenarioCo
         "apf": {"influence_radius_m": 2.0, "repulsion_gain": 2.0,
                 "slow_radius_m": 2.0, "waypoint_switch_radius_m": 1.0,
                 "formation_tolerance_m": 1.0},
-        "search": {},
         "spawn": {"inner_radius_m": 2.0, "outer_radius_m": 3.0, "sectors": 8},
         "fuzz": {"lookahead_steps": 10, "settle_steps": 5,
                  "attacker_v_max_mps": 5.0, "graph_radius_m": 4.0,

@@ -73,7 +73,7 @@ class Obstacle:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if not np.all(lo < hi):
-            raise ValueError("box min corner must be < max corner componentwise")
+            raise ValueError("need lo < hi componentwise")
         return Obstacle(kind="box", lo=lo, hi=hi)
 
     def surface_distance(self, point: np.ndarray) -> float:
@@ -193,6 +193,10 @@ class MissionSpec:
         if self.collision_radius >= self.safe_distance:
             raise ValueError("collision_radius must be < safe_distance")
 
+    def timed_out(self, step_index: int) -> bool:
+        """Whether step ``step_index`` lies past the mission's time budget."""
+        return step_index > self.nominal_steps * self.timeout_multiplier
+
 
 @dataclass(frozen=True)
 class Distances:
@@ -288,6 +292,15 @@ class WorldRows:
         self.swarm = [k for k, a in enumerate(self.agents)
                       if a.role != ROLE_ATTACKER]
 
+    @staticmethod
+    def of(world: WorldState) -> "WorldRows":
+        """``world`` as a batch of one row."""
+        def stacked(name: str) -> np.ndarray:
+            return np.array([getattr(a, name) for a in world.agents])[None]
+        return WorldRows(world.agents, stacked("position"),
+                         stacked("velocity"), stacked("acceleration"),
+                         world.obstacles, world.leader_waypoints)
+
     def column(self, agent_id: int) -> int:
         for k, a in enumerate(self.agents):
             if a.id == agent_id:
@@ -374,8 +387,7 @@ def min_obstacle_distance(agent: AgentState, world: WorldState) -> float:
     return float(min(max(best, 0.0), agent.sensing_radius))
 
 
-def detect_failure(world: WorldState, spec: MissionSpec,
-                   nominal_steps: int | None = None) -> FailureKind | None:
+def detect_failure(world: WorldState, spec: MissionSpec) -> FailureKind | None:
     """Physical failure check; attacker contact is never reported here.
 
     DronesCollide is suppressed when the scenario declares no inter-drone
@@ -394,8 +406,7 @@ def detect_failure(world: WorldState, spec: MissionSpec,
         for d in table.obstacles[i]:
             if d <= 0.0:
                 return FailureKind.OBSTACLE_CRASH
-    nominal = spec.nominal_steps if nominal_steps is None else nominal_steps
-    if world.step_index > nominal * spec.timeout_multiplier:
+    if spec.timed_out(world.step_index):
         return FailureKind.TIMEOUT
     return None
 
@@ -404,8 +415,7 @@ def failed_rows(rows: WorldRows, step_index: int,
                 spec: MissionSpec) -> np.ndarray:
     """Rows of ``rows`` in which :func:`detect_failure` reports a failure."""
     pos = rows.position[:, rows.swarm]
-    failed = np.full(len(pos), step_index > spec.nominal_steps
-                     * spec.timeout_multiplier)
+    failed = np.full(len(pos), spec.timed_out(step_index))
     if spec.formation_enabled:
         # norm(a - b) == norm(b - a), so both triangles agree
         close = row_norms(pos[:, :, None] - pos[:, None]) \

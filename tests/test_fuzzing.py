@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from litelfuzz import fuzzing
-from litelfuzz.fuzzing import (FuzzParams, NoValidSpawn, SpawnGeometry,
-                               _pursuit_command, lookahead_score,
-                               lookahead_scores, random_target, run_fuzzing,
-                               spawn_candidates)
+from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
+                               SpawnGeometry, _pursuit_command,
+                               lookahead_score, lookahead_scores,
+                               random_target, run_fuzzing, spawn_candidates)
+from litelfuzz.mission import ATTACKER_ID, AttackerAction
 from litelfuzz.scenarios import (a1_navigate, a2_search, a3_navigate3d,
                                  scenario_from_dict)
-from litelfuzz.world import AgentState, Obstacle, WorldState
+from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, WorldState,
+                             clamp_norm, norm)
 
 
 def make_agent(pos, agent_id=0, sensing=0.5, role="follower"):
@@ -206,6 +208,41 @@ class TestLookaheadScore:
         assert sim.step_index == params.warmup_steps
 
 
+def scalar_lookahead_score(sim, candidate, target_id, params,
+                           from_current=False):
+    """One candidate's lookahead score from a scalar rollout of
+    ``Simulation.step``: the oracle the batched rollout must equal."""
+    probe = sim.clone()
+    step_len = params.attacker_v_max * probe.spec.dt
+    approaching = from_current and probe.attacker() is not None
+    if not approaching:
+        spawn = AgentState(ATTACKER_ID, candidate.copy(),
+                           np.zeros_like(candidate), np.zeros_like(candidate),
+                           sensing_radius=1.0, role=ROLE_ATTACKER)
+        probe.step(AttackerAction(spawn=spawn))
+    for k in range(params.lookahead - (0 if approaching else 1)):
+        if probe.done:
+            break
+        attacker = probe.attacker()
+        try:
+            target = probe.world.agent(target_id)
+        except KeyError:
+            break
+        if approaching and \
+                norm(candidate - attacker.position) > step_len:
+            cmd = clamp_norm((candidate - attacker.position) / probe.spec.dt,
+                             params.attacker_v_max)
+        else:
+            approaching = False
+            cmd = _pursuit_command(attacker, target, params.standoff,
+                                   params.attacker_v_max, probe.spec.dt,
+                                   probe.attacker_a_max)
+        probe.step(AttackerAction(command=cmd))
+    if probe.failure_kind is not None:
+        return _FAILURE_SCORE_BASE + probe.step_index
+    return probe.last_record.swarm if probe.last_record is not None else math.inf
+
+
 def _a1_centroid():
     data = a1_navigate().to_dict()
     data["apf"]["formation_frame"] = "centroid"
@@ -221,12 +258,16 @@ class TestBatchedLookahead:
         def checked(sim, candidates, target_id, params, from_current=False):
             for horizon in sorted({1, 2, params.lookahead}):
                 p = dataclasses.replace(params, lookahead=horizon)
-                scalar = [lookahead_score(sim, c, target_id, p, from_current)
+                scalar = [scalar_lookahead_score(sim, c, target_id, p,
+                                                 from_current)
                           for c in candidates]
                 assert lookahead_scores(sim, candidates, target_id, p,
                                         from_current) == scalar
                 assert lookahead_score(sim, np.array(candidates), target_id,
                                        p, from_current) == scalar
+                # a single candidate is scored as a stack of one
+                assert lookahead_score(sim, candidates[0], target_id, p,
+                                       from_current) == scalar[0]
                 attacker = sim.attacker() is not None
                 seen.add(("attacker", attacker, from_current))
                 # a failure score holds the step of the failure
@@ -252,4 +293,6 @@ class TestBatchedLookahead:
                                   sim.spec.safe_distance)
         params = scn.fuzz_params()
         assert lookahead_scores(sim, points, target.id, params) == \
-            [lookahead_score(sim, p, target.id, params) for p in points]
+            [scalar_lookahead_score(sim, p, target.id, params)
+             for p in points]
+        assert lookahead_score(sim, points[0], target.id, params) == math.inf
