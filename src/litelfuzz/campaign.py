@@ -34,6 +34,8 @@ class CampaignConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.executions < 1:
             raise ValueError("executions must be >= 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -103,10 +105,8 @@ class CampaignReport:
 
 def _run_one(args) -> dict:
     """One execution's record; an error names the execution's seed and scheme."""
-    scenario_dict, scheme, budget, seed, save_trace = args
-    from .scenarios import scenario_from_dict
+    scenario, scheme, budget, seed, save_trace = args
     try:
-        scenario = scenario_from_dict(scenario_dict)
         result = run_fuzzing(scenario, scheme, budget=budget, seed=seed,
                              record_trace=save_trace)
         record = result.to_record()
@@ -121,12 +121,16 @@ def _run_one(args) -> dict:
 def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
     """Run every execution of the campaign and aggregate the outcomes.
 
-    Scenario state never leaks between executions: each one rebuilds the
-    world from the seed. With ``workers > 1`` executions are distributed
-    over processes; results are reassembled in seed order.
+    The scenario is checked once, as :func:`scenario_from_dict` checks a
+    loaded one, and every execution runs that checked copy. Scenario state
+    never leaks between executions: each one rebuilds the world from the
+    seed. With ``workers > 1`` executions are distributed over processes;
+    results are reassembled in seed order.
     """
+    from .scenarios import scenario_from_dict
+    scenario = scenario_from_dict(scenario.to_dict())
     seeds = [config.base_seed + k for k in range(config.executions)]
-    jobs = [(scenario.to_dict(), config.scheme, config.budget, seed,
+    jobs = [(scenario, config.scheme, config.budget, seed,
              config.save_traces) for seed in seeds]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -28,6 +28,7 @@ from .influence import build_influence_graph, key_node_sequence
 from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
                       Simulation)
 from .planner import Infeasible, plan_path
+from .robustness import goal_history
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, WorldRows,
                     clamp_norm, clamp_norms, failed_rows, integrate_rows,
                     norm, row_norms)
@@ -73,7 +74,8 @@ class FuzzParams:
     lookahead: int = field(default=10, metadata=dict(kind="integer", least=1))
     settle_steps: int = field(default=5,
                               metadata=dict(kind="integer", least=0))
-    # None: same limit as the swarm
+    # None: same limit as the swarm (``ScenarioConfig.fuzz_params``
+    # resolves it)
     attacker_a_max: Optional[float] = field(
         default=None, metadata=dict(kind="number", above=0.0))
     # Katz alpha as a fraction of 1 / spectral radius
@@ -259,11 +261,12 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
                     clamp_norms((held - attacker) / dt, v_max), cmd)
 
 
-def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
+def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
                     params: FuzzParams,
-                    from_current: bool = False) -> float | list[float]:
-    """Swarm robustness after a short simulated attack via ``candidate``.
+                    from_current: bool = False) -> list[float]:
+    """Swarm robustness after a short simulated attack via each candidate.
 
+    ``candidates`` is a ``(B, d)`` stack; the result holds their B scores.
     Runs on a clone, so the caller's simulation is untouched. With
     ``from_current`` the existing attacker flies from its present position
     through the candidate before pursuing (the realization of a
@@ -272,25 +275,10 @@ def lookahead_score(sim: Simulation, candidate: np.ndarray, target_id: int,
     failure scores far below any robustness value, earlier failures
     scoring lower.
 
-    A stack of candidates, shape ``(B, d)``, gives the list of their B
-    scores; a single candidate is scored as a stack of one. Either way the
-    candidates roll out together in :func:`lookahead_scores`.
-    """
-    candidate = np.asarray(candidate, dtype=float)
-    scores = lookahead_scores(sim, np.atleast_2d(candidate), target_id,
-                              params, from_current)
-    return scores if candidate.ndim == 2 else scores[0]
-
-
-def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
-                     target_id: int, params: FuzzParams,
-                     from_current: bool = False) -> list[float]:
-    """The lookahead score of every candidate, from one rollout.
-
     The probes of one epoch start from the same world and differ only in
     the attacker, so they are stepped together as the rows of a
     :class:`WorldRows` batch, with the controller state, goal-distance
-    history and outcome kept per row. A row that fails or completes the
+    log and outcome kept per row. A row that fails or completes the
     mission is scored then and leaves the batch. ``target_id`` must name a
     swarm agent, and ``params.lookahead`` must be at least 1.
     """
@@ -299,7 +287,7 @@ def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
         return [_FAILURE_SCORE_BASE + sim.step_index
                 if sim.failure_kind is not None else math.inf] * len(candidates)
     spec = sim.spec
-    attack = np.array([np.asarray(c, dtype=float) for c in candidates])
+    attack = np.asarray(candidates, dtype=float)
     count = len(attack)
     probe = sim.clone()
     attacker = probe.attacker()
@@ -310,7 +298,7 @@ def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
             np.broadcast_to(attacker.position, attack.shape),
             np.broadcast_to(attacker.velocity, attack.shape),
             target.position[None], target.velocity[None], attack, approach,
-            sim, params)
+            spec.dt, params)
         layout = AgentState(attacker.id, None, None, None,
                             attacker.sensing_radius, ROLE_ATTACKER)
     else:
@@ -348,10 +336,10 @@ def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
             if failed[k]:
                 scores[row] = _FAILURE_SCORE_BASE + steps
             else:
-                histories = _extended_histories(
-                    probe.histories, swarm, goal_log[:logged, row],
-                    probe.cparams.window)
-                # through the simulation, as its last_record computes it
+                log = goal_log[:logged, row].T.tolist()
+                histories = {agent.id: goal_history(
+                    probe.histories.get(agent.id, ()), log[n],
+                    probe.cparams.window) for n, agent in enumerate(swarm)}
                 scores[row] = probe.robustness(rows.world(k, steps),
                                                histories).swarm
 
@@ -363,7 +351,7 @@ def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
         att_pos, att_vel, att_acc, approach = _attacker_step(
             rows.position[:, -1], rows.velocity[:, -1],
             rows.position[:, target_col], rows.velocity[:, target_col],
-            attack[live], approach, sim, params)
+            attack[live], approach, spec.dt, params)
         state = controller.update_rows(state, rows, spec)
         commands = controller.commands_rows(state, rows, spec)
         pos, vel, acc = integrate_rows(
@@ -392,44 +380,21 @@ def lookahead_scores(sim: Simulation, candidates: list[np.ndarray],
     return scores
 
 
-def _extended_histories(histories: dict[int, list[float]], swarm,
-                        log: np.ndarray, window: int) -> dict:
-    """Goal-distance histories after the steps of ``log`` (steps × agents).
-
-    Each step appends its distance and keeps the last ``window + 1``, as
-    :meth:`Simulation._record_step` does; a NaN (no goal) clears the
-    history instead.
-    """
-    out = dict(histories)
-    for n, agent in enumerate(swarm):
-        column = log[:, n]
-        cleared = np.flatnonzero(np.isnan(column))
-        if cleared.size:
-            history = column[cleared[-1] + 1:].tolist()
-        else:
-            history = histories.get(agent.id, []) + column.tolist()
-        out[agent.id] = history[-(window + 1):]
-    return out
-
-
 def _attacker_step(position, velocity, target, target_velocity, candidates,
-                   approach, sim: Simulation, params: FuzzParams):
+                   approach, dt: float, params: FuzzParams):
     """One probe step of every row's attacker: approach the candidate while
     more than one step away, then pursue the target. Returns the new
     position, velocity and acceleration and the rows still approaching."""
-    dt = sim.spec.dt
+    v_max, a_max = params.attacker_v_max, params.attacker_a_max
     if approach.any():
-        approach = approach & (row_norms(candidates - position)
-                               > params.attacker_v_max * dt)
+        approach = approach & (row_norms(candidates - position) > v_max * dt)
     cmd = _pursuit_commands(position, target, target_velocity,
-                            params.standoff, params.attacker_v_max, dt,
-                            sim.attacker_a_max)
+                            params.standoff, v_max, dt, a_max)
     if approach.any():
         cmd = np.where(approach[:, None],
-                       clamp_norms((candidates - position) / dt,
-                                   params.attacker_v_max), cmd)
-    return (*integrate_rows(position, velocity, cmd, sim.attacker_v_max,
-                            sim.attacker_a_max, dt), approach)
+                       clamp_norms((candidates - position) / dt, v_max), cmd)
+    return (*integrate_rows(position, velocity, cmd, v_max, a_max, dt),
+            approach)
 
 
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
@@ -631,7 +596,7 @@ class _FuzzDriver:
             return AttackerAction()
         cmd = _pursuit_command(attacker, target, self.params.standoff,
                                self.params.attacker_v_max, self.sim.spec.dt,
-                               self.sim.attacker_a_max)
+                               self.params.attacker_a_max)
         return AttackerAction(command=cmd)
 
     def act(self) -> Optional[AttackerAction]:

@@ -3,12 +3,12 @@
 A :class:`Simulation` owns one world plus its controller. A traced run
 records one robustness record per step and emits a violation event the
 first time each (agent, constraint) pair is violated. An untraced run only
-keeps the goal-distance histories; it computes the current step's record
-when :attr:`Simulation.last_record` is first read and emits no violation
-events. Worlds are never mutated, so a trace snapshot is the world
-itself and a clone starts from the same world as its original.
-Simulations are cheap to clone, which the fuzzer uses for lookahead
-scoring on throwaway copies.
+keeps the goal-distance histories, from which
+:meth:`Simulation.robustness` gives the current step's record on demand,
+and emits no violation events. Worlds and histories are never mutated, so
+a trace snapshot is the world itself and a clone starts from the same
+world and histories as its original. Simulations are cheap to clone,
+which the fuzzer uses for lookahead scoring on throwaway copies.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .robustness import ConstraintParams, RobustnessRecord, \
-    constraint_violations, swarm_robustness
+    constraint_violations, goal_history, swarm_robustness
 from .world import (AgentState, FailureKind, InvalidState, MissionSpec,
                     WorldState, detect_failure, integrate_rows,
                     integrate_step, norm)
@@ -52,52 +52,42 @@ class Simulation:
     """Deterministic discrete-time execution of one mission.
 
     With ``record_trace`` every step appends a snapshot and a robustness
-    record to :attr:`trace` and emits violation events. Without it the
-    robustness of the current step is computed on first read of
-    :attr:`last_record`, and no violation events are emitted.
+    record to :attr:`trace` and emits violation events. Without it only
+    the goal-distance :attr:`histories` are kept, and no violation events
+    are emitted.
     """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
-                 constraint_params: ConstraintParams, attacker_v_max: float | None = None,
-                 attacker_a_max: float | None = None, record_trace: bool = True):
+                 constraint_params: ConstraintParams, attacker_v_max: float,
+                 attacker_a_max: float, record_trace: bool = True):
         self.world = world
         self.controller = controller
         self.spec = spec
         self.cparams = constraint_params
-        self.attacker_v_max = attacker_v_max if attacker_v_max is not None else spec.v_max
-        self.attacker_a_max = attacker_a_max if attacker_a_max is not None else spec.a_max
-        self._attacker_spec = replace(spec, v_max=self.attacker_v_max,
-                                      a_max=self.attacker_a_max)
-        self.histories: dict[int, list[float]] = {}
+        # the mission spec with the attacker's speed and acceleration limits
+        self.attacker_spec = replace(spec, v_max=attacker_v_max,
+                                     a_max=attacker_a_max)
+        # swarm agent id -> goal distances, replaced (never changed) each step
+        self.histories: dict[int, tuple[float, ...]] = {}
         self.trace = Trace() if record_trace else None
         self.events: list[tuple[int, str]] = self.trace.events if self.trace else []
         self.outcome: str | None = None
         self.failure_kind: FailureKind | None = None
-        self._record: RobustnessRecord | None = None
-        self._record_stale = False
         self._seen_violations: set[tuple[int, int]] = set()
         if self.trace is not None:
             self.trace.snapshots.append(world)
 
     def clone(self) -> "Simulation":
         sim = Simulation(self.world, self.controller.clone(), self.spec,
-                         self.cparams, self.attacker_v_max, self.attacker_a_max,
-                         record_trace=False)
-        sim.histories = {k: list(v) for k, v in self.histories.items()}
+                         self.cparams, self.attacker_spec.v_max,
+                         self.attacker_spec.a_max, record_trace=False)
+        sim.histories = self.histories
         sim.outcome = self.outcome
         sim.failure_kind = self.failure_kind
         return sim
 
-    @property
-    def last_record(self) -> RobustnessRecord | None:
-        """Robustness of the current step; None before the first step."""
-        if self._record_stale:
-            self._record = self.robustness(self.world, self.histories)
-            self._record_stale = False
-        return self._record
-
     def robustness(self, world: WorldState,
-                   histories: dict[int, list[float]]) -> RobustnessRecord:
+                   histories: dict[int, tuple[float, ...]]) -> RobustnessRecord:
         """Robustness of ``world`` with goal-distance ``histories`` under
         this mission's constraint parameters."""
         return swarm_robustness(world, histories, self.cparams)
@@ -157,7 +147,7 @@ class Simulation:
             if attacker is None:
                 return []
             return [integrate_step(attacker, np.zeros_like(attacker.position),
-                                   self._attacker_spec)]
+                                   self.attacker_spec)]
         if action.despawn:
             return []
         if action.spawn is not None:
@@ -171,23 +161,20 @@ class Simulation:
                                attacker.sensing_radius, attacker.role)]
         cmd = action.command if action.command is not None \
             else np.zeros_like(attacker.position)
-        return [integrate_step(attacker, cmd, self._attacker_spec)]
+        return [integrate_step(attacker, cmd, self.attacker_spec)]
 
     def _record_step(self) -> None:
+        histories = {}
         for agent in self.world.swarm():
             goal = self.controller.goal_for(self.world, agent.id, self.spec)
-            history = self.histories.setdefault(agent.id, [])
-            if goal is None:
-                history.clear()
-            else:
-                history.append(norm(agent.position - goal))
-                if len(history) > self.cparams.window + 1:
-                    del history[0]
+            distance = None if goal is None else norm(agent.position - goal)
+            histories[agent.id] = goal_history(
+                self.histories.get(agent.id, ()), (distance,),
+                self.cparams.window)
+        self.histories = histories
         if self.trace is None:
-            self._record_stale = True
             return
         record = self.robustness(self.world, self.histories)
-        self._record = record
         for violation in constraint_violations(record, self.cparams):
             if violation not in self._seen_violations:
                 self._seen_violations.add(violation)

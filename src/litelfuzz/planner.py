@@ -21,15 +21,6 @@ class Infeasible(RuntimeError):
     """No clearance-keeping path exists for the requested endpoints."""
 
 
-def _segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom < 1e-18:
-        return norm(p - a)
-    t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    return norm(a + t * ab - p)
-
-
 def _cover_box(lo: np.ndarray, hi: np.ndarray,
                cell_target: float) -> list[tuple[np.ndarray, float]]:
     """Cover an axis-aligned box with a grid of circumscribed tile circles."""

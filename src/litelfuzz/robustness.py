@@ -17,8 +17,9 @@ the sum over agents.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .world import ROLE_ATTACKER, WorldState, min_obstacle_distance, norm
 
@@ -44,6 +45,12 @@ class ConstraintParams:
             raise ValueError("need 0 < formation_min < formation_max")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+
+    @property
+    def counted(self) -> tuple[int, ...]:
+        """The margins (0-based) that count toward robustness, its minimum
+        and the violations: all five, less formation (3) when disabled."""
+        return (0, 1, 2, 3, 4) if self.formation_enabled else (0, 1, 2, 4)
 
 
 @dataclass
@@ -107,6 +114,23 @@ def margin_progress(goal_distance_history: Sequence[float],
     return float(raw), _clamp_unit(raw / (params.v_max * params.dt))
 
 
+def goal_history(history: Sequence[float],
+                 distances: Iterable[float | None],
+                 window: int) -> tuple[float, ...]:
+    """``history`` after each of ``distances`` in turn, one per step.
+
+    A distance is appended and the last ``window + 1`` are kept; a missing
+    one (None or NaN: the agent has no goal) clears the history instead.
+    """
+    kept = list(history)
+    for d in distances:
+        if d is None or math.isnan(d):
+            kept = []
+        else:
+            kept.append(d)
+    return tuple(kept[-(window + 1):])
+
+
 def _visible_pairwise(agent_id: int, world: WorldState,
                       params: ConstraintParams) -> list[float]:
     table = world.distances()
@@ -139,7 +163,7 @@ def individual_robustness(agent_id: int, world: WorldState,
         raw5, r5 = margin_progress(goal_distance_history, params)
         goal_distance = float(goal_distance_history[-1])
     individual = r1 + r2 + r3 + r5
-    if params.formation_enabled:
+    if 3 in params.counted:
         individual += r4
     return AgentRobustness(agent_id, (raw1, raw2, raw3, raw4, raw5),
                            (r1, r2, r3, r4, r5), goal_distance,
@@ -157,23 +181,15 @@ def swarm_robustness(world: WorldState,
     if not per_agent:
         raise ValueError("swarm robustness needs at least one swarm agent")
     swarm = float(sum(e.individual for e in per_agent))
-    mins = []
-    for e in per_agent:
-        for k, r in enumerate(e.normalized):
-            if k == 3 and not params.formation_enabled:
-                continue
-            mins.append(r)
-    return RobustnessRecord(per_agent, swarm, float(min(mins)))
+    counted = params.counted
+    return RobustnessRecord(per_agent, swarm, float(min([
+        r for e in per_agent for k, r in enumerate(e.normalized)
+        if k in counted])))
 
 
 def constraint_violations(record: RobustnessRecord,
                           params: ConstraintParams) -> list[tuple[int, int]]:
     """(agent_id, constraint_number) pairs with raw margin <= 0, boundary inclusive."""
-    out = []
-    for entry in record.per_agent:
-        for k, raw in enumerate(entry.raw):
-            if k == 3 and not params.formation_enabled:
-                continue
-            if raw <= 0.0:
-                out.append((entry.agent_id, k + 1))
-    return out
+    counted = params.counted
+    return [(entry.agent_id, k + 1) for entry in record.per_agent
+            for k, raw in enumerate(entry.raw) if k in counted and raw <= 0.0]

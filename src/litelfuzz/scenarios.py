@@ -26,7 +26,7 @@ import numpy as np
 
 from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import FuzzParams, SpawnGeometry
-from .mission import Simulation
+from .mission import ATTACKER_ID, Simulation
 from .robustness import ConstraintParams
 from .world import (ROLE_LEADER, SWARM_ROLES, AgentState, MissionSpec,
                     Obstacle, WorldState)
@@ -297,6 +297,9 @@ class ScenarioConfig:
             raise ScenarioError("at least one agent is required")
         apf = self.controller_kind == "apf_navigate"
         for k, a in enumerate(self.agents):
+            if a.id == ATTACKER_ID:
+                raise ScenarioError(f"agents[{k}]: id {ATTACKER_ID} is "
+                                    f"reserved for the attacker")
             if a.sensing_radius <= self.safe_distance:
                 raise ScenarioError(
                     f"agent {a.id}: sensing_radius_m must exceed safe_distance_m")
@@ -369,13 +372,12 @@ class ScenarioConfig:
             controller = self.build_controller()
         params = self.fuzz_params()
         return Simulation(world, controller, self.mission_spec(),
-                          self.constraint_params(),
-                          attacker_v_max=params.attacker_v_max,
-                          attacker_a_max=params.attacker_a_max,
-                          record_trace=record_trace)
+                          self.constraint_params(), params.attacker_v_max,
+                          params.attacker_a_max, record_trace=record_trace)
 
-    # The five fallbacks below depend on the scenario, so they cannot be
-    # field defaults; an absent, null or zero key falls back.
+    # The six fallbacks below depend on the scenario, so they cannot be
+    # field defaults; an absent or null key falls back, and so does 0
+    # where the key's range admits it.
 
     def spawn_geometry(self) -> SpawnGeometry:
         kwargs = _fields(self.spawn, _SECTION_FIELDS["spawn"])
@@ -388,6 +390,7 @@ class ScenarioConfig:
     def fuzz_params(self) -> FuzzParams:
         kwargs = _fields(self.fuzz, _SECTION_FIELDS["fuzz"])
         kwargs["attacker_v_max"] = kwargs.get("attacker_v_max") or self.v_max
+        kwargs["attacker_a_max"] = kwargs.get("attacker_a_max") or self.a_max
         kwargs["graph_radius"] = kwargs.get("graph_radius") \
             or 2.0 * min(a.sensing_radius for a in self.agents)
         kwargs["standoff"] = kwargs.get("standoff") or self.safe_distance

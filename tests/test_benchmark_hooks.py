@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from litelfuzz import campaign
 from litelfuzz.campaign import CampaignConfig, run_campaign
 from litelfuzz.scenarios import a1_navigate
 
@@ -48,3 +49,22 @@ def test_main_step_layers_are_called_through_their_patch_points():
                  "controllers.commands.mission", "controllers.update",
                  "fuzzing.lookahead_score", "campaign.trace_to_jsonl"):
         assert tracer.stats[name].calls > 0, name
+
+
+def test_run_campaign_calls_run_one_through_the_module(monkeypatch):
+    # the benchmark times each execution by replacing campaign._run_one
+    # and reads back the key its wrapper adds to every record
+    original = campaign._run_one
+    seeds = []
+
+    def timed(args):
+        record = original(args)
+        seeds.append(record["seed"])
+        record["_wrapper_key"] = 2 * record["seed"]
+        return record
+
+    monkeypatch.setattr(campaign, "_run_one", timed)
+    report = run_campaign(a1_navigate(), CampaignConfig(
+        scheme="random", executions=3, base_seed=4, budget=1))
+    assert sorted(seeds) == [4, 5, 6]
+    assert [r["_wrapper_key"] for r in report.records] == [8, 10, 12]

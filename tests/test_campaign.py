@@ -33,6 +33,9 @@ class TestConfigValidation:
             CampaignConfig(scheme="sa", executions=0)
         with pytest.raises(ValueError):
             CampaignConfig(scheme="sa", executions=1, workers=0)
+        with pytest.raises(ValueError, match="budget"):
+            CampaignConfig(scheme="sa", executions=1, budget=-1)
+        assert CampaignConfig(scheme="sa", executions=1, budget=0).budget == 0
 
 
 class TestAggregation:

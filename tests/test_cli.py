@@ -91,6 +91,12 @@ def test_bad_executions_exits_2(capsys):
     assert main(["run", "a1_navigate", "--executions", "0"]) == 2
 
 
+def test_negative_budget_exits_2(capsys):
+    assert main(["run", "a1_navigate", "--executions", "1",
+                 "--budget", "-1"]) == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
+
+
 def test_summarize(tmp_path, capsys):
     out = tmp_path / "c"
     main(["run", "a1_navigate", "--scheme", "random", "--executions", "1",

@@ -8,8 +8,8 @@ import pytest
 from litelfuzz import fuzzing
 from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                SpawnGeometry, _pursuit_command,
-                               lookahead_score, lookahead_scores,
-                               random_target, run_fuzzing, spawn_candidates)
+                               lookahead_score, random_target, run_fuzzing,
+                               spawn_candidates)
 from litelfuzz.mission import ATTACKER_ID, AttackerAction
 from litelfuzz.scenarios import (a1_navigate, a2_search, a3_navigate3d,
                                  scenario_from_dict)
@@ -201,7 +201,8 @@ class TestLookaheadScore:
         target = sim.world.swarm()[1]
         points = spawn_candidates(target, sim.world, geom,
                                   sim.spec.safe_distance)
-        scores = [lookahead_score(sim, p, target.id, params) for p in points]
+        scores = lookahead_score(sim, np.array(points), target.id, params)
+        assert len(scores) == len(points)
         for s in scores:
             assert s <= -1e8 or abs(s) < 1e3
         # scoring must not advance the caller's simulation
@@ -236,11 +237,13 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
             approaching = False
             cmd = _pursuit_command(attacker, target, params.standoff,
                                    params.attacker_v_max, probe.spec.dt,
-                                   probe.attacker_a_max)
+                                   params.attacker_a_max)
         probe.step(AttackerAction(command=cmd))
     if probe.failure_kind is not None:
         return _FAILURE_SCORE_BASE + probe.step_index
-    return probe.last_record.swarm if probe.last_record is not None else math.inf
+    if sim.done:
+        return math.inf     # a finished mission never stepped: no record
+    return probe.robustness(probe.world, probe.histories).swarm
 
 
 def _a1_centroid():
@@ -261,13 +264,12 @@ class TestBatchedLookahead:
                 scalar = [scalar_lookahead_score(sim, c, target_id, p,
                                                  from_current)
                           for c in candidates]
-                assert lookahead_scores(sim, candidates, target_id, p,
-                                        from_current) == scalar
                 assert lookahead_score(sim, np.array(candidates), target_id,
                                        p, from_current) == scalar
-                # a single candidate is scored as a stack of one
-                assert lookahead_score(sim, candidates[0], target_id, p,
-                                       from_current) == scalar[0]
+                # a stack of one scores as it does among the others
+                assert lookahead_score(sim, np.array(candidates[:1]),
+                                       target_id, p, from_current) \
+                    == scalar[:1]
                 attacker = sim.attacker() is not None
                 seen.add(("attacker", attacker, from_current))
                 # a failure score holds the step of the failure
@@ -292,7 +294,7 @@ class TestBatchedLookahead:
         points = spawn_candidates(target, sim.world, scn.spawn_geometry(),
                                   sim.spec.safe_distance)
         params = scn.fuzz_params()
-        assert lookahead_scores(sim, points, target.id, params) == \
-            [scalar_lookahead_score(sim, p, target.id, params)
-             for p in points]
-        assert lookahead_score(sim, points[0], target.id, params) == math.inf
+        scores = lookahead_score(sim, np.array(points), target.id, params)
+        assert scores == [scalar_lookahead_score(sim, p, target.id, params)
+                          for p in points]
+        assert scores == [math.inf] * len(points)

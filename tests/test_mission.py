@@ -88,7 +88,7 @@ class TestAttackerActions:
         np.testing.assert_allclose(att.velocity, [0.0, 0.0])
 
     def test_attacker_speed_uses_attacker_spec(self):
-        v_att = self.sim.attacker_v_max
+        v_att = self.sim.attacker_spec.v_max
         assert v_att > self.sim.spec.v_max
         self.sim.step(AttackerAction(spawn=make_attacker([2.0, 1.0])))
         for _ in range(40):
@@ -131,9 +131,12 @@ class TestRecording:
 
 
 class TestLazyRobustness:
+    """An untraced run keeps only the goal-distance histories; the record
+    computed from them on demand equals the one a traced run records."""
+
     def test_fresh_untraced_simulation_has_no_record(self):
         sim = a1_navigate().build_simulation(seed=0, record_trace=False)
-        assert sim.last_record is None
+        assert sim.trace is None and sim.histories == {}
 
     @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
     def test_lazy_record_equals_eager_record(self, scenario):
@@ -141,7 +144,7 @@ class TestLazyRobustness:
         for _ in range(5):
             traced.step()
         lazy = traced.clone()
-        assert lazy.trace is None and lazy.last_record is None
+        assert lazy.trace is None
         target = traced.world.swarm()[1].position
         dim = len(target)
         push = np.zeros(dim)
@@ -154,8 +157,8 @@ class TestLazyRobustness:
         for action in actions:
             traced.step(action)
             lazy.step(action)
-            assert lazy.last_record == traced.trace.robustness[-1]
-            assert lazy.last_record is lazy.last_record  # computed once
+            assert lazy.robustness(lazy.world, lazy.histories) \
+                == traced.trace.robustness[-1]
             if traced.done:
                 break
         assert lazy.outcome == traced.outcome

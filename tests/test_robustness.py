@@ -4,12 +4,15 @@ The sign-soundness suite checks raw margin <= 0 exactly when the boolean
 form of the constraint is violated, using independently written boolean
 predicates as the oracle.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from litelfuzz.robustness import (ConstraintParams, constraint_violations,
-                                  individual_robustness, margin_formation,
+                                  goal_history, individual_robustness,
+                                  margin_formation,
                                   margin_kinematics, margin_progress,
                                   margin_safe_distance, swarm_robustness)
 from litelfuzz.world import AgentState, Obstacle, WorldState, min_obstacle_distance
@@ -99,6 +102,24 @@ class TestProgressMargin:
     def test_requires_two_entries(self):
         with pytest.raises(ValueError):
             margin_progress([1.0], PARAMS)
+
+    def test_history_keeps_window_and_clears_without_goal(self):
+        assert goal_history((1.0, 2.0), [3.0], window=1) == (2.0, 3.0)
+        assert goal_history((1.0,), [2.0, None, 3.0], window=5) == (3.0,)
+        assert goal_history((1.0,), [2.0, math.nan], window=5) == ()
+
+    @given(st.lists(st.floats(0.0, 5.0), max_size=8),
+           st.lists(st.one_of(st.none(), st.just(math.nan),
+                              st.floats(0.0, 5.0)), max_size=30),
+           st.integers(1, 6))
+    def test_history_one_step_at_a_time_equals_whole_log(self, start, log,
+                                                          window):
+        # the main step applies the rule per step, a probe's final scoring
+        # to its whole log of goal distances
+        history = goal_history(start, [], window)
+        for distance in log:
+            history = goal_history(history, [distance], window)
+        assert history == goal_history(start, log, window)
 
 
 # -- sign soundness over randomized states -----------------------------------

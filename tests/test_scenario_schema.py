@@ -47,6 +47,9 @@ BAD = [
      "goal_tolerance_m must be finite and > 0"),
     ("a3_navigate3d", ("obstacles", 0, "center_m"), [10 ** 400, 0.0, 0.0],
      "obstacles[0]: center_m must be a list of 3 finite numbers"),
+    # the attacker's id: that agent's distances were read as the attacker's
+    ("a1_navigate", ("agents", 3, "id"), 1000,
+     "agents[3]: id 1000 is reserved for the attacker"),
 ]
 
 

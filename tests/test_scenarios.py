@@ -6,7 +6,8 @@ import pytest
 
 from litelfuzz.scenarios import (ScenarioError, a1_navigate, a2_search,
                                  a3_navigate3d, builtin_scenario,
-                                 load_scenario, scenario_from_dict)
+                                 load_scenario, measure_nominal_steps,
+                                 scenario_from_dict)
 
 
 class TestStrictParsing:
@@ -256,8 +257,12 @@ class TestDerivedObjects:
         data["fuzz"] = {}
         scn = scenario_from_dict(data)
         params = scn.fuzz_params()
-        assert params.attacker_v_max == pytest.approx(scn.v_max)
+        assert params.attacker_v_max == scn.v_max
+        assert params.attacker_a_max == scn.a_max
         assert params.graph_radius == pytest.approx(1.0)  # 2 x sensing
+
+    def test_a1_nominal_steps_match_reference_runs(self):
+        assert measure_nominal_steps(a1_navigate()) == 59
 
     def test_mission_spec_mirrors_config(self):
         scn = a1_navigate()
