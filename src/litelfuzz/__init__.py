@@ -10,8 +10,7 @@ from .campaign import (CampaignConfig, CampaignReport, export_trace,
                        scheme_comparison_csv, summarize, trace_to_jsonl)
 from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import (SCHEMES, FuzzParams, FuzzResult, NoValidSpawn,
-                      SpawnGeometry, TestCase, init_test_case,
-                      lookahead_score, run_fuzzing, sa_next_testcase,
+                      SpawnGeometry, TestCase, lookahead_score, run_fuzzing,
                       spawn_candidates)
 from .influence import (InfluenceGraph, KeyNodeSequence,
                         build_influence_graph, katz_centrality,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .fuzzing import OUTCOME_SUCCESSFUL_ATTACK, SCHEMES, run_fuzzing
+from .fuzzing import OUTCOME_SUCCESSFUL_ATTACK, check_run, run_fuzzing
 from .mission import Trace
 from .world import FailureKind
 
@@ -30,12 +30,9 @@ class CampaignConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+        check_run(self.scheme, self.budget)
         if self.executions < 1:
             raise ValueError("executions must be >= 1")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, repeat
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -426,8 +427,8 @@ def _key_node(sim: Simulation, params: FuzzParams,
     return key_node_sequence(graph, params.alpha_factor).key_node
 
 
-def init_test_case(sim: Simulation, geom: SpawnGeometry,
-                   params: FuzzParams) -> TestCase:
+def _init_test_case(sim: Simulation, geom: SpawnGeometry,
+                    params: FuzzParams) -> TestCase:
     """Global key node target plus robustness-minimizing spawn point."""
     target_id = _key_node(sim, params)
     candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
@@ -436,8 +437,8 @@ def init_test_case(sim: Simulation, geom: SpawnGeometry,
     return _make_testcase(sim, target_id, point, score)
 
 
-def sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
-                     params: FuzzParams) -> TestCase:
+def _sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
+                      params: FuzzParams) -> TestCase:
     """Retarget within the attacker's reachable region.
 
     The influence graph is restricted to swarm agents inside the reachable
@@ -445,8 +446,6 @@ def sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
     empty intersection the nearest swarm agent becomes the target.
     """
     attacker = sim.attacker()
-    if attacker is None:
-        return init_test_case(sim, geom, params)
     reach = params.reach_radius(sim.spec.dt)
     swarm = sim.world.swarm()
     near = [a.id for a in swarm
@@ -480,8 +479,18 @@ def _uniform_testcase(sim: Simulation, geom: SpawnGeometry, target_id: int,
                           candidates[int(rng.integers(len(candidates)))])
 
 
+_Actions = Iterator[Optional[AttackerAction]]
+
+
 class _FuzzDriver:
-    """State machine steering the attacker through one fuzzing execution."""
+    """Steers the attacker through one fuzzing execution.
+
+    :attr:`actions` holds the attacker's action for every step, in order:
+    the warm-up, then per epoch the test case's selection, its realization
+    and the settle pursuit, then the withdrawal once the budget is spent.
+    An attacker touching a swarm agent invalidates the test case, and the
+    sequence restarts with a forced epoch.
+    """
 
     def __init__(self, sim: Simulation, scheme: str, geom: SpawnGeometry,
                  params: FuzzParams, budget: Optional[int],
@@ -492,19 +501,90 @@ class _FuzzDriver:
         self.params = params
         self.budget = budget
         self.rng = rng
-        self.phase = "warmup"
-        self.counter = params.warmup_steps
-        self.epochs = 0
         self.invalid = 0
         self.test_cases: list[TestCase] = []
         self.fixed_target: Optional[int] = None
-        self.current: Optional[TestCase] = None
-        self.path: list[np.ndarray] = []
-        self.path_index = 0
-        self.pending: Optional[AttackerAction] = None
-        self.settle_budget = params.settle_steps
+        # the warm-up: idle steps before the first epoch
+        self.actions: _Actions = chain(
+            repeat(None, max(params.warmup_steps, 1)), self._epochs())
 
-    def _next_testcase(self, force_init: bool) -> TestCase:
+    def act(self) -> Optional[AttackerAction]:
+        """The attacker's action for the next step of the simulation."""
+        touched = self._contact()
+        if touched is not None:
+            self.invalid += 1
+            self.sim.event(f"invalid test case: attacker contact with "
+                           f"agent {touched}")
+            self.actions = self._epochs(forced=True)
+        return next(self.actions)
+
+    def _contact(self) -> Optional[int]:
+        """Id of the first swarm agent within collision radius of the attacker."""
+        attacker = self.sim.attacker()
+        if attacker is None:
+            return None
+        world = self.sim.world
+        table = world.distances()
+        row = table.agents[table.column[attacker.id]]
+        for agent, d in zip(world.agents, row):
+            if agent.role != ROLE_ATTACKER and \
+                    d < self.sim.spec.collision_radius:
+                return agent.id
+        return None
+
+    def _epochs(self, forced: bool = False) -> _Actions:
+        while self.budget is None or len(self.test_cases) < self.budget:
+            yield from self._epoch(forced)
+            forced = False
+        # budget spent: withdraw the attacker and let the mission run out
+        if self.sim.attacker() is not None:
+            yield AttackerAction(despawn=True)
+        while True:
+            yield None
+
+    def _epoch(self, forced: bool) -> _Actions:
+        try:
+            tc = self._next_testcase(forced)
+        except NoValidSpawn:
+            # A contact-forced epoch settles at once, without the skip's
+            # idle step. The pinned records keep this quirk.
+            yield from self._skip("spawn skipped: no valid sector",
+                                  idle=not forced)
+            return
+        self.test_cases.append(tc)
+        # a candidate whose forecast already reaches a failure is pursued
+        # for the whole lookahead horizon so the forecast can mature
+        settle = self.params.lookahead \
+            if tc.score <= 0.5 * _FAILURE_SCORE_BASE else self.params.settle_steps
+        attacker = self.sim.attacker()
+        if attacker is None or self.scheme == "ma" or forced:
+            # the attacker materializes at the scored position and starts
+            # pursuing immediately -- exactly the lookahead realization
+            if attacker is None:
+                dim = len(tc.attack_position)
+                yield AttackerAction(spawn=AgentState(
+                    ATTACKER_ID, tc.attack_position.copy(), np.zeros(dim),
+                    np.zeros(dim), sensing_radius=self.geom.inner_radius,
+                    role=ROLE_ATTACKER))
+            else:
+                yield AttackerAction(teleport=tc.attack_position.copy())
+            yield from self._pursue(settle - 1)
+            return
+        # continuation epoch: fly a clearance-keeping path to the scored
+        # attack position, then pursue
+        try:
+            path = plan_path(attacker.position, tc.attack_position,
+                             self.sim.world,
+                             clearance=self.sim.spec.safe_distance,
+                             ignore_ids=(tc.target_id,))
+        except Infeasible:
+            yield from self._skip("path infeasible: epoch skipped")
+            return
+        yield None      # the step on which the path was planned
+        yield from self._fly(path)
+        yield from self._pursue(max(settle, 1))
+
+    def _next_testcase(self, forced: bool) -> TestCase:
         if self.scheme == "random":
             # seeded draw order: the target, then the sector
             ids = sorted(a.id for a in self.sim.world.swarm())
@@ -517,141 +597,64 @@ class _FuzzDriver:
                 self.fixed_target = _key_node(self.sim, self.params)
             return _uniform_testcase(self.sim, self.geom, self.fixed_target,
                                      self.rng)
-        if self.scheme == "ma" or force_init or self.current is None:
+        if self.scheme == "ma" or forced or not self.test_cases:
             # ma selects globally every epoch: its attacker may teleport
-            return init_test_case(self.sim, self.geom, self.params)
-        return sa_next_testcase(self.sim, self.geom, self.params)
+            return _init_test_case(self.sim, self.geom, self.params)
+        return _sa_next_testcase(self.sim, self.geom, self.params)
 
-    def _begin_epoch(self, force_init: bool = False) -> Optional[AttackerAction]:
-        if self.budget is not None and self.epochs >= self.budget:
-            self.phase = "idle"
-            # budget exhausted: withdraw the attacker and let the mission run out
-            return AttackerAction(despawn=True) if self.sim.attacker() else None
-        try:
-            tc = self._next_testcase(force_init)
-        except NoValidSpawn:
-            self.sim.event("spawn skipped: no valid sector")
-            self.phase = "settle"
-            self.counter = self.params.settle_steps
-            return None
-        self.epochs += 1
-        self.test_cases.append(tc)
-        self.current = tc
-        # a candidate whose forecast already reaches a failure is pursued
-        # for the whole lookahead horizon so the forecast can mature
-        self.settle_budget = self.params.lookahead \
-            if tc.score <= 0.5 * _FAILURE_SCORE_BASE else self.params.settle_steps
-        attacker = self.sim.attacker()
-        if attacker is None or self.scheme == "ma" or force_init:
-            # the attacker materializes at the scored position and starts
-            # pursuing immediately -- exactly the lookahead realization
-            if attacker is None:
-                dim = len(tc.attack_position)
-                spawn = AgentState(ATTACKER_ID, tc.attack_position.copy(),
-                                   np.zeros(dim), np.zeros(dim),
-                                   sensing_radius=self.geom.inner_radius,
-                                   role=ROLE_ATTACKER)
-                action = AttackerAction(spawn=spawn)
-            else:
-                action = AttackerAction(teleport=tc.attack_position.copy())
-            self.phase = "settle"
-            self.counter = self.settle_budget
-            return action
-        # continuation epoch: fly a clearance-keeping path to the scored
-        # attack position, then pursue
-        try:
-            self.path = plan_path(attacker.position, tc.attack_position,
-                                  self.sim.world,
-                                  clearance=self.sim.spec.safe_distance,
-                                  ignore_ids=(tc.target_id,))
-        except Infeasible:
-            self.sim.event("path infeasible: epoch skipped")
-            self.phase = "settle"
-            self.counter = self.params.settle_steps
-            return None
-        self.path_index = 1
-        self.phase = "fly"
-        return None
+    def _skip(self, message: str, idle: bool = True) -> _Actions:
+        """A skipped epoch: an idle step, then settling on the last target."""
+        self.sim.event(message)
+        if idle:
+            yield None
+        yield from self._pursue(self.params.settle_steps - 1)
 
-    def _fly_action(self) -> AttackerAction:
-        attacker = self.sim.attacker()
-        step_len = self.params.attacker_v_max * self.sim.spec.dt
-        while self.path_index < len(self.path) and \
-                norm(self.path[self.path_index] - attacker.position) <= step_len:
-            self.path_index += 1
-        if self.path_index >= len(self.path):
-            self.phase = "settle"
-            self.counter = self.settle_budget
-            return self._settle_action()
-        waypoint = self.path[self.path_index]
-        cmd = clamp_norm((waypoint - attacker.position) / self.sim.spec.dt,
-                         self.params.attacker_v_max)
-        return AttackerAction(command=cmd)
-
-    def _settle_action(self) -> AttackerAction:
-        attacker = self.sim.attacker()
-        try:
-            target = self.sim.world.agent(self.current.target_id)
-        except (KeyError, AttributeError):
-            return AttackerAction()
-        cmd = _pursuit_command(attacker, target, self.params.standoff,
-                               self.params.attacker_v_max, self.sim.spec.dt,
-                               self.params.attacker_a_max)
-        return AttackerAction(command=cmd)
-
-    def act(self) -> Optional[AttackerAction]:
-        if self.pending is not None:
-            action, self.pending = self.pending, None
-            return action
-        if self.phase == "warmup":
-            self.counter -= 1
-            if self.counter <= 0:
-                self.phase = "select"
-            return None
-        if self.phase == "select":
-            return self._begin_epoch()
-        if self.phase == "fly":
-            return self._fly_action()
-        if self.phase == "settle":
-            self.counter -= 1
-            if self.counter <= 0:
-                self.phase = "select"
-                return self._begin_epoch()
-            return self._settle_action()
-        return None
-
-    def check_contact(self) -> None:
-        attacker = self.sim.attacker()
-        if attacker is None:
-            return
-        world = self.sim.world
-        table = world.distances()
-        row = table.agents[table.column[attacker.id]]
-        for agent, d in zip(world.agents, row):
-            if agent.role != ROLE_ATTACKER and \
-                    d < self.sim.spec.collision_radius:
-                self.invalid += 1
-                self.sim.event(f"invalid test case: attacker contact with "
-                               f"agent {agent.id}")
-                self.pending = self._begin_epoch(force_init=True)
+    def _fly(self, path: list[np.ndarray]) -> _Actions:
+        """Commands toward the next waypoint still more than a step away."""
+        dt, v_max = self.sim.spec.dt, self.params.attacker_v_max
+        index = 1
+        while True:
+            position = self.sim.attacker().position
+            while index < len(path) and \
+                    norm(path[index] - position) <= v_max * dt:
+                index += 1
+            if index >= len(path):
                 return
+            yield AttackerAction(
+                command=clamp_norm((path[index] - position) / dt, v_max))
+
+    def _pursue(self, steps: int) -> _Actions:
+        """``steps`` commands keeping station on the last test case's target."""
+        for _ in range(steps):
+            if not self.test_cases:
+                yield AttackerAction()
+                continue
+            attacker = self.sim.attacker()
+            target = self.sim.world.agent(self.test_cases[-1].target_id)
+            yield AttackerAction(command=_pursuit_command(
+                attacker, target, self.params.standoff,
+                self.params.attacker_v_max, self.sim.spec.dt,
+                self.params.attacker_a_max))
+
+
+def check_run(scheme: str, budget: Optional[int]) -> None:
+    """Reject an unknown scheme or a negative budget (None: unlimited)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
 
 
 def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
                 seed: int = 0, record_trace: bool = False) -> FuzzResult:
     """One fuzzing execution of ``scheme`` with at most ``budget`` epochs."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    check_run(scheme, budget)
     sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
-    geom = scenario.spawn_geometry()
-    params = scenario.fuzz_params()
     rng = np.random.default_rng([seed, 0x51A9])
-    driver = _FuzzDriver(sim, scheme, geom, params, budget, rng)
+    driver = _FuzzDriver(sim, scheme, scenario.spawn_geometry(),
+                         scenario.fuzz_params(), budget, rng)
     while not sim.done:
-        action = driver.act()
-        sim.step(action)
-        if not sim.done:
-            driver.check_contact()
+        sim.step(driver.act())
     failed = sim.failure_kind is not None
     return FuzzResult(
         scheme=scheme,

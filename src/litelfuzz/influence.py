@@ -23,7 +23,6 @@ from .world import MissionSpec, WorldState, norm
 class InfluenceGraph:
     nodes: list[int]
     edges: dict[tuple[int, int], float] = field(default_factory=dict)
-    influence_radius: float = 0.0
 
     def weight(self, i: int, j: int) -> float:
         return self.edges.get((i, j), 0.0)
@@ -53,7 +52,7 @@ def build_influence_graph(world: WorldState, controller, spec: MissionSpec,
     """Evaluate every ordered swarm pair; keep only positive-deviation edges."""
     ids = sorted(node_ids) if node_ids is not None \
         else sorted(a.id for a in world.swarm())
-    graph = InfluenceGraph(nodes=list(ids), influence_radius=influence_radius)
+    graph = InfluenceGraph(nodes=list(ids))
     if len(ids) < 2:
         return graph
     table = world.distances()

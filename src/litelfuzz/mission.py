@@ -13,7 +13,7 @@ which the fuzzer uses for lookahead scoring on throwaway copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -196,19 +196,14 @@ class Simulation:
             self.trace.failure_kind = self.failure_kind
 
 
-def run_mission(scenario, controller=None, attacker_policy: Callable | None = None,
-                seed: int = 0, record_trace: bool = True) -> Trace:
-    """Run one mission to completion, failure or timeout.
+def run_mission(scenario, seed: int = 0, record_trace: bool = True) -> Trace:
+    """Run one attacker-free mission to completion, failure or timeout.
 
-    ``attacker_policy`` is called once per step with the simulation and may
-    return an :class:`AttackerAction`. Identical inputs and seed produce
-    identical traces.
+    Identical inputs and seed produce identical traces.
     """
-    sim = scenario.build_simulation(seed=seed, controller=controller,
-                                    record_trace=record_trace)
+    sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
     while not sim.done:
-        action = attacker_policy(sim) if attacker_policy is not None else None
-        sim.step(action)
+        sim.step()
     if sim.trace is not None:
         return sim.trace
     trace = Trace(outcome=sim.outcome, failure_kind=sim.failure_kind)

@@ -58,7 +58,6 @@ class AgentRobustness:
     agent_id: int
     raw: tuple[float, ...]         # 5 raw margins, physical units
     normalized: tuple[float, ...]  # 5 normalized margins in [-1, 1]
-    goal_distance: float | None
     individual: float              # sum of applicable normalized margins
 
 
@@ -158,16 +157,13 @@ def individual_robustness(agent_id: int, world: WorldState,
     if goal_distance_history is None or len(goal_distance_history) < 2:
         # no goal (e.g. all search targets found): full progress margin
         raw5, r5 = params.v_max * params.dt, 1.0
-        goal_distance = None
     else:
         raw5, r5 = margin_progress(goal_distance_history, params)
-        goal_distance = float(goal_distance_history[-1])
     individual = r1 + r2 + r3 + r5
     if 3 in params.counted:
         individual += r4
     return AgentRobustness(agent_id, (raw1, raw2, raw3, raw4, raw5),
-                           (r1, r2, r3, r4, r5), goal_distance,
-                           float(individual))
+                           (r1, r2, r3, r4, r5), float(individual))
 
 
 def swarm_robustness(world: WorldState,

@@ -364,14 +364,12 @@ class ScenarioConfig:
         return DispersalSearchController(
             **_fields(self.search, _SECTION_FIELDS["search"]))
 
-    def build_simulation(self, seed: int = 0, controller=None,
+    def build_simulation(self, seed: int = 0,
                          record_trace: bool = True) -> Simulation:
         rng = np.random.default_rng(seed)
         world = self.build_world(rng)
-        if controller is None:
-            controller = self.build_controller()
         params = self.fuzz_params()
-        return Simulation(world, controller, self.mission_spec(),
+        return Simulation(world, self.build_controller(), self.mission_spec(),
                           self.constraint_params(), params.attacker_v_max,
                           params.attacker_a_max, record_trace=record_trace)
 
@@ -468,8 +466,7 @@ def _vee_offsets(count: int, spacing: float, dimension: int) -> list[np.ndarray]
     return out
 
 
-def a1_navigate(size: int = 4, influence_radius: float = 0.15,
-                nominal_steps: int | None = None) -> ScenarioConfig:
+def a1_navigate(influence_radius: float = 0.15) -> ScenarioConfig:
     """Leader-follower corridor delivery, potential-field avoidance.
 
     Potential-field radius 0.15 m and goal tolerance 0.05 m; the corridor
@@ -477,7 +474,7 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
     which is what makes the potential-field radius matter.
     """
     inter_robot = 0.22
-    offsets = _vee_offsets(size - 1, inter_robot, 2)
+    offsets = _vee_offsets(3, inter_robot, 2)
     agents = [{"id": 0, "role": "leader", "start_m": [0.0, 0.0],
                "sensing_radius_m": 0.5, "formation_offset_m": None}]
     for k, off in enumerate(offsets, start=1):
@@ -486,7 +483,7 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
                        "sensing_radius_m": 0.5,
                        "formation_offset_m": [float(off[0]), float(off[1])]})
     data = {
-        "name": f"a1_navigate_{size}",
+        "name": "a1_navigate_4",
         "dimension": 2,
         "controller": "apf_navigate",
         "goal_m": [4.0, 0.0],
@@ -498,7 +495,7 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
         "formation_max_m": 0.95,
         "dt_s": 0.05,
         # mean completion steps over 50 attacker-free reference runs
-        "nominal_steps": nominal_steps if nominal_steps is not None else 59,
+        "nominal_steps": 59,
         "timeout_multiplier": 3.0,
         "collision_radius_m": 0.05,
         "formation_constraint_enabled": True,
@@ -525,13 +522,13 @@ def a1_navigate(size: int = 4, influence_radius: float = 0.15,
     return scenario_from_dict(data)
 
 
-def a2_search(size: int = 10, nominal_steps: int | None = None) -> ScenarioConfig:
+def a2_search() -> ScenarioConfig:
     """Dispersal-based coordinated search, no mutual collision avoidance."""
     agents = [{"id": k, "role": "searcher",
                "start_m": [-6.0 + 0.1 * (k % 4), -6.0 + 0.1 * (k // 4)],
-               "sensing_radius_m": 2.0} for k in range(size)]
+               "sensing_radius_m": 2.0} for k in range(10)]
     data = {
-        "name": f"a2_search_{size}",
+        "name": "a2_search_10",
         "dimension": 2,
         "controller": "dispersal_search",
         "goal_m": [0.0, 0.0],
@@ -544,7 +541,7 @@ def a2_search(size: int = 10, nominal_steps: int | None = None) -> ScenarioConfi
         "dt_s": 0.5,
         # search times are heavy-tailed; sized to the slowest of 50
         # attacker-free reference runs rather than the mean
-        "nominal_steps": nominal_steps if nominal_steps is not None else 280,
+        "nominal_steps": 280,
         "timeout_multiplier": 2.0,
         "collision_radius_m": 0.2,
         "formation_constraint_enabled": False,
@@ -569,10 +566,10 @@ def a2_search(size: int = 10, nominal_steps: int | None = None) -> ScenarioConfi
     return scenario_from_dict(data)
 
 
-def a3_navigate3d(size: int = 6, nominal_steps: int | None = None) -> ScenarioConfig:
+def a3_navigate3d() -> ScenarioConfig:
     """3D gradient-style navigation toward a single destination."""
     inter_robot = 1.0
-    offsets = _diamond_offsets(size - 1, inter_robot, 3)
+    offsets = _diamond_offsets(5, inter_robot, 3)
     agents = [{"id": 0, "role": "leader", "start_m": [0.0, 0.0, 0.0],
                "sensing_radius_m": 2.0, "formation_offset_m": None}]
     for k, off in enumerate(offsets, start=1):
@@ -581,7 +578,7 @@ def a3_navigate3d(size: int = 6, nominal_steps: int | None = None) -> ScenarioCo
                        "sensing_radius_m": 2.0,
                        "formation_offset_m": [float(x) for x in off]})
     data = {
-        "name": f"a3_navigate3d_{size}",
+        "name": "a3_navigate3d_6",
         "dimension": 3,
         "controller": "apf_navigate",
         "goal_m": [10.0, 10.0, 10.0],
@@ -593,7 +590,7 @@ def a3_navigate3d(size: int = 6, nominal_steps: int | None = None) -> ScenarioCo
         "formation_max_m": 1.9,
         "dt_s": 0.05,
         # mean completion steps over attacker-free reference runs
-        "nominal_steps": nominal_steps if nominal_steps is not None else 245,
+        "nominal_steps": 245,
         "timeout_multiplier": 2.0,
         "collision_radius_m": 0.25,
         "formation_constraint_enabled": True,
@@ -624,22 +621,21 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def builtin_scenario(name: str, **kwargs) -> ScenarioConfig:
+def builtin_scenario(name: str) -> ScenarioConfig:
     if name not in BUILTIN_SCENARIOS:
         raise ScenarioError(f"unknown built-in scenario '{name}'; "
                             f"choices: {sorted(BUILTIN_SCENARIOS)}")
-    return BUILTIN_SCENARIOS[name](**kwargs)
+    return BUILTIN_SCENARIOS[name]()
 
 
-def measure_nominal_steps(config: ScenarioConfig, runs: int = 50,
-                          base_seed: int = 0) -> int:
-    """Mean completion steps over attacker-free reference runs."""
+def measure_nominal_steps(config: ScenarioConfig) -> int:
+    """Mean completion steps over 50 attacker-free reference runs, seeds 0-49."""
     from .mission import OUTCOME_SUCCESS, run_mission
     steps = []
-    for k in range(runs):
-        trace = run_mission(config, seed=base_seed + k, record_trace=False)
+    for seed in range(50):
+        trace = run_mission(config, seed=seed, record_trace=False)
         if trace.outcome != OUTCOME_SUCCESS:
-            raise RuntimeError(
-                f"reference run {k} did not complete (outcome {trace.outcome})")
+            raise RuntimeError(f"reference run {seed} did not complete "
+                               f"(outcome {trace.outcome})")
         steps.append(trace.events[-1][0])
     return int(math.ceil(sum(steps) / len(steps)))

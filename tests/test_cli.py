@@ -97,6 +97,14 @@ def test_negative_budget_exits_2(capsys):
     assert "budget must be >= 0" in capsys.readouterr().err
 
 
+def test_plot_negative_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["plot", "robustness", "a1_navigate", "--budget", "-1",
+                 "--out", str(out)]) == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summarize(tmp_path, capsys):
     out = tmp_path / "c"
     main(["run", "a1_navigate", "--scheme", "random", "--executions", "1",

@@ -1,4 +1,5 @@
-"""Behaviour fingerprint: the sha256 of fixed-seed campaign records.
+"""Behaviour fingerprint: the sha256 of fixed-seed campaign records, of
+traces and of the actions the fuzzing driver takes.
 
 A change that only makes the fuzzer faster keeps every outcome, so it
 keeps these digests. A change that moves one on purpose must say so and
@@ -11,7 +12,8 @@ import pytest
 
 from litelfuzz.campaign import CampaignConfig, run_campaign, trace_to_jsonl
 from litelfuzz.fuzzing import run_fuzzing
-from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
+from litelfuzz.scenarios import (ScenarioConfig, a1_navigate, a2_search,
+                                 a3_navigate3d)
 
 # a1_navigate, seeds 0-4, budget 5, one worker
 FINGERPRINTS = {
@@ -68,3 +70,62 @@ def test_a3_trace_fingerprint():
                              record_trace=True)
         digest.update(trace_to_jsonl(result.trace).encode())
     assert digest.hexdigest() == TRACE_FINGERPRINT
+
+
+# Every action the fuzzing driver hands ``Simulation.step``, budget 5:
+# a1_navigate seeds 0-4, a2_search seeds 0-2 (plus sa seed 7) and
+# a3_navigate3d seeds 0-1, under each of the four schemes
+ACTION_RUNS = [(preset, scheme, seed)
+               for scheme in ("sa", "ma", "random", "target_only")
+               for preset, seeds in ((a1_navigate, range(5)),
+                                     (a2_search, range(3)),
+                                     (a3_navigate3d, range(2)))
+               for seed in seeds] + [(a2_search, "sa", 7)]
+ACTION_FINGERPRINT = \
+    "f69ea7f5c338025fe36ccaf1140fa0222fa95ddf3f0d0d447c76c02753ecb1e5"
+
+
+def _action_entry(action) -> list:
+    """An action as its kind and vector."""
+    if action is None:
+        return [None]
+    if action.despawn:
+        return ["despawn"]
+    for kind, vector in (("spawn", action.spawn and action.spawn.position),
+                         ("teleport", action.teleport),
+                         ("command", action.command)):
+        if vector is not None:
+            return [kind, [float(x) for x in vector]]
+    return ["empty"]
+
+
+def test_driver_action_schedule_fingerprint(monkeypatch):
+    build = ScenarioConfig.build_simulation
+    sims = []
+
+    def recording_build(self, *args, **kwargs):
+        sim = build(self, *args, **kwargs)
+        step, sim.actions = sim.step, []
+
+        def recording_step(action=None):
+            sim.actions.append(_action_entry(action))
+            step(action)
+
+        sim.step = recording_step
+        sims.append(sim)
+        return sim
+
+    monkeypatch.setattr(ScenarioConfig, "build_simulation", recording_build)
+    digest = hashlib.sha256()
+    forced_skips = 0
+    for preset, scheme, seed in ACTION_RUNS:
+        run_fuzzing(preset(), scheme, budget=5, seed=seed)
+        sim = sims.pop()
+        digest.update(json.dumps(sim.actions, separators=(",", ":")).encode())
+        contact = {step for step, message in sim.events
+                   if message.startswith("invalid test case")}
+        forced_skips += sum(step in contact for step, message in sim.events
+                            if message.startswith("spawn skipped"))
+    # the runs include a contact-forced epoch that finds no valid sector
+    assert forced_skips > 0
+    assert digest.hexdigest() == ACTION_FINGERPRINT
