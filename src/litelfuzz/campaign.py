@@ -8,8 +8,6 @@ matter how many workers ran it.
 from __future__ import annotations
 
 import json
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -130,6 +128,9 @@ def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
     jobs = [(scenario, config.scheme, config.budget, seed,
              config.save_traces) for seed in seeds]
     if config.workers > 1:
+        # imported here: a fresh interpreter spends tens of milliseconds on
+        # it, which a single-process campaign need not pay
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_run_one, jobs, chunksize=1))
     else:
@@ -151,6 +152,7 @@ def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
 
 def summarize_records(scheme: str, base_seed: int,
                       records: list[dict]) -> CampaignReport:
+    import statistics
     failures = [r for r in records if r["outcome"] == OUTCOME_SUCCESSFUL_ATTACK]
     counts = {kind.value: 0 for kind in FailureKind}
     for r in failures:

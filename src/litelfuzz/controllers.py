@@ -11,16 +11,22 @@ Each controller also has array forms (``*_rows``) of ``update``,
 :class:`WorldRows` batch, with the mutable state held per row as a tuple
 of arrays (see ``row_state``). Row by row they compute exactly what the
 scalar forms compute: the lookahead steps all spawn candidates of an epoch
-this way.
+this way. They read two things the batch holds. Its distance table
+(``WorldRows.distances``) is built once per batch: in a probe, the failure
+check of the rows a step produced builds it and the next step's commands
+read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
+columns, the masks, the waypoint array and, in ``derived``, the
+navigator's formation offsets once per probe, and every step's batch
+shares it.
 
 The dispersal controller's ``update`` and ``commands`` are its array forms
 on the world as a batch of one row (``WorldRows.of``). The navigator keeps
-scalar ``update`` and ``commands`` for the main mission step: its array
-forms rebuild role lists, offset arrays and the others-mask on every call,
-which one row of four agents does not pay back. Made views of the array
-forms, they slowed the ``a1_sa`` benchmark from 2390 to 1846 steps/s
-(medians of five alternating runs each, 2-vCPU VM), while the dispersal
-views ran a2 ``sa`` as fast as its scalar forms did.
+scalar ``update`` and ``commands`` for the main mission step, where a
+view would resolve a new layout on every call. Made views of the array
+forms, at a time when those rebuilt the role lists, offset arrays and
+others-mask on every call, they slowed the ``a1_sa`` benchmark from 2390
+to 1846 steps/s (medians of five alternating runs each, 2-vCPU VM), while
+the dispersal views ran a2 ``sa`` as fast as its scalar forms did.
 """
 from __future__ import annotations
 
@@ -29,8 +35,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, WorldRows,
-                    WorldState, clamp_norm, clamp_norms, norm, row_norms)
+from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, RowsLayout,
+                    WorldRows, WorldState, clamp_norm, clamp_norms, norm,
+                    row_norms)
 
 _EPS = 1e-9
 
@@ -57,11 +64,6 @@ def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
     return np.where(far[..., None], delta * (speed / dist)[..., None], 0.0)
 
 
-def _others(rows: WorldRows) -> np.ndarray:
-    """(S, M) mask: swarm column s and world column k are different agents."""
-    return np.asarray(rows.swarm)[:, None] != np.arange(len(rows.agents))
-
-
 def _repulsion_rows(rows: WorldRows, influence_radius: float,
                     gain: float) -> np.ndarray:
     """:func:`_repulsion` of every swarm column of ``rows``: (B, S, d).
@@ -69,28 +71,32 @@ def _repulsion_rows(rows: WorldRows, influence_radius: float,
     The terms are added one at a time in the scalar order, obstacles in
     list order and then agents in world order, with +0.0 for a term out of
     range (``total`` starts at +0.0 and so is never -0.0, which makes that
-    add exact); a single ``sum(axis=...)`` would round differently.
+    add exact); a single ``sum(axis=...)`` would round differently. For
+    the same reason an agent column with no pair in range in any row adds
+    nothing, and is skipped.
     """
-    pos = rows.position[:, rows.swarm]
+    table = rows.distances()
+    layout = rows.layout
+    pos = rows.position[:, layout.swarm]
     total = np.zeros_like(pos)
 
     def push(near, d, direction):
         mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
         return np.where(near[..., None], mag[..., None] * direction, 0.0)
 
-    for obs in rows.obstacles:
-        d = obs.surface_distances(pos)
-        near = d < influence_radius
-        if near.any():
-            total = total + push(near, np.maximum(d, 1e-6),
-                                 obs.outward_directions(pos))
-    away = pos[:, :, None] - rows.position[:, None]
-    d = row_norms(away)
-    near = (d < influence_radius) & _others(rows)
-    d = np.maximum(d, 1e-6)
-    terms = push(near, d, away / d[..., None])
-    for k in range(terms.shape[2]):
-        total = total + terms[:, :, k]
+    near = table.obstacles < influence_radius
+    for o in np.flatnonzero(near.any(axis=(0, 1))):
+        total = total + push(near[..., o],
+                             np.maximum(table.obstacles[..., o], 1e-6),
+                             layout.obstacles[o].outward_directions(pos))
+    near = (table.agents < influence_radius) & layout.others
+    columns = np.flatnonzero(near.any(axis=(0, 1)))
+    if columns.size:
+        d = np.maximum(table.agents[:, :, columns], 1e-6)
+        terms = push(near[:, :, columns], d,
+                     table.away[:, :, columns] / d[..., None])
+        for n in range(len(columns)):
+            total = total + terms[:, :, n]
     return total
 
 
@@ -267,117 +273,114 @@ class ApfNavigationController:
     def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
         return (np.full(rows, self.waypoint_index),)
 
-    def _leader_column(self, rows: WorldRows) -> int | None:
-        for k, a in enumerate(rows.agents):
-            if a.role == ROLE_LEADER:
-                return k
-        return None
+    def _offsets_rows(self, layout: RowsLayout):
+        """The followers' formation offsets (F, d) and their mean (d,),
+        resolved once per layout."""
+        key = id(self.formation_offsets)
+        if key not in layout.derived:
+            offsets = np.array([self.formation_offsets[layout.agents[k].id]
+                                for k in layout.follower_columns])
+            # the entry holds the dict, so its id is not reused meanwhile
+            layout.derived[key] = (self.formation_offsets, offsets,
+                                   np.mean(offsets, axis=0))
+        return layout.derived[key][1:]
 
-    def _followers(self, rows: WorldRows) -> list[int]:
-        return [k for k in rows.swarm if rows.agents[k].role != ROLE_LEADER]
-
-    def _offsets(self, rows: WorldRows, columns: list[int]) -> np.ndarray:
-        return np.array([self.formation_offsets[rows.agents[k].id]
-                         for k in columns])
-
-    def _waypoint_rows(self, index: np.ndarray, rows: WorldRows) -> np.ndarray:
-        wps = np.asarray(rows.leader_waypoints)
+    def _waypoint_rows(self, index: np.ndarray,
+                       layout: RowsLayout) -> np.ndarray:
+        wps = layout.waypoints
         return wps[np.minimum(index, len(wps) - 1)]
 
-    def _pack_rows(self, rows: WorldRows):
-        """:meth:`_pack` of every row, or None."""
-        followers = self._followers(rows)
-        if not followers:
-            return None
-        centroid = np.mean(rows.position[:, followers], axis=1)
-        dim = rows.position.shape[2]
-        mean_offset = np.mean(
-            [self.formation_offsets.get(rows.agents[k].id, np.zeros(dim))
-             for k in followers], axis=0)
-        return centroid, mean_offset
+    def _slot_rows(self, rows: WorldRows, centroid):
+        """:meth:`_slot` of every follower: (B, F, d), or None.
 
-    def _slot_rows(self, rows: WorldRows, columns: list[int]):
-        """:meth:`_slot` of the followers in ``columns``: (B, F, d), or None."""
-        offsets = self._offsets(rows, columns)
+        ``centroid`` is the (B, d) follower-pack centroid, read in the
+        centroid frame only.
+        """
+        offsets, mean_offset = self._offsets_rows(rows.layout)
         if self.formation_frame == "leader":
-            leader = self._leader_column(rows)
+            leader = rows.layout.leader
             if leader is None:
                 return None
             return rows.position[:, leader, None] + offsets
-        centroid, mean_offset = self._pack_rows(rows)
         return centroid[:, None] + offsets - mean_offset
 
     def update_rows(self, state, rows: WorldRows, spec: MissionSpec):
         (index,) = state
-        leader = self._leader_column(rows)
-        last = len(rows.leader_waypoints) - 1
+        layout = rows.layout
+        leader = layout.leader
+        last = len(layout.leader_waypoints) - 1
         if leader is None or last < 1:
             return state
-        gap = rows.position[:, leader] - self._waypoint_rows(index, rows)
-        switch = (index < last) & (row_norms(gap) <= self.waypoint_switch_radius)
+        ahead = index < last
+        if not ahead.any():
+            return state
+        gap = rows.position[:, leader] - self._waypoint_rows(index, layout)
+        switch = ahead & (row_norms(gap) <= self.waypoint_switch_radius)
         return (index + switch,)
 
     def commands_rows(self, state, rows: WorldRows,
                       spec: MissionSpec) -> np.ndarray:
-        """(B, S, d) commands of the swarm columns, in world order."""
+        """(B, S, d) commands of the swarm columns, in world order.
+
+        Leaders pull toward their waypoint and followers toward their
+        slot in one :func:`_attraction_rows` call, which acts on each
+        vector alone; a follower without a slot targets its own position,
+        which pulls with +0.0 as the scalar hold does.
+        """
         (index,) = state
-        feedforward = None
-        if self.formation_frame == "centroid":
-            pack = self._pack_rows(rows)
-            if pack is not None:
-                centroid, mean_offset = pack
-                pack_target = self._waypoint_rows(index, rows) + mean_offset
+        layout = rows.layout
+        pos = rows.position[:, layout.swarm]
+        target = np.empty_like(pos)
+        leads, follows = layout.leads, layout.follows
+        if leads:
+            target[:, leads] = self._waypoint_rows(index, layout)[:, None]
+        feedforward = centroid = None
+        if follows:
+            if self.formation_frame == "centroid":
+                centroid = np.mean(pos[:, follows], axis=1)
+                pack_target = self._waypoint_rows(index, layout) \
+                    + self._offsets_rows(layout)[1]
                 feedforward = _attraction_rows(centroid, pack_target,
                                                spec.v_max, self.slow_radius)
-        pos = rows.position[:, rows.swarm]
-        att = np.empty_like(pos)
-        roles = [rows.agents[k].role for k in rows.swarm]
-        lead = [n for n, role in enumerate(roles) if role == ROLE_LEADER]
-        follow = [n for n, role in enumerate(roles) if role != ROLE_LEADER]
-        if lead:
-            target = self._waypoint_rows(index, rows)[:, None]
-            pull = _attraction_rows(pos[:, lead], target, spec.v_max,
-                                    self.slow_radius)
-            at_goal = row_norms(pos[:, lead] - spec.goal) <= spec.goal_tolerance
-            att[:, lead] = np.where(at_goal[..., None], 0.0, pull)
-        if follow:
-            slots = self._slot_rows(rows, [rows.swarm[n] for n in follow])
-            if slots is None:
-                # counterfactual without any reference agent: hold
-                pull = np.zeros_like(pos[:, follow])
-            else:
-                pull = _attraction_rows(pos[:, follow], slots, spec.v_max,
-                                        self.slow_radius)
-            if feedforward is not None:
-                pull = pull + feedforward[:, None]
-            att[:, follow] = pull
+            slots = self._slot_rows(rows, centroid)
+            # counterfactual without any reference agent: hold
+            target[:, follows] = pos[:, follows] if slots is None else slots
+        pull = _attraction_rows(pos, target, spec.v_max, self.slow_radius)
+        if leads:
+            at_goal = row_norms(pos[:, leads] - spec.goal) <= spec.goal_tolerance
+            if at_goal.any():
+                pull[:, leads] = np.where(at_goal[..., None], 0.0,
+                                          pull[:, leads])
+        if feedforward is not None:
+            pull[:, follows] = pull[:, follows] + feedforward[:, None]
         rep = _repulsion_rows(rows, self.influence_radius, self.repulsion_gain)
-        return clamp_norms(att + rep, spec.v_max)
+        return clamp_norms(pull + rep, spec.v_max)
 
     def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
         """(B, S, d) goals of the swarm columns; NaN stands for no goal."""
-        return np.broadcast_to(spec.goal, rows.position[:, rows.swarm].shape)
+        return np.broadcast_to(spec.goal,
+                               rows.position[:, rows.layout.swarm].shape)
 
     def mission_complete_rows(self, state, rows: WorldRows,
                               spec: MissionSpec) -> np.ndarray:
         (index,) = state
-        leader = self._leader_column(rows)
-        if leader is None:
+        layout = rows.layout
+        leader = layout.leader
+        done = index >= len(layout.leader_waypoints) - 1
+        if leader is None or not done.any():
             return np.zeros(len(index), dtype=bool)
-        done = (index >= len(rows.leader_waypoints) - 1) & (
-            row_norms(rows.position[:, leader] - spec.goal)
-            <= spec.goal_tolerance)
-        followers = self._followers(rows)
+        done &= row_norms(rows.position[:, leader] - spec.goal) \
+            <= spec.goal_tolerance
+        count = len(layout.follower_columns)
+        if not count:
+            return done if self.formation_frame == "leader" \
+                else np.zeros_like(done)
+        followers = rows.position[:, layout.swarm][:, layout.follows]
         if self.formation_frame == "centroid":
-            if not followers:
-                return np.zeros_like(done)
-            gaps = rows.position[:, followers] - (
-                spec.goal + self._offsets(rows, followers))
+            gaps = followers - (spec.goal + self._offsets_rows(layout)[0])
             docked = (row_norms(gaps) <= self.formation_tolerance).sum(axis=1)
-            return done & (docked * 2 > len(followers))
-        if not followers:
-            return done
-        gaps = rows.position[:, followers] - self._slot_rows(rows, followers)
+            return done & (docked * 2 > count)
+        gaps = followers - self._slot_rows(rows, None)
         return done & (row_norms(gaps) <= self.formation_tolerance).all(axis=1)
 
 
@@ -428,17 +431,19 @@ class DispersalSearchController:
     def update(self, world: WorldState, spec: MissionSpec) -> None:
         """:meth:`update_rows` of ``world`` as a batch of one row."""
         rows = WorldRows.of(world)
-        if rows.swarm:
+        if rows.layout.swarm:
             visits, found = self.update_rows(self.row_state(1), rows, spec)
             self.visits, self.found = visits[0], found[0].tolist()
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
         """:meth:`commands_rows` of ``world`` as a batch of one row."""
         rows = WorldRows.of(world)
-        if not rows.swarm:
+        layout = rows.layout
+        if not layout.swarm:
             return {}
         cmds = self.commands_rows(self.row_state(1), rows, spec)[0]
-        return {rows.agents[k].id: cmds[n] for n, k in enumerate(rows.swarm)}
+        return {layout.agents[k].id: cmds[n]
+                for n, k in enumerate(layout.swarm_columns)}
 
     def mission_complete(self, world: WorldState, spec: MissionSpec) -> bool:
         return bool(self.found) and all(self.found)
@@ -472,7 +477,7 @@ class DispersalSearchController:
 
     def update_rows(self, state, rows: WorldRows, spec: MissionSpec):
         visits, found = state
-        pos = rows.position[:, rows.swarm]
+        pos = rows.position[:, rows.layout.swarm]
         visits = visits.copy()
         cells = self._cells_rows(pos)
         np.add.at(visits, (np.arange(len(pos))[:, None],
@@ -486,9 +491,11 @@ class DispersalSearchController:
                       spec: MissionSpec) -> np.ndarray:
         """(B, S, d) commands of the swarm columns, in world order."""
         visits, found = state
-        pos = rows.position[:, rows.swarm]
+        layout = rows.layout
+        table = rows.distances()
+        pos = rows.position[:, layout.swarm]
         count, size, dim = pos.shape
-        ids = [rows.agents[k].id for k in rows.swarm]
+        ids = [layout.agents[k].id for k in layout.swarm_columns]
         rank = np.argsort(np.argsort(ids, kind="stable"), kind="stable")
         cell_order = np.argsort(visits.reshape(count, -1), axis=1,
                                 kind="stable")
@@ -497,9 +504,8 @@ class DispersalSearchController:
         drift_target = self.bounds_lo + (cells.astype(float) + 0.5) \
             * self.cell_size
         # neighbours in world order; co-located ones splay by agent rank
-        away = pos[:, :, None] - rows.position[:, None]
-        d = row_norms(away)
-        near = (d < self.neighbor_radius) & _others(rows)
+        away, d = table.away, table.agents
+        near = (d < self.neighbor_radius) & layout.others
         splay = np.zeros((size, dim))
         for n, r in enumerate(rank):
             angle = 2.0 * math.pi * int(r) / max(size, 1)
@@ -508,19 +514,21 @@ class DispersalSearchController:
         close = d < 1e-9
         away = np.where(close[..., None], splay[:, None], away)
         d = np.where(close, 1.0, d)
-        terms = (away / d[..., None]) * spec.v_max \
-            * (1.0 - d / self.neighbor_radius)[..., None]
+        terms = np.where(near[..., None], (away / d[..., None]) * spec.v_max
+                         * (1.0 - d / self.neighbor_radius)[..., None], 0.0)
+        # terms out of range add +0.0, which leaves cmd (never -0.0) as it
+        # is, so a column with none in range in any row is skipped
         cmd = np.zeros_like(pos)
-        for k in range(terms.shape[2]):
-            cmd = cmd + np.where(near[:, :, k, None], terms[:, :, k], 0.0)
+        for k in np.flatnonzero(near.any(axis=(0, 1))):
+            cmd = cmd + terms[:, :, k]
         push = self.obstacle_gain * spec.v_max
-        for obs in rows.obstacles:
-            d = obs.surface_distances(pos)
-            near = d < self.sensor_range
-            if near.any():
-                ramp = 1.0 - np.maximum(d, 1e-6) / self.sensor_range
-                term = obs.outward_directions(pos) * push * ramp[..., None]
-                cmd = cmd + np.where(near[..., None], term, 0.0)
+        near = table.obstacles < self.sensor_range
+        for o in np.flatnonzero(near.any(axis=(0, 1))):
+            ramp = 1.0 - np.maximum(table.obstacles[..., o], 1e-6) \
+                / self.sensor_range
+            term = layout.obstacles[o].outward_directions(pos) * push \
+                * ramp[..., None]
+            cmd = cmd + np.where(near[..., o, None], term, 0.0)
         # masked-out wall terms add or subtract +0.0, which leaves cmd as is
         for axis in range(dim):
             lo_gap = pos[..., axis] - self.bounds_lo[axis]
@@ -537,7 +545,7 @@ class DispersalSearchController:
     def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
         """(B, S, d) goals of the swarm columns; NaN stands for no goal."""
         visits, found = state
-        pos = rows.position[:, rows.swarm]
+        pos = rows.position[:, rows.layout.swarm]
         if not self.targets:
             return np.full(pos.shape, np.nan)
         d = np.where(found[:, None], np.inf, self._target_distances(pos))

@@ -30,9 +30,9 @@ from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
                       Simulation)
 from .planner import Infeasible, plan_path
 from .robustness import goal_history
-from .world import (ROLE_ATTACKER, AgentState, FailureKind, WorldRows,
-                    clamp_norm, clamp_norms, failed_rows, integrate_rows,
-                    norm, row_norms)
+from .world import (ROLE_ATTACKER, AgentState, FailureKind, RowsLayout,
+                    WorldRows, clamp_norm, clamp_norms, failed_rows,
+                    integrate_rows, norm, row_norms)
 
 SCHEMES = ("sa", "ma", "random", "target_only")
 
@@ -214,15 +214,16 @@ def _pursuit_command(attacker: AgentState, target: AgentState,
     return cmd
 
 
-def _standoff_points(target_position: np.ndarray, approach_from: np.ndarray,
-                     standoff: float) -> np.ndarray:
-    """:func:`_standoff_point` of every row."""
-    away = approach_from - target_position
-    n = row_norms(away)
+def _standoff_points(target_position: np.ndarray, away: np.ndarray,
+                     n: np.ndarray, standoff: float) -> np.ndarray:
+    """:func:`_standoff_point` of every row, given ``away``, which is
+    ``approach_from - target_position``, and its :func:`row_norms` ``n``."""
     tiny = n < 1e-12
-    away = np.where(tiny[:, None], np.where(np.arange(away.shape[1]) == 0,
-                                            1.0, 0.0), away)
-    n = np.where(tiny, 1.0, n)
+    if np.count_nonzero(tiny):
+        away = np.where(tiny[:, None],
+                        np.where(np.arange(away.shape[1]) == 0, 1.0, 0.0),
+                        away)
+        n = np.where(tiny, 1.0, n)
     return target_position + away * (standoff / n)[:, None]
 
 
@@ -230,11 +231,11 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
                       target_velocity: np.ndarray, standoff: float,
                       v_max: float, dt: float, a_max: float) -> np.ndarray:
     """:func:`_pursuit_command` of every row; positions and velocities (B, d)."""
-    desired = _standoff_points(target, attacker, standoff)
-    cmd = clamp_norms(target_velocity + (desired - attacker) / dt, v_max)
-    floor = 0.75 * standoff
     gap = attacker - target
     dist = row_norms(gap)
+    desired = _standoff_points(target, gap, dist, standoff)
+    cmd = clamp_norms(target_velocity + (desired - attacker) / dt, v_max)
+    floor = 0.75 * standoff
     if math.isfinite(a_max):
         apart = dist > 1e-12
         inward = -gap / np.where(apart, dist, 1.0)[:, None]
@@ -256,7 +257,8 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
     direction = np.where(
         apart[:, None],
         predicted_gap / np.where(apart, gap_norm, 1.0)[:, None],
-        _standoff_points(np.zeros_like(cmd), attacker - target, 1.0))
+        # (attacker - target) - 0.0 is gap itself
+        _standoff_points(np.zeros_like(cmd), gap, dist, 1.0))
     held = predicted_target + direction * floor
     return np.where(close[:, None],
                     clamp_norms((held - attacker) / dt, v_max), cmd)
@@ -300,12 +302,13 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
             np.broadcast_to(attacker.velocity, attack.shape),
             target.position[None], target.velocity[None], attack, approach,
             spec.dt, params)
-        layout = AgentState(attacker.id, None, None, None,
-                            attacker.sensing_radius, ROLE_ATTACKER)
+        intruder = AgentState(attacker.id, None, None, None,
+                              attacker.sensing_radius, ROLE_ATTACKER)
     else:
         att_pos, att_vel, att_acc = attack, np.zeros_like(attack), \
             np.zeros_like(attack)
-        layout = AgentState(ATTACKER_ID, None, None, None, 1.0, ROLE_ATTACKER)
+        intruder = AgentState(ATTACKER_ID, None, None, None, 1.0,
+                              ROLE_ATTACKER)
     # The first step moves the swarm alike in every row: its commands read
     # the pre-step world, and failure, completion and goal distances never
     # read the attacker. One scalar step without the attacker stands in.
@@ -318,10 +321,12 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         return np.concatenate([np.broadcast_to(shared, (count,) + shared.shape),
                                attacker_rows[:, None]], axis=1)
 
-    rows = WorldRows(swarm + [layout], stacked("position", att_pos),
+    # the layout, and what it resolves, serves every step of the probe
+    layout = RowsLayout(swarm + [intruder], probe.world.obstacles,
+                        probe.world.leader_waypoints)
+    rows = WorldRows(layout, stacked("position", att_pos),
                      stacked("velocity", att_vel),
-                     stacked("acceleration", att_acc),
-                     probe.world.obstacles, probe.world.leader_waypoints)
+                     stacked("acceleration", att_acc))
     target_col = rows.column(target_id)
     controller = probe.controller
     state = controller.row_state(count)
@@ -352,17 +357,16 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         att_pos, att_vel, att_acc, approach = _attacker_step(
             rows.position[:, -1], rows.velocity[:, -1],
             rows.position[:, target_col], rows.velocity[:, target_col],
-            attack[live], approach, spec.dt, params)
+            attack, approach, spec.dt, params)
         state = controller.update_rows(state, rows, spec)
         commands = controller.commands_rows(state, rows, spec)
         pos, vel, acc = integrate_rows(
             rows.position[:, :size], rows.velocity[:, :size], commands,
             spec.v_max, spec.a_max, spec.dt)
-        rows = WorldRows(rows.agents,
+        rows = WorldRows(layout,
                          np.concatenate([pos, att_pos[:, None]], axis=1),
                          np.concatenate([vel, att_vel[:, None]], axis=1),
-                         np.concatenate([acc, att_acc[:, None]], axis=1),
-                         rows.obstacles, rows.leader_waypoints)
+                         np.concatenate([acc, att_acc[:, None]], axis=1))
         steps += 1
         goal_log[logged - 1, live] = row_norms(
             pos - controller.goal_rows(state, rows, spec))
@@ -373,7 +377,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
             keep = ~ended
             live, rows = live[keep], rows.select(keep)
             state = tuple(a[keep] for a in state)
-            approach = approach[keep]
+            attack, approach = attack[keep], approach[keep]
             if not live.size:
                 return scores
     finish(np.ones(len(live), bool), np.zeros(len(live), bool),
@@ -387,13 +391,20 @@ def _attacker_step(position, velocity, target, target_velocity, candidates,
     more than one step away, then pursue the target. Returns the new
     position, velocity and acceleration and the rows still approaching."""
     v_max, a_max = params.attacker_v_max, params.attacker_a_max
-    if approach.any():
-        approach = approach & (row_norms(candidates - position) > v_max * dt)
-    cmd = _pursuit_commands(position, target, target_velocity,
-                            params.standoff, v_max, dt, a_max)
-    if approach.any():
-        cmd = np.where(approach[:, None],
-                       clamp_norms((candidates - position) / dt, v_max), cmd)
+    approaching = np.count_nonzero(approach)
+    if approaching:
+        delta = candidates - position
+        approach = approach & (row_norms(delta) > v_max * dt)
+        approaching = np.count_nonzero(approach)
+    if not approaching:
+        cmd = _pursuit_commands(position, target, target_velocity,
+                                params.standoff, v_max, dt, a_max)
+    else:
+        cmd = clamp_norms(delta / dt, v_max)
+        if approaching < len(approach):     # else no row pursues yet
+            cmd = np.where(approach[:, None], cmd, _pursuit_commands(
+                position, target, target_velocity, params.standoff, v_max,
+                dt, a_max))
     return (*integrate_rows(position, velocity, cmd, v_max, a_max, dt),
             approach)
 

@@ -589,7 +589,9 @@ def a3_navigate3d() -> ScenarioConfig:
         "formation_min_m": 0.3,
         "formation_max_m": 1.9,
         "dt_s": 0.05,
-        # mean completion steps over attacker-free reference runs
+        # measured as the mean completion steps over attacker-free
+        # reference runs when the preset was made; measure_nominal_steps
+        # now returns 244, and 245 is kept so the pinned a3 records hold
         "nominal_steps": 245,
         "timeout_multiplier": 2.0,
         "collision_radius_m": 0.25,

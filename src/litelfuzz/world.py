@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -226,6 +227,14 @@ class Distances:
                          surface.reshape(len(world.obstacles), len(pos))
                          .T.tolist())
 
+    def without(self, col: int) -> "Distances":
+        """The table of the world without the agent in column ``col``."""
+        return Distances(
+            {i: k - (k > col) for i, k in self.column.items() if k != col},
+            [row[:col] + row[col + 1:]
+             for k, row in enumerate(self.agents) if k != col],
+            self.obstacles[:col] + self.obstacles[col + 1:])
+
 
 @dataclass
 class WorldState:
@@ -235,7 +244,8 @@ class WorldState:
     new world. That makes it safe to share a world between simulations
     and trace snapshots, and to cache its :class:`Distances`, which
     :meth:`distances` builds on first use. :meth:`without` returns a new
-    world, which builds its own table.
+    world; once this world's table is built, the new one derives its
+    table from it by dropping the removed agent's row and column.
     """
 
     step_index: int
@@ -264,9 +274,130 @@ class WorldState:
         return [a for a in self.agents if a.role == ROLE_ATTACKER]
 
     def without(self, agent_id: int) -> "WorldState":
-        return WorldState(self.step_index,
-                          [a for a in self.agents if a.id != agent_id],
-                          self.obstacles, self.leader_waypoints)
+        world = WorldState(self.step_index,
+                           [a for a in self.agents if a.id != agent_id],
+                           self.obstacles, self.leader_waypoints)
+        # every entry is computed per pair or per agent, so the derived
+        # table equals a fresh one
+        if self._distances is not None \
+                and len(world.agents) == len(self.agents) - 1:
+            world._distances = self._distances.without(
+                self._distances.column[agent_id])
+        return world
+
+
+def _index(columns: list[int]) -> slice | list[int]:
+    """``columns`` as an index along one axis: a basic slice when they are
+    consecutive, so that reading them gives a view rather than a copy. No
+    columns give the empty list, so an index is false exactly when it
+    selects nothing."""
+    if columns and columns[-1] - columns[0] == len(columns) - 1:
+        return slice(columns[0], columns[-1] + 1)
+    return columns
+
+
+class RowsLayout:
+    """What the rows of a :class:`WorldRows` batch share: the agents in
+    world order (only their ids, roles and sensing radii are read), the
+    obstacles and the leader waypoints.
+
+    The index sets, masks and arrays below depend on nothing else, so each
+    is resolved on first use and kept for the life of the layout, which is
+    one probe: every step's rows, and every :meth:`WorldRows.select` of
+    them, carry the same layout. ``derived`` holds what a controller
+    derives from the layout and its own fixed parameters, on the same
+    terms. An index into a column axis is a basic slice when its columns
+    are consecutive (see ``_index``), so reading it gives a view.
+    """
+
+    def __init__(self, agents: list[AgentState], obstacles: list[Obstacle],
+                 leader_waypoints: list[np.ndarray]):
+        self.agents = agents
+        self.obstacles = obstacles
+        self.leader_waypoints = leader_waypoints
+        self.derived: dict = {}
+
+    @cached_property
+    def swarm_columns(self) -> list[int]:
+        return [k for k, a in enumerate(self.agents) if a.role != ROLE_ATTACKER]
+
+    @cached_property
+    def swarm(self) -> slice | list[int]:
+        """Index of the swarm columns."""
+        return _index(self.swarm_columns)
+
+    @cached_property
+    def leader(self) -> int | None:
+        """Column of the first leader, or None."""
+        for k, a in enumerate(self.agents):
+            if a.role == ROLE_LEADER:
+                return k
+        return None
+
+    @cached_property
+    def leads(self) -> slice | list[int]:
+        """Index of the leaders among the swarm columns."""
+        return _index([n for n, k in enumerate(self.swarm_columns)
+                       if self.agents[k].role == ROLE_LEADER])
+
+    @cached_property
+    def follower_columns(self) -> list[int]:
+        """Columns of the swarm agents that are not leaders."""
+        return [k for k in self.swarm_columns
+                if self.agents[k].role != ROLE_LEADER]
+
+    @cached_property
+    def follows(self) -> slice | list[int]:
+        """Index of the followers among the swarm columns."""
+        return _index([n for n, k in enumerate(self.swarm_columns)
+                       if self.agents[k].role != ROLE_LEADER])
+
+    @cached_property
+    def others(self) -> np.ndarray:
+        """(S, M) mask: swarm column s and column k are different agents."""
+        return np.asarray(self.swarm_columns)[:, None] \
+            != np.arange(len(self.agents))
+
+    @cached_property
+    def not_self(self) -> np.ndarray:
+        """(S, S) mask: swarm columns s and t are different agents."""
+        return self.others[:, self.swarm]
+
+    @cached_property
+    def waypoints(self) -> np.ndarray:
+        """The leader waypoints as one (W, d) array."""
+        return np.asarray(self.leader_waypoints)
+
+
+@dataclass(frozen=True)
+class RowsDistances:
+    """:class:`Distances` of every row of a :class:`WorldRows`, as arrays.
+
+    For swarm column ``s`` (the ``n``-th of ``layout.swarm_columns``) and
+    column ``k`` of row ``b``: ``away[b, n, k]`` is ``p_s - p_k``,
+    ``agents[b, n, k]`` is its :func:`row_norms` and ``obstacles[b, n, o]``
+    is ``obstacles[o].surface_distances(p_s)``. Both kernels treat every
+    vector alone, so the entries equal the scalar forms with ``==``.
+    """
+
+    away: np.ndarray        # (B, S, M, d)
+    agents: np.ndarray      # (B, S, M)
+    obstacles: np.ndarray   # (B, S, O)
+
+    @staticmethod
+    def of(rows: "WorldRows") -> "RowsDistances":
+        pos = rows.position[:, rows.layout.swarm]
+        away = pos[:, :, None] - rows.position[:, None]
+        obstacles = rows.layout.obstacles
+        surface = np.empty(pos.shape[:2] + (len(obstacles),))
+        for o, obs in enumerate(obstacles):
+            surface[..., o] = obs.surface_distances(pos)
+        return RowsDistances(away, row_norms(away), surface)
+
+    def select(self, keep: np.ndarray) -> "RowsDistances":
+        """The rows picked by the boolean mask ``keep``."""
+        return RowsDistances(self.away[keep], self.agents[keep],
+                             self.obstacles[keep])
 
 
 @dataclass
@@ -274,52 +405,61 @@ class WorldRows:
     """Variants of one world, one per row, stepped together.
 
     ``position``, ``velocity`` and ``acceleration`` have shape (B, M, d):
-    column k holds agent ``agents[k]`` of every variant. The variants share
-    this agent layout (in world order; only the ids, roles and sensing radii
-    of ``agents`` are read), the obstacles and the leader waypoints; only
-    the kinematics differ.
+    column k holds agent ``layout.agents[k]`` of every variant. The
+    variants share the :class:`RowsLayout`; only the kinematics differ.
+    A batch is never mutated once built, so :meth:`distances` builds its
+    :class:`RowsDistances` on first use, as :meth:`WorldState.distances`
+    does, and :meth:`select` carries the kept rows of a built table over.
+    A probe step thus computes each distance once: the failure check of
+    the rows a step produced builds the table, and the repulsion of the
+    next step's commands reads it.
     """
 
-    agents: list[AgentState]
+    layout: RowsLayout
     position: np.ndarray
     velocity: np.ndarray
     acceleration: np.ndarray
-    obstacles: list[Obstacle]
-    leader_waypoints: list[np.ndarray]
-    swarm: list[int] = field(init=False)   # columns of swarm agents
-
-    def __post_init__(self):
-        self.swarm = [k for k, a in enumerate(self.agents)
-                      if a.role != ROLE_ATTACKER]
+    _distances: RowsDistances | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     @staticmethod
     def of(world: WorldState) -> "WorldRows":
         """``world`` as a batch of one row."""
         def stacked(name: str) -> np.ndarray:
             return np.array([getattr(a, name) for a in world.agents])[None]
-        return WorldRows(world.agents, stacked("position"),
-                         stacked("velocity"), stacked("acceleration"),
-                         world.obstacles, world.leader_waypoints)
+        return WorldRows(RowsLayout(world.agents, world.obstacles,
+                                    world.leader_waypoints),
+                         stacked("position"), stacked("velocity"),
+                         stacked("acceleration"))
+
+    def distances(self) -> RowsDistances:
+        """The batch's distance table, built once."""
+        if self._distances is None:
+            self._distances = RowsDistances.of(self)
+        return self._distances
 
     def column(self, agent_id: int) -> int:
-        for k, a in enumerate(self.agents):
+        for k, a in enumerate(self.layout.agents):
             if a.id == agent_id:
                 return k
         raise KeyError(f"no agent with id {agent_id}")
 
     def select(self, keep: np.ndarray) -> "WorldRows":
         """The rows picked by the boolean mask ``keep``."""
-        return WorldRows(self.agents, self.position[keep],
-                         self.velocity[keep], self.acceleration[keep],
-                         self.obstacles, self.leader_waypoints)
+        rows = WorldRows(self.layout, self.position[keep],
+                         self.velocity[keep], self.acceleration[keep])
+        if self._distances is not None:
+            rows._distances = self._distances.select(keep)
+        return rows
 
     def world(self, row: int, step_index: int) -> WorldState:
         """Row ``row`` as a :class:`WorldState`."""
+        layout = self.layout
         return WorldState(step_index, [
             AgentState(a.id, self.position[row, k], self.velocity[row, k],
                        self.acceleration[row, k], a.sensing_radius, a.role)
-            for k, a in enumerate(self.agents)],
-            self.obstacles, self.leader_waypoints)
+            for k, a in enumerate(layout.agents)],
+            layout.obstacles, layout.leader_waypoints)
 
 
 def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:
@@ -414,14 +554,12 @@ def detect_failure(world: WorldState, spec: MissionSpec) -> FailureKind | None:
 def failed_rows(rows: WorldRows, step_index: int,
                 spec: MissionSpec) -> np.ndarray:
     """Rows of ``rows`` in which :func:`detect_failure` reports a failure."""
-    pos = rows.position[:, rows.swarm]
-    failed = np.full(len(pos), spec.timed_out(step_index))
+    table = rows.distances()
+    layout = rows.layout
+    failed = np.full(len(rows.position), spec.timed_out(step_index))
     if spec.formation_enabled:
         # norm(a - b) == norm(b - a), so both triangles agree
-        close = row_norms(pos[:, :, None] - pos[:, None]) \
-            < spec.collision_radius
-        failed |= (close & ~np.eye(len(rows.swarm), dtype=bool)).any(
-            axis=(1, 2))
-    for obs in rows.obstacles:
-        failed |= (obs.surface_distances(pos) <= 0.0).any(axis=1)
+        close = table.agents[:, :, layout.swarm] < spec.collision_radius
+        failed |= (close & layout.not_self).any(axis=(1, 2))
+    failed |= (table.obstacles <= 0.0).any(axis=(1, 2))
     return failed

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from litelfuzz import fuzzing
+from litelfuzz import controllers, fuzzing, world
 from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                SpawnGeometry, _pursuit_command,
                                lookahead_score, random_target, run_fuzzing,
@@ -298,3 +298,51 @@ class TestBatchedLookahead:
         assert scores == [scalar_lookahead_score(sim, p, target.id, params)
                           for p in points]
         assert scores == [math.inf] * len(points)
+
+
+class TestProbeWork:
+    def test_each_batch_measures_its_distances_once(self, monkeypatch):
+        """One a1 probe of 8 candidates: every batch the rollout steps
+        through (the start batch and the one each batched step makes) gets
+        one pairwise table and one surface distance per obstacle, shared by
+        the repulsion and the failure check."""
+        scn = a1_navigate()
+        sim = scn.build_simulation(seed=0, record_trace=False)
+        params = scn.fuzz_params()
+        for _ in range(params.warmup_steps):
+            sim.step()
+        target = sim.world.swarm()[0]
+        # the ring around the target alone: all eight sectors
+        points = spawn_candidates(target, WorldState(0, [target], []),
+                                  scn.spawn_geometry(),
+                                  sim.spec.safe_distance)
+        assert len(points) == 8
+        counts = {"steps": 0, "pairwise": 0, "surface": 0}
+
+        def counted(name, fn, batched):
+            def wrapper(*args):
+                if batched(args):
+                    counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        # scalar worlds measure (M, d) points and (M, M, d) pairs; a batch
+        # measures (B, S, d) points and (B, S, M, d) pairs
+        monkeypatch.setattr(Obstacle, "surface_distances", counted(
+            "surface", Obstacle.surface_distances,
+            lambda args: args[1].ndim == 3))
+        for module in (world, controllers, fuzzing):
+            monkeypatch.setattr(module, "row_norms", counted(
+                "pairwise", world.row_norms, lambda args: args[0].ndim == 4))
+        monkeypatch.setattr(
+            controllers.ApfNavigationController, "commands_rows", counted(
+                "steps", controllers.ApfNavigationController.commands_rows,
+                lambda args: True))
+        scores = lookahead_score(sim, np.array(points), target.id, params)
+        monkeypatch.undo()
+        assert scores == [scalar_lookahead_score(sim, p, target.id, params)
+                          for p in points]
+        batches = counts["steps"] + 1
+        assert counts["steps"] >= params.lookahead // 2
+        assert counts["pairwise"] == batches
+        assert counts["surface"] == len(sim.world.obstacles) * batches

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from litelfuzz.world import (AgentState, FailureKind, InvalidState, MissionSpec,
-                             Obstacle, WorldState, clamp_norm, clamp_norms,
-                             detect_failure, integrate_step,
+from litelfuzz.world import (AgentState, Distances, FailureKind, InvalidState,
+                             MissionSpec, Obstacle, WorldState, clamp_norm,
+                             clamp_norms, detect_failure, integrate_step,
                              min_obstacle_distance, norm, row_norms)
 
 
@@ -274,6 +274,40 @@ class TestDistances:
         assert w.distances().obstacles == [[], []]
         assert w.without(1).distances().agents == [[0.0]]
         assert "_distances" not in repr(w)
+
+    @given(_worlds())
+    def test_without_derives_the_table_a_fresh_world_builds(self, world):
+        table = world.distances()
+        for a in world.agents:
+            derived = world.without(a.id)
+            assert derived._distances is not None     # derived, not built
+            _assert_same_tables(derived.distances(), Distances.of(derived))
+        assert world.distances() is table
+
+    def test_without_leaves_a_singleton_swarm(self):
+        leader = make_agent([0.0, 0.0], agent_id=0, role="leader")
+        follower = make_agent([0.0, 0.0], agent_id=1)    # co-located
+        attacker = make_agent([0.5, 0.0], agent_id=1000, role="attacker")
+        world = WorldState(0, [leader, follower, attacker],
+                           [Obstacle.circle([0.0, 0.0], 1.0)])
+        world.distances()
+        for first, second in ((1, 1000), (1000, 1), (0, 1)):
+            derived = world.without(first)
+            derived = derived.without(second)
+            assert len(derived.agents) == 1
+            _assert_same_tables(derived.distances(), Distances.of(derived))
+        # an id the world lacks: the copy builds its own table
+        assert world.without(7)._distances is None
+
+
+def _assert_same_tables(got: Distances, want: Distances) -> None:
+    assert got.column == want.column
+    for field_got, field_want in ((got.agents, want.agents),
+                                  (got.obstacles, want.obstacles)):
+        assert len(field_got) == len(field_want)
+        for row_got, row_want in zip(field_got, field_want):
+            assert len(row_got) == len(row_want)
+            assert all(_same(x, y) for x, y in zip(row_got, row_want))
 
 
 # -- failure detection -------------------------------------------------------
