@@ -1,7 +1,8 @@
 """Built-in swarm controllers.
 
-Two controller families are provided: a leader-follower navigator that
-corrects formation slots with artificial potential fields, and a dispersal
+Two controller families are provided: a leader-follower navigator whose
+followers hold slots at fixed offsets from the leader and avoid obstacles
+and each other with artificial potential fields, and a dispersal
 controller for area search. Controllers keep their mutable state out of
 ``commands`` so a command computation never changes the controller;
 ``update`` is called once per world step by the mission loop.
@@ -20,13 +21,15 @@ navigator's formation offsets once per probe, and every step's batch
 shares it.
 
 The dispersal controller's ``update`` and ``commands`` are its array forms
-on the world as a batch of one row (``WorldRows.of``). The navigator keeps
-scalar ``update`` and ``commands`` for the main mission step, where a
-view would resolve a new layout on every call. Made views of the array
-forms, at a time when those rebuilt the role lists, offset arrays and
-others-mask on every call, they slowed the ``a1_sa`` benchmark from 2390
-to 1846 steps/s (medians of five alternating runs each, 2-vCPU VM), while
-the dispersal views ran a2 ``sa`` as fast as its scalar forms did.
+on the world as a batch of one row (``WorldState.rows``), which the world
+builds once, so one main mission step resolves one layout and one table.
+The navigator keeps scalar ``update`` and ``commands`` for the main
+mission step, where a view would resolve a new layout for every world.
+Made views of the array forms, at a time when those rebuilt the role
+lists, offset arrays and others-mask on every call, they slowed the
+``a1_sa`` benchmark from 2390 to 1846 steps/s (medians of five
+alternating runs each, 2-vCPU VM), while the dispersal views ran a2
+``sa`` as fast as its scalar forms did.
 """
 from __future__ import annotations
 
@@ -127,10 +130,11 @@ def _repulsion(agent_id: int, world: WorldState, influence_radius: float,
 class ApfNavigationController:
     """Leader-follower waypoint navigation with potential-field avoidance.
 
-    The leader tracks an explicit waypoint list; followers hold fixed
-    world-frame offsets from the leader. Every agent is repelled by
-    obstacles and by other agents (attackers included) inside
-    ``influence_radius``.
+    The leader tracks an explicit waypoint list. A follower's slot is the
+    leader's position plus the follower's fixed world-frame offset; in a
+    world without a leader (a counterfactual one) the follower holds where
+    it is. Every agent is repelled by obstacles and by other agents
+    (attackers included) inside ``influence_radius``.
     """
 
     formation_offsets: dict[int, np.ndarray]
@@ -144,9 +148,10 @@ class ApfNavigationController:
         default=0.2, metadata=dict(kind="number", least=0.0))
     formation_tolerance: float = field(
         default=0.15, metadata=dict(kind="number", least=0.0))
+    # slots hang off the leader, the only frame; the key stays so that
+    # scenario files naming it load, and no code reads it
     formation_frame: str = field(
-        default="leader",
-        metadata=dict(kind="choice", choices=("leader", "centroid")))
+        default="leader", metadata=dict(kind="choice", choices=("leader",)))
     waypoint_index: int = 0
 
     def clone(self) -> "ApfNavigationController":
@@ -162,37 +167,14 @@ class ApfNavigationController:
         wps = world.leader_waypoints
         return wps[min(self.waypoint_index, len(wps) - 1)]
 
-    def _pack(self, world: WorldState):
-        """Follower-pack centroid and mean formation offset, or None."""
-        followers = [a for a in world.swarm() if a.role != ROLE_LEADER]
-        if not followers:
-            return None
-        centroid = np.mean([a.position for a in followers], axis=0)
-        mean_offset = np.mean(
-            [self.formation_offsets.get(a.id, np.zeros_like(a.position))
-             for a in followers], axis=0)
-        return centroid, mean_offset
-
     def _slot(self, agent_id: int, world: WorldState) -> np.ndarray | None:
-        """World-frame formation slot for a follower.
-
-        In the leader frame slots hang off the leader's position. In the
-        centroid frame slots are arranged around the follower-pack
-        centroid, which couples every follower's slot to every other
-        follower's position; the pack as a whole steers by the shared
-        waypoint feedforward computed in :meth:`commands`.
-        """
+        """World-frame formation slot of a follower: the leader's position
+        plus the follower's offset, or None without a leader."""
         offset = self.formation_offsets[agent_id]
-        if self.formation_frame == "leader":
-            leader = self._leader(world)
-            if leader is None:
-                return None
-            return leader.position + offset
-        pack = self._pack(world)
-        if pack is None:
+        leader = self._leader(world)
+        if leader is None:
             return None
-        centroid, mean_offset = pack
-        return centroid + offset - mean_offset
+        return leader.position + offset
 
     def update(self, world: WorldState, spec: MissionSpec) -> None:
         leader = self._leader(world)
@@ -206,14 +188,6 @@ class ApfNavigationController:
             self.waypoint_index += 1
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
-        feedforward = None
-        if self.formation_frame == "centroid":
-            pack = self._pack(world)
-            if pack is not None:
-                centroid, mean_offset = pack
-                pack_target = self._current_waypoint(world) + mean_offset
-                feedforward = _attraction(centroid, pack_target, spec.v_max,
-                                          self.slow_radius)
         cmds: dict[int, np.ndarray] = {}
         for agent in world.agents:
             if agent.role == ROLE_ATTACKER:
@@ -232,8 +206,6 @@ class ApfNavigationController:
                 else:
                     att = _attraction(agent.position, slot, spec.v_max,
                                       self.slow_radius)
-                if feedforward is not None:
-                    att = att + feedforward
             rep = _repulsion(agent.id, world, self.influence_radius,
                              self.repulsion_gain)
             cmds[agent.id] = clamp_norm(att + rep, spec.v_max)
@@ -247,21 +219,10 @@ class ApfNavigationController:
             return False
         if norm(leader.position - spec.goal) > spec.goal_tolerance:
             return False
-        followers = [a for a in world.swarm() if a.role != ROLE_LEADER]
-        if self.formation_frame == "centroid":
-            # delivery completes once the leader and a majority of the pack
-            # dock at their goal slots; a single straggler (e.g. one drone
-            # held up by an intruder) does not stall the mission forever
-            docked = sum(
-                1 for a in followers
-                if norm(
-                    a.position - (spec.goal + self.formation_offsets[a.id])
-                ) <= self.formation_tolerance)
-            return docked * 2 > len(followers)
-        for agent in followers:
-            slot = self._slot(agent.id, world)
-            if slot is None or \
-                    norm(agent.position - slot) > self.formation_tolerance:
+        for agent in world.swarm():
+            if agent.role != ROLE_LEADER and \
+                    norm(agent.position - self._slot(agent.id, world)) \
+                    > self.formation_tolerance:
                 return False
         return True
 
@@ -273,36 +234,30 @@ class ApfNavigationController:
     def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
         return (np.full(rows, self.waypoint_index),)
 
-    def _offsets_rows(self, layout: RowsLayout):
-        """The followers' formation offsets (F, d) and their mean (d,),
-        resolved once per layout."""
+    def _offsets_rows(self, layout: RowsLayout) -> np.ndarray:
+        """The followers' formation offsets (F, d), resolved once per
+        layout."""
         key = id(self.formation_offsets)
         if key not in layout.derived:
-            offsets = np.array([self.formation_offsets[layout.agents[k].id]
-                                for k in layout.follower_columns])
             # the entry holds the dict, so its id is not reused meanwhile
-            layout.derived[key] = (self.formation_offsets, offsets,
-                                   np.mean(offsets, axis=0))
-        return layout.derived[key][1:]
+            layout.derived[key] = (self.formation_offsets, np.array(
+                [self.formation_offsets[layout.agents[k].id]
+                 for k in layout.follower_columns]))
+        return layout.derived[key][1]
 
     def _waypoint_rows(self, index: np.ndarray,
                        layout: RowsLayout) -> np.ndarray:
         wps = layout.waypoints
         return wps[np.minimum(index, len(wps) - 1)]
 
-    def _slot_rows(self, rows: WorldRows, centroid):
-        """:meth:`_slot` of every follower: (B, F, d), or None.
-
-        ``centroid`` is the (B, d) follower-pack centroid, read in the
-        centroid frame only.
-        """
-        offsets, mean_offset = self._offsets_rows(rows.layout)
-        if self.formation_frame == "leader":
-            leader = rows.layout.leader
-            if leader is None:
-                return None
-            return rows.position[:, leader, None] + offsets
-        return centroid[:, None] + offsets - mean_offset
+    def _slot_rows(self, rows: WorldRows) -> np.ndarray | None:
+        """:meth:`_slot` of every follower: (B, F, d), or None without a
+        leader."""
+        offsets = self._offsets_rows(rows.layout)
+        leader = rows.layout.leader
+        if leader is None:
+            return None
+        return rows.position[:, leader, None] + offsets
 
     def update_rows(self, state, rows: WorldRows, spec: MissionSpec):
         (index,) = state
@@ -334,15 +289,8 @@ class ApfNavigationController:
         leads, follows = layout.leads, layout.follows
         if leads:
             target[:, leads] = self._waypoint_rows(index, layout)[:, None]
-        feedforward = centroid = None
         if follows:
-            if self.formation_frame == "centroid":
-                centroid = np.mean(pos[:, follows], axis=1)
-                pack_target = self._waypoint_rows(index, layout) \
-                    + self._offsets_rows(layout)[1]
-                feedforward = _attraction_rows(centroid, pack_target,
-                                               spec.v_max, self.slow_radius)
-            slots = self._slot_rows(rows, centroid)
+            slots = self._slot_rows(rows)
             # counterfactual without any reference agent: hold
             target[:, follows] = pos[:, follows] if slots is None else slots
         pull = _attraction_rows(pos, target, spec.v_max, self.slow_radius)
@@ -351,8 +299,6 @@ class ApfNavigationController:
             if at_goal.any():
                 pull[:, leads] = np.where(at_goal[..., None], 0.0,
                                           pull[:, leads])
-        if feedforward is not None:
-            pull[:, follows] = pull[:, follows] + feedforward[:, None]
         rep = _repulsion_rows(rows, self.influence_radius, self.repulsion_gain)
         return clamp_norms(pull + rep, spec.v_max)
 
@@ -371,16 +317,10 @@ class ApfNavigationController:
             return np.zeros(len(index), dtype=bool)
         done &= row_norms(rows.position[:, leader] - spec.goal) \
             <= spec.goal_tolerance
-        count = len(layout.follower_columns)
-        if not count:
-            return done if self.formation_frame == "leader" \
-                else np.zeros_like(done)
-        followers = rows.position[:, layout.swarm][:, layout.follows]
-        if self.formation_frame == "centroid":
-            gaps = followers - (spec.goal + self._offsets_rows(layout)[0])
-            docked = (row_norms(gaps) <= self.formation_tolerance).sum(axis=1)
-            return done & (docked * 2 > count)
-        gaps = followers - self._slot_rows(rows, None)
+        if not layout.follows:
+            return done
+        gaps = rows.position[:, layout.swarm][:, layout.follows] \
+            - self._slot_rows(rows)
         return done & (row_norms(gaps) <= self.formation_tolerance).all(axis=1)
 
 
@@ -430,14 +370,14 @@ class DispersalSearchController:
 
     def update(self, world: WorldState, spec: MissionSpec) -> None:
         """:meth:`update_rows` of ``world`` as a batch of one row."""
-        rows = WorldRows.of(world)
+        rows = world.rows()
         if rows.layout.swarm:
             visits, found = self.update_rows(self.row_state(1), rows, spec)
             self.visits, self.found = visits[0], found[0].tolist()
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
         """:meth:`commands_rows` of ``world`` as a batch of one row."""
-        rows = WorldRows.of(world)
+        rows = world.rows()
         layout = rows.layout
         if not layout.swarm:
             return {}

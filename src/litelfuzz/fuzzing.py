@@ -180,7 +180,7 @@ def _standoff_point(target_position: np.ndarray, approach_from: np.ndarray,
 
 def _pursuit_command(attacker: AgentState, target: AgentState,
                      standoff: float, v_max: float, dt: float,
-                     a_max: float = math.inf) -> np.ndarray:
+                     a_max: float) -> np.ndarray:
     """Track the standoff point with target-velocity feedforward.
 
     Pure proportional pursuit equilibrates short of the standoff point
@@ -195,7 +195,7 @@ def _pursuit_command(attacker: AgentState, target: AgentState,
     floor = 0.75 * standoff
     gap = attacker.position - target.position
     dist = norm(gap)
-    if dist > 1e-12 and math.isfinite(a_max):
+    if dist > 1e-12:
         inward = -gap / dist
         rel = cmd - target.velocity
         closing = float(np.dot(rel, inward))
@@ -236,17 +236,16 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
     desired = _standoff_points(target, gap, dist, standoff)
     cmd = clamp_norms(target_velocity + (desired - attacker) / dt, v_max)
     floor = 0.75 * standoff
-    if math.isfinite(a_max):
-        apart = dist > 1e-12
-        inward = -gap / np.where(apart, dist, 1.0)[:, None]
-        rel = cmd - target_velocity
-        closing = np.vecdot(rel, inward)
-        allowed = np.sqrt(2.0 * a_max * np.maximum(dist - floor, 0.0))
-        brake = apart & (closing > allowed)
-        if brake.any():
-            rel = rel - inward * (closing - allowed)[:, None]
-            cmd = np.where(brake[:, None],
-                           clamp_norms(target_velocity + rel, v_max), cmd)
+    apart = dist > 1e-12
+    inward = -gap / np.where(apart, dist, 1.0)[:, None]
+    rel = cmd - target_velocity
+    closing = np.vecdot(rel, inward)
+    allowed = np.sqrt(2.0 * a_max * np.maximum(dist - floor, 0.0))
+    brake = apart & (closing > allowed)
+    if brake.any():
+        rel = rel - inward * (closing - allowed)[:, None]
+        cmd = np.where(brake[:, None],
+                       clamp_norms(target_velocity + rel, v_max), cmd)
     predicted_target = target + target_velocity * dt
     predicted_gap = attacker + cmd * dt - predicted_target
     gap_norm = row_norms(predicted_gap)

@@ -87,7 +87,7 @@ def _spectral_radius_estimate(a: np.ndarray) -> float:
 
 
 def katz_centrality(graph: InfluenceGraph,
-                    alpha_factor: float = 0.85) -> dict[int, float]:
+                    alpha_factor: float) -> dict[int, float]:
     """Solve x = alpha * A x + 1 in the out-influence orientation.
 
     ``alpha = alpha_factor / spectral radius``, so I - alpha A is
@@ -110,7 +110,7 @@ def katz_centrality(graph: InfluenceGraph,
 
 
 def key_node_sequence(graph: InfluenceGraph,
-                      alpha_factor: float = 0.85) -> KeyNodeSequence:
+                      alpha_factor: float) -> KeyNodeSequence:
     """Rank agents by descending centrality; ties broken by ascending id."""
     scores = katz_centrality(graph, alpha_factor)
     order = sorted(scores, key=lambda n: (-scores[n], n))

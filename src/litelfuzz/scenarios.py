@@ -331,10 +331,14 @@ class ScenarioConfig:
                            collision_radius=self.collision_radius,
                            formation_enabled=self.formation_constraint_enabled)
 
+    def sensing_radius(self) -> float:
+        """The smallest sensing radius of the scenario's agents."""
+        return min(a.sensing_radius for a in self.agents)
+
     def constraint_params(self) -> ConstraintParams:
-        sensing = min(a.sensing_radius for a in self.agents)
         return ConstraintParams(safe_distance=self.safe_distance,
-                                sensing_radius=sensing, v_max=self.v_max,
+                                sensing_radius=self.sensing_radius(),
+                                v_max=self.v_max,
                                 a_max=self.a_max,
                                 formation_min=self.formation_min,
                                 formation_max=self.formation_max, dt=self.dt,
@@ -380,7 +384,7 @@ class ScenarioConfig:
     def spawn_geometry(self) -> SpawnGeometry:
         kwargs = _fields(self.spawn, _SECTION_FIELDS["spawn"])
         kwargs["inner_radius"] = kwargs.get("inner_radius") \
-            or min(a.sensing_radius for a in self.agents)
+            or self.sensing_radius()
         kwargs["outer_radius"] = kwargs.get("outer_radius") \
             or 1.5 * kwargs["inner_radius"]
         return SpawnGeometry(**kwargs)
@@ -390,7 +394,7 @@ class ScenarioConfig:
         kwargs["attacker_v_max"] = kwargs.get("attacker_v_max") or self.v_max
         kwargs["attacker_a_max"] = kwargs.get("attacker_a_max") or self.a_max
         kwargs["graph_radius"] = kwargs.get("graph_radius") \
-            or 2.0 * min(a.sensing_radius for a in self.agents)
+            or 2.0 * self.sensing_radius()
         kwargs["standoff"] = kwargs.get("standoff") or self.safe_distance
         return FuzzParams(**kwargs)
 

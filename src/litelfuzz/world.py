@@ -242,10 +242,11 @@ class WorldState:
 
     A world and its agents are never mutated once built; a step makes a
     new world. That makes it safe to share a world between simulations
-    and trace snapshots, and to cache its :class:`Distances`, which
-    :meth:`distances` builds on first use. :meth:`without` returns a new
-    world; once this world's table is built, the new one derives its
-    table from it by dropping the removed agent's row and column.
+    and trace snapshots, and to cache its :class:`Distances` and its
+    batch of one row, which :meth:`distances` and :meth:`rows` build on
+    first use. :meth:`without` returns a new world; once this world's
+    table is built, the new one derives its table from it by dropping the
+    removed agent's row and column.
     """
 
     step_index: int
@@ -254,12 +255,25 @@ class WorldState:
     leader_waypoints: list[np.ndarray] = field(default_factory=list)
     _distances: Distances | None = field(default=None, init=False,
                                          repr=False, compare=False)
+    _rows: "WorldRows | None" = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def distances(self) -> Distances:
         """The world's distance table, built once."""
         if self._distances is None:
             self._distances = Distances.of(self)
         return self._distances
+
+    def rows(self) -> "WorldRows":
+        """The world as a :class:`WorldRows` batch of one row, built once."""
+        if self._rows is None:
+            def stacked(name: str) -> np.ndarray:
+                return np.array([getattr(a, name) for a in self.agents])[None]
+            self._rows = WorldRows(
+                RowsLayout(self.agents, self.obstacles, self.leader_waypoints),
+                stacked("position"), stacked("velocity"),
+                stacked("acceleration"))
+        return self._rows
 
     def agent(self, agent_id: int) -> AgentState:
         for a in self.agents:
@@ -421,16 +435,6 @@ class WorldRows:
     acceleration: np.ndarray
     _distances: RowsDistances | None = field(default=None, init=False,
                                              repr=False, compare=False)
-
-    @staticmethod
-    def of(world: WorldState) -> "WorldRows":
-        """``world`` as a batch of one row."""
-        def stacked(name: str) -> np.ndarray:
-            return np.array([getattr(a, name) for a in world.agents])[None]
-        return WorldRows(RowsLayout(world.agents, world.obstacles,
-                                    world.leader_waypoints),
-                         stacked("position"), stacked("velocity"),
-                         stacked("acceleration"))
 
     def distances(self) -> RowsDistances:
         """The batch's distance table, built once."""

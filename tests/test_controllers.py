@@ -54,12 +54,11 @@ def leader_world(leader_pos=(0.0, 0.0), follower_pos=(-0.3, 0.0),
                       [], [np.asarray(w, dtype=float) for w in waypoints])
 
 
-def apf(frame="leader"):
+def apf():
     return ApfNavigationController(
         formation_offsets={1: np.array([-0.3, 0.0])},
         influence_radius=0.15, repulsion_gain=0.05, slow_radius=0.3,
-        waypoint_switch_radius=0.2, formation_tolerance=0.15,
-        formation_frame=frame)
+        waypoint_switch_radius=0.2, formation_tolerance=0.15)
 
 
 class TestApfNavigation:
@@ -121,26 +120,6 @@ class TestApfNavigation:
         spec = make_spec()
         world = leader_world(leader_pos=(4.0, 0.0), follower_pos=(3.7, 0.0))
         assert not ctl.mission_complete(world, spec)  # waypoint_index still 0
-
-    def test_mission_complete_centroid_majority(self):
-        offsets = {1: np.array([-0.3, 0.3]), 2: np.array([-0.3, -0.3]),
-                   3: np.array([-0.6, 0.0])}
-        ctl = ApfNavigationController(formation_offsets=offsets,
-                                      formation_tolerance=0.15,
-                                      formation_frame="centroid")
-        ctl.waypoint_index = 1
-        spec = make_spec()
-        agents = [make_agent([4.0, 0.0], agent_id=0, role="leader"),
-                  make_agent([3.7, 0.3], agent_id=1),
-                  make_agent([3.7, -0.3], agent_id=2),
-                  make_agent([2.0, 2.0], agent_id=3)]  # one straggler
-        world = WorldState(0, agents, [],
-                           [np.array([2.0, 0.0]), np.array([4.0, 0.0])])
-        assert ctl.mission_complete(world, spec)
-        # two stragglers: no majority docked
-        agents[2] = make_agent([1.0, 1.0], agent_id=2)
-        assert not ctl.mission_complete(WorldState(0, agents, [],
-                                                   world.leader_waypoints), spec)
 
     def test_goal_for_is_mission_goal(self):
         ctl = apf()

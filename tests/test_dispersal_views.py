@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from litelfuzz.controllers import DispersalSearchController, _attraction
-from litelfuzz.world import (AgentState, MissionSpec, Obstacle, WorldState,
-                             clamp_norm, norm)
+from litelfuzz.scenarios import a2_search
+from litelfuzz.world import (AgentState, MissionSpec, Obstacle, RowsDistances,
+                             RowsLayout, WorldState, clamp_norm, norm)
 
 
 class ScalarDispersal(DispersalSearchController):
@@ -165,3 +166,28 @@ def test_edge_worlds():
     ]
     for agents in worlds:
         assert_views_match(WorldState(3, agents, OBSTACLES), *controllers())
+
+
+def test_main_step_builds_one_batch(monkeypatch):
+    """The views' ``update`` and ``commands`` in one a2 main step share the
+    world's batch of one row: one layout and one batch distance table per
+    step."""
+    sim = a2_search().build_simulation(seed=0, record_trace=False)
+    counts = {"layouts": 0, "tables": 0}
+    layout_init, table_of = RowsLayout.__init__, RowsDistances.of
+
+    def counted_init(self, *args):
+        counts["layouts"] += 1
+        layout_init(self, *args)
+
+    def counted_of(rows):
+        counts["tables"] += 1
+        return table_of(rows)
+
+    monkeypatch.setattr(RowsLayout, "__init__", counted_init)
+    monkeypatch.setattr(RowsDistances, "of", staticmethod(counted_of))
+    steps = 20
+    for _ in range(steps):
+        sim.step()
+    assert sim.step_index == steps and not sim.done
+    assert counts == {"layouts": steps, "tables": steps}

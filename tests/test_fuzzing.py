@@ -11,8 +11,7 @@ from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                lookahead_score, random_target, run_fuzzing,
                                spawn_candidates)
 from litelfuzz.mission import ATTACKER_ID, AttackerAction
-from litelfuzz.scenarios import (a1_navigate, a2_search, a3_navigate3d,
-                                 scenario_from_dict)
+from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, WorldState,
                              clamp_norm, norm)
 
@@ -246,12 +245,6 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
     return probe.robustness(probe.world, probe.histories).swarm
 
 
-def _a1_centroid():
-    data = a1_navigate().to_dict()
-    data["apf"]["formation_frame"] = "centroid"
-    return scenario_from_dict(data)
-
-
 class TestBatchedLookahead:
     def test_scores_equal_scalar_scores_at_every_epoch(self, monkeypatch):
         """Every epoch of sa and ma runs, re-scored at three horizons."""
@@ -279,7 +272,7 @@ class TestBatchedLookahead:
             return argmin(sim, candidates, target_id, params, from_current)
 
         monkeypatch.setattr(fuzzing, "_argmin_candidate", checked)
-        for preset in (a1_navigate, _a1_centroid, a2_search, a3_navigate3d):
+        for preset in (a1_navigate, a2_search, a3_navigate3d):
             for scheme in ("sa", "ma"):
                 run_fuzzing(preset(), scheme, budget=3, seed=1)
         assert seen >= {("attacker", False, False), ("attacker", True, True),

@@ -155,8 +155,8 @@ class TestKatzCentrality:
             assert abs(oracle[got_key] - oracle[expected[0]]) < 1e-6
 
     def test_empty_and_edgeless_graphs(self):
-        assert katz_centrality(InfluenceGraph(nodes=[])) == {}
-        flat = katz_centrality(InfluenceGraph(nodes=[3, 1, 2]))
+        assert katz_centrality(InfluenceGraph(nodes=[]), 0.85) == {}
+        flat = katz_centrality(InfluenceGraph(nodes=[3, 1, 2]), 0.85)
         assert flat == {1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_tie_break_is_ascending_id(self):
@@ -164,7 +164,7 @@ class TestKatzCentrality:
         graph = InfluenceGraph(nodes=[4, 2])
         graph.edges[(2, 4)] = 0.5
         graph.edges[(4, 2)] = 0.5
-        seq = key_node_sequence(graph)
+        seq = key_node_sequence(graph, 0.85)
         assert seq.scores[2] == pytest.approx(seq.scores[4])
         assert seq.order == [2, 4]
         assert seq.key_node == 2
@@ -174,7 +174,7 @@ class TestKatzCentrality:
         graph = InfluenceGraph(nodes=[0, 1, 2])
         graph.edges[(0, 1)] = 1.0
         graph.edges[(1, 2)] = 1.0
-        seq = key_node_sequence(graph)
+        seq = key_node_sequence(graph, 0.85)
         assert seq.key_node == 0
         assert seq.scores[0] > seq.scores[1] > seq.scores[2]
 

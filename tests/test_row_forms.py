@@ -73,8 +73,7 @@ def cases(draw):
         repulsion_gain=draw(st.sampled_from([0.0, 0.05, 2.0])),
         slow_radius=draw(st.sampled_from([0.3, 2.0])),
         waypoint_switch_radius=draw(st.sampled_from([0.0, 0.2, 1.0])),
-        formation_tolerance=draw(st.sampled_from([0.15, 1.0, 4.0])),
-        formation_frame=draw(st.sampled_from(["leader", "centroid"])))
+        formation_tolerance=draw(st.sampled_from([0.15, 1.0, 4.0])))
     state = (np.array([draw(st.integers(0, len(waypoints) - 1))
                        for _ in range(count)]),)
     spec = _spec(waypoints[-1], draw(st.sampled_from([0.05, 0.5, 4.0])),
@@ -87,7 +86,7 @@ def _same(x, y) -> bool:
     return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
-def _edge_case(frame: str):
+def _edge_case():
     """Row 0: the leader at its last waypoint, the goal, which is a
     circle's centre; co-located followers inside a box; the attacker inside
     the influence radius. Row 1: the leader before its last waypoint, in
@@ -105,16 +104,29 @@ def _edge_case(frame: str):
                      np.zeros_like(position))
     controller = ApfNavigationController(
         formation_offsets={1: np.array([-0.5, 1.5]), 2: np.array([0.0, 0.0])},
-        influence_radius=0.75, repulsion_gain=0.05, formation_tolerance=4.0,
-        formation_frame=frame)
+        influence_radius=0.75, repulsion_gain=0.05, formation_tolerance=4.0)
     return rows, controller, (np.array([1, 0]),), \
         _spec(goal, 0.5, 0.05, True), 3
 
 
+def _lone_leader():
+    """A leader without followers at its last waypoint: inside the goal
+    tolerance in row 0, so the mission is complete, and outside it in
+    row 1."""
+    goal = np.array([0.5, -0.5])
+    position = np.array([[[0.7, -0.5]], [[3.0, 3.0]]])
+    rows = WorldRows(RowsLayout(_agents([ROLE_LEADER]), [],
+                                [np.array([0.0, 0.0]), goal]),
+                     position, np.zeros_like(position),
+                     np.zeros_like(position))
+    return rows, ApfNavigationController(formation_offsets={}), \
+        (np.array([1, 1]),), _spec(goal, 0.5, 0.05, True), 3
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases())
-@example(_edge_case("leader"))
-@example(_edge_case("centroid"))
+@example(_edge_case())
+@example(_lone_leader())
 def test_row_forms_equal_scalar_forms(case):
     rows, controller, state, spec, step = case
     layout = rows.layout

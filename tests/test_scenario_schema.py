@@ -30,6 +30,9 @@ def _set(data: dict, path: tuple, value) -> None:
 BAD = [
     ("a1_navigate", ("apf", "formation_frame"), "bogus",
      "apf: formation_frame must be"),
+    # "leader" is the only formation frame
+    ("a1_navigate", ("apf", "formation_frame"), "centroid",
+     "apf: formation_frame must be"),
     ("a1_navigate", ("fuzz", "standoff_m"), "x", "fuzz: standoff_m must be"),
     ("a1_navigate", ("fuzz", "alpha_factor"), 1.5,
      "fuzz: alpha_factor must be"),
@@ -53,8 +56,16 @@ BAD = [
 ]
 
 
-@pytest.mark.parametrize("preset,path,value,named", BAD,
-                         ids=[":".join(map(str, b[1])) for b in BAD])
+def _ids(cases) -> list[str]:
+    """Each case's key path; a later case of the same key adds its value."""
+    ids = []
+    for _, path, value, _ in cases:
+        key = ":".join(map(str, path))
+        ids.append(f"{key}={value}" if key in ids else key)
+    return ids
+
+
+@pytest.mark.parametrize("preset,path,value,named", BAD, ids=_ids(BAD))
 def test_bad_value_exits_2_at_load(tmp_path, capsys, preset, path, value,
                                    named):
     data = PRESETS[preset]().to_dict()
