@@ -3,7 +3,11 @@
 A campaign runs N fuzzing executions of one scheme over consecutive seeds
 (base_seed .. base_seed+N-1), optionally across worker processes. Results
 are keyed by seed only, so the aggregate report is byte-identical no
-matter how many workers ran it.
+matter how many workers ran it. With ``save_traces`` each execution writes
+its own trace file into ``out_dir`` as soon as it finishes, so no trace
+text travels back with its record; the report is written once every
+execution has finished. An execution that raises stops the campaign:
+the traces already written stay, and no report is written.
 """
 from __future__ import annotations
 
@@ -33,6 +37,8 @@ class CampaignConfig:
             raise ValueError("executions must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.save_traces and self.out_dir is None:
+            raise ValueError("save_traces needs an out_dir to write to")
 
 
 _OPTIONAL_NUMBER = (int, float, type(None))
@@ -60,18 +66,9 @@ class CampaignReport:
     records: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "base_seed": self.base_seed,
-            "executions": self.executions,
-            "failures": self.failures,
-            "failure_counts": dict(sorted(self.failure_counts.items())),
-            "failure_rate": self.failure_rate,
-            "mean_steps_to_failure": self.mean_steps_to_failure,
-            "median_steps_to_failure": self.median_steps_to_failure,
-            "invalid_total": self.invalid_total,
-            "records": self.records,
-        }
+        data = {name: getattr(self, name) for name in _REPORT_FIELD_TYPES}
+        data["failure_counts"] = dict(sorted(self.failure_counts.items()))
+        return data
 
     @classmethod
     def from_dict(cls, data) -> "CampaignReport":
@@ -99,18 +96,19 @@ class CampaignReport:
 
 
 def _run_one(args) -> dict:
-    """One execution's record; an error names the execution's seed and scheme."""
-    scenario, scheme, budget, seed, save_trace = args
+    """One execution's record, with its trace written when the campaign
+    saves traces; an error names the execution's seed and scheme."""
+    scenario, config, seed = args
     try:
-        result = run_fuzzing(scenario, scheme, budget=budget, seed=seed,
-                             record_trace=save_trace)
-        record = result.to_record()
-        if save_trace and result.trace is not None:
-            record["trace_jsonl"] = trace_to_jsonl(result.trace)
+        result = run_fuzzing(scenario, config.scheme, budget=config.budget,
+                             seed=seed, record_trace=config.save_traces)
+        if config.save_traces:
+            export_trace(result.trace, Path(config.out_dir)
+                         / f"trace_{config.scheme}_{seed}.jsonl")
     except Exception as exc:
-        raise RuntimeError(f"execution seed={seed} scheme={scheme} "
+        raise RuntimeError(f"execution seed={seed} scheme={config.scheme} "
                            f"failed: {exc}") from exc
-    return record
+    return result.to_record()
 
 
 def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
@@ -124,9 +122,10 @@ def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
     """
     from .scenarios import scenario_from_dict
     scenario = scenario_from_dict(scenario.to_dict())
-    seeds = [config.base_seed + k for k in range(config.executions)]
-    jobs = [(scenario, config.scheme, config.budget, seed,
-             config.save_traces) for seed in seeds]
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    jobs = [(scenario, config, config.base_seed + k)
+            for k in range(config.executions)]
     if config.workers > 1:
         # imported here: a fresh interpreter spends tens of milliseconds on
         # it, which a single-process campaign need not pay
@@ -138,15 +137,7 @@ def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
     records.sort(key=lambda r: r["seed"])
     report = summarize_records(config.scheme, config.base_seed, records)
     if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.save(out / f"report_{config.scheme}.json")
-        if config.save_traces:
-            for record in records:
-                text = record.pop("trace_jsonl", None)
-                if text is not None:
-                    name = f"trace_{config.scheme}_{record['seed']}.jsonl"
-                    (out / name).write_text(text)
+        report.save(Path(config.out_dir) / f"report_{config.scheme}.json")
     return report
 
 
@@ -159,9 +150,6 @@ def summarize_records(scheme: str, base_seed: int,
         counts[r["failure_kind"]] += 1
     steps = [r["steps_to_failure"] for r in failures
              if r["steps_to_failure"] is not None]
-    clean = [dict(r) for r in records]
-    for r in clean:
-        r.pop("trace_jsonl", None)
     return CampaignReport(
         scheme=scheme,
         base_seed=base_seed,
@@ -172,7 +160,7 @@ def summarize_records(scheme: str, base_seed: int,
         mean_steps_to_failure=statistics.mean(steps) if steps else None,
         median_steps_to_failure=statistics.median(steps) if steps else None,
         invalid_total=sum(r["invalid_count"] for r in records),
-        records=clean,
+        records=records,
     )
 
 

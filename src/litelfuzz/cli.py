@@ -77,8 +77,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_scenario_dump(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
-    sys.stdout.write(json.dumps(scenario.to_dict(), indent=2, sort_keys=True)
-                     + "\n")
+    sys.stdout.write(scenario.to_json())
     return 0
 
 

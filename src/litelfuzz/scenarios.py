@@ -403,9 +403,11 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return _dump_fields(self, _TOP_FIELDS)
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2,
-                                         sort_keys=True) + "\n")
+        Path(path).write_text(self.to_json())
 
 
 _TOP_FIELDS = _keys(ScenarioConfig)

@@ -38,11 +38,12 @@ def test_patch_point_is_owned_by_its_caller(path, attr):
     assert callable(vars(owner)[attr])
 
 
-def test_main_step_layers_are_called_through_their_patch_points():
+def test_main_step_layers_are_called_through_their_patch_points(tmp_path):
     tracer = spans.Tracer()
     with spans.installed(tracer):
         run_campaign(a1_navigate(), CampaignConfig(
-            scheme="sa", executions=2, budget=2, save_traces=True))
+            scheme="sa", executions=2, budget=2, save_traces=True,
+            out_dir=str(tmp_path)))
     assert spans.unrestored() == []
     for name in ("mission.step", "world.integrate_step",
                  "world.detect_failure", "robustness.swarm_robustness",

@@ -37,6 +37,10 @@ class TestConfigValidation:
             CampaignConfig(scheme="sa", executions=1, budget=-1)
         assert CampaignConfig(scheme="sa", executions=1, budget=0).budget == 0
 
+    def test_save_traces_needs_out_dir(self):
+        with pytest.raises(ValueError, match="out_dir"):
+            CampaignConfig(scheme="sa", executions=1, save_traces=True)
+
 
 class TestAggregation:
     def test_accounting_invariant(self):

@@ -29,6 +29,12 @@ def test_run_writes_report_and_traces(tmp_path, capsys):
     assert "failure_rate" in summary
 
 
+def test_save_traces_without_out_exits_2(capsys):
+    assert main(["run", "a1_navigate", "--scheme", "random",
+                 "--executions", "1", "--budget", "1", "--save-traces"]) == 2
+    assert "save_traces needs an out_dir" in capsys.readouterr().err
+
+
 def test_run_accepts_scenario_file(tmp_path, capsys):
     path = tmp_path / "scn.json"
     a1_navigate().save(path)

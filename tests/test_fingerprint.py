@@ -72,6 +72,21 @@ def test_a3_trace_fingerprint():
     assert digest.hexdigest() == TRACE_FINGERPRINT
 
 
+def test_a3_campaign_trace_files_fingerprint(tmp_path):
+    # the files a two-worker campaign writes are the pinned trace bytes,
+    # and the records that come back carry no trace text
+    config = CampaignConfig(scheme="ma", executions=2, base_seed=0, budget=5,
+                            workers=2, save_traces=True, out_dir=str(tmp_path))
+    report = run_campaign(a3_navigate3d(), config)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        digest.update((tmp_path / f"trace_ma_{seed}.jsonl").read_bytes())
+    assert digest.hexdigest() == TRACE_FINGERPRINT
+    assert report.records == [
+        run_fuzzing(a3_navigate3d(), "ma", budget=5, seed=seed).to_record()
+        for seed in (0, 1)]
+
+
 # Every action the fuzzing driver hands ``Simulation.step``, budget 5:
 # a1_navigate seeds 0-4, a2_search seeds 0-2 (plus sa seed 7) and
 # a3_navigate3d seeds 0-1, under each of the four schemes
