@@ -20,8 +20,8 @@ from .mission import (ATTACKER_ID, OUTCOME_FAILURE, OUTCOME_SUCCESS,
                       run_mission)
 from .planner import Infeasible, path_clearance, plan_path
 from .robustness import (AgentRobustness, ConstraintParams, RobustnessRecord,
-                         constraint_violations, individual_robustness,
-                         margin_formation, margin_kinematics, margin_progress,
+                         constraint_violations, margin_formation,
+                         margin_kinematics, margin_progress,
                          margin_safe_distance, swarm_robustness)
 from .scenarios import (BUILTIN_SCENARIOS, ScenarioConfig, ScenarioError,
                         a1_navigate, a2_search, a3_navigate3d,

@@ -130,8 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("LITELFUZZ_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a name that is not a level (unknown, or such as BASIC_FORMAT) warns
+    level = getattr(logging, os.environ.get("LITELFUZZ_LOG", "").upper(), None)
+    if not isinstance(level, int):
+        level = logging.WARNING
+    logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -29,7 +29,7 @@ from .influence import build_influence_graph, key_node_sequence
 from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
                       Simulation)
 from .planner import Infeasible, plan_path
-from .robustness import goal_history
+from .robustness import goal_windows
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, RowsLayout,
                     WorldRows, clamp_norm, clamp_norms, failed_rows,
                     integrate_rows, norm, row_norms)
@@ -333,23 +333,30 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     steps = probe.step_index
     # goal distance of every swarm agent per batched step; NaN: no goal
     goal_log = np.empty((params.lookahead - 1, count, size))
+    # the histories every row starts from, as goal-distance windows
+    start = goal_windows(layout, probe.histories)
+    width = probe.cparams.window + 1
     scores = [math.inf] * count
 
-    def finish(ended: np.ndarray, failed: np.ndarray, logged: int) -> None:
-        for k in np.flatnonzero(ended):
-            row = int(live[k])
-            if failed[k]:
-                scores[row] = _FAILURE_SCORE_BASE + steps
-            else:
-                log = goal_log[:logged, row].T.tolist()
-                histories = {agent.id: goal_history(
-                    probe.histories.get(agent.id, ()), log[n],
-                    probe.cparams.window) for n, agent in enumerate(swarm)}
-                scores[row] = probe.robustness(rows.world(k, steps),
-                                               histories).swarm
+    def finish(rows: WorldRows, ended: np.ndarray, failed: np.ndarray,
+               logged: int) -> None:
+        """Score the rows that end at this step: a failed row by the step
+        of its failure, the others by one batched robustness pass."""
+        for k in np.flatnonzero(ended & failed):
+            scores[live[k]] = _FAILURE_SCORE_BASE + steps
+        scored = ended & ~failed
+        if not scored.any():
+            return
+        log = goal_log[:logged, live[scored]].transpose(1, 2, 0)
+        windows = np.concatenate(
+            [np.broadcast_to(start, log.shape[:2] + start.shape[1:]), log],
+            axis=2)[..., -width:]
+        records = probe.robustness_rows(rows.select(scored), windows)
+        for row, record in zip(live[scored], records):
+            scores[row] = record.swarm
 
     if probe.done:
-        finish(np.ones(count, bool),
+        finish(rows, np.ones(count, bool),
                np.full(count, probe.failure_kind is not None), 0)
         return scores
     for logged in range(1, params.lookahead):
@@ -372,14 +379,14 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         failed = failed_rows(rows, steps, spec)
         ended = failed | controller.mission_complete_rows(state, rows, spec)
         if ended.any():
-            finish(ended, failed, logged)
+            finish(rows, ended, failed, logged)
             keep = ~ended
             live, rows = live[keep], rows.select(keep)
             state = tuple(a[keep] for a in state)
             attack, approach = attack[keep], approach[keep]
             if not live.size:
                 return scores
-    finish(np.ones(len(live), bool), np.zeros(len(live), bool),
+    finish(rows, np.ones(len(live), bool), np.zeros(len(live), bool),
            params.lookahead - 1)
     return scores
 

@@ -1,27 +1,37 @@
 """Mission execution: the deterministic world-stepping loop.
 
 A :class:`Simulation` owns one world plus its controller. A traced run
-records one robustness record per step and emits a violation event the
-first time each (agent, constraint) pair is violated. An untraced run only
-keeps the goal-distance histories, from which
-:meth:`Simulation.robustness` gives the current step's record on demand,
-and emits no violation events. Worlds and histories are never mutated, so
-a trace snapshot is the world itself and a clone starts from the same
-world and histories as its original. Simulations are cheap to clone,
-which the fuzzer uses for lookahead scoring on throwaway copies.
+keeps every world it steps through and each step's goal distances on its
+:class:`Trace`, which scores all the steps not yet scored in one batched
+pass when its robustness records or its events are first read. Each step
+then has one record, and a violation event marks the first time each
+(agent, constraint) pair is violated. An untraced run only keeps the
+goal-distance histories, from which :meth:`Simulation.robustness` gives
+the current step's record on demand, and emits no violation events.
+Worlds and histories are never mutated, so a trace snapshot is the world
+itself and a clone starts from the same world and histories as its
+original. Simulations are cheap to clone, which the fuzzer uses for
+lookahead scoring on throwaway copies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import heapq
+import math
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .robustness import ConstraintParams, RobustnessRecord, \
-    constraint_violations, goal_history, swarm_robustness
-from .world import (AgentState, FailureKind, InvalidState, MissionSpec,
-                    WorldState, detect_failure, integrate_rows,
-                    integrate_step, norm)
+# Every record of a traced run and of a probe is scored through this name,
+# a batch of worlds at a time, so that one span can time the kernel.
+from .robustness import robustness_rows as swarm_robustness
+from .robustness import (ConstraintParams, RobustnessRecord,
+                         constraint_violations, goal_history, goal_windows)
+from .world import (ROLE_ATTACKER, AgentState, FailureKind, InvalidState,
+                    MissionSpec, RowsLayout, WorldRows, WorldState,
+                    detect_failure, integrate_rows, integrate_step, norm)
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_FAILURE = "Failure"
@@ -39,22 +49,95 @@ class AttackerAction:
     despawn: bool = False
 
 
-@dataclass
 class Trace:
-    snapshots: list[WorldState] = field(default_factory=list)
-    robustness: list[RobustnessRecord] = field(default_factory=list)
-    events: list[tuple[int, str]] = field(default_factory=list)
-    outcome: str = OUTCOME_SWARM_SECURE
-    failure_kind: Optional[FailureKind] = None
+    """Every world of a traced run, its outcome and its events.
+
+    ``snapshots[0]`` is the initial world and ``robustness[k]`` the record
+    of ``snapshots[k + 1]``. The swarm of the recorded worlds is fixed and
+    an attacker, when present, comes last, so the steps not yet scored
+    stack into one :class:`WorldRows` batch with an attacker column, NaN
+    while the attacker is absent. Reading :attr:`robustness` or
+    :attr:`events` scores that batch in one pass; a violation event goes
+    before the other events of its step, where the run emitted it.
+    """
+
+    def __init__(self, first: WorldState, cparams: ConstraintParams):
+        self.snapshots = [first]
+        self.outcome = OUTCOME_SWARM_SECURE
+        self.failure_kind: Optional[FailureKind] = None
+        self.cparams = cparams
+        # events other than violations, in the order they were emitted
+        self.notes: list[tuple[int, str]] = []
+        # per recorded step, each swarm agent's goal distance (NaN: none)
+        self._goals: list[list[float]] = []
+        self._records: list[RobustnessRecord] = []
+        self._violations: list[tuple[int, str]] = []
+        self._seen: set[tuple[int, int]] = set()
+        self._layout: RowsLayout | None = None
+
+    def record(self, world: WorldState, goal_distances: list[float]) -> None:
+        """Keep the world a step made and its swarm's goal distances."""
+        self.snapshots.append(world)
+        self._goals.append(goal_distances)
+
+    @property
+    def robustness(self) -> list[RobustnessRecord]:
+        self._score()
+        return self._records
+
+    @property
+    def events(self) -> list[tuple[int, str]]:
+        self._score()
+        return list(heapq.merge(self._violations, self.notes,
+                                key=itemgetter(0)))
+
+    def _score(self) -> None:
+        done = len(self._records)
+        pending = self.snapshots[done + 1:]
+        if not pending:
+            return
+        if self._layout is None:
+            first = pending[0]
+            self._layout = RowsLayout(
+                first.swarm() + [AgentState(ATTACKER_ID, None, None, None,
+                                            1.0, ROLE_ATTACKER)],
+                first.obstacles, first.leader_waypoints)
+        size = len(self._layout.agents) - 1
+        absent = np.full(len(pending[0].agents[0].position), math.nan)
+
+        def stacked(name: str) -> np.ndarray:
+            return np.array([[getattr(a, name) for a in world.agents]
+                             + [absent] * (len(world.agents) == size)
+                             for world in pending])
+
+        rows = WorldRows(self._layout, stacked("position"),
+                         stacked("velocity"), stacked("acceleration"))
+        # step k's window holds goal distances k - window .. k, NaN before
+        # the first step, the same as an empty history
+        width = self.cparams.window + 1
+        start = max(done - width + 1, 0)
+        log = np.array(self._goals[start:], dtype=float)
+        padded = np.concatenate(
+            [np.full((width - 1 - done + start, size), math.nan), log])
+        windows = sliding_window_view(padded, width, axis=0)
+        for world, record in zip(pending, swarm_robustness(rows, windows,
+                                                           self.cparams)):
+            for violation in constraint_violations(record, self.cparams):
+                if violation not in self._seen:
+                    self._seen.add(violation)
+                    self._violations.append((
+                        world.step_index, f"violation agent={violation[0]} "
+                        f"constraint={violation[1]}"))
+            self._records.append(record)
 
 
 class Simulation:
     """Deterministic discrete-time execution of one mission.
 
-    With ``record_trace`` every step appends a snapshot and a robustness
-    record to :attr:`trace` and emits violation events. Without it only
-    the goal-distance :attr:`histories` are kept, and no violation events
-    are emitted.
+    With ``record_trace`` every step's world and goal distances go to
+    :attr:`trace`, which scores them and emits the violation events when
+    read. Without it only the goal-distance :attr:`histories` are kept,
+    and no violation events are emitted.
     """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
@@ -69,13 +152,11 @@ class Simulation:
                                      a_max=attacker_a_max)
         # swarm agent id -> goal distances, replaced (never changed) each step
         self.histories: dict[int, tuple[float, ...]] = {}
-        self.trace = Trace() if record_trace else None
-        self.events: list[tuple[int, str]] = self.trace.events if self.trace else []
+        self.trace = Trace(world, constraint_params) if record_trace else None
+        self._notes: list[tuple[int, str]] = \
+            self.trace.notes if self.trace is not None else []
         self.outcome: str | None = None
         self.failure_kind: FailureKind | None = None
-        self._seen_violations: set[tuple[int, int]] = set()
-        if self.trace is not None:
-            self.trace.snapshots.append(world)
 
     def clone(self) -> "Simulation":
         sim = Simulation(self.world, self.controller.clone(), self.spec,
@@ -90,7 +171,16 @@ class Simulation:
                    histories: dict[int, tuple[float, ...]]) -> RobustnessRecord:
         """Robustness of ``world`` with goal-distance ``histories`` under
         this mission's constraint parameters."""
-        return swarm_robustness(world, histories, self.cparams)
+        rows = world.rows()
+        return self.robustness_rows(
+            rows, goal_windows(rows.layout, histories)[None])[0]
+
+    def robustness_rows(self, rows: WorldRows,
+                        windows: np.ndarray) -> list[RobustnessRecord]:
+        """The record of every row of ``rows`` with goal-distance
+        ``windows``, as :func:`~litelfuzz.robustness.robustness_rows`
+        lays them out, under this mission's constraint parameters."""
+        return swarm_robustness(rows, windows, self.cparams)
 
     @property
     def done(self) -> bool:
@@ -104,8 +194,13 @@ class Simulation:
         attackers = self.world.attackers()
         return attackers[0] if attackers else None
 
+    @property
+    def events(self) -> list[tuple[int, str]]:
+        """(step index, message) of every event so far, in order."""
+        return self.trace.events if self.trace is not None else self._notes
+
     def event(self, message: str) -> None:
-        self.events.append((self.world.step_index, message))
+        self._notes.append((self.world.step_index, message))
 
     def step(self, attacker_action: AttackerAction | None = None) -> None:
         if self.done:
@@ -165,22 +260,18 @@ class Simulation:
 
     def _record_step(self) -> None:
         histories = {}
+        distances = []
         for agent in self.world.swarm():
             goal = self.controller.goal_for(self.world, agent.id, self.spec)
-            distance = None if goal is None else norm(agent.position - goal)
+            distance = math.nan if goal is None \
+                else norm(agent.position - goal)
             histories[agent.id] = goal_history(
                 self.histories.get(agent.id, ()), (distance,),
                 self.cparams.window)
+            distances.append(distance)
         self.histories = histories
-        if self.trace is None:
-            return
-        record = self.robustness(self.world, self.histories)
-        for violation in constraint_violations(record, self.cparams):
-            if violation not in self._seen_violations:
-                self._seen_violations.add(violation)
-                self.event(f"violation agent={violation[0]} constraint={violation[1]}")
-        self.trace.snapshots.append(self.world)
-        self.trace.robustness.append(record)
+        if self.trace is not None:
+            self.trace.record(self.world, distances)
 
     def _check_outcome(self) -> None:
         failure = detect_failure(self.world, self.spec)
@@ -196,16 +287,13 @@ class Simulation:
             self.trace.failure_kind = self.failure_kind
 
 
-def run_mission(scenario, seed: int = 0, record_trace: bool = True) -> Trace:
-    """Run one attacker-free mission to completion, failure or timeout.
+def run_mission(scenario, seed: int = 0) -> Trace:
+    """Run one attacker-free, traced mission to completion, failure or
+    timeout.
 
     Identical inputs and seed produce identical traces.
     """
-    sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
+    sim = scenario.build_simulation(seed=seed)
     while not sim.done:
         sim.step()
-    if sim.trace is not None:
-        return sim.trace
-    trace = Trace(outcome=sim.outcome, failure_kind=sim.failure_kind)
-    trace.events = sim.events
-    return trace
+    return sim.trace

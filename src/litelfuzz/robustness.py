@@ -14,6 +14,11 @@ Each raw margin is normalized by its maximum attainable positive value
 in [-1, 1] and raw zero maps to normalized zero. Individual robustness is
 the sum of an agent's applicable normalized margins; swarm robustness is
 the sum over agents.
+
+The margins are elementwise array rules. :func:`robustness_rows` applies
+them to a stack of N worlds of one swarm in one pass, reading the
+batch's distance table; an attacker column may be absent (NaN) in some of
+those worlds. :func:`swarm_robustness` is its view of one world.
 """
 from __future__ import annotations
 
@@ -21,10 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .world import ROLE_ATTACKER, WorldState, min_obstacle_distance, norm
+import numpy as np
 
-N_CONSTRAINTS = 5
-
+from .world import RowsLayout, WorldRows, WorldState, row_norms
 
 @dataclass
 class ConstraintParams:
@@ -68,49 +72,67 @@ class RobustnessRecord:
     min_margin: float
 
 
-def _clamp_unit(x: float) -> float:
-    return float(min(max(x, -1.0), 1.0))
+def _clamp_unit(x):
+    return np.clip(x, -1.0, 1.0)
 
 
-def margin_safe_distance(d: float, params: ConstraintParams) -> tuple[float, float]:
-    """Clearance margin; ``d`` is the clamped min distance in [0, sensing_radius]."""
+def margin_safe_distance(d, params: ConstraintParams):
+    """Clearance margin; ``d`` is the clamped min distance in [0, sensing_radius].
+
+    Elementwise over an array of distances, as the other margins are.
+    """
     raw = d - params.safe_distance
-    if raw >= 0.0:
-        norm = raw / (params.sensing_radius - params.safe_distance)
-    else:
-        norm = raw / params.safe_distance
-    return float(raw), _clamp_unit(norm)
+    scale = np.where(raw >= 0.0, params.sensing_radius - params.safe_distance,
+                     params.safe_distance)
+    return raw, _clamp_unit(raw / scale)[()]
 
 
-def margin_kinematics(v: float, a_abs: float, params: ConstraintParams):
+def margin_kinematics(v, a_abs, params: ConstraintParams):
     """Speed and acceleration margins: ((raw_v, norm_v), (raw_a, norm_a))."""
     raw_v = params.v_max - v
     raw_a = params.a_max - a_abs
-    return ((float(raw_v), _clamp_unit(raw_v / params.v_max)),
-            (float(raw_a), _clamp_unit(raw_a / params.a_max)))
+    return ((raw_v, _clamp_unit(raw_v / params.v_max)),
+            (raw_a, _clamp_unit(raw_a / params.a_max)))
 
 
-def margin_formation(pairwise_distances: Sequence[float],
-                     params: ConstraintParams) -> tuple[float, float]:
-    """Tightest pairwise margin; a singleton swarm gets the full margin."""
+def margin_formation(pairwise_distances, params: ConstraintParams):
+    """Tightest pairwise margin over the last axis; a NaN entry is a peer out
+    of sight, and an agent that sees no peer gets the full margin."""
+    d = np.asarray(pairwise_distances, dtype=float)
+    d_lo = np.fmin.reduce(d, axis=-1, initial=math.inf)
+    d_hi = np.fmax.reduce(d, axis=-1, initial=-math.inf)
+    raw = np.minimum(d_lo - params.formation_min, params.formation_max - d_hi)
     half_span = 0.5 * (params.formation_max - params.formation_min)
-    if not pairwise_distances:
-        return float(half_span), 1.0
-    d_lo = min(pairwise_distances)
-    d_hi = max(pairwise_distances)
-    raw = min(d_lo - params.formation_min, params.formation_max - d_hi)
-    return float(raw), _clamp_unit(raw / half_span)
+    raw = np.where(raw == math.inf, half_span, raw)[()]
+    return raw, _clamp_unit(raw / half_span)
 
 
 def margin_progress(goal_distance_history: Sequence[float],
                     params: ConstraintParams) -> tuple[float, float]:
-    """Windowed-max per-step progress toward the goal (eventually-semantics)."""
-    h = list(goal_distance_history)
+    """Windowed-max per-step progress toward the goal (eventually-semantics)
+    over one history of at least two goal distances."""
+    h = np.asarray(goal_distance_history, dtype=float)
     if len(h) < 2:
         raise ValueError("progress margin needs at least two history entries")
-    steps = [h[i - 1] - h[i] for i in range(1, len(h))]
-    raw = max(steps)
-    return float(raw), _clamp_unit(raw / (params.v_max * params.dt))
+    raw, norm = _progress(h, params)
+    return float(raw), float(norm)
+
+
+def _progress(windows: np.ndarray, params: ConstraintParams):
+    """Progress margins of (..., W) goal-distance windows. A NaN entry (a
+    step without a goal) clears itself and every entry before it; a window
+    left with fewer than two entries gets the full margin."""
+    kept = np.logical_and.accumulate(~np.isnan(windows[..., ::-1]),
+                                     axis=-1)[..., ::-1]
+    # a step counts when both its ends are kept, which is when its earlier
+    # end is
+    counts = kept[..., :-1]
+    best = np.where(counts, windows[..., :-1] - windows[..., 1:],
+                    -math.inf).max(axis=-1, initial=-math.inf)
+    full = params.v_max * params.dt
+    some = counts.any(axis=-1)
+    return (np.where(some, best, full),
+            np.where(some, _clamp_unit(best / full), 1.0))
 
 
 def goal_history(history: Sequence[float],
@@ -130,57 +152,83 @@ def goal_history(history: Sequence[float],
     return tuple(kept[-(window + 1):])
 
 
-def _visible_pairwise(agent_id: int, world: WorldState,
-                      params: ConstraintParams) -> list[float]:
-    table = world.distances()
-    row = table.agents[table.column[agent_id]]
-    out = []
-    for other, d in zip(world.agents, row):
-        if other.role == ROLE_ATTACKER or other.id == agent_id:
-            continue
-        if d <= params.sensing_radius:
-            out.append(d)
+def goal_windows(layout: RowsLayout,
+                 histories: dict[int, Sequence[float] | None]) -> np.ndarray:
+    """The goal-distance ``histories`` (agent id -> distances, oldest first;
+    absent or None: no goal) of the swarm columns of ``layout``, as one
+    (S, W) array for :func:`robustness_rows`: each history ends in the last
+    column, with NaN before it."""
+    kept = [histories.get(layout.agents[k].id) for k in layout.swarm_columns]
+    kept = [() if h is None else h for h in kept]
+    out = np.full((len(kept), 1 + max(map(len, kept), default=0)), math.nan)
+    for n, history in enumerate(kept):
+        if len(history):
+            out[n, -len(history):] = history
     return out
 
 
-def individual_robustness(agent_id: int, world: WorldState,
-                          goal_distance_history: Sequence[float] | None,
-                          params: ConstraintParams) -> AgentRobustness:
-    """All five margins for one swarm agent at the current step."""
-    agent = world.agent(agent_id)
-    d = min_obstacle_distance(agent, world)
-    raw1, r1 = margin_safe_distance(d, params)
-    speed = norm(agent.velocity)
-    accel = norm(agent.acceleration)
-    (raw2, r2), (raw3, r3) = margin_kinematics(speed, accel, params)
-    raw4, r4 = margin_formation(_visible_pairwise(agent_id, world, params), params)
-    if goal_distance_history is None or len(goal_distance_history) < 2:
-        # no goal (e.g. all search targets found): full progress margin
-        raw5, r5 = params.v_max * params.dt, 1.0
-    else:
-        raw5, r5 = margin_progress(goal_distance_history, params)
+def robustness_rows(rows: WorldRows, windows: np.ndarray,
+                    params: ConstraintParams) -> list[RobustnessRecord]:
+    """The robustness record of every row of ``rows``, in one pass.
+
+    The rows are N worlds of one swarm: ``rows.position``, ``velocity``
+    and ``acceleration`` are (N, M, d), and a column whose position is NaN
+    (an attacker absent from that world) is no agent there. ``windows`` is
+    (N, S, W): the goal distances of each swarm column, oldest first, as
+    :func:`goal_windows` lays them out, where a NaN entry is a step
+    without a goal, which clears the entries before it. Per-agent entries
+    are sorted by agent id, and each record equals, with ``==``, the one
+    the margins give agent by agent, summed with the builtin ``sum``.
+    """
+    layout = rows.layout
+    swarm = layout.swarm_columns
+    if not swarm:
+        raise ValueError("swarm robustness needs at least one swarm agent")
+    table = rows.distances()
+    sensing = np.array([layout.agents[k].sensing_radius for k in swarm])
+    # 1: the nearest obstacle surface or other agent, clamped to the
+    # agent's sensing disk; fmin passes over an absent column's NaN
+    near = np.fmin.reduce(np.where(layout.others, table.agents, math.inf),
+                          axis=2)
+    near = np.minimum(near, table.obstacles.min(axis=2, initial=math.inf))
+    clear = np.maximum(np.minimum(near, sensing), 0.0)
+    raw1, r1 = margin_safe_distance(clear, params)
+    (raw2, r2), (raw3, r3) = margin_kinematics(
+        row_norms(rows.velocity[:, layout.swarm]),
+        row_norms(rows.acceleration[:, layout.swarm]), params)
+    # 4: the peers within the constraint's sensing radius
+    peers = table.agents[:, :, layout.swarm]
+    raw4, r4 = margin_formation(np.where(
+        layout.not_self & (peers <= params.sensing_radius), peers, math.nan),
+        params)
+    raw5, r5 = _progress(np.asarray(windows, dtype=float), params)
     individual = r1 + r2 + r3 + r5
-    if 3 in params.counted:
-        individual += r4
-    return AgentRobustness(agent_id, (raw1, raw2, raw3, raw4, raw5),
-                           (r1, r2, r3, r4, r5), float(individual))
+    counted = params.counted
+    if 3 in counted:
+        individual = individual + r4
+    order = sorted(range(len(swarm)), key=lambda n: layout.agents[swarm[n]].id)
+    ids = [layout.agents[swarm[n]].id for n in order]
+    raw = np.stack([raw1, raw2, raw3, raw4, raw5], axis=-1)[:, order]
+    normalized = np.stack([r1, r2, r3, r4, r5], axis=-1)[:, order]
+    # with positive limits no margin is -0.0, so this is the scalar min
+    lowest = normalized[..., counted].min(axis=(1, 2))
+    return [RobustnessRecord(
+        [AgentRobustness(i, tuple(r), tuple(n), s) for i, r, n, s
+         in zip(ids, raw_b, norm_b, individual_b)],
+        sum(individual_b), low)
+        for raw_b, norm_b, individual_b, low in zip(
+            raw.tolist(), normalized.tolist(),
+            individual[:, order].tolist(), lowest.tolist())]
 
 
 def swarm_robustness(world: WorldState,
                      goal_distance_histories: dict[int, Sequence[float]],
                      params: ConstraintParams) -> RobustnessRecord:
-    """Aggregate per-agent robustness over every swarm member."""
-    per_agent = []
-    for agent in sorted(world.swarm(), key=lambda a: a.id):
-        history = goal_distance_histories.get(agent.id)
-        per_agent.append(individual_robustness(agent.id, world, history, params))
-    if not per_agent:
-        raise ValueError("swarm robustness needs at least one swarm agent")
-    swarm = float(sum(e.individual for e in per_agent))
-    counted = params.counted
-    return RobustnessRecord(per_agent, swarm, float(min([
-        r for e in per_agent for k, r in enumerate(e.normalized)
-        if k in counted])))
+    """The record of one world: :func:`robustness_rows` of its one row."""
+    rows = world.rows()
+    return robustness_rows(
+        rows, goal_windows(rows.layout, goal_distance_histories)[None],
+        params)[0]
 
 
 def constraint_violations(record: RobustnessRecord,

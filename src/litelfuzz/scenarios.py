@@ -638,12 +638,14 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 
 def measure_nominal_steps(config: ScenarioConfig) -> int:
     """Mean completion steps over 50 attacker-free reference runs, seeds 0-49."""
-    from .mission import OUTCOME_SUCCESS, run_mission
+    from .mission import OUTCOME_SUCCESS
     steps = []
     for seed in range(50):
-        trace = run_mission(config, seed=seed, record_trace=False)
-        if trace.outcome != OUTCOME_SUCCESS:
+        sim = config.build_simulation(seed=seed, record_trace=False)
+        while not sim.done:
+            sim.step()
+        if sim.outcome != OUTCOME_SUCCESS:
             raise RuntimeError(f"reference run {seed} did not complete "
-                               f"(outcome {trace.outcome})")
-        steps.append(trace.events[-1][0])
+                               f"(outcome {sim.outcome})")
+        steps.append(sim.step_index)
     return int(math.ceil(sum(steps) / len(steps)))

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from litelfuzz.cli import main
 from litelfuzz.scenarios import a1_navigate, a2_search
 
@@ -177,3 +179,13 @@ def test_log_env_var_controls_verbosity():
                            capture_output=True, text=True)
     assert quiet.returncode == 0
     assert "running 1 random executions" not in quiet.stderr
+
+
+@pytest.mark.parametrize("name", ["basic_format", "no_such_level"])
+def test_log_env_var_that_names_no_level_falls_back_to_warning(name):
+    cmd = [sys.executable, "-m", "litelfuzz", "scenario-dump", "a1_navigate"]
+    proc = subprocess.run(cmd, env=dict(os.environ, LITELFUZZ_LOG=name),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == a1_navigate().to_json()

@@ -36,12 +36,27 @@ OTHER_FINGERPRINTS = {
     ("a3_navigate3d", "ma"):
         "b54f2971ecf8bbe7921dff34a57496e5b005399b6670dac738ead9af3011a4aa",
 }
-PRESETS = {"a2_search": a2_search, "a3_navigate3d": a3_navigate3d}
+PRESETS = {"a1_navigate": a1_navigate, "a2_search": a2_search,
+           "a3_navigate3d": a3_navigate3d}
 
 # a3_navigate3d, ma, seeds 0-1, budget 5: the JSONL traces, one after the
 # other; every step of a traced run writes its world and robustness record
 TRACE_FINGERPRINT = \
     "ac61168f489b1d94ae7ea9e7a2710dca960ca65822c1480d14778ca5f9605b1e"
+
+
+# budget 5, the JSONL traces of the seeds one after the other: a1 sa seeds
+# 0-2 spawn, teleport and despawn the attacker and touch the swarm with it;
+# a2 sa and ma seeds 0-1 run without the formation margin and with
+# dispersal goals that come and go
+OTHER_TRACE_FINGERPRINTS = {
+    ("a1_navigate", "sa", 3):
+        "a7d0181832f2a85042cb6ddbddfa327c46052b343c194c9cf05e7a91679328c5",
+    ("a2_search", "sa", 2):
+        "16a11e70460d40a268f7edbe349de176a7054dcde142a4ed3e1a0336d8739f6d",
+    ("a2_search", "ma", 2):
+        "4e5ede904084bd92cbbf3ce574f5f753e1c17d1c5ad4ec6ed4adcd30df468ea7",
+}
 
 
 def records_digest(scenario, scheme: str, executions: int) -> str:
@@ -70,6 +85,18 @@ def test_a3_trace_fingerprint():
                              record_trace=True)
         digest.update(trace_to_jsonl(result.trace).encode())
     assert digest.hexdigest() == TRACE_FINGERPRINT
+
+
+@pytest.mark.parametrize("preset,scheme,seeds",
+                         sorted(OTHER_TRACE_FINGERPRINTS))
+def test_a1_a2_trace_fingerprint(preset, scheme, seeds):
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        result = run_fuzzing(PRESETS[preset](), scheme, budget=5,
+                             seed=seed, record_trace=True)
+        digest.update(trace_to_jsonl(result.trace).encode())
+    assert digest.hexdigest() \
+        == OTHER_TRACE_FINGERPRINTS[(preset, scheme, seeds)]
 
 
 def test_a3_campaign_trace_files_fingerprint(tmp_path):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, Simulation,
                                run_mission)
 from litelfuzz.scenarios import a1_navigate, a2_search
@@ -162,6 +163,36 @@ class TestLazyRobustness:
             if traced.done:
                 break
         assert lazy.outcome == traced.outcome
+
+
+class TestBatchedTraceScoring:
+    """A trace scores the steps it has not scored yet when it is read, so
+    reading it after every step must give what one read at the end gives."""
+
+    @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
+    def test_reading_every_step_equals_reading_once(self, scenario,
+                                                    monkeypatch):
+        once = run_fuzzing(scenario(), "sa", budget=5, seed=1,
+                           record_trace=True).trace
+        step = Simulation.step
+        reads = []
+
+        def reading_step(self, action=None):
+            step(self, action)
+            if self.trace is not None:
+                reads.append((list(self.trace.robustness),
+                              self.trace.events))
+
+        monkeypatch.setattr(Simulation, "step", reading_step)
+        every = run_fuzzing(scenario(), "sa", budget=5, seed=1,
+                            record_trace=True).trace
+        assert len(reads) == len(once.snapshots) - 1
+        assert every.robustness == once.robustness
+        assert every.events == once.events
+        assert any(m.startswith("violation") for _, m in once.events)
+        for records, events in reads:
+            assert records == once.robustness[:len(records)]
+            assert events == once.events[:len(events)]
 
 
 def world_bytes(world):

@@ -2,20 +2,25 @@
 
 The sign-soundness suite checks raw margin <= 0 exactly when the boolean
 form of the constraint is violated, using independently written boolean
-predicates as the oracle.
+predicates as the oracle. The batched kernel is checked against the
+scalar per-agent loop it replaced, kept here as its oracle.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from litelfuzz.robustness import (ConstraintParams, constraint_violations,
-                                  goal_history, individual_robustness,
-                                  margin_formation,
+from litelfuzz.robustness import (AgentRobustness, ConstraintParams,
+                                  RobustnessRecord, constraint_violations,
+                                  goal_history, margin_formation,
                                   margin_kinematics, margin_progress,
-                                  margin_safe_distance, swarm_robustness)
-from litelfuzz.world import AgentState, Obstacle, WorldState, min_obstacle_distance
+                                  margin_safe_distance, robustness_rows,
+                                  swarm_robustness)
+from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, RowsLayout,
+                             WorldRows, WorldState, min_obstacle_distance,
+                             norm)
 
 PARAMS = ConstraintParams(safe_distance=0.1, sensing_radius=0.5, v_max=1.5,
                           a_max=3.0, formation_min=0.1, formation_max=0.95,
@@ -26,6 +31,61 @@ def make_agent(pos, vel=(0.0, 0.0), acc=(0.0, 0.0), agent_id=0, sensing=0.5):
     return AgentState(agent_id, np.asarray(pos, dtype=float),
                       np.asarray(vel, dtype=float),
                       np.asarray(acc, dtype=float), sensing, "follower")
+
+
+# -- the scalar oracle ------------------------------------------------------
+
+def _visible_pairwise(agent_id, world, params):
+    table = world.distances()
+    row = table.agents[table.column[agent_id]]
+    out = []
+    for other, d in zip(world.agents, row):
+        if other.role == ROLE_ATTACKER or other.id == agent_id:
+            continue
+        if d <= params.sensing_radius:
+            out.append(d)
+    return out
+
+
+def individual_robustness(agent_id, world, goal_distance_history, params):
+    """All five margins for one swarm agent at the current step."""
+    agent = world.agent(agent_id)
+    d = min_obstacle_distance(agent, world)
+    raw1, r1 = margin_safe_distance(d, params)
+    speed = norm(agent.velocity)
+    accel = norm(agent.acceleration)
+    (raw2, r2), (raw3, r3) = margin_kinematics(speed, accel, params)
+    raw4, r4 = margin_formation(_visible_pairwise(agent_id, world, params),
+                                params)
+    if goal_distance_history is None or len(goal_distance_history) < 2:
+        # no goal (e.g. all search targets found): full progress margin
+        raw5, r5 = params.v_max * params.dt, 1.0
+    else:
+        h = list(goal_distance_history)
+        raw5 = max(h[i - 1] - h[i] for i in range(1, len(h)))
+        r5 = float(min(max(raw5 / (params.v_max * params.dt), -1.0), 1.0))
+    individual = r1 + r2 + r3 + r5
+    if 3 in params.counted:
+        individual += r4
+    return AgentRobustness(agent_id, (raw1, raw2, raw3, raw4, raw5),
+                           (r1, r2, r3, r4, r5), float(individual))
+
+
+def scalar_swarm_robustness(world, goal_distance_histories, params):
+    """Aggregate per-agent robustness over every swarm member, one agent at
+    a time: the oracle :func:`robustness_rows` must equal."""
+    per_agent = []
+    for agent in sorted(world.swarm(), key=lambda a: a.id):
+        history = goal_distance_histories.get(agent.id)
+        per_agent.append(individual_robustness(agent.id, world, history,
+                                               params))
+    if not per_agent:
+        raise ValueError("swarm robustness needs at least one swarm agent")
+    swarm = float(sum(e.individual for e in per_agent))
+    counted = params.counted
+    return RobustnessRecord(per_agent, swarm, float(min([
+        r for e in per_agent for k, r in enumerate(e.normalized)
+        if k in counted])))
 
 
 # -- per-margin properties ---------------------------------------------------
@@ -237,3 +297,131 @@ class TestAggregation:
             ConstraintParams(safe_distance=0.1, sensing_radius=0.5, v_max=1.0,
                              a_max=1.0, formation_min=0.9, formation_max=0.1,
                              dt=0.05)
+
+
+# -- the batched kernel against the scalar oracle ----------------------------
+
+@st.composite
+def stacked_cases(draw):
+    """N worlds of one swarm: kinematics, obstacles, an attacker present in
+    some worlds, and goal-distance windows with NaN resets."""
+    dim = draw(st.sampled_from((2, 3)))
+    size = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(size)))
+    coord = st.sampled_from((-0.4, -0.1, 0.0, 0.05, 0.1, 0.3))
+    vector = st.lists(coord, min_size=dim, max_size=dim)
+    # a small grid of coordinates puts agents together and on box faces
+    position = st.one_of(vector, st.lists(
+        st.floats(-1.0, 1.0, allow_nan=False), min_size=dim, max_size=dim))
+    motion = st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=dim,
+                      max_size=dim)
+    obstacles = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            obstacles.append(Obstacle.circle(draw(vector),
+                                             draw(st.floats(0.05, 0.4))))
+        else:
+            lo = np.asarray(draw(vector))
+            obstacles.append(Obstacle.box(lo, lo + draw(st.floats(0.05, 0.5))))
+    roles = [draw(st.sampled_from(("leader", "follower", "searcher")))
+             for _ in range(size)]
+    sensing = [draw(st.sampled_from((0.3, 0.5, 2.0))) for _ in range(size)]
+    worlds = []
+    for step in range(count):
+        agents = [AgentState(ids[n], np.asarray(draw(position), dtype=float),
+                             np.asarray(draw(motion)),
+                             np.asarray(draw(motion)), sensing[n], roles[n])
+                  for n in range(size)]
+        if draw(st.booleans()):
+            agents.append(AgentState(1000, np.asarray(draw(position),
+                                                      dtype=float),
+                                     np.zeros(dim), np.zeros(dim), 1.0,
+                                     ROLE_ATTACKER))
+        worlds.append(WorldState(step, agents, obstacles))
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(math.nan), st.floats(0.0, 3.0))
+    windows = np.array([[[draw(entry) for _ in range(width)]
+                         for _ in range(size)] for _ in range(count)])
+    params = dataclasses.replace(PARAMS,
+                                 formation_enabled=draw(st.booleans()))
+    return worlds, windows, params
+
+
+def _kept(window):
+    """The goal-distance history a window stands for: its entries after
+    its last NaN."""
+    history = []
+    for d in window:
+        history = [] if math.isnan(d) else history + [d]
+    return history
+
+
+def _stack(worlds):
+    """The worlds as one batch with an attacker column, NaN when absent."""
+    size = len(worlds[0].swarm())
+    dim = len(worlds[0].agents[0].position)
+    absent = AgentState(1000, np.full(dim, math.nan), np.full(dim, math.nan),
+                        np.full(dim, math.nan), 1.0, ROLE_ATTACKER)
+    columns = [w.agents + [absent] * (len(w.agents) == size) for w in worlds]
+    layout = RowsLayout(columns[0], worlds[0].obstacles, [])
+
+    def stacked(name):
+        return np.array([[getattr(a, name) for a in agents]
+                         for agents in columns])
+
+    return WorldRows(layout, stacked("position"), stacked("velocity"),
+                     stacked("acceleration"))
+
+
+def _fields(record):
+    return (record.swarm, record.min_margin,
+            [(e.agent_id, e.raw, e.normalized, e.individual)
+             for e in record.per_agent])
+
+
+def _agents_in_and_on_a_box():
+    """One agent inside a box and one on its face, with an attacker in the
+    second world only."""
+    box = Obstacle.box([0.0, 0.0], [0.2, 0.2])
+    inside = AgentState(0, np.array([0.1, 0.05]), np.zeros(2), np.zeros(2),
+                        0.5, "leader")
+    face = AgentState(1, np.array([0.2, 0.1]), np.ones(2), np.zeros(2),
+                      0.5, "follower")
+    attacker = AgentState(1000, np.array([0.3, 0.1]), np.zeros(2),
+                          np.zeros(2), 1.0, ROLE_ATTACKER)
+    worlds = [WorldState(0, [inside, face], [box]),
+              WorldState(1, [inside, face, attacker], [box])]
+    windows = np.array([[[1.0, 0.9], [math.nan, 0.5]],
+                        [[1.0, math.nan], [0.5, 0.6]]])
+    return worlds, windows, PARAMS
+
+
+class TestBatchedRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_cases())
+    @example(_agents_in_and_on_a_box())
+    def test_every_world_equals_the_scalar_oracle(self, case):
+        worlds, windows, params = case
+        records = robustness_rows(_stack(worlds), windows, params)
+        assert len(records) == len(worlds)
+        for world, window, record in zip(worlds, windows, records):
+            histories = {a.id: _kept(w)
+                         for a, w in zip(world.swarm(), window)}
+            expected = scalar_swarm_robustness(world, histories, params)
+            assert _fields(record) == _fields(expected)
+            assert record == expected
+            # the one-world view agrees
+            assert swarm_robustness(world, histories, params) == expected
+
+    def test_swarm_total_is_the_builtin_sum(self):
+        world = WorldState(0, [make_agent([0.1 * k, 0.0], agent_id=k)
+                               for k in range(5)], [])
+        record = swarm_robustness(world, {}, PARAMS)
+        assert record.swarm == sum(e.individual for e in record.per_agent)
+
+    def test_empty_swarm_rejected(self):
+        attacker = AgentState(1000, np.zeros(2), np.zeros(2), np.zeros(2),
+                              1.0, ROLE_ATTACKER)
+        with pytest.raises(ValueError):
+            swarm_robustness(WorldState(0, [attacker], []), {}, PARAMS)
