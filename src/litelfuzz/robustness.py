@@ -49,6 +49,8 @@ class ConstraintParams:
             raise ValueError("need 0 < formation_min < formation_max")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if not min(self.v_max, self.a_max, self.dt) > 0:
+            raise ValueError("need v_max, a_max and dt > 0")
 
     @property
     def counted(self) -> tuple[int, ...]:
@@ -210,7 +212,8 @@ def robustness_rows(rows: WorldRows, windows: np.ndarray,
     ids = [layout.agents[swarm[n]].id for n in order]
     raw = np.stack([raw1, raw2, raw3, raw4, raw5], axis=-1)[:, order]
     normalized = np.stack([r1, r2, r3, r4, r5], axis=-1)[:, order]
-    # with positive limits no margin is -0.0, so this is the scalar min
+    # the limits are positive, so no margin is -0.0 and this least value
+    # is the one the scalar min picks
     lowest = normalized[..., counted].min(axis=(1, 2))
     return [RobustnessRecord(
         [AgentRobustness(i, tuple(r), tuple(n), s) for i, r, n, s

@@ -297,6 +297,9 @@ class TestAggregation:
             ConstraintParams(safe_distance=0.1, sensing_radius=0.5, v_max=1.0,
                              a_max=1.0, formation_min=0.9, formation_max=0.1,
                              dt=0.05)
+        for limit in ("v_max", "a_max", "dt"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(PARAMS, **{limit: 0.0})
 
 
 # -- the batched kernel against the scalar oracle ----------------------------
