@@ -18,18 +18,15 @@ check of the rows a step produced builds it and the next step's commands
 read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
 columns, the masks, the waypoint array and, in ``derived``, the
 navigator's formation offsets once per probe, and every step's batch
-shares it.
+shares it. The layout's :class:`Obstacles` stack gives every obstacle's
+surface distance and outward direction in one pass each.
 
 The dispersal controller's ``update`` and ``commands`` are its array forms
 on the world as a batch of one row (``WorldState.rows``), which the world
 builds once, so one main mission step resolves one layout and one table.
 The navigator keeps scalar ``update`` and ``commands`` for the main
-mission step, where a view would resolve a new layout for every world.
-Made views of the array forms, at a time when those rebuilt the role
-lists, offset arrays and others-mask on every call, they slowed the
-``a1_sa`` benchmark from 2390 to 1846 steps/s (medians of five
-alternating runs each, 2-vCPU VM), while the dispersal views ran a2
-``sa`` as fast as its scalar forms did.
+mission step: views of its array forms, which resolve a new layout for
+every world, ran ``a1_sa`` slower.
 """
 from __future__ import annotations
 
@@ -39,8 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, RowsLayout,
-                    WorldRows, WorldState, clamp_norm, clamp_norms, norm,
-                    row_norms)
+                    WorldRows, WorldState, _index, clamp_norm, clamp_norms,
+                    norm, row_norms)
 
 _EPS = 1e-9
 
@@ -75,8 +72,7 @@ def _repulsion_rows(rows: WorldRows, influence_radius: float,
     list order and then agents in world order, with +0.0 for a term out of
     range (``total`` starts at +0.0 and so is never -0.0, which makes that
     add exact); a single ``sum(axis=...)`` would round differently. For
-    the same reason an agent column with no pair in range in any row adds
-    nothing, and is skipped.
+    the same reason a column with no pair in range in any row is skipped.
     """
     table = rows.distances()
     layout = rows.layout
@@ -88,16 +84,20 @@ def _repulsion_rows(rows: WorldRows, influence_radius: float,
         return np.where(near[..., None], mag[..., None] * direction, 0.0)
 
     near = table.obstacles < influence_radius
-    for o in np.flatnonzero(near.any(axis=(0, 1))):
-        total = total + push(near[..., o],
-                             np.maximum(table.obstacles[..., o], 1e-6),
-                             layout.obstacles[o].outward_directions(pos))
-    near = (table.agents < influence_radius) & layout.others
-    columns = np.flatnonzero(near.any(axis=(0, 1)))
+    columns = near.any(axis=(0, 1)).nonzero()[0]
     if columns.size:
-        d = np.maximum(table.agents[:, :, columns], 1e-6)
-        terms = push(near[:, :, columns], d,
-                     table.away[:, :, columns] / d[..., None])
+        # every obstacle in one pass
+        terms = push(near, np.maximum(table.obstacles, 1e-6),
+                     layout.obstacles.outward_directions(pos))
+        for o in columns:
+            total = total + terms[:, :, o]
+    near = (table.agents < influence_radius) & layout.others
+    columns = near.any(axis=(0, 1)).nonzero()[0].tolist()
+    if columns:
+        index = _index(columns)
+        d = np.maximum(table.agents[:, :, index], 1e-6)
+        terms = push(near[:, :, index], d,
+                     table.away[:, :, index] / d[..., None])
         for n in range(len(columns)):
             total = total + terms[:, :, n]
     return total
@@ -303,9 +303,9 @@ class ApfNavigationController:
         return clamp_norms(pull + rep, spec.v_max)
 
     def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
-        """(B, S, d) goals of the swarm columns; NaN stands for no goal."""
-        return np.broadcast_to(spec.goal,
-                               rows.position[:, rows.layout.swarm].shape)
+        """Goals of the swarm columns, broadcastable to (B, S, d): the (d,)
+        array ``spec.goal``, every agent's goal."""
+        return spec.goal
 
     def mission_complete_rows(self, state, rows: WorldRows,
                               spec: MissionSpec) -> np.ndarray:
@@ -459,16 +459,19 @@ class DispersalSearchController:
         # terms out of range add +0.0, which leaves cmd (never -0.0) as it
         # is, so a column with none in range in any row is skipped
         cmd = np.zeros_like(pos)
-        for k in np.flatnonzero(near.any(axis=(0, 1))):
+        for k in near.any(axis=(0, 1)).nonzero()[0]:
             cmd = cmd + terms[:, :, k]
         push = self.obstacle_gain * spec.v_max
         near = table.obstacles < self.sensor_range
-        for o in np.flatnonzero(near.any(axis=(0, 1))):
-            ramp = 1.0 - np.maximum(table.obstacles[..., o], 1e-6) \
-                / self.sensor_range
-            term = layout.obstacles[o].outward_directions(pos) * push \
-                * ramp[..., None]
-            cmd = cmd + np.where(near[..., o, None], term, 0.0)
+        columns = near.any(axis=(0, 1)).nonzero()[0]
+        if columns.size:
+            # every obstacle in one pass
+            ramp = 1.0 - np.maximum(table.obstacles, 1e-6) / self.sensor_range
+            terms = np.where(near[..., None], layout.obstacles
+                             .outward_directions(pos) * push * ramp[..., None],
+                             0.0)
+            for o in columns:
+                cmd = cmd + terms[:, :, o]
         # masked-out wall terms add or subtract +0.0, which leaves cmd as is
         for axis in range(dim):
             lo_gap = pos[..., axis] - self.bounds_lo[axis]

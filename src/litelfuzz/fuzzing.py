@@ -138,30 +138,20 @@ def spawn_candidates(target: AgentState, world, geom: SpawnGeometry,
     """
     mid = 0.5 * (geom.inner_radius + geom.outer_radius)
     dim = len(target.position)
-    candidates = []
+    points = np.zeros((geom.sectors, dim))
     for k in range(geom.sectors):
         angle = (2 * k + 1) * math.pi / geom.sectors
-        offset = np.zeros(dim)
-        offset[0] = mid * math.cos(angle)
-        offset[1] = mid * math.sin(angle)
-        point = target.position + offset
-        ok = True
-        for agent in world.agents:
-            d = norm(agent.position - point)
-            if d < safe_distance:
-                ok = False
-                break
-            if agent.id != target.id and agent.role != ROLE_ATTACKER \
-                    and d < agent.sensing_radius:
-                ok = False
-                break
-        if ok:
-            for obs in world.obstacles:
-                if obs.surface_distance(point) <= 0.0:
-                    ok = False
-                    break
-        if ok:
-            candidates.append(point)
+        points[k, :2] = mid * math.cos(angle), mid * math.sin(angle)
+    points = target.position + points
+    # every agent's safety distance, or another swarm agent's sensing disk
+    keep_out = [max(safe_distance, a.sensing_radius) if a.id != target.id
+                and a.role != ROLE_ATTACKER else safe_distance
+                for a in world.agents]
+    gaps = row_norms(np.array([a.position for a in world.agents])
+                     .reshape(-1, 1, dim) - points)
+    ok = (gaps >= np.array(keep_out)[:, None]).all(axis=0) \
+        & (world.obstacles.surface_distances(points) > 0.0).all(axis=1)
+    candidates = list(points[ok])
     if not candidates:
         raise NoValidSpawn(f"all spawn sectors around agent {target.id} excluded")
     return candidates
@@ -296,11 +286,13 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     approach = np.full(count, from_current and attacker is not None)
     if approach.any():
         target = sim.world.agent(target_id)
-        att_pos, att_vel, att_acc, approach = _attacker_step(
-            np.broadcast_to(attacker.position, attack.shape),
-            np.broadcast_to(attacker.velocity, attack.shape),
-            target.position[None], target.velocity[None], attack, approach,
-            spec.dt, params)
+        att_pos = np.broadcast_to(attacker.position, attack.shape)
+        command, approach = _attacker_command(
+            att_pos, target.position[None], target.velocity[None], attack,
+            approach, spec.dt, params)
+        att_pos, att_vel, att_acc = integrate_rows(
+            att_pos, np.broadcast_to(attacker.velocity, attack.shape),
+            command, params.attacker_v_max, params.attacker_a_max, spec.dt)
         intruder = AgentState(attacker.id, None, None, None,
                               attacker.sensing_radius, ROLE_ATTACKER)
     else:
@@ -326,7 +318,10 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     rows = WorldRows(layout, stacked("position", att_pos),
                      stacked("velocity", att_vel),
                      stacked("acceleration", att_acc))
-    target_col = rows.column(target_id)
+    target_col = [a.id for a in swarm].index(target_id)
+    # the swarm's limits, then the attacker's, one per column
+    v_max = np.append(np.full(size, spec.v_max), params.attacker_v_max)
+    a_max = np.append(np.full(size, spec.a_max), params.attacker_a_max)
     controller = probe.controller
     state = controller.row_state(count)
     live = np.arange(count)     # candidate index of each row still stepping
@@ -360,22 +355,19 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
                np.full(count, probe.failure_kind is not None), 0)
         return scores
     for logged in range(1, params.lookahead):
-        att_pos, att_vel, att_acc, approach = _attacker_step(
-            rows.position[:, -1], rows.velocity[:, -1],
-            rows.position[:, target_col], rows.velocity[:, target_col],
-            attack, approach, spec.dt, params)
+        attacker_command, approach = _attacker_command(
+            rows.position[:, -1], rows.position[:, target_col],
+            rows.velocity[:, target_col], attack, approach, spec.dt, params)
         state = controller.update_rows(state, rows, spec)
-        commands = controller.commands_rows(state, rows, spec)
-        pos, vel, acc = integrate_rows(
-            rows.position[:, :size], rows.velocity[:, :size], commands,
-            spec.v_max, spec.a_max, spec.dt)
-        rows = WorldRows(layout,
-                         np.concatenate([pos, att_pos[:, None]], axis=1),
-                         np.concatenate([vel, att_vel[:, None]], axis=1),
-                         np.concatenate([acc, att_acc[:, None]], axis=1))
+        commands = np.concatenate(
+            [controller.commands_rows(state, rows, spec),
+             attacker_command[:, None]], axis=1)
+        # every column, the attacker's last, in one step
+        rows = WorldRows(layout, *integrate_rows(
+            rows.position, rows.velocity, commands, v_max, a_max, spec.dt))
         steps += 1
         goal_log[logged - 1, live] = row_norms(
-            pos - controller.goal_rows(state, rows, spec))
+            rows.position[:, :size] - controller.goal_rows(state, rows, spec))
         failed = failed_rows(rows, steps, spec)
         ended = failed | controller.mission_complete_rows(state, rows, spec)
         if ended.any():
@@ -391,11 +383,11 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     return scores
 
 
-def _attacker_step(position, velocity, target, target_velocity, candidates,
-                   approach, dt: float, params: FuzzParams):
-    """One probe step of every row's attacker: approach the candidate while
-    more than one step away, then pursue the target. Returns the new
-    position, velocity and acceleration and the rows still approaching."""
+def _attacker_command(position, target, target_velocity, candidates,
+                      approach, dt: float, params: FuzzParams):
+    """The command of every row's attacker for one probe step: approach the
+    candidate while more than one step away, then pursue the target.
+    Returns the commands and the rows still approaching."""
     v_max, a_max = params.attacker_v_max, params.attacker_a_max
     approaching = np.count_nonzero(approach)
     if approaching:
@@ -411,8 +403,7 @@ def _attacker_step(position, velocity, target, target_velocity, candidates,
             cmd = np.where(approach[:, None], cmd, _pursuit_commands(
                 position, target, target_velocity, params.standoff, v_max,
                 dt, a_max))
-    return (*integrate_rows(position, velocity, cmd, v_max, a_max, dt),
-            approach)
+    return cmd, approach
 
 
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],

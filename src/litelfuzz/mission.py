@@ -27,8 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Every record of a traced run and of a probe is scored through this name,
 # a batch of worlds at a time, so that one span can time the kernel.
 from .robustness import robustness_rows as swarm_robustness
-from .robustness import (ConstraintParams, RobustnessRecord,
-                         constraint_violations, goal_history, goal_windows)
+from .robustness import (ConstraintParams, RobustnessRecord, goal_history,
+                         goal_windows, violations_rows)
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, InvalidState,
                     MissionSpec, RowsLayout, WorldRows, WorldState,
                     detect_failure, integrate_rows, integrate_step, norm)
@@ -53,12 +53,12 @@ class Trace:
     """Every world of a traced run, its outcome and its events.
 
     ``snapshots[0]`` is the initial world and ``robustness[k]`` the record
-    of ``snapshots[k + 1]``. The swarm of the recorded worlds is fixed and
-    an attacker, when present, comes last, so the steps not yet scored
-    stack into one :class:`WorldRows` batch with an attacker column, NaN
-    while the attacker is absent. Reading :attr:`robustness` or
-    :attr:`events` scores that batch in one pass; a violation event goes
-    before the other events of its step, where the run emitted it.
+    of ``snapshots[k + 1]``. The swarm of the recorded worlds is fixed, so
+    the kinematics of the steps not yet scored stack into one
+    :class:`WorldRows` batch with an attacker column, NaN while the
+    attacker is absent. Reading :attr:`robustness` or :attr:`events`
+    scores that batch in one pass; a violation event goes before the other
+    events of its step, where the run emitted it.
     """
 
     def __init__(self, first: WorldState, cparams: ConstraintParams):
@@ -70,15 +70,22 @@ class Trace:
         self.notes: list[tuple[int, str]] = []
         # per recorded step, each swarm agent's goal distance (NaN: none)
         self._goals: list[list[float]] = []
+        self._kinematics: list[tuple[np.ndarray, ...]] = []
         self._records: list[RobustnessRecord] = []
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
-        self._layout: RowsLayout | None = None
+        # the fixed swarm, then an attacker column
+        self._layout = RowsLayout(first.swarm() + [AgentState(
+            ATTACKER_ID, None, None, None, 1.0, ROLE_ATTACKER)],
+            first.obstacles, first.leader_waypoints)
 
-    def record(self, world: WorldState, goal_distances: list[float]) -> None:
-        """Keep the world a step made and its swarm's goal distances."""
+    def record(self, world: WorldState, goal_distances: list[float],
+               kinematics: tuple[np.ndarray, ...]) -> None:
+        """Keep a step's world, its swarm's goal distances and kinematics:
+        the swarm's (S, d), then the attacker's (d,) pos, vel and acc."""
         self.snapshots.append(world)
         self._goals.append(goal_distances)
+        self._kinematics.append(kinematics)
 
     @property
     def robustness(self) -> list[RobustnessRecord]:
@@ -96,22 +103,11 @@ class Trace:
         pending = self.snapshots[done + 1:]
         if not pending:
             return
-        if self._layout is None:
-            first = pending[0]
-            self._layout = RowsLayout(
-                first.swarm() + [AgentState(ATTACKER_ID, None, None, None,
-                                            1.0, ROLE_ATTACKER)],
-                first.obstacles, first.leader_waypoints)
         size = len(self._layout.agents) - 1
-        absent = np.full(len(pending[0].agents[0].position), math.nan)
-
-        def stacked(name: str) -> np.ndarray:
-            return np.array([[getattr(a, name) for a in world.agents]
-                             + [absent] * (len(world.agents) == size)
-                             for world in pending])
-
-        rows = WorldRows(self._layout, stacked("position"),
-                         stacked("velocity"), stacked("acceleration"))
+        fields = [np.stack(f) for f in zip(*self._kinematics[done:])]
+        rows = WorldRows(self._layout, *(
+            np.concatenate([swarm, attacker[:, None]], axis=1)
+            for swarm, attacker in zip(fields[:3], fields[3:])))
         # step k's window holds goal distances k - window .. k, NaN before
         # the first step, the same as an empty history
         width = self.cparams.window + 1
@@ -120,15 +116,14 @@ class Trace:
         padded = np.concatenate(
             [np.full((width - 1 - done + start, size), math.nan), log])
         windows = sliding_window_view(padded, width, axis=0)
-        for world, record in zip(pending, swarm_robustness(rows, windows,
-                                                           self.cparams)):
-            for violation in constraint_violations(record, self.cparams):
-                if violation not in self._seen:
-                    self._seen.add(violation)
-                    self._violations.append((
-                        world.step_index, f"violation agent={violation[0]} "
-                        f"constraint={violation[1]}"))
-            self._records.append(record)
+        records = swarm_robustness(rows, windows, self.cparams)
+        for n, agent, constraint in violations_rows(records, self.cparams):
+            if (agent, constraint) not in self._seen:
+                self._seen.add((agent, constraint))
+                self._violations.append((
+                    pending[n].step_index,
+                    f"violation agent={agent} constraint={constraint}"))
+        self._records.extend(records)
 
 
 class Simulation:
@@ -157,6 +152,7 @@ class Simulation:
             self.trace.notes if self.trace is not None else []
         self.outcome: str | None = None
         self.failure_kind: FailureKind | None = None
+        self._absent = np.full(len(spec.goal), math.nan)  # attacker's row
 
     def clone(self) -> "Simulation":
         sim = Simulation(self.world, self.controller.clone(), self.spec,
@@ -208,41 +204,39 @@ class Simulation:
         world = self.world
         self.controller.update(world, self.spec)
         commands = self.controller.commands(world, self.spec)
-        new_agents = self._integrate_swarm(world.swarm(), commands)
-        new_agents.extend(self._advance_attacker(attacker_action))
-        self.world = WorldState(world.step_index + 1, new_agents,
-                                world.obstacles, world.leader_waypoints)
-        self._record_step()
+        swarm = world.swarm()
+        pos, vel, acc = kinematics = self._integrate_swarm(swarm, commands)
+        attacker = self._advance_attacker(attacker_action)
+        self.world = WorldState(world.step_index + 1, [
+            AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius, a.role)
+            for k, a in enumerate(swarm)] + attacker, world.obstacles,
+            world.leader_waypoints)
+        self._record_step(kinematics + next(
+            ((a.position, a.velocity, a.acceleration) for a in attacker),
+            (self._absent,) * 3))
         self._check_outcome()
 
     def _integrate_swarm(self, swarm: list[AgentState],
-                         commands: dict[int, np.ndarray]) -> list[AgentState]:
-        """:func:`integrate_step` of every swarm agent, in one array step."""
+                         commands: dict[int, np.ndarray]) -> tuple:
+        """:func:`integrate_rows` of the swarm: (S, d) pos, vel and acc."""
         if not swarm:
-            return []
+            return (np.empty((0, len(self._absent))),) * 3
         spec = self.spec
         position = np.array([a.position for a in swarm])
         velocity = np.array([a.velocity for a in swarm])
         command = np.array([commands[a.id] for a in swarm], dtype=float)
         try:
-            pos, vel, acc = integrate_rows(position, velocity, command,
-                                           spec.v_max, spec.a_max, spec.dt)
+            return integrate_rows(position, velocity, command, spec.v_max,
+                                  spec.a_max, spec.dt)
         except InvalidState:
-            finite = np.isfinite(command).all(axis=1) \
-                & np.isfinite(position).all(axis=1) \
-                & np.isfinite(velocity).all(axis=1)
+            finite = np.isfinite(np.concatenate([command, position, velocity],
+                                                axis=1)).all(axis=1)
             bad = swarm[int(np.argmin(finite))]
             raise InvalidState(f"non-finite state for agent {bad.id}") from None
-        return [AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius,
-                           a.role) for k, a in enumerate(swarm)]
 
     def _advance_attacker(self, action: AttackerAction | None) -> list[AgentState]:
         attacker = self.attacker()
-        if action is None:
-            if attacker is None:
-                return []
-            return [integrate_step(attacker, np.zeros_like(attacker.position),
-                                   self.attacker_spec)]
+        action = action or AttackerAction()     # None: no directive
         if action.despawn:
             return []
         if action.spawn is not None:
@@ -258,7 +252,7 @@ class Simulation:
             else np.zeros_like(attacker.position)
         return [integrate_step(attacker, cmd, self.attacker_spec)]
 
-    def _record_step(self) -> None:
+    def _record_step(self, kinematics: tuple[np.ndarray, ...]) -> None:
         histories = {}
         distances = []
         for agent in self.world.swarm():
@@ -271,7 +265,7 @@ class Simulation:
             distances.append(distance)
         self.histories = histories
         if self.trace is not None:
-            self.trace.record(self.world, distances)
+            self.trace.record(self.world, distances, kinematics)
 
     def _check_outcome(self) -> None:
         failure = detect_failure(self.world, self.spec)

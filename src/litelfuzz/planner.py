@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import ROLE_ATTACKER, WorldState, norm
+from .world import ROLE_ATTACKER, WorldState, norm, row_norms
 
 _VIA_SCALES = (1.05, 1.2, 1.5, 2.0, 3.0)
 _MAX_VIAS = 200
@@ -178,17 +178,16 @@ def path_clearance(path: list[np.ndarray], world: WorldState,
                    ignore_ids: tuple[int, ...] = (),
                    samples_per_segment: int = 64) -> float:
     """Sampled minimum distance from the polyline to obstacles/agents."""
-    best = np.inf
-    for k in range(len(path) - 1):
-        for s in np.linspace(0.0, 1.0, samples_per_segment):
-            p = path[k] * (1.0 - s) + path[k + 1] * s
-            for obs in world.obstacles:
-                best = min(best, obs.surface_distance(p))
-            for agent in world.agents:
-                if agent.role == ROLE_ATTACKER or agent.id in ignore_ids:
-                    continue
-                best = min(best, norm(agent.position - p))
-    return float(best)
+    if len(path) < 2:
+        return np.inf
+    s = np.linspace(0.0, 1.0, samples_per_segment)[:, None]
+    points = np.concatenate([a * (1.0 - s) + b * s
+                             for a, b in zip(path, path[1:])])
+    others = np.array([a.position for a in world.agents if a.id not in ignore_ids
+                       and a.role != ROLE_ATTACKER])
+    gaps = row_norms(others.reshape(-1, 1, points.shape[1]) - points)
+    return float(min(world.obstacles.surface_distances(points).min(
+        initial=np.inf), gaps.min(initial=np.inf)))
 
 
 def plan_path(start: np.ndarray, goal: np.ndarray, world: WorldState,

@@ -234,9 +234,22 @@ def swarm_robustness(world: WorldState,
         params)[0]
 
 
+def violations_rows(records: list[RobustnessRecord],
+                    params: ConstraintParams) -> list[tuple[int, int, int]]:
+    """(record index, agent_id, constraint_number) of the first violation
+    of each (agent, constraint) pair over the ``records`` of one swarm, in
+    that order: a counted raw margin <= 0, boundary inclusive."""
+    ids = [entry.agent_id for entry in records[0].per_agent] if records else []
+    raw = np.array([[entry.raw for entry in record.per_agent]
+                    for record in records]).reshape(len(records), len(ids), 5)
+    counted = params.counted
+    # C order: record, then agent (sorted by id), then constraint
+    n, agent, k = (raw[..., counted] <= 0.0).nonzero()
+    first = np.sort(np.unique(agent * 5 + k, return_index=True)[1])
+    return [(int(n[i]), ids[agent[i]], counted[k[i]] + 1) for i in first]
+
+
 def constraint_violations(record: RobustnessRecord,
                           params: ConstraintParams) -> list[tuple[int, int]]:
-    """(agent_id, constraint_number) pairs with raw margin <= 0, boundary inclusive."""
-    counted = params.counted
-    return [(entry.agent_id, k + 1) for entry in record.per_agent
-            for k, raw in enumerate(entry.raw) if k in counted and raw <= 0.0]
+    """The (agent_id, constraint_number) pairs of :func:`violations_rows`."""
+    return [(agent, k) for _, agent, k in violations_rows([record], params)]

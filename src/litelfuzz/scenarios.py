@@ -355,7 +355,7 @@ class ScenarioConfig:
             zero = np.zeros(self.dimension)
             agents.append(AgentState(cfg.id, start, zero.copy(), zero.copy(),
                                      cfg.sensing_radius, cfg.role))
-        return WorldState(0, agents, list(self.obstacles),
+        return WorldState(0, agents, self.obstacles,
                           [w.copy() for w in self.leader_waypoints])
 
     def build_controller(self):

@@ -89,19 +89,6 @@ class Obstacle:
         # inside: negative penetration depth to the nearest face
         return -float(np.min(np.minimum(p - self.lo, self.hi - p)))
 
-    def surface_distances(self, points: np.ndarray) -> np.ndarray:
-        """:meth:`surface_distance` of every point of shape (..., d)."""
-        if self.kind == "circle":
-            return row_norms(points - self.center) - self.radius
-        d = row_norms(np.maximum(np.maximum(self.lo - points, points - self.hi),
-                                 0.0))
-        inside = d == 0.0
-        if inside.any():
-            depth = -np.min(np.minimum(points - self.lo, self.hi - points),
-                            axis=-1)
-            d = np.where(inside, depth, d)
-        return d
-
     def outward_direction(self, point: np.ndarray) -> np.ndarray:
         """Unit vector pointing away from the obstacle at ``point``."""
         p = np.asarray(point, dtype=float)
@@ -125,34 +112,65 @@ class Obstacle:
             return v
         return v / n
 
-    def outward_directions(self, points: np.ndarray) -> np.ndarray:
-        """:meth:`outward_direction` at every point of shape (..., d)."""
-        v = points - (self.center if self.kind == "circle"
-                      else np.clip(points, self.lo, self.hi))
-        n = row_norms(v)
-        zero = n == 0.0
-        out = v / np.where(zero, 1.0, n)[..., None]
-        if zero.any():
-            axes = np.arange(points.shape[-1])
-            if self.kind == "circle":
-                fallback = np.where(axes == 0, 1.0, 0.0)
-            else:
-                # inside the box: push out through the nearest face
-                gaps_lo = points - self.lo
-                gaps_hi = self.hi - points
-                face = axes == np.argmin(np.minimum(gaps_lo, gaps_hi),
-                                         axis=-1)[..., None]
-                toward_lo = (face & (gaps_lo < gaps_hi)).any(axis=-1,
-                                                            keepdims=True)
-                fallback = np.where(face, np.where(toward_lo, -1.0, 1.0), 0.0)
-            out = np.where(zero[..., None], fallback, out)
-        return out
-
     def bounding_circle(self) -> tuple[np.ndarray, float]:
         if self.kind == "circle":
             return self.center, self.radius
         center = 0.5 * (self.lo + self.hi)
         return center, norm(self.hi - center)
+
+
+class Obstacles(tuple):
+    """A world's obstacles in list order, stacked for one array pass.
+
+    A circle is a box of zero extent at its centre with its radius (a box
+    has radius 0), so ``p - clip(p, lo, hi)`` is, up to the sign of a zero,
+    the scalar forms' vector and the kernels equal them with ``==``.
+    ``Obstacles(stack)`` is ``stack``: a world stacks a plain list once,
+    and the worlds stepped from it and their layouts share the stack."""
+
+    def __new__(cls, obstacles=()):
+        if type(obstacles) is Obstacles:
+            return obstacles
+        self = super().__new__(cls, obstacles)
+        self.box = np.array([o.kind == "box" for o in self], dtype=bool)
+        self.radius = np.array([o.radius for o in self])
+        self.lo, self.hi = (np.array([o.center if o.kind == "circle" else
+                                      getattr(o, end) for o in self])
+                            for end in ("lo", "hi"))
+        return self
+
+    def surface_distances(self, points: np.ndarray) -> np.ndarray:
+        """(..., O) signed surface distances of points (..., d)."""
+        if not self:
+            return np.empty(points.shape[:-1] + (0,))
+        p = points[..., None, :]
+        n = row_norms(p - np.minimum(np.maximum(p, self.lo), self.hi))
+        if (n == 0.0).any():
+            # inside a box: negative penetration depth to the nearest face
+            n = np.where(self.box & (n == 0.0), -np.min(
+                np.minimum(p - self.lo, self.hi - p), axis=-1), n)
+        return n - self.radius
+
+    def outward_directions(self, points: np.ndarray) -> np.ndarray:
+        """(..., O, d) unit vectors pointing away from every obstacle."""
+        p = points[..., None, :]
+        v = p - np.minimum(np.maximum(p, self.lo), self.hi)
+        n = row_norms(v)
+        zero = n == 0.0
+        out = v / np.where(zero, 1.0, n)[..., None]
+        if zero.any():
+            axes = np.arange(points.shape[-1])
+            # out through a box's nearest face, or a circle's first axis
+            gaps_lo, gaps_hi = p - self.lo, self.hi - p
+            face = axes == np.argmin(np.minimum(gaps_lo, gaps_hi),
+                                     axis=-1)[..., None]
+            toward_lo = (face & (gaps_lo < gaps_hi)).any(axis=-1,
+                                                        keepdims=True)
+            fallback = np.where(self.box[:, None],
+                                np.where(face, np.where(toward_lo, -1.0, 1.0),
+                                         0.0), np.where(axes == 0, 1.0, 0.0))
+            out = np.where(zero[..., None], fallback, out)
+        return out
 
 
 @dataclass
@@ -220,12 +238,8 @@ class Distances:
         if not world.agents:
             return Distances(column, [], [])
         pos = np.array([a.position for a in world.agents])
-        between = row_norms(pos[:, None] - pos[None]).tolist()
-        surface = np.array([obs.surface_distances(pos)
-                            for obs in world.obstacles])
-        return Distances(column, between,
-                         surface.reshape(len(world.obstacles), len(pos))
-                         .T.tolist())
+        return Distances(column, row_norms(pos[:, None] - pos[None]).tolist(),
+                         world.obstacles.surface_distances(pos).tolist())
 
     def without(self, col: int) -> "Distances":
         """The table of the world without the agent in column ``col``."""
@@ -251,12 +265,15 @@ class WorldState:
 
     step_index: int
     agents: list[AgentState]
-    obstacles: list[Obstacle]
+    obstacles: Obstacles     # a plain list is stacked once, at construction
     leader_waypoints: list[np.ndarray] = field(default_factory=list)
     _distances: Distances | None = field(default=None, init=False,
                                          repr=False, compare=False)
     _rows: "WorldRows | None" = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    def __post_init__(self):
+        self.obstacles = Obstacles(self.obstacles)
 
     def distances(self) -> Distances:
         """The world's distance table, built once."""
@@ -267,12 +284,10 @@ class WorldState:
     def rows(self) -> "WorldRows":
         """The world as a :class:`WorldRows` batch of one row, built once."""
         if self._rows is None:
-            def stacked(name: str) -> np.ndarray:
-                return np.array([getattr(a, name) for a in self.agents])[None]
             self._rows = WorldRows(
                 RowsLayout(self.agents, self.obstacles, self.leader_waypoints),
-                stacked("position"), stacked("velocity"),
-                stacked("acceleration"))
+                *(np.array([getattr(a, name) for a in self.agents])[None]
+                  for name in ("position", "velocity", "acceleration")))
         return self._rows
 
     def agent(self, agent_id: int) -> AgentState:
@@ -327,7 +342,7 @@ class RowsLayout:
     def __init__(self, agents: list[AgentState], obstacles: list[Obstacle],
                  leader_waypoints: list[np.ndarray]):
         self.agents = agents
-        self.obstacles = obstacles
+        self.obstacles = Obstacles(obstacles)
         self.leader_waypoints = leader_waypoints
         self.derived: dict = {}
 
@@ -390,8 +405,9 @@ class RowsDistances:
     For swarm column ``s`` (the ``n``-th of ``layout.swarm_columns``) and
     column ``k`` of row ``b``: ``away[b, n, k]`` is ``p_s - p_k``,
     ``agents[b, n, k]`` is its :func:`row_norms` and ``obstacles[b, n, o]``
-    is ``obstacles[o].surface_distances(p_s)``. Both kernels treat every
-    vector alone, so the entries equal the scalar forms with ``==``.
+    is ``obstacles[o].surface_distance(p_s)``, all from one pass of
+    :class:`Obstacles`. Both kernels treat every vector alone, so the
+    entries equal the scalar forms with ``==``.
     """
 
     away: np.ndarray        # (B, S, M, d)
@@ -402,11 +418,8 @@ class RowsDistances:
     def of(rows: "WorldRows") -> "RowsDistances":
         pos = rows.position[:, rows.layout.swarm]
         away = pos[:, :, None] - rows.position[:, None]
-        obstacles = rows.layout.obstacles
-        surface = np.empty(pos.shape[:2] + (len(obstacles),))
-        for o, obs in enumerate(obstacles):
-            surface[..., o] = obs.surface_distances(pos)
-        return RowsDistances(away, row_norms(away), surface)
+        return RowsDistances(away, row_norms(away),
+                             rows.layout.obstacles.surface_distances(pos))
 
     def select(self, keep: np.ndarray) -> "RowsDistances":
         """The rows picked by the boolean mask ``keep``."""
@@ -441,12 +454,6 @@ class WorldRows:
         if self._distances is None:
             self._distances = RowsDistances.of(self)
         return self._distances
-
-    def column(self, agent_id: int) -> int:
-        for k, a in enumerate(self.layout.agents):
-            if a.id == agent_id:
-                return k
-        raise KeyError(f"no agent with id {agent_id}")
 
     def select(self, keep: np.ndarray) -> "WorldRows":
         """The rows picked by the boolean mask ``keep``."""
@@ -503,10 +510,12 @@ def integrate_step(agent: AgentState, commanded_velocity: np.ndarray,
 
 
 def integrate_rows(position: np.ndarray, velocity: np.ndarray,
-                   command: np.ndarray, v_max: float, a_max: float,
+                   command: np.ndarray, v_max, a_max,
                    dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`integrate_step` of every agent along the last axis at once.
+    """:func:`integrate_step` of every vector along the last axis at once.
 
+    ``v_max`` and ``a_max`` are scalars or, for (..., M, d) kinematics,
+    per-column (M,) arrays, such as a probe's attacker column's own limits.
     Returns the new positions, velocities and accelerations.
     """
     if not (np.isfinite(command).all() and np.isfinite(position).all()

@@ -12,8 +12,8 @@ from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                spawn_candidates)
 from litelfuzz.mission import ATTACKER_ID, AttackerAction
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
-from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, WorldState,
-                             clamp_norm, norm)
+from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, Obstacles,
+                             WorldState, clamp_norm, norm)
 
 
 def make_agent(pos, agent_id=0, sensing=0.5, role="follower"):
@@ -297,8 +297,8 @@ class TestProbeWork:
     def test_each_batch_measures_its_distances_once(self, monkeypatch):
         """One a1 probe of 8 candidates: every batch the rollout steps
         through (the start batch and the one each batched step makes) gets
-        one pairwise table and one surface distance per obstacle, shared by
-        the repulsion and the failure check."""
+        one pairwise table and one surface-distance pass over all its
+        obstacles, shared by the repulsion and the failure check."""
         scn = a1_navigate()
         sim = scn.build_simulation(seed=0, record_trace=False)
         params = scn.fuzz_params()
@@ -311,6 +311,7 @@ class TestProbeWork:
                                   sim.spec.safe_distance)
         assert len(points) == 8
         counts = {"steps": 0, "pairwise": 0, "surface": 0}
+        in_obstacle_pass = []
 
         def counted(name, fn, batched):
             def wrapper(*args):
@@ -319,14 +320,27 @@ class TestProbeWork:
                 return fn(*args)
             return wrapper
 
+        def obstacle_pass(fn):
+            def wrapper(*args):
+                in_obstacle_pass.append(fn)
+                try:
+                    return fn(*args)
+                finally:
+                    in_obstacle_pass.pop()
+            return wrapper
+
         # scalar worlds measure (M, d) points and (M, M, d) pairs; a batch
-        # measures (B, S, d) points and (B, S, M, d) pairs
-        monkeypatch.setattr(Obstacle, "surface_distances", counted(
-            "surface", Obstacle.surface_distances,
-            lambda args: args[1].ndim == 3))
+        # measures (B, S, d) points and (B, S, M, d) pairs, and its
+        # (B, S, O, d) obstacle vectors inside the obstacle kernels
+        monkeypatch.setattr(Obstacles, "surface_distances", obstacle_pass(
+            counted("surface", Obstacles.surface_distances,
+                    lambda args: args[1].ndim == 3)))
+        monkeypatch.setattr(Obstacles, "outward_directions", obstacle_pass(
+            Obstacles.outward_directions))
         for module in (world, controllers, fuzzing):
             monkeypatch.setattr(module, "row_norms", counted(
-                "pairwise", world.row_norms, lambda args: args[0].ndim == 4))
+                "pairwise", world.row_norms, lambda args:
+                args[0].ndim == 4 and not in_obstacle_pass))
         monkeypatch.setattr(
             controllers.ApfNavigationController, "commands_rows", counted(
                 "steps", controllers.ApfNavigationController.commands_rows,
@@ -338,4 +352,30 @@ class TestProbeWork:
         batches = counts["steps"] + 1
         assert counts["steps"] >= params.lookahead // 2
         assert counts["pairwise"] == batches
-        assert counts["surface"] == len(sim.world.obstacles) * batches
+        assert counts["surface"] == batches
+
+    def test_main_steps_and_a_probe_stack_the_obstacles_once(self,
+                                                             monkeypatch):
+        """Every world, batch and layout of a simulation shares the
+        obstacle stack its first world built."""
+        stacked = []
+        new = Obstacles.__new__
+
+        def counted(cls, obstacles=()):
+            if type(obstacles) is not Obstacles:
+                stacked.append(obstacles)
+            return new(cls, obstacles)
+
+        monkeypatch.setattr(Obstacles, "__new__", counted)
+        scn = a1_navigate()
+        sim = scn.build_simulation(seed=0, record_trace=True)
+        for _ in range(20):
+            sim.step()
+        sim.trace.robustness    # the traced steps, scored as one batch
+        target = sim.world.swarm()[0]
+        points = spawn_candidates(target, sim.world, scn.spawn_geometry(),
+                                  sim.spec.safe_distance)
+        lookahead_score(sim, np.array(points), target.id, scn.fuzz_params())
+        monkeypatch.undo()
+        assert len(stacked) == 1
+        assert sim.world.obstacles is sim.trace.snapshots[0].obstacles

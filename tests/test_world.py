@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from litelfuzz.world import (AgentState, Distances, FailureKind, InvalidState,
-                             MissionSpec, Obstacle, WorldState, clamp_norm,
-                             clamp_norms, detect_failure, integrate_step,
+                             MissionSpec, Obstacle, Obstacles, WorldState,
+                             clamp_norm, clamp_norms, detect_failure,
+                             integrate_rows, integrate_step,
                              min_obstacle_distance, norm, row_norms)
 
 
@@ -89,12 +90,61 @@ class TestObstacle:
         # grid values put points on faces, edges, centres and inside
         dim = len(obs.center if obs.kind == "circle" else obs.lo)
         points = np.array(values[:6 * dim]).reshape(2, 3, dim)
-        distances = obs.surface_distances(points)
-        directions = obs.outward_directions(points)
+        distances = Obstacles([obs]).surface_distances(points)[..., 0]
+        directions = Obstacles([obs]).outward_directions(points)[..., 0, :]
         for index in np.ndindex(2, 3):
             assert distances[index] == obs.surface_distance(points[index])
             assert (directions[index]
                     == obs.outward_direction(points[index])).all()
+
+    @given(st.integers(2, 3), st.data())
+    def test_stacked_kernel_equals_scalar_forms(self, dim, data):
+        """A mixed set of circles and boxes, measured in one pass, equals
+        each obstacle's scalar form at every point."""
+        grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        vector = st.lists(grid | st.floats(-2, 2), min_size=dim,
+                          max_size=dim).map(np.array)
+        circle = st.builds(Obstacle.circle, vector,
+                           st.sampled_from([0.5, 1.0]) | st.floats(0.1, 2))
+        box = st.builds(lambda lo, size: Obstacle.box(lo, lo + size), vector,
+                        st.sampled_from([0.5, 1.0]) | st.floats(0.1, 2))
+        obstacles = data.draw(st.lists(circle | box, max_size=4))
+        # points on the grid land inside boxes, on their faces and at
+        # circle centres
+        points = np.array(data.draw(st.lists(vector, min_size=1,
+                                             max_size=5)))[None]
+        stack = Obstacles(obstacles)
+        distances = stack.surface_distances(points)
+        assert distances.shape == (1, len(points[0]), len(obstacles))
+        if obstacles:
+            directions = stack.outward_directions(points)
+            assert directions.shape == distances.shape + (dim,)
+        for n, p in enumerate(points[0]):
+            for o, obs in enumerate(obstacles):
+                assert distances[0, n, o] == obs.surface_distance(p)
+                assert (directions[0, n, o]
+                        == obs.outward_direction(p)).all()
+
+    def test_stacked_kernel_edge_points(self):
+        box = Obstacle.box([0.0, 0.0, 0.0], [1.0, 2.0, 1.0])
+        circle = Obstacle.circle([3.0, 0.0, 0.0], 1.0)
+        stack = Obstacles([circle, box])
+        # at the circle's centre, inside the box, on a box face
+        points = np.array([[3.0, 0.0, 0.0], [0.5, 1.75, 0.5],
+                           [1.0, 1.0, 0.5]])
+        distances = stack.surface_distances(points)
+        directions = stack.outward_directions(points)
+        assert distances[0, 0] == -1.0
+        assert distances[1, 1] == box.surface_distance(points[1]) == -0.25
+        assert distances[2, 1] == box.surface_distance(points[2]) == 0.0
+        assert directions[0, 0].tolist() == [1.0, 0.0, 0.0]
+        assert directions[1, 1].tolist() == [0.0, 1.0, 0.0]
+        assert directions[2, 1].tolist() == [1.0, 0.0, 0.0]
+        for n, p in enumerate(points):
+            for o, obs in enumerate(stack):
+                assert distances[n, o] == obs.surface_distance(p)
+                assert (directions[n, o] == obs.outward_direction(p)).all()
+        assert Obstacles().surface_distances(points).shape == (3, 0)
 
     def test_circle_signed_distance(self):
         obs = Obstacle.circle([1.0, 1.0], 0.5)
@@ -158,6 +208,35 @@ class TestIntegrateStep:
         np.testing.assert_allclose(nxt.acceleration, dv / spec.dt)
         np.testing.assert_allclose(nxt.position,
                                    agent.position + nxt.velocity * spec.dt)
+
+    @given(st.integers(2, 3), st.integers(1, 4), st.data())
+    def test_rows_with_column_limits_equal_integrate_step(self, dim, size,
+                                                           data):
+        """Every column of a batch steps as ``integrate_step`` under its own
+        limits; the last column stands for an attacker with other limits."""
+        component = st.sampled_from([0.0, -0.0]) | st.floats(-20, 20)
+        vectors = st.lists(st.lists(component, min_size=dim, max_size=dim),
+                           min_size=size, max_size=size)
+        position, velocity, command = (
+            np.array(data.draw(st.lists(vectors, min_size=2, max_size=2)))
+            for _ in range(3))
+        swarm = make_spec(v_max=data.draw(st.floats(0.1, 5)),
+                          a_max=data.draw(st.floats(0.1, 50)))
+        attacker = make_spec(v_max=data.draw(st.floats(0.1, 10)),
+                             a_max=data.draw(st.floats(0.1, 100)))
+        specs = [swarm] * (size - 1) + [attacker]
+        pos, vel, acc = integrate_rows(
+            position, velocity, command,
+            np.array([s.v_max for s in specs]),
+            np.array([s.a_max for s in specs]), swarm.dt)
+        for b, k in np.ndindex(2, size):
+            want = integrate_step(AgentState(k, position[b, k],
+                                             velocity[b, k],
+                                             np.zeros(dim), 1.0),
+                                  command[b, k], specs[k])
+            assert (pos[b, k] == want.position).all()
+            assert (vel[b, k] == want.velocity).all()
+            assert (acc[b, k] == want.acceleration).all()
 
     def test_reaches_command_when_within_caps(self):
         spec = make_spec()
