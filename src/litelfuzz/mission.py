@@ -74,7 +74,6 @@ class Trace:
         self._records: list[RobustnessRecord] = []
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
-        # the fixed swarm, then an attacker column
         self._layout = RowsLayout(first.swarm() + [AgentState(
             ATTACKER_ID, None, None, None, 1.0, ROLE_ATTACKER)],
             first.obstacles, first.leader_waypoints)

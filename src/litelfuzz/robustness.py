@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -240,8 +241,9 @@ def violations_rows(records: list[RobustnessRecord],
     of each (agent, constraint) pair over the ``records`` of one swarm, in
     that order: a counted raw margin <= 0, boundary inclusive."""
     ids = [entry.agent_id for entry in records[0].per_agent] if records else []
-    raw = np.array([[entry.raw for entry in record.per_agent]
-                    for record in records]).reshape(len(records), len(ids), 5)
+    raw = np.fromiter(chain.from_iterable(
+        entry.raw for record in records for entry in record.per_agent),
+        float, 5 * len(ids) * len(records)).reshape(len(records), len(ids), 5)
     counted = params.counted
     # C order: record, then agent (sorted by id), then constraint
     n, agent, k = (raw[..., counted] <= 0.0).nonzero()
