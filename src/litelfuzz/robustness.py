@@ -237,9 +237,9 @@ def swarm_robustness(world: WorldState,
 
 def violations_rows(records: list[RobustnessRecord],
                     params: ConstraintParams) -> list[tuple[int, int, int]]:
-    """(record index, agent_id, constraint_number) of the first violation
-    of each (agent, constraint) pair over the ``records`` of one swarm, in
-    that order: a counted raw margin <= 0, boundary inclusive."""
+    """The first violation, a counted raw margin <= 0, of each (agent,
+    constraint) pair over the ``records`` of one swarm, as (record index,
+    agent_id, constraint_number) tuples sorted on those fields in order."""
     ids = [entry.agent_id for entry in records[0].per_agent] if records else []
     raw = np.fromiter(chain.from_iterable(
         entry.raw for record in records for entry in record.per_agent),
