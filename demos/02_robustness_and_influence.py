@@ -13,8 +13,7 @@ import argparse
 
 import numpy as np
 
-from litelfuzz import (a1_navigate, build_influence_graph, key_node_sequence,
-                       swarm_robustness)
+from litelfuzz import a1_navigate, build_influence_graph, key_node_sequence
 
 MARGIN_NAMES = ["obstacle", "speed", "accel", "formation", "progress"]
 
@@ -31,7 +30,7 @@ def main() -> None:
     for _ in range(args.steps):
         sim.step()
 
-    record = swarm_robustness(sim.world, sim.histories, sim.cparams)
+    record = sim.trace.robustness[-1]   # the record of sim.world
     print(f"{scenario.name} @ step {sim.world.step_index}")
     print(f"swarm robustness {record.swarm:.3f}, "
           f"min margin {record.min_margin:.3f}\n")

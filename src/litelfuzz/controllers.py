@@ -8,11 +8,11 @@ controller for area search. Controllers keep their mutable state out of
 ``update`` is called once per world step by the mission loop.
 
 Each controller also has array forms (``*_rows``) of ``update``,
-``commands``, ``goal_for`` and ``mission_complete`` that act on a
-:class:`WorldRows` batch, with the mutable state held per row as a tuple
-of arrays (see ``row_state``). Row by row they compute exactly what the
-scalar forms compute: the lookahead steps all spawn candidates of an epoch
-this way. They read two things the batch holds. Its distance table
+``commands`` and ``mission_complete`` that act on a :class:`WorldRows`
+batch, with the mutable state held per row as a tuple of arrays (see
+``row_state``). Row by row they compute exactly what the scalar forms
+compute: the lookahead steps all spawn candidates of an epoch this way.
+They read two things the batch holds. Its distance table
 (``WorldRows.distances``) is built once per batch: in a probe, the failure
 check of the rows a step produced builds it and the next step's commands
 read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
@@ -20,6 +20,9 @@ columns, the masks, the waypoint array and, in ``derived``, the
 navigator's formation offsets once per probe, and every step's batch
 shares it. The layout's :class:`Obstacles` stack gives every obstacle's
 surface distance and outward direction in one pass each.
+
+A controller states its goals once, as ``goal_rows`` over (B, S, d)
+swarm positions; the main mission step calls it on a batch of one row.
 
 The dispersal controller's ``update`` and ``commands`` are its array forms
 on the world as a batch of one row (``WorldState.rows``), which the world
@@ -226,9 +229,6 @@ class ApfNavigationController:
                 return False
         return True
 
-    def goal_for(self, world: WorldState, agent_id: int, spec: MissionSpec):
-        return spec.goal
-
     # -- array forms over WorldRows; the per-row state is (waypoint_index,)
 
     def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
@@ -302,9 +302,10 @@ class ApfNavigationController:
         rep = _repulsion_rows(rows, self.influence_radius, self.repulsion_gain)
         return clamp_norms(pull + rep, spec.v_max)
 
-    def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
-        """Goals of the swarm columns, broadcastable to (B, S, d): the (d,)
-        array ``spec.goal``, every agent's goal."""
+    def goal_rows(self, state, pos: np.ndarray,
+                  spec: MissionSpec) -> np.ndarray:
+        """Goals of the swarm at positions ``pos`` (B, S, d), broadcastable
+        to its shape: the (d,) array ``spec.goal``, every agent's goal."""
         return spec.goal
 
     def mission_complete_rows(self, state, rows: WorldRows,
@@ -387,18 +388,6 @@ class DispersalSearchController:
 
     def mission_complete(self, world: WorldState, spec: MissionSpec) -> bool:
         return bool(self.found) and all(self.found)
-
-    def goal_for(self, world: WorldState, agent_id: int, spec: MissionSpec):
-        agent = world.agent(agent_id)
-        best = None
-        best_d = math.inf
-        for k, target in enumerate(self.targets):
-            if self.found[k]:
-                continue
-            d = norm(agent.position - target)
-            if d < best_d:
-                best, best_d = target, d
-        return best
 
     # -- array forms over WorldRows; the per-row state is (visits, found)
 
@@ -485,10 +474,11 @@ class DispersalSearchController:
         drift = _attraction_rows(pos, drift_target, spec.v_max, self.cell_size)
         return clamp_norms(cmd + self.explore_weight * drift, spec.v_max)
 
-    def goal_rows(self, state, rows: WorldRows, spec: MissionSpec) -> np.ndarray:
-        """(B, S, d) goals of the swarm columns; NaN stands for no goal."""
+    def goal_rows(self, state, pos: np.ndarray,
+                  spec: MissionSpec) -> np.ndarray:
+        """(B, S, d) goals of the swarm at positions ``pos``: each agent's
+        nearest target not yet found, NaN once every target is found."""
         visits, found = state
-        pos = rows.position[:, rows.layout.swarm]
         if not self.targets:
             return np.full(pos.shape, np.nan)
         d = np.where(found[:, None], np.inf, self._target_distances(pos))

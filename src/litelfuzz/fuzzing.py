@@ -29,7 +29,6 @@ from .influence import build_influence_graph, key_node_sequence
 from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
                       Simulation)
 from .planner import Infeasible, plan_path
-from .robustness import goal_windows
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, RowsLayout,
                     WorldRows, clamp_norm, clamp_norms, failed_rows,
                     integrate_rows, norm, row_norms)
@@ -270,7 +269,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     The probes of one epoch start from the same world and differ only in
     the attacker, so they are stepped together as the rows of a
     :class:`WorldRows` batch, with the controller state, goal-distance
-    log and outcome kept per row. A row that fails or completes the
+    windows and outcome kept per row. A row that fails or completes the
     mission is scored then and leaves the batch. ``target_id`` must name a
     swarm agent, and ``params.lookahead`` must be at least 1.
     """
@@ -326,15 +325,12 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     state = controller.row_state(count)
     live = np.arange(count)     # candidate index of each row still stepping
     steps = probe.step_index
-    # goal distance of every swarm agent per batched step; NaN: no goal
-    goal_log = np.empty((params.lookahead - 1, count, size))
-    # the histories every row starts from, as goal-distance windows
-    start = goal_windows(layout, probe.histories)
-    width = probe.cparams.window + 1
+    # every row's goal-distance windows, shifted as the main step's are
+    windows = np.broadcast_to(probe.windows, (count,) + probe.windows.shape)
     scores = [math.inf] * count
 
-    def finish(rows: WorldRows, ended: np.ndarray, failed: np.ndarray,
-               logged: int) -> None:
+    def finish(rows: WorldRows, windows: np.ndarray, ended: np.ndarray,
+               failed: np.ndarray) -> None:
         """Score the rows that end at this step: a failed row by the step
         of its failure, the others by one batched robustness pass."""
         for k in np.flatnonzero(ended & failed):
@@ -342,19 +338,15 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         scored = ended & ~failed
         if not scored.any():
             return
-        log = goal_log[:logged, live[scored]].transpose(1, 2, 0)
-        windows = np.concatenate(
-            [np.broadcast_to(start, log.shape[:2] + start.shape[1:]), log],
-            axis=2)[..., -width:]
-        records = probe.robustness_rows(rows.select(scored), windows)
+        records = probe.robustness_rows(rows.select(scored), windows[scored])
         for row, record in zip(live[scored], records):
             scores[row] = record.swarm
 
     if probe.done:
-        finish(rows, np.ones(count, bool),
-               np.full(count, probe.failure_kind is not None), 0)
+        finish(rows, windows, np.ones(count, bool),
+               np.full(count, probe.failure_kind is not None))
         return scores
-    for logged in range(1, params.lookahead):
+    for _ in range(1, params.lookahead):
         attacker_command, approach = _attacker_command(
             rows.position[:, -1], rows.position[:, target_col],
             rows.velocity[:, target_col], attack, approach, spec.dt, params)
@@ -366,20 +358,19 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         rows = WorldRows(layout, *integrate_rows(
             rows.position, rows.velocity, commands, v_max, a_max, spec.dt))
         steps += 1
-        goal_log[logged - 1, live] = row_norms(
-            rows.position[:, :size] - controller.goal_rows(state, rows, spec))
+        windows = probe.shifted_windows(windows, state,
+                                        rows.position[:, :size])
         failed = failed_rows(rows, steps, spec)
         ended = failed | controller.mission_complete_rows(state, rows, spec)
         if ended.any():
-            finish(rows, ended, failed, logged)
+            finish(rows, windows, ended, failed)
             keep = ~ended
-            live, rows = live[keep], rows.select(keep)
+            live, rows, windows = live[keep], rows.select(keep), windows[keep]
             state = tuple(a[keep] for a in state)
             attack, approach = attack[keep], approach[keep]
             if not live.size:
                 return scores
-    finish(rows, np.ones(len(live), bool), np.zeros(len(live), bool),
-           params.lookahead - 1)
+    finish(rows, windows, np.ones(len(live), bool), np.zeros(len(live), bool))
     return scores
 
 

@@ -1,17 +1,18 @@
 """Mission execution: the deterministic world-stepping loop.
 
-A :class:`Simulation` owns one world plus its controller. A traced run
-keeps every world it steps through and each step's goal distances on its
-:class:`Trace`, which scores all the steps not yet scored in one batched
-pass when its robustness records or its events are first read. Each step
-then has one record, and a violation event marks the first time each
-(agent, constraint) pair is violated. An untraced run only keeps the
-goal-distance histories, from which :meth:`Simulation.robustness` gives
-the current step's record on demand, and emits no violation events.
-Worlds and histories are never mutated, so a trace snapshot is the world
-itself and a clone starts from the same world and histories as its
-original. Simulations are cheap to clone, which the fuzzer uses for
-lookahead scoring on throwaway copies.
+A :class:`Simulation` owns one world plus its controller, and the
+swarm's goal distances over the last ``window + 1`` steps as one (S, W)
+array, :attr:`Simulation.windows`. A traced run keeps every world it
+steps through and each step's window on its :class:`Trace`, which scores
+all the steps not yet scored in one batched pass when its robustness
+records or its events are first read. Each step then has one record, and
+a violation event marks the first time each (agent, constraint) pair is
+violated. An untraced run keeps only the current window, from which
+:meth:`Simulation.robustness_rows` scores a world on demand, and emits no
+violation events. Worlds and windows are never mutated, so a trace
+snapshot is the world itself and a clone starts from the same world and
+windows as its original. Simulations are cheap to clone, which the fuzzer
+uses for lookahead scoring on throwaway copies.
 """
 from __future__ import annotations
 
@@ -22,16 +23,14 @@ from operator import itemgetter
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Every record of a traced run and of a probe is scored through this name,
 # a batch of worlds at a time, so that one span can time the kernel.
 from .robustness import robustness_rows as swarm_robustness
-from .robustness import (ConstraintParams, RobustnessRecord, goal_history,
-                         goal_windows, violations_rows)
+from .robustness import ConstraintParams, RobustnessRecord, violations_rows
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, InvalidState,
                     MissionSpec, RowsLayout, WorldRows, WorldState,
-                    detect_failure, integrate_rows, integrate_step, norm)
+                    detect_failure, integrate_rows, integrate_step, row_norms)
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_FAILURE = "Failure"
@@ -68,8 +67,8 @@ class Trace:
         self.cparams = cparams
         # events other than violations, in the order they were emitted
         self.notes: list[tuple[int, str]] = []
-        # per recorded step, each swarm agent's goal distance (NaN: none)
-        self._goals: list[list[float]] = []
+        # per recorded step, the swarm's (S, W) goal-distance window
+        self._windows: list[np.ndarray] = []
         self._kinematics: list[tuple[np.ndarray, ...]] = []
         self._records: list[RobustnessRecord] = []
         self._violations: list[tuple[int, str]] = []
@@ -78,12 +77,13 @@ class Trace:
             ATTACKER_ID, None, None, None, 1.0, ROLE_ATTACKER)],
             first.obstacles, first.leader_waypoints)
 
-    def record(self, world: WorldState, goal_distances: list[float],
+    def record(self, world: WorldState, windows: np.ndarray,
                kinematics: tuple[np.ndarray, ...]) -> None:
-        """Keep a step's world, its swarm's goal distances and kinematics:
-        the swarm's (S, d), then the attacker's (d,) pos, vel and acc."""
+        """Keep a step's world, its swarm's goal-distance windows and
+        kinematics: the swarm's (S, d), then the attacker's (d,) pos, vel
+        and acc."""
         self.snapshots.append(world)
-        self._goals.append(goal_distances)
+        self._windows.append(windows)
         self._kinematics.append(kinematics)
 
     @property
@@ -102,20 +102,12 @@ class Trace:
         pending = self.snapshots[done + 1:]
         if not pending:
             return
-        size = len(self._layout.agents) - 1
         fields = [np.stack(f) for f in zip(*self._kinematics[done:])]
         rows = WorldRows(self._layout, *(
             np.concatenate([swarm, attacker[:, None]], axis=1)
             for swarm, attacker in zip(fields[:3], fields[3:])))
-        # step k's window holds goal distances k - window .. k, NaN before
-        # the first step, the same as an empty history
-        width = self.cparams.window + 1
-        start = max(done - width + 1, 0)
-        log = np.array(self._goals[start:], dtype=float)
-        padded = np.concatenate(
-            [np.full((width - 1 - done + start, size), math.nan), log])
-        windows = sliding_window_view(padded, width, axis=0)
-        records = swarm_robustness(rows, windows, self.cparams)
+        records = swarm_robustness(rows, np.stack(self._windows[done:]),
+                                   self.cparams)
         for n, agent, constraint in violations_rows(records, self.cparams):
             if (agent, constraint) not in self._seen:
                 self._seen.add((agent, constraint))
@@ -128,10 +120,12 @@ class Trace:
 class Simulation:
     """Deterministic discrete-time execution of one mission.
 
-    With ``record_trace`` every step's world and goal distances go to
-    :attr:`trace`, which scores them and emits the violation events when
-    read. Without it only the goal-distance :attr:`histories` are kept,
-    and no violation events are emitted.
+    :attr:`windows` holds each swarm agent's goal distances over the last
+    ``window + 1`` steps, oldest first: (S, W), NaN for a step without a
+    goal or before the first. With ``record_trace`` every step's world and
+    windows go to :attr:`trace`, which scores them and emits the violation
+    events when read. Without it only the current windows are kept, and no
+    violation events are emitted.
     """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
@@ -144,8 +138,9 @@ class Simulation:
         # the mission spec with the attacker's speed and acceleration limits
         self.attacker_spec = replace(spec, v_max=attacker_v_max,
                                      a_max=attacker_a_max)
-        # swarm agent id -> goal distances, replaced (never changed) each step
-        self.histories: dict[int, tuple[float, ...]] = {}
+        # replaced (never changed) each step
+        self.windows = np.full((len(world.swarm()),
+                                constraint_params.window + 1), math.nan)
         self.trace = Trace(world, constraint_params) if record_trace else None
         self._notes: list[tuple[int, str]] = \
             self.trace.notes if self.trace is not None else []
@@ -157,24 +152,16 @@ class Simulation:
         sim = Simulation(self.world, self.controller.clone(), self.spec,
                          self.cparams, self.attacker_spec.v_max,
                          self.attacker_spec.a_max, record_trace=False)
-        sim.histories = self.histories
+        sim.windows = self.windows
         sim.outcome = self.outcome
         sim.failure_kind = self.failure_kind
         return sim
 
-    def robustness(self, world: WorldState,
-                   histories: dict[int, tuple[float, ...]]) -> RobustnessRecord:
-        """Robustness of ``world`` with goal-distance ``histories`` under
-        this mission's constraint parameters."""
-        rows = world.rows()
-        return self.robustness_rows(
-            rows, goal_windows(rows.layout, histories)[None])[0]
-
     def robustness_rows(self, rows: WorldRows,
                         windows: np.ndarray) -> list[RobustnessRecord]:
         """The record of every row of ``rows`` with goal-distance
-        ``windows``, as :func:`~litelfuzz.robustness.robustness_rows`
-        lays them out, under this mission's constraint parameters."""
+        ``windows`` (N, S, W), as :attr:`windows` lays out each row's,
+        under this mission's constraint parameters."""
         return swarm_robustness(rows, windows, self.cparams)
 
     @property
@@ -251,20 +238,21 @@ class Simulation:
             else np.zeros_like(attacker.position)
         return [integrate_step(attacker, cmd, self.attacker_spec)]
 
+    def shifted_windows(self, windows: np.ndarray, state,
+                        pos: np.ndarray) -> np.ndarray:
+        """(B, S, W) goal-distance ``windows`` one step on: the oldest
+        distance dropped and the distance of the swarm at ``pos`` (B, S, d)
+        to its goal under controller row ``state`` added, NaN without one."""
+        goals = self.controller.goal_rows(state, pos, self.spec)
+        return np.concatenate([windows[..., 1:],
+                               row_norms(pos - goals)[..., None]], axis=-1)
+
     def _record_step(self, kinematics: tuple[np.ndarray, ...]) -> None:
-        histories = {}
-        distances = []
-        for agent in self.world.swarm():
-            goal = self.controller.goal_for(self.world, agent.id, self.spec)
-            distance = math.nan if goal is None \
-                else norm(agent.position - goal)
-            histories[agent.id] = goal_history(
-                self.histories.get(agent.id, ()), (distance,),
-                self.cparams.window)
-            distances.append(distance)
-        self.histories = histories
+        self.windows = self.shifted_windows(
+            self.windows[None], self.controller.row_state(1),
+            kinematics[0][None])[0]
         if self.trace is not None:
-            self.trace.record(self.world, distances, kinematics)
+            self.trace.record(self.world, self.windows, kinematics)
 
     def _check_outcome(self) -> None:
         failure = detect_failure(self.world, self.spec)

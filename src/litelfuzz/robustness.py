@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .world import RowsLayout, WorldRows, WorldState, row_norms
+from .world import WorldRows, WorldState, row_norms
 
 @dataclass
 class ConstraintParams:
@@ -138,38 +138,6 @@ def _progress(windows: np.ndarray, params: ConstraintParams):
             np.where(some, _clamp_unit(best / full), 1.0))
 
 
-def goal_history(history: Sequence[float],
-                 distances: Iterable[float | None],
-                 window: int) -> tuple[float, ...]:
-    """``history`` after each of ``distances`` in turn, one per step.
-
-    A distance is appended and the last ``window + 1`` are kept; a missing
-    one (None or NaN: the agent has no goal) clears the history instead.
-    """
-    kept = list(history)
-    for d in distances:
-        if d is None or math.isnan(d):
-            kept = []
-        else:
-            kept.append(d)
-    return tuple(kept[-(window + 1):])
-
-
-def goal_windows(layout: RowsLayout,
-                 histories: dict[int, Sequence[float] | None]) -> np.ndarray:
-    """The goal-distance ``histories`` (agent id -> distances, oldest first;
-    absent or None: no goal) of the swarm columns of ``layout``, as one
-    (S, W) array for :func:`robustness_rows`: each history ends in the last
-    column, with NaN before it."""
-    kept = [histories.get(layout.agents[k].id) for k in layout.swarm_columns]
-    kept = [() if h is None else h for h in kept]
-    out = np.full((len(kept), 1 + max(map(len, kept), default=0)), math.nan)
-    for n, history in enumerate(kept):
-        if len(history):
-            out[n, -len(history):] = history
-    return out
-
-
 def robustness_rows(rows: WorldRows, windows: np.ndarray,
                     params: ConstraintParams) -> list[RobustnessRecord]:
     """The robustness record of every row of ``rows``, in one pass.
@@ -177,9 +145,9 @@ def robustness_rows(rows: WorldRows, windows: np.ndarray,
     The rows are N worlds of one swarm: ``rows.position``, ``velocity``
     and ``acceleration`` are (N, M, d), and a column whose position is NaN
     (an attacker absent from that world) is no agent there. ``windows`` is
-    (N, S, W): the goal distances of each swarm column, oldest first, as
-    :func:`goal_windows` lays them out, where a NaN entry is a step
-    without a goal, which clears the entries before it. Per-agent entries
+    (N, S, W): the goal distances of each swarm column, oldest first,
+    where a NaN entry is a step without a goal (or before the first),
+    which clears the entries before it. Per-agent entries
     are sorted by agent id, and each record equals, with ``==``, the one
     the margins give agent by agent, summed with the builtin ``sum``.
     """
@@ -228,11 +196,21 @@ def robustness_rows(rows: WorldRows, windows: np.ndarray,
 def swarm_robustness(world: WorldState,
                      goal_distance_histories: dict[int, Sequence[float]],
                      params: ConstraintParams) -> RobustnessRecord:
-    """The record of one world: :func:`robustness_rows` of its one row."""
+    """The record of one world: :func:`robustness_rows` of its one row.
+
+    ``goal_distance_histories`` maps an agent id to its goal distances,
+    oldest first; an absent or None one is no goal. Each becomes its
+    agent's window, ending in the last column with NaN before it."""
     rows = world.rows()
-    return robustness_rows(
-        rows, goal_windows(rows.layout, goal_distance_histories)[None],
-        params)[0]
+    layout = rows.layout
+    kept = [goal_distance_histories.get(layout.agents[k].id)
+            for k in layout.swarm_columns]
+    kept = [() if h is None else h for h in kept]
+    width = 1 + max(map(len, kept), default=0)
+    windows = np.full((1, len(kept), width), math.nan)
+    for n, history in enumerate(kept):
+        windows[0, n, width - len(history):] = history
+    return robustness_rows(rows, windows, params)[0]
 
 
 def violations_rows(records: list[RobustnessRecord],

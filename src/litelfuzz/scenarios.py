@@ -29,7 +29,7 @@ from .fuzzing import FuzzParams, SpawnGeometry
 from .mission import ATTACKER_ID, Simulation
 from .robustness import ConstraintParams
 from .world import (ROLE_LEADER, SWARM_ROLES, AgentState, MissionSpec,
-                    Obstacle, WorldState)
+                    Obstacle, WorldState, norm)
 
 
 class ScenarioError(ValueError):
@@ -308,6 +308,15 @@ class ScenarioConfig:
                     f"agents[{k}]: apf_navigate requires formation_offset_m")
         if apf and not self.leader_waypoints:
             raise ScenarioError("apf_navigate requires leader_waypoints_m")
+        # a mission that can never complete would only ever time out
+        if apf and norm(self.goal - self.leader_waypoints[-1]) \
+                > self.goal_tolerance:
+            raise ScenarioError(
+                "apf_navigate requires goal_m within goal_tolerance_m of the "
+                "last leader_waypoints_m entry, where the leader parks")
+        if not apf and not self.search.get("targets_m"):
+            raise ScenarioError("search: dispersal_search requires at least "
+                                "one entry in targets_m")
         for context, build in [("scenario", self.mission_spec),
                                ("apf" if apf else "search",
                                 self.build_controller),

@@ -66,6 +66,16 @@ def test_missing_search_key_exits_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_search_without_targets_exits_2(tmp_path, capsys):
+    data = a2_search().to_dict()
+    data["search"]["targets_m"] = []
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--executions", "1", "--budget", "1"]) == 2
+    assert "search: dispersal_search requires at least one entry in " \
+        "targets_m" in capsys.readouterr().err
+
+
 def test_untyped_lookahead_exits_2(tmp_path, capsys):
     data = a1_navigate().to_dict()
     data["fuzz"]["lookahead_steps"] = None

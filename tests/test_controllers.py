@@ -121,11 +121,13 @@ class TestApfNavigation:
         world = leader_world(leader_pos=(4.0, 0.0), follower_pos=(3.7, 0.0))
         assert not ctl.mission_complete(world, spec)  # waypoint_index still 0
 
-    def test_goal_for_is_mission_goal(self):
+    def test_goal_rows_is_mission_goal(self):
         ctl = apf()
         spec = make_spec()
-        world = leader_world()
-        np.testing.assert_allclose(ctl.goal_for(world, 1, spec), spec.goal)
+        pos = np.array([[a.position for a in leader_world().swarm()]])
+        goals = ctl.goal_rows(ctl.row_state(1), pos, spec)
+        np.testing.assert_array_equal(np.broadcast_to(goals, pos.shape),
+                                      [[spec.goal, spec.goal]])
 
 
 def search_controller(**overrides):
@@ -170,14 +172,20 @@ class TestDispersalSearch:
         cmds = ctl.commands(world, spec)
         assert cmds[0][0] > 0.0
 
-    def test_goal_for_nearest_unfound_target(self):
+    def test_goal_rows_nearest_unfound_target(self):
         ctl = search_controller()
         spec = make_spec()
-        world = WorldState(0, [make_agent([7.0, 7.5], agent_id=0,
-                                          role="searcher")], [])
-        np.testing.assert_allclose(ctl.goal_for(world, 0, spec), [8.0, 8.0])
+        pos = np.array([[[7.0, 7.5], [1.0, 6.0]]])
+        np.testing.assert_array_equal(
+            ctl.goal_rows(ctl.row_state(1), pos, spec),
+            [[[8.0, 8.0], [2.0, 7.0]]])
+        ctl.found = [False, True]
+        np.testing.assert_array_equal(
+            ctl.goal_rows(ctl.row_state(1), pos, spec),
+            [[[8.0, 8.0], [8.0, 8.0]]])
         ctl.found = [True, True]
-        assert ctl.goal_for(world, 0, spec) is None
+        goals = ctl.goal_rows(ctl.row_state(1), pos, spec)
+        assert goals.shape == pos.shape and np.isnan(goals).all()
 
     def test_clone_is_independent(self):
         ctl = search_controller()

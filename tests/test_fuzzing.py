@@ -242,7 +242,8 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
         return _FAILURE_SCORE_BASE + probe.step_index
     if sim.done:
         return math.inf     # a finished mission never stepped: no record
-    return probe.robustness(probe.world, probe.histories).swarm
+    return probe.robustness_rows(probe.world.rows(),
+                                 probe.windows[None])[0].swarm
 
 
 class TestBatchedLookahead:

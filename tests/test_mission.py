@@ -6,7 +6,7 @@ from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, Simulation,
                                run_mission)
 from litelfuzz.scenarios import a1_navigate, a2_search
-from litelfuzz.world import AgentState, InvalidState, WorldState
+from litelfuzz.world import AgentState, InvalidState, WorldState, norm
 
 
 def snapshot_bytes(trace):
@@ -118,12 +118,25 @@ class TestRecording:
         tags = [m for _, m in sim.events if m.startswith("violation")]
         assert len(tags) == len(set(tags))
 
-    def test_histories_trimmed_to_window(self):
+    def test_windows_hold_the_last_window_steps(self):
         sim = a1_navigate().build_simulation(seed=0)
-        for _ in range(sim.cparams.window + 10):
+        width = sim.cparams.window + 1
+        size = len(sim.world.swarm())
+        assert sim.windows.shape == (size, width)
+        assert np.isnan(sim.windows).all()
+        distances = []
+        for _ in range(width + 10):
+            before = sim.windows
+            kept = before.copy()
             sim.step()
-        for history in sim.histories.values():
-            assert len(history) <= sim.cparams.window + 1
+            distances.append([norm(a.position - sim.spec.goal)
+                              for a in sim.world.swarm()])
+            # replaced, never changed, and shifted by one step
+            np.testing.assert_array_equal(before, kept)
+            np.testing.assert_array_equal(sim.windows[:, :-1], before[:, 1:])
+            assert sim.windows.shape == (size, width)
+        np.testing.assert_array_equal(sim.windows,
+                                      np.array(distances[-width:]).T)
 
     def test_robustness_recorded_per_step(self):
         trace = run_mission(a1_navigate(), seed=0)
@@ -132,12 +145,12 @@ class TestRecording:
 
 
 class TestLazyRobustness:
-    """An untraced run keeps only the goal-distance histories; the record
+    """An untraced run keeps only the goal-distance windows; the record
     computed from them on demand equals the one a traced run records."""
 
     def test_fresh_untraced_simulation_has_no_record(self):
         sim = a1_navigate().build_simulation(seed=0, record_trace=False)
-        assert sim.trace is None and sim.histories == {}
+        assert sim.trace is None and np.isnan(sim.windows).all()
 
     @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
     def test_lazy_record_equals_eager_record(self, scenario):
@@ -158,8 +171,9 @@ class TestLazyRobustness:
         for action in actions:
             traced.step(action)
             lazy.step(action)
-            assert lazy.robustness(lazy.world, lazy.histories) \
-                == traced.trace.robustness[-1]
+            assert lazy.robustness_rows(lazy.world.rows(),
+                                        lazy.windows[None]) \
+                == traced.trace.robustness[-1:]
             if traced.done:
                 break
         assert lazy.outcome == traced.outcome

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from litelfuzz.robustness import (AgentRobustness, ConstraintParams,
                                   RobustnessRecord, constraint_violations,
-                                  goal_history, margin_formation,
+                                  margin_formation,
                                   margin_kinematics, margin_progress,
                                   margin_safe_distance, robustness_rows,
                                   swarm_robustness)
@@ -69,6 +69,14 @@ def individual_robustness(agent_id, world, goal_distance_history, params):
         individual += r4
     return AgentRobustness(agent_id, (raw1, raw2, raw3, raw4, raw5),
                            (r1, r2, r3, r4, r5), float(individual))
+
+
+def goal_history(history, distance, window):
+    """``history`` after one step's goal ``distance``: appended, keeping the
+    last ``window + 1``, or cleared when missing (None or NaN: no goal)."""
+    if distance is None or math.isnan(distance):
+        return ()
+    return (tuple(history) + (distance,))[-(window + 1):]
 
 
 def scalar_swarm_robustness(world, goal_distance_histories, params):
@@ -163,23 +171,30 @@ class TestProgressMargin:
         with pytest.raises(ValueError):
             margin_progress([1.0], PARAMS)
 
-    def test_history_keeps_window_and_clears_without_goal(self):
-        assert goal_history((1.0, 2.0), [3.0], window=1) == (2.0, 3.0)
-        assert goal_history((1.0,), [2.0, None, 3.0], window=5) == (3.0,)
-        assert goal_history((1.0,), [2.0, math.nan], window=5) == ()
-
-    @given(st.lists(st.floats(0.0, 5.0), max_size=8),
-           st.lists(st.one_of(st.none(), st.just(math.nan),
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.just(math.nan),
                               st.floats(0.0, 5.0)), max_size=30),
            st.integers(1, 6))
-    def test_history_one_step_at_a_time_equals_whole_log(self, start, log,
-                                                          window):
-        # the main step applies the rule per step, a probe's final scoring
-        # to its whole log of goal distances
-        history = goal_history(start, [], window)
+    @example([1.0, 2.0, 3.0], 1)
+    @example([1.0, 2.0, None, 3.0, 2.5], 5)
+    @example([1.0, 2.0, math.nan], 5)
+    def test_shifted_window_equals_trimmed_history(self, log, window):
+        # a simulation shifts each step's goal distance (NaN: no goal) into
+        # a fixed-width window; the scalar oracle keeps the trimmed history
+        params = dataclasses.replace(PARAMS, window=window)
+        world = WorldState(0, [make_agent([0.0, 0.0])], [])
+        windows = np.full((1, window + 1), math.nan)
+        history = ()
         for distance in log:
-            history = goal_history(history, [distance], window)
-        assert history == goal_history(start, log, window)
+            entry = math.nan if distance is None else distance
+            windows = np.concatenate([windows[:, 1:], [[entry]]], axis=1)
+            history = goal_history(history, distance, window)
+            assert len(history) <= window + 1
+            (got,) = robustness_rows(world.rows(), windows[None],
+                                     params)[0].per_agent
+            expected = individual_robustness(0, world, history, params)
+            assert (got.raw[4], got.normalized[4]) \
+                == (expected.raw[4], expected.normalized[4])
 
 
 # -- sign soundness over randomized states -----------------------------------

@@ -87,6 +87,26 @@ class TestStrictParsing:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
 
+    def test_goal_off_the_last_waypoint_rejected(self):
+        # the leader parks at its last waypoint, so the mission could never
+        # complete; a goal exactly goal_tolerance_m away still loads
+        data = self.base()
+        data["leader_waypoints_m"][-1] = [4.0, 0.0]
+        data["goal_tolerance_m"] = 0.05
+        data["goal_m"] = [4.0, 0.05]
+        scenario_from_dict(data)
+        for goal in ([4.0, 0.06], [9.0, 0.0]):
+            data["goal_m"] = goal
+            with pytest.raises(ScenarioError, match="goal_tolerance_m of the "
+                               "last leader_waypoints_m"):
+                scenario_from_dict(data)
+
+    def test_search_without_targets_rejected(self):
+        data = a2_search().to_dict()
+        data["search"]["targets_m"] = []
+        with pytest.raises(ScenarioError, match="^search: .*targets_m"):
+            scenario_from_dict(data)
+
     def test_validation_collision_vs_safe_distance(self):
         data = self.base()
         data["collision_radius_m"] = data["safe_distance_m"] + 0.1
