@@ -196,6 +196,56 @@ class TestProgressMargin:
             assert (got.raw[4], got.normalized[4]) \
                 == (expected.raw[4], expected.normalized[4])
 
+    @staticmethod
+    def _shift_log(log, window):
+        """A one-agent (1, window + 1) window after shifting in each of
+        ``log``'s goal distances (None or NaN: no goal) in turn."""
+        windows = np.full((1, window + 1), math.nan)
+        for distance in log:
+            entry = math.nan if distance is None else distance
+            windows = np.concatenate([windows[:, 1:], [[entry]]], axis=1)
+        return windows
+
+    def _progress(self, windows, window):
+        params = dataclasses.replace(PARAMS, window=window)
+        world = WorldState(0, [make_agent([0.0, 0.0])], [])
+        (got,) = robustness_rows(world.rows(), windows[None],
+                                 params)[0].per_agent
+        return got.raw[4], got.normalized[4]
+
+    def test_history_keeps_window_and_clears_without_goal(self):
+        full = (PARAMS.v_max * PARAMS.dt, 1.0)
+        # only the last window + 1 distances count: 1.0 -> 2.0 is dropped
+        windows = self._shift_log([1.0, 2.0, 3.0], window=1)
+        np.testing.assert_array_equal(windows, [[2.0, 3.0]])
+        assert self._progress(windows, 1)[0] == pytest.approx(-1.0)
+        # a step without a goal breaks the history; later steps start over
+        windows = self._shift_log([1.0, 2.0, None, 3.0, 2.5], window=5)
+        assert self._progress(windows, 5)[0] == pytest.approx(0.5)
+        # the latest step without a goal gives the full progress margin
+        assert self._progress(self._shift_log([1.0, 2.0, math.nan], 5),
+                              5) == full
+        assert self._progress(self._shift_log([], 5), 5) == full
+
+    @given(st.lists(st.one_of(st.none(), st.just(math.nan),
+                              st.floats(0.0, 5.0)), max_size=30),
+           st.integers(1, 6))
+    def test_history_one_step_at_a_time_equals_whole_log(self, log, window):
+        # the main step shifts the window one distance at a time; its margin
+        # must be that of the history cut from the whole log at once: the
+        # distances after the last missing one, the last window + 1 of them
+        padded = [math.nan] * (window + 1) + [
+            math.nan if d is None else d for d in log]
+        windows = self._shift_log(log, window)
+        np.testing.assert_array_equal(windows[0], padded[-(window + 1):])
+        gaps = [k for k, d in enumerate(padded) if math.isnan(d)]
+        history = tuple(padded[gaps[-1] + 1:])[-(window + 1):]
+        params = dataclasses.replace(PARAMS, window=window)
+        world = WorldState(0, [make_agent([0.0, 0.0])], [])
+        expected = individual_robustness(0, world, history, params)
+        assert self._progress(windows, window) \
+            == (expected.raw[4], expected.normalized[4])
+
 
 # -- sign soundness over randomized states -----------------------------------
 
