@@ -365,6 +365,7 @@ class DispersalSearchController:
             self.visits = np.zeros(shape, dtype=np.int64)
         if not self.found:
             self.found = [False] * len(self.targets)
+        self._targets = np.asarray(self.targets, dtype=float)   # (K, d)
 
     def clone(self) -> "DispersalSearchController":
         return replace(self, visits=self.visits.copy(), found=list(self.found))
@@ -392,8 +393,13 @@ class DispersalSearchController:
     # -- array forms over WorldRows; the per-row state is (visits, found)
 
     def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
-        return (np.repeat(self.visits[None], rows, axis=0),
-                np.tile(np.array(self.found, dtype=bool), (rows, 1)))
+        """Read-only views: no array form writes a state in place. One row
+        is a plain view, which costs less than ``np.broadcast_to``."""
+        state = self.visits[None], np.array(self.found, dtype=bool)[None]
+        for a in state:
+            a.flags.writeable = False
+        return state if rows == 1 else tuple(
+            np.broadcast_to(a, (rows,) + a.shape[1:]) for a in state)
 
     def _cells_rows(self, position: np.ndarray) -> np.ndarray:
         """The visit-grid cell of every point: integer indices (..., d)."""
@@ -402,7 +408,7 @@ class DispersalSearchController:
 
     def _target_distances(self, position: np.ndarray) -> np.ndarray:
         """(B, S, K) distances from swarm points (B, S, d) to the targets."""
-        return row_norms(position[:, :, None] - np.asarray(self.targets))
+        return row_norms(position[:, :, None] - self._targets)
 
     def update_rows(self, state, rows: WorldRows, spec: MissionSpec):
         visits, found = state
@@ -482,7 +488,7 @@ class DispersalSearchController:
         if not self.targets:
             return np.full(pos.shape, np.nan)
         d = np.where(found[:, None], np.inf, self._target_distances(pos))
-        goals = np.asarray(self.targets)[np.argmin(d, axis=-1)]
+        goals = self._targets[np.argmin(d, axis=-1)]
         return np.where(found.all(axis=1)[:, None, None], np.nan, goals)
 
     def mission_complete_rows(self, state, rows: WorldRows,

@@ -26,12 +26,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .influence import build_influence_graph, key_node_sequence
-from .mission import (ATTACKER_ID, OUTCOME_SWARM_SECURE, AttackerAction,
-                      Simulation)
+from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, Simulation,
+                      attacker_agent)
 from .planner import Infeasible, plan_path
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, RowsLayout,
-                    WorldRows, clamp_norm, clamp_norms, failed_rows,
-                    integrate_rows, norm, row_norms)
+                    WorldRows, clamp_norms, failed_rows, integrate_rows, norm,
+                    row_norms)
 
 SCHEMES = ("sa", "ma", "random", "target_only")
 
@@ -156,57 +156,11 @@ def spawn_candidates(target: AgentState, world, geom: SpawnGeometry,
     return candidates
 
 
-def _standoff_point(target_position: np.ndarray, approach_from: np.ndarray,
-                    standoff: float) -> np.ndarray:
-    away = approach_from - target_position
-    n = norm(away)
-    if n < 1e-12:
-        away = np.zeros_like(target_position)
-        away[0] = 1.0
-        n = 1.0
-    return target_position + away * (standoff / n)
-
-
-def _pursuit_command(attacker: AgentState, target: AgentState,
-                     standoff: float, v_max: float, dt: float,
-                     a_max: float) -> np.ndarray:
-    """Track the standoff point with target-velocity feedforward.
-
-    Pure proportional pursuit equilibrates short of the standoff point
-    against a fleeing target, so the target's velocity is added to keep
-    station during a chase. Two guards prevent discrete-time overshoot
-    through the target: the radial closing speed is capped by the braking
-    ramp the attacker's acceleration limit allows, and the predicted
-    next-step separation is held at a fraction of the standoff distance.
-    """
-    desired = _standoff_point(target.position, attacker.position, standoff)
-    cmd = clamp_norm(target.velocity + (desired - attacker.position) / dt, v_max)
-    floor = 0.75 * standoff
-    gap = attacker.position - target.position
-    dist = norm(gap)
-    if dist > 1e-12:
-        inward = -gap / dist
-        rel = cmd - target.velocity
-        closing = float(np.dot(rel, inward))
-        allowed = math.sqrt(2.0 * a_max * max(dist - floor, 0.0))
-        if closing > allowed:
-            rel = rel - inward * (closing - allowed)
-            cmd = clamp_norm(target.velocity + rel, v_max)
-    predicted_target = target.position + target.velocity * dt
-    predicted_gap = attacker.position + cmd * dt - predicted_target
-    gap_norm = norm(predicted_gap)
-    if gap_norm < floor:
-        direction = predicted_gap / gap_norm if gap_norm > 1e-12 else \
-            _standoff_point(np.zeros_like(cmd), attacker.position - target.position, 1.0)
-        held = predicted_target + direction * floor
-        cmd = clamp_norm((held - attacker.position) / dt, v_max)
-    return cmd
-
-
 def _standoff_points(target_position: np.ndarray, away: np.ndarray,
                      n: np.ndarray, standoff: float) -> np.ndarray:
-    """:func:`_standoff_point` of every row, given ``away``, which is
-    ``approach_from - target_position``, and its :func:`row_norms` ``n``."""
+    """Each row's point ``standoff`` from ``target_position`` toward
+    ``away`` (``approach_from - target_position``), given its
+    :func:`row_norms` ``n``; toward the first axis where ``n`` is ~0."""
     tiny = n < 1e-12
     if np.count_nonzero(tiny):
         away = np.where(tiny[:, None],
@@ -219,7 +173,11 @@ def _standoff_points(target_position: np.ndarray, away: np.ndarray,
 def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
                       target_velocity: np.ndarray, standoff: float,
                       v_max: float, dt: float, a_max: float) -> np.ndarray:
-    """:func:`_pursuit_command` of every row; positions and velocities (B, d)."""
+    """Each row's command tracking its standoff point, with the target's
+    velocity fed forward to keep station in a chase; positions and
+    velocities (B, d). Two guards stop a discrete step overshooting the
+    target: the closing speed is capped by the braking ramp ``a_max``
+    allows, and the predicted gap is held at 0.75 ``standoff``."""
     gap = attacker - target
     dist = row_norms(gap)
     desired = _standoff_points(target, gap, dist, standoff)
@@ -292,13 +250,9 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         att_pos, att_vel, att_acc = integrate_rows(
             att_pos, np.broadcast_to(attacker.velocity, attack.shape),
             command, params.attacker_v_max, params.attacker_a_max, spec.dt)
-        intruder = AgentState(attacker.id, None, None, None,
-                              attacker.sensing_radius, ROLE_ATTACKER)
     else:
         att_pos, att_vel, att_acc = attack, np.zeros_like(attack), \
             np.zeros_like(attack)
-        intruder = AgentState(ATTACKER_ID, None, None, None, 1.0,
-                              ROLE_ATTACKER)
     # The first step moves the swarm alike in every row: its commands read
     # the pre-step world, and failure, completion and goal distances never
     # read the attacker. One scalar step without the attacker stands in.
@@ -312,7 +266,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
                                attacker_rows[:, None]], axis=1)
 
     # the layout, and what it resolves, serves every step of the probe
-    layout = RowsLayout(swarm + [intruder], probe.world.obstacles,
+    layout = RowsLayout(swarm + [attacker_agent()], probe.world.obstacles,
                         probe.world.leader_waypoints)
     rows = WorldRows(layout, stacked("position", att_pos),
                      stacked("velocity", att_vel),
@@ -376,25 +330,30 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
 
 def _attacker_command(position, target, target_velocity, candidates,
                       approach, dt: float, params: FuzzParams):
-    """The command of every row's attacker for one probe step: approach the
+    """The command of every row's attacker for one step: approach the
     candidate while more than one step away, then pursue the target.
     Returns the commands and the rows still approaching."""
     v_max, a_max = params.attacker_v_max, params.attacker_a_max
     approaching = np.count_nonzero(approach)
     if approaching:
-        delta = candidates - position
-        approach = approach & (row_norms(delta) > v_max * dt)
+        cmd, far = _approach_commands(position, candidates, dt, v_max)
+        approach = approach & far
         approaching = np.count_nonzero(approach)
     if not approaching:
         cmd = _pursuit_commands(position, target, target_velocity,
                                 params.standoff, v_max, dt, a_max)
-    else:
-        cmd = clamp_norms(delta / dt, v_max)
-        if approaching < len(approach):     # else no row pursues yet
-            cmd = np.where(approach[:, None], cmd, _pursuit_commands(
-                position, target, target_velocity, params.standoff, v_max,
-                dt, a_max))
+    elif approaching < len(approach):     # else no row pursues yet
+        cmd = np.where(approach[:, None], cmd, _pursuit_commands(
+            position, target, target_velocity, params.standoff, v_max, dt,
+            a_max))
     return cmd, approach
+
+
+def _approach_commands(position, waypoint, dt: float, v_max: float):
+    """The command flying each row's attacker (B, d) straight at its
+    waypoint, and whether that is still more than one step away."""
+    delta = waypoint - position
+    return clamp_norms(delta / dt, v_max), row_norms(delta) > v_max * dt
 
 
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
@@ -488,7 +447,8 @@ class _FuzzDriver:
     the warm-up, then per epoch the test case's selection, its realization
     and the settle pursuit, then the withdrawal once the budget is spent.
     An attacker touching a swarm agent invalidates the test case, and the
-    sequence restarts with a forced epoch.
+    sequence restarts with a forced epoch. The attacker flies and pursues
+    by a probe's kernels, on one row, so it moves as it was forecast to.
     """
 
     def __init__(self, sim: Simulation, scheme: str, geom: SpawnGeometry,
@@ -560,11 +520,8 @@ class _FuzzDriver:
             # the attacker materializes at the scored position and starts
             # pursuing immediately -- exactly the lookahead realization
             if attacker is None:
-                dim = len(tc.attack_position)
-                yield AttackerAction(spawn=AgentState(
-                    ATTACKER_ID, tc.attack_position.copy(), np.zeros(dim),
-                    np.zeros(dim), sensing_radius=self.geom.inner_radius,
-                    role=ROLE_ATTACKER))
+                yield AttackerAction(
+                    spawn=attacker_agent(tc.attack_position.copy()))
             else:
                 yield AttackerAction(teleport=tc.attack_position.copy())
             yield from self._pursue(settle - 1)
@@ -609,31 +566,33 @@ class _FuzzDriver:
         yield from self._pursue(self.params.settle_steps - 1)
 
     def _fly(self, path: list[np.ndarray]) -> _Actions:
-        """Commands toward the next waypoint still more than a step away."""
+        """Approach each waypoint of ``path[1:]`` in turn, as a probe row
+        approaches its candidate: one :func:`_approach_commands` row, whose
+        command is flown while the waypoint is more than a step away."""
         dt, v_max = self.sim.spec.dt, self.params.attacker_v_max
-        index = 1
-        while True:
-            position = self.sim.attacker().position
-            while index < len(path) and \
-                    norm(path[index] - position) <= v_max * dt:
-                index += 1
-            if index >= len(path):
-                return
-            yield AttackerAction(
-                command=clamp_norm((path[index] - position) / dt, v_max))
+        for waypoint in path[1:]:
+            while True:
+                cmd, far = _approach_commands(
+                    self.sim.attacker().position[None], waypoint[None], dt,
+                    v_max)
+                if not far[0]:
+                    break
+                yield AttackerAction(command=cmd[0])
 
     def _pursue(self, steps: int) -> _Actions:
-        """``steps`` commands keeping station on the last test case's target."""
+        """``steps`` commands keeping station on the last test case's
+        target: one :func:`_pursuit_commands` row, as a probe row pursues."""
+        params = self.params
         for _ in range(steps):
             if not self.test_cases:
                 yield AttackerAction()
                 continue
             attacker = self.sim.attacker()
             target = self.sim.world.agent(self.test_cases[-1].target_id)
-            yield AttackerAction(command=_pursuit_command(
-                attacker, target, self.params.standoff,
-                self.params.attacker_v_max, self.sim.spec.dt,
-                self.params.attacker_a_max))
+            yield AttackerAction(command=_pursuit_commands(
+                attacker.position[None], target.position[None],
+                target.velocity[None], params.standoff, params.attacker_v_max,
+                self.sim.spec.dt, params.attacker_a_max)[0])
 
 
 def check_run(scheme: str, budget: Optional[int]) -> None:

@@ -39,6 +39,14 @@ OUTCOME_SWARM_SECURE = "SwarmSecure"
 ATTACKER_ID = 1000
 
 
+def attacker_agent(position: np.ndarray | None = None) -> AgentState:
+    """The attacker at rest at ``position``, or a :class:`RowsLayout`
+    column without kinematics. Nothing reads its nominal sensing radius."""
+    rest = [None if position is None else np.zeros_like(position)
+            for _ in range(2)]
+    return AgentState(ATTACKER_ID, position, *rest, 1.0, ROLE_ATTACKER)
+
+
 @dataclass
 class AttackerAction:
     """Per-step attacker directive applied by the simulation."""
@@ -73,9 +81,8 @@ class Trace:
         self._records: list[RobustnessRecord] = []
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
-        self._layout = RowsLayout(first.swarm() + [AgentState(
-            ATTACKER_ID, None, None, None, 1.0, ROLE_ATTACKER)],
-            first.obstacles, first.leader_waypoints)
+        self._layout = RowsLayout(first.swarm() + [attacker_agent()],
+                                  first.obstacles, first.leader_waypoints)
 
     def record(self, world: WorldState, windows: np.ndarray,
                kinematics: tuple[np.ndarray, ...]) -> None:

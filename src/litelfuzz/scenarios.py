@@ -273,10 +273,12 @@ class ScenarioConfig:
                                      kind="number", least=0.0)
     agents: list[AgentConfig] = _field(kind="agents")
     name: str = _field("unnamed", kind="text")
-    timeout_multiplier: float = _field(2.0, kind="number", least=1.0)
-    formation_constraint_enabled: bool = _field(True, kind="choice",
-                                                choices=(True, False))
-    progress_window: int = _field(20, key="progress_window_steps",
+    timeout_multiplier: float = _field(MissionSpec.timeout_multiplier,
+                                       kind="number", least=1.0)
+    formation_constraint_enabled: bool = _field(
+        MissionSpec.formation_enabled, kind="choice", choices=(True, False))
+    progress_window: int = _field(ConstraintParams.window,
+                                  key="progress_window_steps",
                                   kind="integer", least=1)
     start_jitter: float = _field(0.0, key="start_jitter_m", kind="number",
                                  least=0.0)

@@ -241,14 +241,6 @@ class Distances:
         return Distances(column, row_norms(pos[:, None] - pos[None]).tolist(),
                          world.obstacles.surface_distances(pos).tolist())
 
-    def without(self, col: int) -> "Distances":
-        """The table of the world without the agent in column ``col``."""
-        return Distances(
-            {i: k - (k > col) for i, k in self.column.items() if k != col},
-            [row[:col] + row[col + 1:]
-             for k, row in enumerate(self.agents) if k != col],
-            self.obstacles[:col] + self.obstacles[col + 1:])
-
 
 @dataclass
 class WorldState:
@@ -258,9 +250,7 @@ class WorldState:
     new world. That makes it safe to share a world between simulations
     and trace snapshots, and to cache its :class:`Distances` and its
     batch of one row, which :meth:`distances` and :meth:`rows` build on
-    first use. :meth:`without` returns a new world; once this world's
-    table is built, the new one derives its table from it by dropping the
-    removed agent's row and column.
+    first use. :meth:`without` returns a new world, which builds its own.
     """
 
     step_index: int
@@ -303,16 +293,9 @@ class WorldState:
         return [a for a in self.agents if a.role == ROLE_ATTACKER]
 
     def without(self, agent_id: int) -> "WorldState":
-        world = WorldState(self.step_index,
-                           [a for a in self.agents if a.id != agent_id],
-                           self.obstacles, self.leader_waypoints)
-        # every entry is computed per pair or per agent, so the derived
-        # table equals a fresh one
-        if self._distances is not None \
-                and len(world.agents) == len(self.agents) - 1:
-            world._distances = self._distances.without(
-                self._distances.column[agent_id])
-        return world
+        return WorldState(self.step_index,
+                          [a for a in self.agents if a.id != agent_id],
+                          self.obstacles, self.leader_waypoints)
 
 
 def _index(columns: list[int]) -> slice | list[int]:

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from litelfuzz import controllers, fuzzing, world
 from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
-                               SpawnGeometry, _pursuit_command,
+                               SpawnGeometry, _FuzzDriver, _pursuit_commands,
                                lookahead_score, random_target, run_fuzzing,
                                spawn_candidates)
-from litelfuzz.mission import ATTACKER_ID, AttackerAction
+from litelfuzz.mission import ATTACKER_ID, AttackerAction, attacker_agent
+from litelfuzz.planner import plan_path
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, Obstacles,
                              WorldState, clamp_norm, norm)
@@ -102,12 +104,66 @@ class TestSpawnGeometry:
             assert p[2] == pytest.approx(1.0)
 
 
+def _standoff_point(target_position, approach_from, standoff):
+    away = approach_from - target_position
+    n = norm(away)
+    if n < 1e-12:
+        away = np.zeros_like(target_position)
+        away[0] = 1.0
+        n = 1.0
+    return target_position + away * (standoff / n)
+
+
+def pursuit_oracle(attacker, target, standoff, v_max, dt, a_max):
+    """The pursuit rule of one attacker, step by step in scalar form: the
+    oracle of ``fuzzing._pursuit_commands``."""
+    desired = _standoff_point(target.position, attacker.position, standoff)
+    cmd = clamp_norm(target.velocity + (desired - attacker.position) / dt,
+                     v_max)
+    floor = 0.75 * standoff
+    gap = attacker.position - target.position
+    dist = norm(gap)
+    if dist > 1e-12:
+        inward = -gap / dist
+        rel = cmd - target.velocity
+        closing = float(np.dot(rel, inward))
+        allowed = math.sqrt(2.0 * a_max * max(dist - floor, 0.0))
+        if closing > allowed:
+            rel = rel - inward * (closing - allowed)
+            cmd = clamp_norm(target.velocity + rel, v_max)
+    predicted_target = target.position + target.velocity * dt
+    predicted_gap = attacker.position + cmd * dt - predicted_target
+    gap_norm = norm(predicted_gap)
+    if gap_norm < floor:
+        direction = predicted_gap / gap_norm if gap_norm > 1e-12 else \
+            _standoff_point(np.zeros_like(cmd), gap, 1.0)
+        held = predicted_target + direction * floor
+        cmd = clamp_norm((held - attacker.position) / dt, v_max)
+    return cmd
+
+
+def pursue(attacker, target, **limits):
+    """The command the run gives ``attacker``: one row of the kernel."""
+    return _pursuit_commands(attacker.position[None], target.position[None],
+                             target.velocity[None], **limits)[0]
+
+
+def _pursuits(dims):
+    """Rows of (attacker, target position, target velocity), an attacker
+    sometimes on its target, and the shared limits."""
+    vec = st.lists(st.floats(-2.0, 2.0), min_size=dims, max_size=dims)
+    row = st.tuples(st.one_of(st.none(), vec), vec, vec)
+    return st.tuples(st.lists(row, min_size=1, max_size=6),
+                     st.floats(0.01, 0.5), st.floats(0.5, 4.0),
+                     st.floats(0.01, 0.2), st.floats(1.0, 60.0))
+
+
 class TestPursuitCommand:
     def test_speed_capped(self):
         attacker = make_agent([1.0, 0.0], agent_id=9, role="attacker")
         target = make_agent([0.0, 0.0], agent_id=0)
-        cmd = _pursuit_command(attacker, target, standoff=0.1, v_max=3.0,
-                               dt=0.05, a_max=30.0)
+        cmd = pursue(attacker, target, standoff=0.1, v_max=3.0, dt=0.05,
+                     a_max=30.0)
         assert np.linalg.norm(cmd) <= 3.0 + 1e-9
 
     def test_predicted_gap_keeps_floor(self):
@@ -118,8 +174,8 @@ class TestPursuitCommand:
                                   role="attacker")
             attacker.velocity = rng.uniform(-3, 3, 2)
             target.velocity = rng.uniform(-1.5, 1.5, 2)
-            cmd = _pursuit_command(attacker, target, standoff=0.08, v_max=3.0,
-                                   dt=0.05, a_max=30.0)
+            cmd = pursue(attacker, target, standoff=0.08, v_max=3.0,
+                         dt=0.05, a_max=30.0)
             predicted_gap = np.linalg.norm(
                 attacker.position + cmd * 0.05
                 - (target.position + target.velocity * 0.05))
@@ -129,11 +185,78 @@ class TestPursuitCommand:
         attacker = make_agent([0.2, 0.0], agent_id=9, role="attacker")
         target = make_agent([0.0, 0.0], agent_id=0)
         a_max = 10.0
-        cmd = _pursuit_command(attacker, target, standoff=0.08, v_max=3.0,
-                               dt=0.05, a_max=a_max)
+        cmd = pursue(attacker, target, standoff=0.08, v_max=3.0, dt=0.05,
+                     a_max=a_max)
         closing = float(np.dot(cmd - target.velocity, [-1.0, 0.0]))
         allowed = math.sqrt(2.0 * a_max * (0.2 - 0.06))
         assert closing <= allowed + 1e-9
+
+    # the braking ramp and the standoff floor at once
+    @example(case=([([0.2, 0.0], [0.0, 0.0], [0.0, 0.0])], 0.08, 3.0, 0.05,
+                   10.0))
+    # the attacker on its target
+    @example(case=([(None, [0.5, -1.0], [1.0, 0.5])], 0.08, 3.0, 0.05, 30.0))
+    # braking, then a predicted gap of exactly 0: the floor's direction
+    # falls back to the attacker's side of the target
+    @example(case=([([0.25, 0.0], [0.0, 0.0], [6.0, 0.0])], 0.5, 2.0,
+                   0.0625, 30.0))
+    @given(case=st.integers(2, 3).flatmap(_pursuits))
+    def test_each_row_equals_the_scalar_rule(self, case):
+        """Every row of the kernel, alone (B = 1) and among the others,
+        equals the scalar rule bit for bit."""
+        rows, standoff, v_max, dt, a_max = case
+        limits = dict(standoff=standoff, v_max=v_max, dt=dt, a_max=a_max)
+        agents = []
+        for offset, position, velocity in rows:
+            target = make_agent(position)
+            target.velocity = np.array(velocity)
+            # None: the attacker on its target
+            attacker = make_agent(position if offset is None else
+                                  np.add(position, offset), agent_id=9,
+                                  role="attacker")
+            agents.append((attacker, target))
+        attackers, targets = zip(*agents)
+        batch = _pursuit_commands(np.array([a.position for a in attackers]),
+                                  np.array([t.position for t in targets]),
+                                  np.array([t.velocity for t in targets]),
+                                  **limits)
+        for (attacker, target), row in zip(agents, batch):
+            want = pursuit_oracle(attacker, target, **limits)
+            assert row.tobytes() == want.tobytes()
+            assert pursue(attacker, target, **limits).tobytes() \
+                == want.tobytes()
+
+
+class TestFlight:
+    def test_driver_flies_a_planned_path_by_the_scalar_rule(self):
+        """A continuation flight round an a1 wall: at every step the
+        driver's command is the scalar approach rule's, which skips each
+        waypoint within one step and flies at the next at most v_max."""
+        scn = a1_navigate()
+        sim = scn.build_simulation(seed=0, record_trace=False)
+        params = scn.fuzz_params()
+        for _ in range(params.warmup_steps):
+            sim.step()
+        sim.step(AttackerAction(spawn=attacker_agent(np.array([1.2, 1.1]))))
+        path = plan_path(sim.attacker().position, np.array([2.8, 1.1]),
+                         sim.world, clearance=sim.spec.safe_distance)
+        assert len(path) >= 3       # at least one via point round the wall
+        driver = _FuzzDriver(sim, "sa", scn.spawn_geometry(), params, None,
+                             np.random.default_rng(0))
+        dt, v_max = sim.spec.dt, params.attacker_v_max
+        index, steps = 1, 0
+        for action in driver._fly(path):
+            position = sim.attacker().position
+            while norm(path[index] - position) <= v_max * dt:
+                index += 1
+            want = clamp_norm((path[index] - position) / dt, v_max)
+            assert action.command.tobytes() == want.tobytes()
+            sim.step(action)
+            steps += 1
+            assert not sim.done
+        # the flight ends once the last waypoint is within a step
+        assert norm(path[-1] - sim.attacker().position) <= v_max * dt
+        assert index == len(path) - 1 and steps > len(path)
 
 
 class TestSchemes:
@@ -234,9 +357,9 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
                              params.attacker_v_max)
         else:
             approaching = False
-            cmd = _pursuit_command(attacker, target, params.standoff,
-                                   params.attacker_v_max, probe.spec.dt,
-                                   params.attacker_a_max)
+            cmd = pursuit_oracle(attacker, target, params.standoff,
+                                 params.attacker_v_max, probe.spec.dt,
+                                 params.attacker_a_max)
         probe.step(AttackerAction(command=cmd))
     if probe.failure_kind is not None:
         return _FAILURE_SCORE_BASE + probe.step_index

@@ -359,7 +359,8 @@ class TestDistances:
         table = world.distances()
         for a in world.agents:
             derived = world.without(a.id)
-            assert derived._distances is not None     # derived, not built
+            assert [b.id for b in derived.agents] \
+                == [b.id for b in world.agents if b.id != a.id]
             _assert_same_tables(derived.distances(), Distances.of(derived))
         assert world.distances() is table
 
@@ -375,8 +376,8 @@ class TestDistances:
             derived = derived.without(second)
             assert len(derived.agents) == 1
             _assert_same_tables(derived.distances(), Distances.of(derived))
-        # an id the world lacks: the copy builds its own table
-        assert world.without(7)._distances is None
+        # an id the world lacks: a copy with every agent
+        assert [a.id for a in world.without(7).agents] == [0, 1, 1000]
 
 
 def _assert_same_tables(got: Distances, want: Distances) -> None:
