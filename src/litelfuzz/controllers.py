@@ -12,6 +12,8 @@ Each controller also has array forms (``*_rows``) of ``update``,
 batch, with the mutable state held per row as a tuple of arrays (see
 ``row_state``). Row by row they compute exactly what the scalar forms
 compute: the lookahead steps all spawn candidates of an epoch this way.
+``adopt_row``, the inverse of ``row_state(1)``, sets the controller to one
+row's state, so that the mission step can adopt a step a probe computed.
 They read two things the batch holds. Its distance table
 (``WorldRows.distances``) is built once per batch: in a probe, the failure
 check of the rows a step produced builds it and the next step's commands
@@ -234,6 +236,11 @@ class ApfNavigationController:
     def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
         return (np.full(rows, self.waypoint_index),)
 
+    def adopt_row(self, state) -> None:
+        """Take the state of a one-row ``state``: the inverse of
+        ``row_state(1)``."""
+        self.waypoint_index = int(state[0][0])
+
     def _offsets_rows(self, layout: RowsLayout) -> np.ndarray:
         """The followers' formation offsets (F, d), resolved once per
         layout."""
@@ -400,6 +407,13 @@ class DispersalSearchController:
             a.flags.writeable = False
         return state if rows == 1 else tuple(
             np.broadcast_to(a, (rows,) + a.shape[1:]) for a in state)
+
+    def adopt_row(self, state) -> None:
+        """Take the state of a one-row ``state``: the inverse of
+        ``row_state(1)``. The visit grid is copied, so it is never a
+        read-only view or a view into a batch."""
+        visits, found = state
+        self.visits, self.found = visits[0].copy(), found[0].tolist()
 
     def _cells_rows(self, position: np.ndarray) -> np.ndarray:
         """The visit-grid cell of every point: integer indices (..., d)."""

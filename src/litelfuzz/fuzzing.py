@@ -26,8 +26,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .influence import build_influence_graph, key_node_sequence
-from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, Simulation,
-                      attacker_agent)
+from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, ForecastStep,
+                      Simulation, attacker_agent)
 from .planner import Infeasible, plan_path
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, RowsLayout,
                     WorldRows, clamp_norms, failed_rows, integrate_rows, norm,
@@ -210,9 +210,35 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
                     clamp_norms((held - attacker) / dt, v_max), cmd)
 
 
+class ProbeScores(list):
+    """The B scores of a probe, as a list, and the steps it simulated:
+    :meth:`forecast` copies one row's."""
+
+    def __init__(self, scores: list[float]):
+        super().__init__(scores)
+        # per step: the candidate index of each row still stepping, their
+        # controller row state, swarm (B, S, d) kinematics and attacker
+        # (B, d) commands (None on the step that places the attacker)
+        self.steps: list[tuple] = []
+
+    def forecast(self, row: int) -> list[ForecastStep]:
+        """Copies of the steps of candidate ``row``, up to the one where it
+        left the batch; they share no array with the batch."""
+        forecast = []
+        for live, state, kinematics, command in self.steps:
+            k = int(np.searchsorted(live, row))
+            if k == len(live) or live[k] != row:
+                break
+            forecast.append(ForecastStep(
+                tuple(a[k:k + 1].copy() for a in state),
+                tuple(a[k].copy() for a in kinematics),
+                None if command is None else command[k].copy()))
+        return forecast
+
+
 def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
                     params: FuzzParams,
-                    from_current: bool = False) -> list[float]:
+                    from_current: bool = False) -> ProbeScores:
     """Swarm robustness after a short simulated attack via each candidate.
 
     ``candidates`` is a ``(B, d)`` stack; the result holds their B scores.
@@ -230,11 +256,16 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     windows and outcome kept per row. A row that fails or completes the
     mission is scored then and leaves the batch. ``target_id`` must name a
     swarm agent, and ``params.lookahead`` must be at least 1.
+
+    A spawn-style probe also keeps the swarm's half of every step it
+    simulates (:class:`ProbeScores`), so that the run can adopt the chosen
+    row's steps rather than simulate them again.
     """
     if sim.done:
         # a finished mission does not step, and has no record to score
-        return [_FAILURE_SCORE_BASE + sim.step_index
-                if sim.failure_kind is not None else math.inf] * len(candidates)
+        return ProbeScores([_FAILURE_SCORE_BASE + sim.step_index
+                            if sim.failure_kind is not None else math.inf]
+                           * len(candidates))
     spec = sim.spec
     attack = np.asarray(candidates, dtype=float)
     count = len(attack)
@@ -281,7 +312,13 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     steps = probe.step_index
     # every row's goal-distance windows, shifted as the main step's are
     windows = np.broadcast_to(probe.windows, (count,) + probe.windows.shape)
-    scores = [math.inf] * count
+    scores = ProbeScores([math.inf] * count)
+
+    def keep_step(command: np.ndarray | None) -> None:
+        if not from_current:
+            scores.steps.append((live, state, (
+                rows.position[:, :size], rows.velocity[:, :size],
+                rows.acceleration[:, :size]), command))
 
     def finish(rows: WorldRows, windows: np.ndarray, ended: np.ndarray,
                failed: np.ndarray) -> None:
@@ -296,6 +333,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         for row, record in zip(live[scored], records):
             scores[row] = record.swarm
 
+    keep_step(None)
     if probe.done:
         finish(rows, windows, np.ones(count, bool),
                np.full(count, probe.failure_kind is not None))
@@ -312,6 +350,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         rows = WorldRows(layout, *integrate_rows(
             rows.position, rows.velocity, commands, v_max, a_max, spec.dt))
         steps += 1
+        keep_step(attacker_command)
         windows = probe.shifted_windows(windows, state,
                                         rows.position[:, :size])
         failed = failed_rows(rows, steps, spec)
@@ -358,17 +397,22 @@ def _approach_commands(position, waypoint, dt: float, v_max: float):
 
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
                       target_id: int, params: FuzzParams,
-                      from_current: bool = False) -> tuple[np.ndarray, float]:
+                      from_current: bool = False
+                      ) -> tuple[np.ndarray, float, list[ForecastStep]]:
+    """The candidate of lowest score, its score and its forecast (empty
+    unless the probe was spawn-style)."""
     # one call scores the whole stack: lookahead_score is the single entry
     # point of probe scoring, which perfbench traces as one layer
     scores = lookahead_score(sim, np.array(candidates), target_id, params,
                              from_current)
     best = None
     best_score = math.inf
-    for point, score in zip(candidates, scores):  # ties: lowest index
+    for row, score in enumerate(scores):    # ties: lowest index
         if score < best_score:
-            best, best_score = point, score
-    return best, best_score
+            best, best_score = row, score
+    if best is None:
+        return None, best_score, []
+    return candidates[best], best_score, scores.forecast(best)
 
 
 def _make_testcase(sim: Simulation, target_id: int, attack_position: np.ndarray,
@@ -385,14 +429,16 @@ def _key_node(sim: Simulation, params: FuzzParams,
     return key_node_sequence(graph, params.alpha_factor).key_node
 
 
-def _init_test_case(sim: Simulation, geom: SpawnGeometry,
-                    params: FuzzParams) -> TestCase:
-    """Global key node target plus robustness-minimizing spawn point."""
+def _init_test_case(sim: Simulation, geom: SpawnGeometry, params: FuzzParams
+                    ) -> tuple[TestCase, list[ForecastStep]]:
+    """Global key node target plus robustness-minimizing spawn point, and
+    the forecast of the attacker appearing there."""
     target_id = _key_node(sim, params)
     candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
                                   sim.spec.safe_distance)
-    point, score = _argmin_candidate(sim, candidates, target_id, params)
-    return _make_testcase(sim, target_id, point, score)
+    point, score, forecast = _argmin_candidate(sim, candidates, target_id,
+                                               params)
+    return _make_testcase(sim, target_id, point, score), forecast
 
 
 def _sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
@@ -419,8 +465,8 @@ def _sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
                  if norm(p - attacker.position) <= reach]
     if reachable:
         candidates = reachable
-    point, score = _argmin_candidate(sim, candidates, target_id, params,
-                                     from_current=True)
+    point, score, _ = _argmin_candidate(sim, candidates, target_id, params,
+                                        from_current=True)
     return _make_testcase(sim, target_id, point, score)
 
 
@@ -449,6 +495,10 @@ class _FuzzDriver:
     An attacker touching a swarm agent invalidates the test case, and the
     sequence restarts with a forced epoch. The attacker flies and pursues
     by a probe's kernels, on one row, so it moves as it was forecast to.
+    On a spawn or teleport epoch the chosen candidate's forecast already
+    holds those steps: each of the first ``min(settle, forecast length)``
+    actions carries its forecast step and pursuit command, and the run
+    adopts the step (:meth:`Simulation.replay`) instead of simulating it.
     """
 
     def __init__(self, sim: Simulation, scheme: str, geom: SpawnGeometry,
@@ -503,7 +553,7 @@ class _FuzzDriver:
 
     def _epoch(self, forced: bool) -> _Actions:
         try:
-            tc = self._next_testcase(forced)
+            tc, forecast = self._next_testcase(forced)
         except NoValidSpawn:
             # A contact-forced epoch settles at once, without the skip's
             # idle step. The pinned records keep this quirk.
@@ -518,13 +568,20 @@ class _FuzzDriver:
         attacker = self.sim.attacker()
         if attacker is None or self.scheme == "ma" or forced:
             # the attacker materializes at the scored position and starts
-            # pursuing immediately -- exactly the lookahead realization
+            # pursuing immediately -- exactly the lookahead realization,
+            # whose steps are replayed while the forecast lasts
+            replayed = forecast[:max(settle, 1)]
+            first = replayed[0] if replayed else None
             if attacker is None:
                 yield AttackerAction(
-                    spawn=attacker_agent(tc.attack_position.copy()))
+                    spawn=attacker_agent(tc.attack_position.copy()),
+                    forecast=first)
             else:
-                yield AttackerAction(teleport=tc.attack_position.copy())
-            yield from self._pursue(settle - 1)
+                yield AttackerAction(teleport=tc.attack_position.copy(),
+                                     forecast=first)
+            for step in replayed[1:]:
+                yield AttackerAction(command=step.command, forecast=step)
+            yield from self._pursue(settle - max(len(replayed), 1))
             return
         # continuation epoch: fly a clearance-keeping path to the scored
         # attack position, then pursue
@@ -540,23 +597,27 @@ class _FuzzDriver:
         yield from self._fly(path)
         yield from self._pursue(max(settle, 1))
 
-    def _next_testcase(self, forced: bool) -> TestCase:
+    def _next_testcase(self, forced: bool
+                       ) -> tuple[TestCase, list[ForecastStep]]:
+        """The next test case and the forecast of its spawn or teleport,
+        empty when none was probed."""
         if self.scheme == "random":
             # seeded draw order: the target, then the sector
             ids = sorted(a.id for a in self.sim.world.swarm())
             return _uniform_testcase(self.sim, self.geom,
-                                     random_target(self.rng, ids), self.rng)
+                                     random_target(self.rng, ids),
+                                     self.rng), []
         if self.scheme == "target_only":
             # keeps the centrality-chosen target but drops the robustness
             # scoring of attack positions: isolates target selection
             if self.fixed_target is None:
                 self.fixed_target = _key_node(self.sim, self.params)
             return _uniform_testcase(self.sim, self.geom, self.fixed_target,
-                                     self.rng)
+                                     self.rng), []
         if self.scheme == "ma" or forced or not self.test_cases:
             # ma selects globally every epoch: its attacker may teleport
             return _init_test_case(self.sim, self.geom, self.params)
-        return _sa_next_testcase(self.sim, self.geom, self.params)
+        return _sa_next_testcase(self.sim, self.geom, self.params), []
 
     def _skip(self, message: str, idle: bool = True) -> _Actions:
         """A skipped epoch: an idle step, then settling on the last target."""
@@ -612,7 +673,11 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
     driver = _FuzzDriver(sim, scheme, scenario.spawn_geometry(),
                          scenario.fuzz_params(), budget, rng)
     while not sim.done:
-        sim.step(driver.act())
+        action = driver.act()
+        if action is not None and action.forecast is not None:
+            sim.replay(action)
+        else:
+            sim.step(action)
     failed = sim.failure_kind is not None
     return FuzzResult(
         scheme=scheme,

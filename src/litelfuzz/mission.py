@@ -13,6 +13,13 @@ violation events. Worlds and windows are never mutated, so a trace
 snapshot is the world itself and a clone starts from the same world and
 windows as its original. Simulations are cheap to clone, which the fuzzer
 uses for lookahead scoring on throwaway copies.
+
+:meth:`Simulation.step` computes a step: the controller updates and
+commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
+a step a probe already computed from the same world, the controller's row
+state and the swarm's kinematics carried by the action's
+:class:`ForecastStep`. Both then move the attacker, record the step and
+check the outcome the same way.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,13 +54,27 @@ def attacker_agent(position: np.ndarray | None = None) -> AgentState:
     return AgentState(ATTACKER_ID, position, *rest, 1.0, ROLE_ATTACKER)
 
 
+class ForecastStep(NamedTuple):
+    """One step of one probe row: the controller's row state after the
+    step's update, as :meth:`row_state` lays out one row, the swarm's
+    (S, d) position, velocity and acceleration after the step, and the
+    attacker's command that drove it (None on the step that places the
+    attacker)."""
+    state: tuple[np.ndarray, ...]
+    kinematics: tuple[np.ndarray, np.ndarray, np.ndarray]
+    command: Optional[np.ndarray]
+
+
 @dataclass
 class AttackerAction:
-    """Per-step attacker directive applied by the simulation."""
+    """Per-step attacker directive applied by the simulation. An action
+    with a ``forecast`` goes to :meth:`Simulation.replay`, which adopts the
+    swarm's half of the step from it."""
     spawn: Optional[AgentState] = None
     teleport: Optional[np.ndarray] = None
     command: Optional[np.ndarray] = None
     despawn: bool = False
+    forecast: Optional[ForecastStep] = None
 
 
 class Trace:
@@ -192,13 +213,35 @@ class Simulation:
         self._notes.append((self.world.step_index, message))
 
     def step(self, attacker_action: AttackerAction | None = None) -> None:
+        """Compute one step: the controller updates and commands the swarm,
+        which is integrated, then the attacker acts."""
         if self.done:
             return
         world = self.world
         self.controller.update(world, self.spec)
         commands = self.controller.commands(world, self.spec)
         swarm = world.swarm()
-        pos, vel, acc = kinematics = self._integrate_swarm(swarm, commands)
+        self._finish_step(swarm, self._integrate_swarm(swarm, commands),
+                          attacker_action)
+
+    def replay(self, attacker_action: AttackerAction) -> None:
+        """Adopt one step a probe computed from this world: the controller
+        takes the forecast's row state and the swarm its kinematics, then
+        the attacker acts and the step is recorded and checked as in
+        :meth:`step`."""
+        if self.done:
+            return
+        forecast = attacker_action.forecast
+        self.controller.adopt_row(forecast.state)
+        self._finish_step(self.world.swarm(), forecast.kinematics,
+                          attacker_action)
+
+    def _finish_step(self, swarm: list[AgentState], kinematics: tuple,
+                     attacker_action: AttackerAction | None) -> None:
+        """Move the attacker, build the next world from the swarm's (S, d)
+        ``kinematics``, record it and check the outcome."""
+        world = self.world
+        pos, vel, acc = kinematics
         attacker = self._advance_attacker(attacker_action)
         self.world = WorldState(world.step_index + 1, [
             AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius, a.role)

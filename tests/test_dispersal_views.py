@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from litelfuzz.controllers import DispersalSearchController, _attraction
 from litelfuzz.scenarios import a2_search
 from litelfuzz.world import (AgentState, MissionSpec, Obstacle, RowsDistances,
-                             RowsLayout, WorldState, clamp_norm, norm)
+                             RowsLayout, WorldRows, WorldState, clamp_norm,
+                             norm)
 
 
 class ScalarDispersal(DispersalSearchController):
@@ -153,6 +154,40 @@ def scenes(draw):
 @given(scenes())
 def test_views_equal_the_scalar_forms(scene):
     assert_views_match(*scene)
+
+
+def _owns_its_grid(controller) -> bool:
+    """The visit grid is a writable array of its own, not a view."""
+    return controller.visits.flags.writeable and controller.visits.flags.owndata
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes(), st.lists(st.lists(POINT, min_size=7, max_size=7),
+                          max_size=2))
+def test_adopting_a_row_equals_the_scalar_update(scene, more_rows):
+    world, view, _ = scene
+    same = view.clone()
+    same.adopt_row(view.row_state(1))
+    assert np.array_equal(same.visits, view.visits)
+    assert same.visits.dtype == view.visits.dtype
+    assert same.found == view.found and _owns_its_grid(same)
+    # row 0 is the world; the other rows move its agents elsewhere
+    agents = world.agents
+    position = np.array([[a.position for a in agents]] + [
+        points[:len(agents)] for points in more_rows], dtype=float)
+    rows = WorldRows(RowsLayout(agents, world.obstacles,
+                                world.leader_waypoints),
+                     position, np.zeros_like(position),
+                     np.zeros_like(position))
+    updated = view.update_rows(view.row_state(len(position)), rows, SPEC)
+    for k in range(len(position)):
+        scalar = view.clone()
+        scalar.update(rows.world(k, world.step_index), SPEC)
+        adopted = view.clone()
+        adopted.adopt_row(tuple(a[k:k + 1] for a in updated))
+        assert np.array_equal(adopted.visits, scalar.visits)
+        assert adopted.visits.dtype == scalar.visits.dtype
+        assert adopted.found == scalar.found and _owns_its_grid(adopted)
 
 
 def test_edge_worlds():

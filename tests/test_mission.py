@@ -188,16 +188,23 @@ class TestBatchedTraceScoring:
                                                     monkeypatch):
         once = run_fuzzing(scenario(), "sa", budget=5, seed=1,
                            record_trace=True).trace
-        step = Simulation.step
+        step, replay = Simulation.step, Simulation.replay
         reads = []
+
+        def read(sim):
+            if sim.trace is not None:
+                reads.append((list(sim.trace.robustness), sim.trace.events))
 
         def reading_step(self, action=None):
             step(self, action)
-            if self.trace is not None:
-                reads.append((list(self.trace.robustness),
-                              self.trace.events))
+            read(self)
+
+        def reading_replay(self, action):
+            replay(self, action)
+            read(self)
 
         monkeypatch.setattr(Simulation, "step", reading_step)
+        monkeypatch.setattr(Simulation, "replay", reading_replay)
         every = run_fuzzing(scenario(), "sa", budget=5, seed=1,
                             record_trace=True).trace
         assert len(reads) == len(once.snapshots) - 1

@@ -177,3 +177,22 @@ def test_select_keeps_the_table_of_the_kept_rows(case, data):
     for name in ("away", "agents", "obstacles"):
         assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
         assert getattr(got, name).shape == getattr(fresh, name).shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_adopting_a_row_equals_the_scalar_update(case):
+    rows, controller, state, spec, step = case
+    controller = replace(controller, waypoint_index=int(state[0][0]))
+    same = controller.clone()
+    same.adopt_row(controller.row_state(1))
+    assert same.waypoint_index == controller.waypoint_index
+    updated = controller.update_rows(
+        controller.row_state(len(rows.position)), rows, spec)
+    for k in range(len(rows.position)):
+        scalar = controller.clone()
+        scalar.update(rows.world(k, step), spec)
+        adopted = controller.clone()
+        adopted.adopt_row(tuple(a[k:k + 1] for a in updated))
+        assert adopted.waypoint_index == scalar.waypoint_index
+        assert type(adopted.waypoint_index) is int
