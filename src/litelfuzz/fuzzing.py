@@ -678,6 +678,10 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
             sim.replay(action)
         else:
             sim.step(action)
+    # The action generators' frames refer back to the driver. Dropping
+    # them frees those frames, and any forecast left unreplayed, now
+    # rather than at the next full cycle collection.
+    driver.actions = None
     failed = sim.failure_kind is not None
     return FuzzResult(
         scheme=scheme,
