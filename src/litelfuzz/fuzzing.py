@@ -226,9 +226,10 @@ class ProbeScores(list):
         left the batch; they share no array with the batch."""
         forecast = []
         for live, state, kinematics, command in self.steps:
-            k = int(np.searchsorted(live, row))
-            if k == len(live) or live[k] != row:
+            live = live.tolist()
+            if row not in live:
                 break
+            k = live.index(row)
             forecast.append(ForecastStep(
                 tuple(a[k:k + 1].copy() for a in state),
                 tuple(a[k].copy() for a in kinematics),
