@@ -13,15 +13,16 @@ batch, with the mutable state held per row as a tuple of arrays (see
 ``row_state``). Row by row they compute exactly what the scalar forms
 compute: the lookahead steps all spawn candidates of an epoch this way.
 ``adopt_row``, the inverse of ``row_state(1)``, sets the controller to one
-row's state, so that the mission step can adopt a step a probe computed.
+row's state, so that the mission step can replay a step a probe computed.
 They read two things the batch holds. Its distance table
 (``WorldRows.distances``) is built once per batch: in a probe, the failure
 check of the rows a step produced builds it and the next step's commands
 read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
 columns, the masks, the waypoint array and, in ``derived``, the
 navigator's formation offsets once per probe, and every step's batch
-shares it. The layout's :class:`Obstacles` stack gives every obstacle's
-surface distance and outward direction in one pass each.
+shares it. The :class:`Obstacles` stack, which a mission's worlds and
+layouts share, gives every obstacle's surface distance and outward
+direction in one pass each, to the scalar forms as to the array forms.
 
 A controller states its goals once, as ``goal_rows`` over (B, S, d)
 swarm positions; the main mission step calls it on a batch of one row.
@@ -111,16 +112,21 @@ def _repulsion_rows(rows: WorldRows, influence_radius: float,
 def _repulsion(agent_id: int, world: WorldState, influence_radius: float,
                gain: float) -> np.ndarray:
     """Potential-field push on an agent of ``world`` away from obstacles and
-    agents within range."""
+    agents within range. One :class:`Obstacles` pass gives the obstacles'
+    directions when one is in range; ``total`` starts at +0.0, so the sign
+    of a zero component cannot show."""
     table = world.distances()
     col = table.column[agent_id]
     position = world.agents[col].position
     total = np.zeros_like(position)
-    for obs, d in zip(world.obstacles, table.obstacles[col]):
-        if d < influence_radius:
+    near = [(o, d) for o, d in enumerate(table.obstacles[col])
+            if d < influence_radius]
+    if near:
+        directions = world.obstacles.outward_directions(position)
+        for o, d in near:
             d = max(d, 1e-6)
             mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
-            total = total + mag * obs.outward_direction(position)
+            total = total + mag * directions[o]
     for k, (other, d) in enumerate(zip(world.agents, table.agents[col])):
         if k == col or not d < influence_radius:
             continue

@@ -221,11 +221,11 @@ class ProbeScores(list):
         # (B, d) commands (None on the step that places the attacker)
         self.steps: list[tuple] = []
 
-    def forecast(self, row: int) -> list[ForecastStep]:
-        """Copies of the steps of candidate ``row``, up to the one where it
-        left the batch; they share no array with the batch."""
+    def forecast(self, row: int, steps: int) -> list[ForecastStep]:
+        """Copies of candidate ``row``'s first ``steps`` steps, up to the one
+        where it left the batch; they share no array with the batch."""
         forecast = []
-        for live, state, kinematics, command in self.steps:
+        for live, state, kinematics, command in self.steps[:steps]:
             live = live.tolist()
             if row not in live:
                 break
@@ -396,12 +396,20 @@ def _approach_commands(position, waypoint, dt: float, v_max: float):
     return clamp_norms(delta / dt, v_max), row_norms(delta) > v_max * dt
 
 
+def _settle_steps(score: float, params: FuzzParams) -> int:
+    """The steps an epoch settles for after realizing a test case of
+    lookahead ``score``: the whole horizon for one forecast to fail, so the
+    forecast can mature, else ``settle_steps``."""
+    return params.lookahead if score <= 0.5 * _FAILURE_SCORE_BASE \
+        else params.settle_steps
+
+
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
                       target_id: int, params: FuzzParams,
                       from_current: bool = False
                       ) -> tuple[np.ndarray, float, list[ForecastStep]]:
-    """The candidate of lowest score, its score and its forecast (empty
-    unless the probe was spawn-style)."""
+    """The candidate of lowest score, its score and the forecast steps its
+    spawn or teleport replays (none unless the probe was spawn-style)."""
     # one call scores the whole stack: lookahead_score is the single entry
     # point of probe scoring, which perfbench traces as one layer
     scores = lookahead_score(sim, np.array(candidates), target_id, params,
@@ -413,7 +421,8 @@ def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
             best, best_score = row, score
     if best is None:
         return None, best_score, []
-    return candidates[best], best_score, scores.forecast(best)
+    return candidates[best], best_score, scores.forecast(
+        best, max(_settle_steps(best_score, params), 1))
 
 
 def _make_testcase(sim: Simulation, target_id: int, attack_position: np.ndarray,
@@ -433,7 +442,7 @@ def _key_node(sim: Simulation, params: FuzzParams,
 def _init_test_case(sim: Simulation, geom: SpawnGeometry, params: FuzzParams
                     ) -> tuple[TestCase, list[ForecastStep]]:
     """Global key node target plus robustness-minimizing spawn point, and
-    the forecast of the attacker appearing there."""
+    the forecast steps that the attacker's spawn or teleport replays."""
     target_id = _key_node(sim, params)
     candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
                                   sim.spec.safe_distance)
@@ -498,8 +507,8 @@ class _FuzzDriver:
     by a probe's kernels, on one row, so it moves as it was forecast to.
     On a spawn or teleport epoch the chosen candidate's forecast already
     holds those steps: each of the first ``min(settle, forecast length)``
-    actions carries its forecast step and pursuit command, and the run
-    adopts the step (:meth:`Simulation.replay`) instead of simulating it.
+    actions carries its forecast step and pursuit command, and
+    :meth:`Simulation.step` adopts the step instead of simulating it.
     """
 
     def __init__(self, sim: Simulation, scheme: str, geom: SpawnGeometry,
@@ -562,17 +571,13 @@ class _FuzzDriver:
                                   idle=not forced)
             return
         self.test_cases.append(tc)
-        # a candidate whose forecast already reaches a failure is pursued
-        # for the whole lookahead horizon so the forecast can mature
-        settle = self.params.lookahead \
-            if tc.score <= 0.5 * _FAILURE_SCORE_BASE else self.params.settle_steps
+        settle = _settle_steps(tc.score, self.params)
         attacker = self.sim.attacker()
         if attacker is None or self.scheme == "ma" or forced:
             # the attacker materializes at the scored position and starts
             # pursuing immediately -- exactly the lookahead realization,
             # whose steps are replayed while the forecast lasts
-            replayed = forecast[:max(settle, 1)]
-            first = replayed[0] if replayed else None
+            first = forecast[0] if forecast else None
             if attacker is None:
                 yield AttackerAction(
                     spawn=attacker_agent(tc.attack_position.copy()),
@@ -580,9 +585,9 @@ class _FuzzDriver:
             else:
                 yield AttackerAction(teleport=tc.attack_position.copy(),
                                      forecast=first)
-            for step in replayed[1:]:
+            for step in forecast[1:]:
                 yield AttackerAction(command=step.command, forecast=step)
-            yield from self._pursue(settle - max(len(replayed), 1))
+            yield from self._pursue(settle - max(len(forecast), 1))
             return
         # continuation epoch: fly a clearance-keeping path to the scored
         # attack position, then pursue
@@ -600,8 +605,8 @@ class _FuzzDriver:
 
     def _next_testcase(self, forced: bool
                        ) -> tuple[TestCase, list[ForecastStep]]:
-        """The next test case and the forecast of its spawn or teleport,
-        empty when none was probed."""
+        """The next test case and the forecast steps its spawn or teleport
+        replays, empty when none was probed."""
         if self.scheme == "random":
             # seeded draw order: the target, then the sector
             ids = sorted(a.id for a in self.sim.world.swarm())
@@ -674,11 +679,7 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
     driver = _FuzzDriver(sim, scheme, scenario.spawn_geometry(),
                          scenario.fuzz_params(), budget, rng)
     while not sim.done:
-        action = driver.act()
-        if action is not None and action.forecast is not None:
-            sim.replay(action)
-        else:
-            sim.step(action)
+        sim.step(driver.act())
     # The action generators' frames refer back to the driver. Dropping
     # them frees those frames, and any forecast left unreplayed, now
     # rather than at the next full cycle collection.

@@ -42,8 +42,7 @@ def _inflated_circles(world: WorldState, clearance: float,
             for center, radius in _cover_box(obs.lo, obs.hi, cell_target):
                 circles.append((center, radius + clearance))
         else:
-            center, radius = obs.bounding_circle()
-            circles.append((center, radius + clearance))
+            circles.append((obs.center, obs.radius + clearance))
     for agent in world.agents:
         if agent.role == ROLE_ATTACKER or agent.id in ignore_ids:
             continue

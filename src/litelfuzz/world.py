@@ -54,7 +54,8 @@ class FailureKind(Enum):
 
 @dataclass
 class Obstacle:
-    """Circle/sphere or axis-aligned box obstacle."""
+    """Circle/sphere or axis-aligned box obstacle, as its constructors
+    validate it. :class:`Obstacles` measures distances and directions."""
 
     kind: str  # "circle" or "box"
     center: np.ndarray | None = None
@@ -77,54 +78,15 @@ class Obstacle:
             raise ValueError("need lo < hi componentwise")
         return Obstacle(kind="box", lo=lo, hi=hi)
 
-    def surface_distance(self, point: np.ndarray) -> float:
-        """Signed distance from ``point`` to the obstacle surface (< 0 inside)."""
-        p = np.asarray(point, dtype=float)
-        if self.kind == "circle":
-            return norm(p - self.center) - self.radius
-        outward = np.maximum(np.maximum(self.lo - p, p - self.hi), 0.0)
-        d = norm(outward)
-        if d > 0.0:
-            return d
-        # inside: negative penetration depth to the nearest face
-        return -float(np.min(np.minimum(p - self.lo, self.hi - p)))
-
-    def outward_direction(self, point: np.ndarray) -> np.ndarray:
-        """Unit vector pointing away from the obstacle at ``point``."""
-        p = np.asarray(point, dtype=float)
-        if self.kind == "circle":
-            v = p - self.center
-        else:
-            closest = np.clip(p, self.lo, self.hi)
-            v = p - closest
-            if norm(v) == 0.0:
-                # inside the box: push out through the nearest face
-                gaps_lo = p - self.lo
-                gaps_hi = self.hi - p
-                v = np.zeros_like(p)
-                axis = int(np.argmin(np.minimum(gaps_lo, gaps_hi)))
-                v[axis] = -1.0 if gaps_lo[axis] < gaps_hi[axis] else 1.0
-                return v
-        n = norm(v)
-        if n == 0.0:
-            v = np.zeros_like(p)
-            v[0] = 1.0
-            return v
-        return v / n
-
-    def bounding_circle(self) -> tuple[np.ndarray, float]:
-        if self.kind == "circle":
-            return self.center, self.radius
-        center = 0.5 * (self.lo + self.hi)
-        return center, norm(self.hi - center)
-
 
 class Obstacles(tuple):
     """A world's obstacles in list order, stacked for one array pass.
 
     A circle is a box of zero extent at its centre with its radius (a box
     has radius 0), so ``p - clip(p, lo, hi)`` is, up to the sign of a zero,
-    the scalar forms' vector and the kernels equal them with ``==``.
+    the vector a per-obstacle form measures, and each point and obstacle is
+    measured alone: the kernels equal the scalar oracle in
+    ``tests/obstacle_oracle.py`` with ``==``.
     ``Obstacles(stack)`` is ``stack``: a world stacks a plain list once,
     and the worlds stepped from it and their layouts share the stack."""
 
@@ -222,9 +184,9 @@ class Distances:
     """Every agent-agent and agent-obstacle distance of one world.
 
     ``agents[i][j]`` is ``norm(p_i - p_j)`` and ``obstacles[i][o]`` is
-    ``obstacles[o].surface_distance(p_i)``, for the positions ``p`` of the
-    world's agents in world order; ``column`` maps an agent id to its
-    index. Entries are Python floats equal with ``==`` to the scalar forms,
+    the signed surface distance from ``p_i`` to obstacle ``o`` (< 0
+    inside), for the positions ``p`` of the world's agents in world order;
+    ``column`` maps an agent id to its index. Entries are Python floats,
     and ``norm(a - b) == norm(b - a)``, so either triangle serves.
     """
 
@@ -388,9 +350,9 @@ class RowsDistances:
     For swarm column ``s`` (the ``n``-th of ``layout.swarm_columns``) and
     column ``k`` of row ``b``: ``away[b, n, k]`` is ``p_s - p_k``,
     ``agents[b, n, k]`` is its :func:`row_norms` and ``obstacles[b, n, o]``
-    is ``obstacles[o].surface_distance(p_s)``, all from one pass of
-    :class:`Obstacles`. Both kernels treat every vector alone, so the
-    entries equal the scalar forms with ``==``.
+    the signed surface distance from ``p_s`` to obstacle ``o``, from one
+    pass of :class:`Obstacles`. Both kernels treat every vector alone, so
+    the entries equal :class:`Distances`' with ``==``.
     """
 
     away: np.ndarray        # (B, S, M, d)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from obstacle_oracle import outward_direction
 
 from litelfuzz.controllers import DispersalSearchController, _attraction
 from litelfuzz.scenarios import a2_search
@@ -65,7 +66,7 @@ class ScalarDispersal(DispersalSearchController):
             for obs, d in zip(world.obstacles, table.obstacles[col]):
                 if d < self.sensor_range:
                     d = max(d, 1e-6)
-                    cmd = cmd + obs.outward_direction(agent.position) * \
+                    cmd = cmd + outward_direction(obs, agent.position) * \
                         push * (1.0 - d / self.sensor_range)
             # keep inside the map like an outward-facing wall sensor
             for axis in range(len(agent.position)):

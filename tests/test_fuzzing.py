@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from obstacle_oracle import surface_distance
 
 from litelfuzz import controllers, fuzzing, world
 from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
@@ -62,7 +63,7 @@ class TestSpawnGeometry:
         assert 0 < len(points) < GEOM.sectors
         for p in points:
             for obs in world.obstacles:
-                assert obs.surface_distance(p) > 0.0
+                assert surface_distance(obs, p) > 0.0
 
     def test_other_sensing_disks_excluded(self):
         target = make_agent([0.0, 0.0], agent_id=0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from obstacle_oracle import outward_direction, surface_distance
 
 from litelfuzz.world import (AgentState, Distances, FailureKind, InvalidState,
                              MissionSpec, Obstacle, Obstacles, WorldState,
@@ -93,9 +94,9 @@ class TestObstacle:
         distances = Obstacles([obs]).surface_distances(points)[..., 0]
         directions = Obstacles([obs]).outward_directions(points)[..., 0, :]
         for index in np.ndindex(2, 3):
-            assert distances[index] == obs.surface_distance(points[index])
+            assert distances[index] == surface_distance(obs, points[index])
             assert (directions[index]
-                    == obs.outward_direction(points[index])).all()
+                    == outward_direction(obs, points[index])).all()
 
     @given(st.integers(2, 3), st.data())
     def test_stacked_kernel_equals_scalar_forms(self, dim, data):
@@ -121,9 +122,9 @@ class TestObstacle:
             assert directions.shape == distances.shape + (dim,)
         for n, p in enumerate(points[0]):
             for o, obs in enumerate(obstacles):
-                assert distances[0, n, o] == obs.surface_distance(p)
+                assert distances[0, n, o] == surface_distance(obs, p)
                 assert (directions[0, n, o]
-                        == obs.outward_direction(p)).all()
+                        == outward_direction(obs, p)).all()
 
     def test_stacked_kernel_edge_points(self):
         box = Obstacle.box([0.0, 0.0, 0.0], [1.0, 2.0, 1.0])
@@ -135,49 +136,43 @@ class TestObstacle:
         distances = stack.surface_distances(points)
         directions = stack.outward_directions(points)
         assert distances[0, 0] == -1.0
-        assert distances[1, 1] == box.surface_distance(points[1]) == -0.25
-        assert distances[2, 1] == box.surface_distance(points[2]) == 0.0
+        assert distances[1, 1] == surface_distance(box, points[1]) == -0.25
+        assert distances[2, 1] == surface_distance(box, points[2]) == 0.0
         assert directions[0, 0].tolist() == [1.0, 0.0, 0.0]
         assert directions[1, 1].tolist() == [0.0, 1.0, 0.0]
         assert directions[2, 1].tolist() == [1.0, 0.0, 0.0]
         for n, p in enumerate(points):
             for o, obs in enumerate(stack):
-                assert distances[n, o] == obs.surface_distance(p)
-                assert (directions[n, o] == obs.outward_direction(p)).all()
+                assert distances[n, o] == surface_distance(obs, p)
+                assert (directions[n, o] == outward_direction(obs, p)).all()
         assert Obstacles().surface_distances(points).shape == (3, 0)
 
     def test_circle_signed_distance(self):
         obs = Obstacle.circle([1.0, 1.0], 0.5)
-        assert obs.surface_distance(np.array([2.5, 1.0])) == pytest.approx(1.0)
-        assert obs.surface_distance(np.array([1.0, 1.0])) == pytest.approx(-0.5)
-        assert obs.surface_distance(np.array([1.5, 1.0])) == pytest.approx(0.0)
+        assert surface_distance(obs, np.array([2.5, 1.0])) == pytest.approx(1.0)
+        assert surface_distance(obs, np.array([1.0, 1.0])) == pytest.approx(-0.5)
+        assert surface_distance(obs, np.array([1.5, 1.0])) == pytest.approx(0.0)
 
     def test_box_outside_distance_is_euclidean_to_closest_corner(self):
         obs = Obstacle.box([0.0, 0.0], [1.0, 1.0])
-        assert obs.surface_distance(np.array([2.0, 2.0])) == pytest.approx(math.sqrt(2.0))
-        assert obs.surface_distance(np.array([0.5, 1.5])) == pytest.approx(0.5)
+        assert surface_distance(obs, np.array([2.0, 2.0])) == pytest.approx(math.sqrt(2.0))
+        assert surface_distance(obs, np.array([0.5, 1.5])) == pytest.approx(0.5)
 
     def test_box_inside_is_negative_depth_to_nearest_face(self):
         obs = Obstacle.box([0.0, 0.0], [1.0, 2.0])
-        assert obs.surface_distance(np.array([0.1, 1.0])) == pytest.approx(-0.1)
-        assert obs.surface_distance(np.array([0.5, 0.2])) == pytest.approx(-0.2)
+        assert surface_distance(obs, np.array([0.1, 1.0])) == pytest.approx(-0.1)
+        assert surface_distance(obs, np.array([0.5, 0.2])) == pytest.approx(-0.2)
 
     def test_outward_direction_is_unit_and_points_away(self):
         obs = Obstacle.circle([0.0, 0.0], 1.0)
-        d = obs.outward_direction(np.array([0.0, 2.0]))
+        d = outward_direction(obs, np.array([0.0, 2.0]))
         np.testing.assert_allclose(d, [0.0, 1.0])
         box = Obstacle.box([0.0, 0.0], [1.0, 1.0])
-        d = box.outward_direction(np.array([0.5, -1.0]))
+        d = outward_direction(box, np.array([0.5, -1.0]))
         np.testing.assert_allclose(d, [0.0, -1.0])
-        inside = box.outward_direction(np.array([0.5, 0.9]))
+        inside = outward_direction(box, np.array([0.5, 0.9]))
         np.testing.assert_allclose(inside, [0.0, 1.0])
         assert np.linalg.norm(inside) == pytest.approx(1.0)
-
-    def test_bounding_circle_encloses_box(self):
-        obs = Obstacle.box([0.0, 0.0], [2.0, 1.0])
-        center, radius = obs.bounding_circle()
-        np.testing.assert_allclose(center, [1.0, 0.5])
-        assert radius == pytest.approx(0.5 * math.sqrt(5.0))
 
     def test_invalid_constructors(self):
         with pytest.raises(ValueError):
@@ -328,7 +323,7 @@ class TestDistances:
                 assert _same(table.agents[i][j], norm(a.position - b.position))
             assert len(table.obstacles[i]) == len(world.obstacles)
             for d, obs in zip(table.obstacles[i], world.obstacles):
-                assert _same(d, obs.surface_distance(a.position))
+                assert _same(d, surface_distance(obs, a.position))
         assert world.distances() is table
 
     @given(_worlds())
@@ -336,7 +331,7 @@ class TestDistances:
         for a in world.agents:
             best = a.sensing_radius
             for obs in world.obstacles:
-                best = min(best, obs.surface_distance(a.position))
+                best = min(best, surface_distance(obs, a.position))
             for other in world.agents:
                 if other.id != a.id:
                     best = min(best, norm(other.position - a.position))
