@@ -507,8 +507,8 @@ class _FuzzDriver:
     by a probe's kernels, on one row, so it moves as it was forecast to.
     On a spawn or teleport epoch the chosen candidate's forecast already
     holds those steps: each of the first ``min(settle, forecast length)``
-    actions carries its forecast step and pursuit command, and
-    :meth:`Simulation.step` adopts the step instead of simulating it.
+    actions carries its forecast step and pursuit command, and the run
+    adopts the step (:meth:`Simulation.replay`) instead of simulating it.
     """
 
     def __init__(self, sim: Simulation, scheme: str, geom: SpawnGeometry,
@@ -679,7 +679,11 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
     driver = _FuzzDriver(sim, scheme, scenario.spawn_geometry(),
                          scenario.fuzz_params(), budget, rng)
     while not sim.done:
-        sim.step(driver.act())
+        action = driver.act()
+        if action is not None and action.forecast is not None:
+            sim.replay(action)
+        else:
+            sim.step(action)
     # The action generators' frames refer back to the driver. Dropping
     # them frees those frames, and any forecast left unreplayed, now
     # rather than at the next full cycle collection.

@@ -14,12 +14,12 @@ snapshot is the world itself and a clone starts from the same world and
 windows as its original. Simulations are cheap to clone, which the fuzzer
 uses for lookahead scoring on throwaway copies.
 
-:meth:`Simulation.step` computes the swarm's half of a step, where the
-controller updates and commands the swarm, which is integrated, or adopts
-it from the :class:`ForecastStep` an action carries: a step a probe
-already computed from the same world, as the controller's row state and
-the swarm's kinematics. Either way it then moves the attacker, records
-the step and checks the outcome.
+:meth:`Simulation.step` computes a step: the controller updates and
+commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
+a step a probe already computed from the same world, the controller's row
+state and the swarm's kinematics carried by the action's
+:class:`ForecastStep`. Both then move the attacker, record the step and
+check the outcome the same way.
 """
 from __future__ import annotations
 
@@ -67,9 +67,9 @@ class ForecastStep(NamedTuple):
 
 @dataclass
 class AttackerAction:
-    """Per-step attacker directive applied by the simulation. With a
-    ``forecast``, :meth:`Simulation.step` adopts the swarm's half of the
-    step from it instead of computing it."""
+    """Per-step attacker directive applied by the simulation. An action
+    with a ``forecast`` goes to :meth:`Simulation.replay`, which adopts the
+    swarm's half of the step from it."""
     spawn: Optional[AgentState] = None
     teleport: Optional[np.ndarray] = None
     command: Optional[np.ndarray] = None
@@ -213,22 +213,34 @@ class Simulation:
         self._notes.append((self.world.step_index, message))
 
     def step(self, attacker_action: AttackerAction | None = None) -> None:
-        """One step. The controller adopts the action's forecast step and
-        the swarm its kinematics, or without a forecast the controller
-        updates and commands the swarm, which is integrated. Then the
-        attacker acts, and the next world is built, recorded and checked."""
+        """Compute one step: the controller updates and commands the swarm,
+        which is integrated, then the attacker acts."""
         if self.done:
             return
         world = self.world
+        self.controller.update(world, self.spec)
+        commands = self.controller.commands(world, self.spec)
         swarm = world.swarm()
-        forecast = attacker_action and attacker_action.forecast
-        if forecast is None:
-            self.controller.update(world, self.spec)
-            kinematics = self._integrate_swarm(
-                swarm, self.controller.commands(world, self.spec))
-        else:
-            self.controller.adopt_row(forecast.state)
-            kinematics = forecast.kinematics
+        self._finish_step(swarm, self._integrate_swarm(swarm, commands),
+                          attacker_action)
+
+    def replay(self, attacker_action: AttackerAction) -> None:
+        """Adopt one step a probe computed from this world: the controller
+        takes the forecast's row state and the swarm its kinematics, then
+        the attacker acts and the step is recorded and checked as in
+        :meth:`step`."""
+        if self.done:
+            return
+        forecast = attacker_action.forecast
+        self.controller.adopt_row(forecast.state)
+        self._finish_step(self.world.swarm(), forecast.kinematics,
+                          attacker_action)
+
+    def _finish_step(self, swarm: list[AgentState], kinematics: tuple,
+                     attacker_action: AttackerAction | None) -> None:
+        """Move the attacker, build the next world from the swarm's (S, d)
+        ``kinematics``, record it and check the outcome."""
+        world = self.world
         pos, vel, acc = kinematics
         attacker = self._advance_attacker(attacker_action)
         self.world = WorldState(world.step_index + 1, [

@@ -41,7 +41,7 @@ def test_patch_point_is_owned_by_its_caller(path, attr):
 def test_main_step_layers_are_called_through_their_patch_points(tmp_path):
     tracer = spans.Tracer()
     with spans.installed(tracer):
-        report = run_campaign(a1_navigate(), CampaignConfig(
+        run_campaign(a1_navigate(), CampaignConfig(
             scheme="sa", executions=2, budget=2, save_traces=True,
             out_dir=str(tmp_path)))
     assert spans.unrestored() == []
@@ -50,9 +50,6 @@ def test_main_step_layers_are_called_through_their_patch_points(tmp_path):
                  "controllers.commands.mission", "controllers.update",
                  "fuzzing.lookahead_score", "campaign.trace_to_jsonl"):
         assert tracer.stats[name].calls > 0, name
-    # every main step, replayed from a forecast or computed, is a span
-    assert tracer.counters["steps"] - tracer.counters["probe_steps"] \
-        == sum(r["total_steps"] for r in report.records)
 
 
 def test_run_campaign_calls_run_one_through_the_module(monkeypatch):

@@ -114,7 +114,8 @@ def test_a3_campaign_trace_files_fingerprint(tmp_path):
         for seed in (0, 1)]
 
 
-# Every action the fuzzing driver hands ``Simulation.step``, budget 5:
+# Every action the fuzzing driver hands ``Simulation.step`` or
+# ``Simulation.replay``, budget 5:
 # a1_navigate seeds 0-4, a2_search seeds 0-2 (plus sa seed 7) and
 # a3_navigate3d seeds 0-1, under each of the four schemes
 ACTION_RUNS = [(preset, scheme, seed)
@@ -147,13 +148,17 @@ def test_driver_action_schedule_fingerprint(monkeypatch):
 
     def recording_build(self, *args, **kwargs):
         sim = build(self, *args, **kwargs)
-        step, sim.actions = sim.step, []
+        step, replay, sim.actions = sim.step, sim.replay, []
 
         def recording_step(action=None):
             sim.actions.append(_action_entry(action))
             step(action)
 
-        sim.step = recording_step
+        def recording_replay(action):
+            sim.actions.append(_action_entry(action))
+            replay(action)
+
+        sim.step, sim.replay = recording_step, recording_replay
         sims.append(sim)
         return sim
 

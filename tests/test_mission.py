@@ -188,7 +188,7 @@ class TestBatchedTraceScoring:
                                                     monkeypatch):
         once = run_fuzzing(scenario(), "sa", budget=5, seed=1,
                            record_trace=True).trace
-        step = Simulation.step
+        step, replay = Simulation.step, Simulation.replay
         reads = []
 
         def read(sim):
@@ -199,7 +199,12 @@ class TestBatchedTraceScoring:
             step(self, action)
             read(self)
 
+        def reading_replay(self, action):
+            replay(self, action)
+            read(self)
+
         monkeypatch.setattr(Simulation, "step", reading_step)
+        monkeypatch.setattr(Simulation, "replay", reading_replay)
         every = run_fuzzing(scenario(), "sa", budget=5, seed=1,
                             record_trace=True).trace
         assert len(reads) == len(once.snapshots) - 1

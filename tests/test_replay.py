@@ -1,13 +1,9 @@
 """A spawn or teleport epoch adopts the chosen probe row's swarm steps
-instead of simulating them again: ``Simulation.step`` adopts the forecast
-step an action carries.
+through ``Simulation.replay`` instead of simulating them again.
 
-Computing every replayed step instead, from the same action without its
-forecast, must give the same run: the same record, trace bytes, events and
-action schedule.
+Computing every replayed step through ``Simulation.step`` instead must give
+the same run: the same record, trace bytes, events and action schedule.
 """
-import dataclasses
-
 import pytest
 
 from litelfuzz import fuzzing
@@ -41,17 +37,17 @@ def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
     """One traced execution, its actions and, per spawn-style probe, the
     step it ran at and the steps its chosen forecast was planned to
     replay."""
-    step = Simulation.step
+    step, adopt = Simulation.step, Simulation.replay
     actions, windows = [], []
 
     def recording_step(self, action=None):
-        replayed = action is not None and action.forecast is not None
         if self.trace is not None:      # not a probe's untraced clone
-            actions.append(("replay" if replayed else "step",
-                            _action_key(action)))
-        if replayed and not replay:
-            action = dataclasses.replace(action, forecast=None)
+            actions.append(("step", _action_key(action)))
         step(self, action)
+
+    def recording_replay(self, action):
+        actions.append(("replay", _action_key(action)))
+        (adopt if replay else step)(self, action)
 
     init = fuzzing._init_test_case
 
@@ -64,6 +60,7 @@ def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "step", recording_step)
+        patch.setattr(Simulation, "replay", recording_replay)
         patch.setattr(fuzzing, "_init_test_case", recording_init)
         result = run_fuzzing(preset(), scheme, budget=5, seed=seed,
                              record_trace=True)
