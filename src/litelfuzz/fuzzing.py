@@ -425,12 +425,6 @@ def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
         best, max(_settle_steps(best_score, params), 1))
 
 
-def _make_testcase(sim: Simulation, target_id: int, attack_position: np.ndarray,
-                   score: float = math.inf) -> TestCase:
-    return TestCase(target_id, sim.world.agent(target_id).position.copy(),
-                    np.asarray(attack_position, dtype=float), score)
-
-
 def _key_node(sim: Simulation, params: FuzzParams,
               node_ids: Optional[list[int]] = None) -> int:
     """Top Katz node of the influence graph over ``node_ids`` (default: swarm)."""
@@ -439,58 +433,8 @@ def _key_node(sim: Simulation, params: FuzzParams,
     return key_node_sequence(graph, params.alpha_factor).key_node
 
 
-def _init_test_case(sim: Simulation, geom: SpawnGeometry, params: FuzzParams
-                    ) -> tuple[TestCase, list[ForecastStep]]:
-    """Global key node target plus robustness-minimizing spawn point, and
-    the forecast steps that the attacker's spawn or teleport replays."""
-    target_id = _key_node(sim, params)
-    candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
-                                  sim.spec.safe_distance)
-    point, score, forecast = _argmin_candidate(sim, candidates, target_id,
-                                               params)
-    return _make_testcase(sim, target_id, point, score), forecast
-
-
-def _sa_next_testcase(sim: Simulation, geom: SpawnGeometry,
-                      params: FuzzParams) -> TestCase:
-    """Retarget within the attacker's reachable region.
-
-    The influence graph is restricted to swarm agents inside the reachable
-    disk (which is where it can intersect their sensing disks); with an
-    empty intersection the nearest swarm agent becomes the target.
-    """
-    attacker = sim.attacker()
-    reach = params.reach_radius(sim.spec.dt)
-    swarm = sim.world.swarm()
-    near = [a.id for a in swarm
-            if norm(a.position - attacker.position) <= reach]
-    if near:
-        target_id = _key_node(sim, params, node_ids=near)
-    else:
-        target_id = min(swarm, key=lambda a: (
-            norm(a.position - attacker.position), a.id)).id
-    candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
-                                  sim.spec.safe_distance)
-    reachable = [p for p in candidates
-                 if norm(p - attacker.position) <= reach]
-    if reachable:
-        candidates = reachable
-    point, score, _ = _argmin_candidate(sim, candidates, target_id, params,
-                                        from_current=True)
-    return _make_testcase(sim, target_id, point, score)
-
-
 def random_target(rng: np.random.Generator, swarm_ids: list[int]) -> int:
     return swarm_ids[int(rng.integers(len(swarm_ids)))]
-
-
-def _uniform_testcase(sim: Simulation, geom: SpawnGeometry, target_id: int,
-                      rng: np.random.Generator) -> TestCase:
-    """Uniformly drawn attack position around ``target_id``, no scoring."""
-    candidates = spawn_candidates(sim.world.agent(target_id), sim.world, geom,
-                                  sim.spec.safe_distance)
-    return _make_testcase(sim, target_id,
-                          candidates[int(rng.integers(len(candidates)))])
 
 
 _Actions = Iterator[Optional[AttackerAction]]
@@ -503,8 +447,12 @@ class _FuzzDriver:
     the warm-up, then per epoch the test case's selection, its realization
     and the settle pursuit, then the withdrawal once the budget is spent.
     An attacker touching a swarm agent invalidates the test case, and the
-    sequence restarts with a forced epoch. The attacker flies and pursues
-    by a probe's kernels, on one row, so it moves as it was forecast to.
+    sequence restarts with a forced epoch. One rule decides each epoch's
+    move: with no attacker yet, under ``ma`` or when forced, the attacker
+    relocates (spawns or teleports), else it flies; ``sa`` selects its
+    test case globally or within its reach by the same rule. The attacker
+    flies and pursues by a probe's kernels, on one row, so it moves as it
+    was forecast to.
     On a spawn or teleport epoch the chosen candidate's forecast already
     holds those steps: each of the first ``min(settle, forecast length)``
     actions carries its forecast step and pursuit command, and the run
@@ -537,15 +485,18 @@ class _FuzzDriver:
             self.actions = self._epochs(forced=True)
         return next(self.actions)
 
+    def _gaps(self, attacker: AgentState) -> list[float]:
+        """The attacker's row of the world's distance table: its distance
+        from each agent, in world order."""
+        table = self.sim.world.distances()
+        return table.agents[table.column[attacker.id]]
+
     def _contact(self) -> Optional[int]:
         """Id of the first swarm agent within collision radius of the attacker."""
         attacker = self.sim.attacker()
         if attacker is None:
             return None
-        world = self.sim.world
-        table = world.distances()
-        row = table.agents[table.column[attacker.id]]
-        for agent, d in zip(world.agents, row):
+        for agent, d in zip(self.sim.world.agents, self._gaps(attacker)):
             if agent.role != ROLE_ATTACKER and \
                     d < self.sim.spec.collision_radius:
                 return agent.id
@@ -562,8 +513,11 @@ class _FuzzDriver:
             yield None
 
     def _epoch(self, forced: bool) -> _Actions:
+        attacker = self.sim.attacker()
+        # the one relocation rule: selection and realization both read it
+        relocate = attacker is None or self.scheme == "ma" or forced
         try:
-            tc, forecast = self._next_testcase(forced)
+            tc, forecast = self._next_testcase(relocate)
         except NoValidSpawn:
             # A contact-forced epoch settles at once, without the skip's
             # idle step. The pinned records keep this quirk.
@@ -572,8 +526,7 @@ class _FuzzDriver:
             return
         self.test_cases.append(tc)
         settle = _settle_steps(tc.score, self.params)
-        attacker = self.sim.attacker()
-        if attacker is None or self.scheme == "ma" or forced:
+        if relocate:
             # the attacker materializes at the scored position and starts
             # pursuing immediately -- exactly the lookahead realization,
             # whose steps are replayed while the forecast lasts
@@ -603,27 +556,52 @@ class _FuzzDriver:
         yield from self._fly(path)
         yield from self._pursue(max(settle, 1))
 
-    def _next_testcase(self, forced: bool
+    def _next_testcase(self, relocate: bool
                        ) -> tuple[TestCase, list[ForecastStep]]:
         """The next test case and the forecast steps its spawn or teleport
-        replays, empty when none was probed."""
+        replays, empty when none was probed: a target, its ring of
+        :func:`spawn_candidates` and one sector. ``sa`` and ``ma`` take the
+        lowest lookahead score: around the global key node, probed
+        spawn-style, when the attacker relocates; else (``sa``) around the
+        key node of the agents within its reach, or the nearest agent, over
+        the sectors in reach, probed by flying from where it is."""
+        sim, params, world = self.sim, self.params, self.sim.world
         if self.scheme == "random":
             # seeded draw order: the target, then the sector
-            ids = sorted(a.id for a in self.sim.world.swarm())
-            return _uniform_testcase(self.sim, self.geom,
-                                     random_target(self.rng, ids),
-                                     self.rng), []
-        if self.scheme == "target_only":
+            target_id = random_target(self.rng,
+                                      sorted(a.id for a in world.swarm()))
+        elif self.scheme == "target_only":
             # keeps the centrality-chosen target but drops the robustness
             # scoring of attack positions: isolates target selection
             if self.fixed_target is None:
-                self.fixed_target = _key_node(self.sim, self.params)
-            return _uniform_testcase(self.sim, self.geom, self.fixed_target,
-                                     self.rng), []
-        if self.scheme == "ma" or forced or not self.test_cases:
-            # ma selects globally every epoch: its attacker may teleport
-            return _init_test_case(self.sim, self.geom, self.params)
-        return _sa_next_testcase(self.sim, self.geom, self.params), []
+                self.fixed_target = _key_node(sim, params)
+            target_id = self.fixed_target
+        elif relocate:
+            target_id = _key_node(sim, params)
+        else:
+            # the reachable disk is where it can meet the swarm's sensing disks
+            attacker = sim.attacker()
+            reach = params.reach_radius(sim.spec.dt)
+            gaps = [(d, a.id) for a, d in zip(world.agents,
+                                              self._gaps(attacker))
+                    if a.role != ROLE_ATTACKER]
+            near = [i for d, i in gaps if d <= reach]
+            target_id = _key_node(sim, params, node_ids=near) if near \
+                else min(gaps)[1]
+        target = world.agent(target_id)
+        candidates = spawn_candidates(target, world, self.geom,
+                                      sim.spec.safe_distance)
+        if self.scheme in ("random", "target_only"):
+            point, score, forecast = candidates[
+                int(self.rng.integers(len(candidates)))], math.inf, []
+        else:
+            if not relocate:
+                candidates = [p for p in candidates if norm(
+                    p - attacker.position) <= reach] or candidates
+            point, score, forecast = _argmin_candidate(
+                sim, candidates, target_id, params, from_current=not relocate)
+        return TestCase(target_id, target.position.copy(),
+                        np.asarray(point, dtype=float), score), forecast
 
     def _skip(self, message: str, idle: bool = True) -> _Actions:
         """A skipped epoch: an idle step, then settling on the last target."""

@@ -438,7 +438,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 def load_scenario(path) -> ScenarioConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -56,6 +56,15 @@ def test_invalid_scenario_json_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{}', b'{"name": '],
+                         ids=["not-utf8", "truncated"])
+def test_unreadable_scenario_names_its_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["scenario-dump", str(path)]) == 2
+    assert f"cannot read scenario {path}" in capsys.readouterr().err
+
+
 def test_missing_search_key_exits_2(tmp_path, capsys):
     data = a2_search().to_dict()
     del data["search"]["bounds_lo_m"]

@@ -3,6 +3,8 @@ through ``Simulation.replay`` instead of simulating them again.
 
 Computing every replayed step through ``Simulation.step`` instead must give
 the same run: the same record, trace bytes, events and action schedule.
+An epoch's selection and its realization read one relocation rule, so a
+probe's own step is a spawn or teleport exactly when it was spawn-style.
 """
 import pytest
 
@@ -34,11 +36,11 @@ def _action_key(action) -> tuple:
 
 
 def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
-    """One traced execution, its actions and, per spawn-style probe, the
-    step it ran at and the steps its chosen forecast was planned to
-    replay."""
+    """One traced execution, its actions, the step of each probe and
+    whether it was spawn-style, and per spawn-style probe the step it ran
+    at and the steps its chosen forecast was planned to replay."""
     step, adopt = Simulation.step, Simulation.replay
-    actions, windows = [], []
+    actions, windows, probes = [], [], []
 
     def recording_step(self, action=None):
         if self.trace is not None:      # not a probe's untraced clone
@@ -49,24 +51,29 @@ def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
         actions.append(("replay", _action_key(action)))
         (adopt if replay else step)(self, action)
 
-    init = fuzzing._init_test_case
+    argmin = fuzzing._argmin_candidate
 
-    def recording_init(sim, geom, params):
-        tc, forecast = init(sim, geom, params)
-        settle = fuzzing._settle_steps(tc.score, params)
-        windows.append((sim.step_index, min(max(settle, 1), len(forecast)),
-                        len(forecast)))
-        return tc, forecast
+    def recording_argmin(sim, candidates, target_id, params,
+                         from_current=False):
+        point, score, forecast = argmin(sim, candidates, target_id, params,
+                                        from_current)
+        probes.append((sim.step_index, not from_current))
+        if not from_current:
+            settle = fuzzing._settle_steps(score, params)
+            windows.append((sim.step_index,
+                            min(max(settle, 1), len(forecast)),
+                            len(forecast)))
+        return point, score, forecast
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "step", recording_step)
         patch.setattr(Simulation, "replay", recording_replay)
-        patch.setattr(fuzzing, "_init_test_case", recording_init)
+        patch.setattr(fuzzing, "_argmin_candidate", recording_argmin)
         result = run_fuzzing(preset(), scheme, budget=5, seed=seed,
                              record_trace=True)
     return dict(record=result.to_record(), events=result.trace.events,
                 jsonl=trace_to_jsonl(result.trace), actions=actions,
-                windows=windows)
+                windows=windows, probes=probes)
 
 
 @pytest.mark.parametrize("preset,scheme,seed", RUNS,
@@ -74,10 +81,18 @@ def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
 def test_replayed_run_equals_computed_run(preset, scheme, seed, monkeypatch):
     replayed = run(preset, scheme, seed, monkeypatch, replay=True)
     computed = run(preset, scheme, seed, monkeypatch, replay=False)
-    for key in ("record", "events", "jsonl", "actions", "windows"):
+    for key in ("record", "events", "jsonl", "actions", "windows", "probes"):
         assert replayed[key] == computed[key], key
     kinds = [kind for kind, _ in replayed["actions"]]
     assert len(kinds) == replayed["record"]["total_steps"]
+    # an epoch relocates the attacker exactly when it selected by a
+    # spawn-style probe; a continuation spends its probe's step planning
+    for t, spawn_style in replayed["probes"]:
+        key = replayed["actions"][t][1]
+        if spawn_style:     # a spawn or a teleport
+            assert key[0] is not None or key[1] is not None, t
+        else:
+            assert key == (None,), t
     # the first epoch always spawns from a spawn-style probe
     assert "replay" in kinds and replayed["windows"]
     contacts = [t for t, message in replayed["events"]
