@@ -32,7 +32,7 @@ class CampaignConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        check_run(self.scheme, self.budget)
+        check_run(self.scheme, self.budget, self.base_seed)
         if self.executions < 1:
             raise ValueError("executions must be >= 1")
         if self.workers < 1:

@@ -2,8 +2,8 @@
 
 ``litelfuzz run`` executes a fuzzing campaign, ``summarize`` renders a
 saved report, ``plot`` emits CSV plot data. Configuration errors exit
-with status 2; the ``LITELFUZZ_LOG`` environment variable sets the log
-level (e.g. DEBUG, INFO).
+with status 2. ``LITELFUZZ_LOG=INFO`` logs one line as each campaign
+starts; the package logs nothing else, at any level.
 """
 from __future__ import annotations
 

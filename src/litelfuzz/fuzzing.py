@@ -211,8 +211,8 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
 
 
 class ProbeScores(list):
-    """The B scores of a probe, as a list, and the steps it simulated:
-    :meth:`forecast` copies one row's."""
+    """The B scores of a probe, as a list (``+inf``: not scored), and the
+    steps it simulated: :meth:`forecast` copies one row's."""
 
     def __init__(self, scores: list[float]):
         super().__init__(scores)
@@ -255,8 +255,10 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     the attacker, so they are stepped together as the rows of a
     :class:`WorldRows` batch, with the controller state, goal-distance
     windows and outcome kept per row. A row that fails or completes the
-    mission is scored then and leaves the batch. ``target_id`` must name a
-    swarm agent, and ``params.lookahead`` must be at least 1.
+    mission is scored then and leaves the batch. The first failing step
+    ends the probe: a row still stepping could only score higher, so it
+    stays ``+inf``, not scored. ``target_id`` must name a swarm agent, and
+    ``params.lookahead`` must be at least 1.
 
     A spawn-style probe also keeps the swarm's half of every step it
     simulates (:class:`ProbeScores`), so that the run can adopt the chosen
@@ -358,6 +360,8 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         ended = failed | controller.mission_complete_rows(state, rows, spec)
         if ended.any():
             finish(rows, windows, ended, failed)
+            if failed.any():    # every row still stepping scores higher
+                return scores
             keep = ~ended
             live, rows, windows = live[keep], rows.select(keep), windows[keep]
             state = tuple(a[keep] for a in state)
@@ -640,18 +644,20 @@ class _FuzzDriver:
                 self.sim.spec.dt, params.attacker_a_max)[0])
 
 
-def check_run(scheme: str, budget: Optional[int]) -> None:
-    """Reject an unknown scheme or a negative budget (None: unlimited)."""
+def check_run(scheme: str, budget: Optional[int], seed: int) -> None:
+    """Reject an unknown scheme, a negative budget (None: unlimited) or seed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
     if budget is not None and budget < 0:
         raise ValueError("budget must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
                 seed: int = 0, record_trace: bool = False) -> FuzzResult:
     """One fuzzing execution of ``scheme`` with at most ``budget`` epochs."""
-    check_run(scheme, budget)
+    check_run(scheme, budget, seed)
     sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
     rng = np.random.default_rng([seed, 0x51A9])
     driver = _FuzzDriver(sim, scheme, scenario.spawn_geometry(),

@@ -426,13 +426,10 @@ def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:
 
 
 def clamp_norms(v: np.ndarray, limit: float) -> np.ndarray:
-    """:func:`clamp_norm` of every vector along the last axis of ``v``."""
-    n = row_norms(v)
-    over = n > limit
-    if not over.any():
-        return v
-    return np.where(over[..., None],
-                    v * (limit / np.where(over, n, 1.0))[..., None], v)
+    """:func:`clamp_norm` of every vector along the last axis of ``v``, for
+    a ``limit`` above 0."""
+    # a vector within the limit is scaled by limit / limit, exactly 1.0
+    return v * (limit / np.maximum(row_norms(v), limit))[..., None]
 
 
 def integrate_step(agent: AgentState, commanded_velocity: np.ndarray,

@@ -37,6 +37,13 @@ class TestConfigValidation:
             CampaignConfig(scheme="sa", executions=1, budget=-1)
         assert CampaignConfig(scheme="sa", executions=1, budget=0).budget == 0
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            CampaignConfig(scheme="sa", executions=1, base_seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            run_fuzzing(a1_navigate(), "sa", budget=1, seed=-1)
+        assert CampaignConfig(scheme="sa", executions=1).base_seed == 0
+
     def test_save_traces_needs_out_dir(self):
         with pytest.raises(ValueError, match="out_dir"):
             CampaignConfig(scheme="sa", executions=1, save_traces=True)

@@ -132,6 +132,17 @@ def test_plot_negative_budget_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "a1_navigate"],
+    ["run", "a1_navigate", "--executions", "2", "--workers", "2"],
+    ["plot", "robustness", "a1_navigate"]])
+def test_negative_seed_exits_2(argv, capsys):
+    assert main(argv + ["--budget", "1", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_summarize(tmp_path, capsys):
     out = tmp_path / "c"
     main(["run", "a1_navigate", "--scheme", "random", "--executions", "1",

@@ -335,7 +335,10 @@ class TestLookaheadScore:
 def scalar_lookahead_score(sim, candidate, target_id, params,
                            from_current=False):
     """One candidate's lookahead score from a scalar rollout of
-    ``Simulation.step``: the oracle the batched rollout must equal."""
+    ``Simulation.step``, and the step at which its mission ended (failed or
+    completed) within the horizon, ``math.inf`` if it ran to the horizon:
+    the oracle the batched rollout must equal (see
+    :func:`expected_probe_scores`)."""
     probe = sim.clone()
     step_len = params.attacker_v_max * probe.spec.dt
     approaching = from_current and probe.attacker() is not None
@@ -362,12 +365,29 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
                                  params.attacker_v_max, probe.spec.dt,
                                  params.attacker_a_max)
         probe.step(AttackerAction(command=cmd))
+    ended = probe.step_index if probe.done else math.inf
     if probe.failure_kind is not None:
-        return _FAILURE_SCORE_BASE + probe.step_index
+        return _FAILURE_SCORE_BASE + probe.step_index, ended
     if sim.done:
-        return math.inf     # a finished mission never stepped: no record
+        # a finished mission never stepped: no record
+        return math.inf, ended
     return probe.robustness_rows(probe.world.rows(),
-                                 probe.windows[None])[0].swarm
+                                 probe.windows[None])[0].swarm, ended
+
+
+def expected_probe_scores(scalar):
+    """The batched probe's scores from the scalar rollouts' ``(score,
+    ended)`` pairs. The probe ends at its first forecast failure, so a row
+    whose rollout had not ended by then is not scored: ``+inf``."""
+    first = min((ended for score, ended in scalar if score < -1e8),
+                default=math.inf)
+    return [score if ended <= first else math.inf for score, ended in scalar]
+
+
+def lowest(scores):
+    """The index :func:`fuzzing._argmin_candidate` picks: the lowest index
+    among the lowest scores."""
+    return scores.index(min(scores))
 
 
 class TestBatchedLookahead:
@@ -382,18 +402,25 @@ class TestBatchedLookahead:
                 scalar = [scalar_lookahead_score(sim, c, target_id, p,
                                                  from_current)
                           for c in candidates]
-                assert lookahead_score(sim, np.array(candidates), target_id,
-                                       p, from_current) == scalar
-                # a stack of one scores as it does among the others
+                expected = expected_probe_scores(scalar)
+                scores = lookahead_score(sim, np.array(candidates), target_id,
+                                         p, from_current)
+                assert scores == expected
+                # the cut rows could not have been chosen
+                assert lowest(scores) == lowest([s for s, _ in scalar])
+                # a stack of one scores as it does alone
                 assert lookahead_score(sim, np.array(candidates[:1]),
                                        target_id, p, from_current) \
-                    == scalar[:1]
+                    == [scalar[0][0]]
                 attacker = sim.attacker() is not None
                 seen.add(("attacker", attacker, from_current))
                 # a failure score holds the step of the failure
-                ends = {s if s < -1e8 else "no failure" for s in scalar}
+                ends = {s if s < -1e8 else "no failure" for s, _ in scalar}
                 if len(ends) > 1:
                     seen.add("rows end apart")  # some fail before others
+                if math.inf in expected and math.inf not in \
+                        [s for s, _ in scalar]:
+                    seen.add("rows cut")    # a failure ended the probe
             return argmin(sim, candidates, target_id, params, from_current)
 
         monkeypatch.setattr(fuzzing, "_argmin_candidate", checked)
@@ -401,7 +428,8 @@ class TestBatchedLookahead:
             for scheme in ("sa", "ma"):
                 run_fuzzing(preset(), scheme, budget=3, seed=1)
         assert seen >= {("attacker", False, False), ("attacker", True, True),
-                        ("attacker", True, False), "rows end apart"}
+                        ("attacker", True, False), "rows end apart",
+                        "rows cut"}
 
     def test_finished_simulation_scores_as_scalar(self):
         scn = a1_navigate()
@@ -413,7 +441,7 @@ class TestBatchedLookahead:
                                   sim.spec.safe_distance)
         params = scn.fuzz_params()
         scores = lookahead_score(sim, np.array(points), target.id, params)
-        assert scores == [scalar_lookahead_score(sim, p, target.id, params)
+        assert scores == [scalar_lookahead_score(sim, p, target.id, params)[0]
                           for p in points]
         assert scores == [math.inf] * len(points)
 
@@ -472,12 +500,49 @@ class TestProbeWork:
                 lambda args: True))
         scores = lookahead_score(sim, np.array(points), target.id, params)
         monkeypatch.undo()
-        assert scores == [scalar_lookahead_score(sim, p, target.id, params)
-                          for p in points]
+        scalar = [scalar_lookahead_score(sim, p, target.id, params)
+                  for p in points]
+        assert scores == expected_probe_scores(scalar)
+        assert lowest(scores) == lowest([s for s, _ in scalar])
         batches = counts["steps"] + 1
         assert counts["steps"] >= params.lookahead // 2
         assert counts["pairwise"] == batches
         assert counts["surface"] == batches
+
+    def test_a_probe_steps_to_its_first_failure(self, monkeypatch):
+        """A probe makes as many batched steps as its first forecast failure
+        needs, and ``lookahead - 1`` when no row fails (the first of its
+        steps is one scalar step)."""
+        scn = a1_navigate()
+        sim = scn.build_simulation(seed=0, record_trace=False)
+        params = scn.fuzz_params()
+        for _ in range(params.warmup_steps):
+            sim.step()
+        target = sim.world.swarm()[0]
+        points = spawn_candidates(target, WorldState(0, [target], []),
+                                  scn.spawn_geometry(),
+                                  sim.spec.safe_distance)
+        scalar = [scalar_lookahead_score(sim, p, target.id, params)
+                  for p in points]
+        first = min(ended for score, ended in scalar if score < -1e8)
+        survivors = [p for p, (_, ended) in zip(points, scalar)
+                     if ended == math.inf]
+        assert survivors
+        steps = []
+        commands_rows = controllers.ApfNavigationController.commands_rows
+
+        def counted(*args):
+            steps.append(args)
+            return commands_rows(*args)
+
+        monkeypatch.setattr(controllers.ApfNavigationController,
+                            "commands_rows", counted)
+        lookahead_score(sim, np.array(points), target.id, params)
+        failing = len(steps)
+        steps.clear()
+        lookahead_score(sim, np.array(survivors), target.id, params)
+        assert failing == first - sim.step_index - 1 < params.lookahead - 1
+        assert len(steps) == params.lookahead - 1
 
     def test_main_steps_and_a_probe_stack_the_obstacles_once(self,
                                                              monkeypatch):

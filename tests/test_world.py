@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from obstacle_oracle import outward_direction, surface_distance
 
 from litelfuzz.world import (AgentState, Distances, FailureKind, InvalidState,
@@ -66,13 +66,25 @@ class TestNorm:
                     assert got[index] == expected or \
                         (math.isnan(expected) and math.isnan(got[index]))
 
-    @given(st.lists(st.floats(-10, 10), min_size=12, max_size=12),
-           st.floats(0.01, 10))
-    def test_clamp_norms_equal_clamp_norm(self, values, limit):
-        v = np.array(values).reshape(4, 3)
-        got = clamp_norms(v, limit)
-        for k in range(4):
-            assert (got[k] == clamp_norm(v[k], limit)).all()
+    # (3, -4, 0) and (3, 4, 12) lie exactly at the limits 5 and 13
+    @given(st.lists(st.sampled_from([0.0, -0.0, 3.0, -4.0, 4.0, 12.0])
+                    | st.floats(-10, 10), min_size=12, max_size=12),
+           st.lists(st.sampled_from([5.0, 13.0]) | st.floats(0.01, 10),
+                    min_size=2, max_size=2))
+    @example([0.0, -0.0, 0.0, -0.0, -0.0, -0.0,
+              3.0, -4.0, -0.0, 3.0, 4.0, 12.0], [5.0, 13.0])
+    @example([12.0, -0.0, 0.0, -0.0, 4.0, -3.0,
+              -0.0, -0.0, -0.0, 0.0, 0.0, 0.0], [5.0, 0.5])
+    def test_clamp_norms_equal_clamp_norm(self, values, limits):
+        """Row by row and sign bits included, under one limit and under
+        one limit per column, as ``integrate_rows`` passes them."""
+        v = np.array(values).reshape(2, 2, 3)
+        for limit in (limits[0], np.array(limits)):
+            got = clamp_norms(v, limit)
+            for b, m in np.ndindex(2, 2):
+                expected = clamp_norm(v[b, m], np.broadcast_to(limit, 2)[m])
+                assert (got[b, m] == expected).all()
+                assert (np.signbit(got[b, m]) == np.signbit(expected)).all()
 
 
 # -- obstacles ---------------------------------------------------------------
