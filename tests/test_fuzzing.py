@@ -369,8 +369,7 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
     if probe.failure_kind is not None:
         return _FAILURE_SCORE_BASE + probe.step_index, ended
     if sim.done:
-        # a finished mission never stepped: no record
-        return math.inf, ended
+        return math.inf, ended  # a finished mission never stepped: no record
     return probe.robustness_rows(probe.world.rows(),
                                  probe.windows[None])[0].swarm, ended
 
