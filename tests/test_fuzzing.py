@@ -445,23 +445,28 @@ class TestBatchedLookahead:
         assert scores == [math.inf] * len(points)
 
 
+def ring_probe():
+    """a1 at seed 0 after its warm-up, its params, agent 0, and the ring
+    around agent 0 alone: all eight sectors as candidates."""
+    scn = a1_navigate()
+    sim = scn.build_simulation(seed=0, record_trace=False)
+    params = scn.fuzz_params()
+    for _ in range(params.warmup_steps):
+        sim.step()
+    target = sim.world.swarm()[0]
+    points = spawn_candidates(target, WorldState(0, [target], []),
+                              scn.spawn_geometry(), sim.spec.safe_distance)
+    assert len(points) == 8
+    return sim, params, target, points
+
+
 class TestProbeWork:
     def test_each_batch_measures_its_distances_once(self, monkeypatch):
         """One a1 probe of 8 candidates: every batch the rollout steps
         through (the start batch and the one each batched step makes) gets
         one pairwise table and one surface-distance pass over all its
         obstacles, shared by the repulsion and the failure check."""
-        scn = a1_navigate()
-        sim = scn.build_simulation(seed=0, record_trace=False)
-        params = scn.fuzz_params()
-        for _ in range(params.warmup_steps):
-            sim.step()
-        target = sim.world.swarm()[0]
-        # the ring around the target alone: all eight sectors
-        points = spawn_candidates(target, WorldState(0, [target], []),
-                                  scn.spawn_geometry(),
-                                  sim.spec.safe_distance)
-        assert len(points) == 8
+        sim, params, target, points = ring_probe()
         counts = {"steps": 0, "pairwise": 0, "surface": 0}
         in_obstacle_pass = []
 
@@ -512,15 +517,7 @@ class TestProbeWork:
         """A probe makes as many batched steps as its first forecast failure
         needs, and ``lookahead - 1`` when no row fails (the first of its
         steps is one scalar step)."""
-        scn = a1_navigate()
-        sim = scn.build_simulation(seed=0, record_trace=False)
-        params = scn.fuzz_params()
-        for _ in range(params.warmup_steps):
-            sim.step()
-        target = sim.world.swarm()[0]
-        points = spawn_candidates(target, WorldState(0, [target], []),
-                                  scn.spawn_geometry(),
-                                  sim.spec.safe_distance)
+        sim, params, target, points = ring_probe()
         scalar = [scalar_lookahead_score(sim, p, target.id, params)
                   for p in points]
         first = min(ended for score, ended in scalar if score < -1e8)
