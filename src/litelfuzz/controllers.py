@@ -149,16 +149,16 @@ class ApfNavigationController:
     """
 
     formation_offsets: dict[int, np.ndarray]
-    influence_radius: float = field(
-        default=0.15, metadata=dict(kind="number", above=0.0))
+    influence_radius: float = field(default=0.15, metadata=dict(
+        key="influence_radius_m", kind="number", above=0.0))
     repulsion_gain: float = field(
         default=0.05, metadata=dict(kind="number", least=0.0))
-    slow_radius: float = field(
-        default=0.3, metadata=dict(kind="number", above=0.0))
-    waypoint_switch_radius: float = field(
-        default=0.2, metadata=dict(kind="number", least=0.0))
-    formation_tolerance: float = field(
-        default=0.15, metadata=dict(kind="number", least=0.0))
+    slow_radius: float = field(default=0.3, metadata=dict(
+        key="slow_radius_m", kind="number", above=0.0))
+    waypoint_switch_radius: float = field(default=0.2, metadata=dict(
+        key="waypoint_switch_radius_m", kind="number", least=0.0))
+    formation_tolerance: float = field(default=0.15, metadata=dict(
+        key="formation_tolerance_m", kind="number", least=0.0))
     # slots hang off the leader, the only frame; the key stays so that
     # scenario files naming it load, and no code reads it
     formation_frame: str = field(
@@ -348,19 +348,22 @@ class DispersalSearchController:
     ``target_radius`` of a searcher are marked detected.
     """
 
-    bounds_lo: np.ndarray = field(metadata=dict(kind="vector"))
-    bounds_hi: np.ndarray = field(metadata=dict(kind="vector"))
-    targets: list[np.ndarray] = field(metadata=dict(kind="vectors"))
+    bounds_lo: np.ndarray = field(metadata=dict(
+        key="bounds_lo_m", kind="vector"))
+    bounds_hi: np.ndarray = field(metadata=dict(
+        key="bounds_hi_m", kind="vector"))
+    targets: list[np.ndarray] = field(metadata=dict(
+        key="targets_m", kind="vectors"))
     # dispersal range between searchers
-    neighbor_radius: float = field(
-        default=2.0, metadata=dict(kind="number", above=0.0))
+    neighbor_radius: float = field(default=2.0, metadata=dict(
+        key="neighbor_radius_m", kind="number", above=0.0))
     # obstacle proximity-sensor range
-    sensor_range: float = field(
-        default=2.0, metadata=dict(kind="number", above=0.0))
-    target_radius: float = field(
-        default=1.0, metadata=dict(kind="number", least=0.0))
-    cell_size: float = field(
-        default=2.0, metadata=dict(kind="number", above=0.0))
+    sensor_range: float = field(default=2.0, metadata=dict(
+        key="sensor_range_m", kind="number", above=0.0))
+    target_radius: float = field(default=1.0, metadata=dict(
+        key="target_radius_m", kind="number", least=0.0))
+    cell_size: float = field(default=2.0, metadata=dict(
+        key="cell_size_m", kind="number", above=0.0))
     explore_weight: float = field(
         default=0.6, metadata=dict(kind="number", least=0.0))
     # scales obstacle/wall repulsion vs v_max

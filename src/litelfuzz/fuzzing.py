@@ -44,17 +44,19 @@ class NoValidSpawn(RuntimeError):
     """Every spawn sector around the target is excluded."""
 
 
-# A ``fallback`` field takes a value from the scenario when its key is
-# absent, null or 0 (see ``ScenarioConfig.spawn_geometry`` and
-# ``ScenarioConfig.fuzz_params``).
-_FALLBACK = dict(kind="number", least=0.0, fallback=True)
+def _fallback(key: str):
+    """A field set by scenario ``key`` that takes a value from the scenario
+    when the key is absent, null or 0 (see ``ScenarioConfig.spawn_geometry``
+    and ``ScenarioConfig.fuzz_params``)."""
+    return field(metadata=dict(key=key, kind="number", least=0.0,
+                               fallback=True))
 
 
 @dataclass
 class SpawnGeometry:
     # target sensing radius, and a slightly larger ring bound
-    inner_radius: float = field(metadata=_FALLBACK)
-    outer_radius: float = field(metadata=_FALLBACK)
+    inner_radius: float = _fallback("inner_radius_m")
+    outer_radius: float = _fallback("outer_radius_m")
     sectors: int = field(default=8, metadata=dict(kind="integer"))
 
     def __post_init__(self):
@@ -66,18 +68,19 @@ class SpawnGeometry:
 
 @dataclass
 class FuzzParams:
-    attacker_v_max: float = field(metadata=_FALLBACK)
+    attacker_v_max: float = _fallback("attacker_v_max_mps")
     # influence-graph edge eligibility radius
-    graph_radius: float = field(metadata=_FALLBACK)
+    graph_radius: float = _fallback("graph_radius_m")
     # hover distance kept from the target drone
-    standoff: float = field(metadata=_FALLBACK)
-    lookahead: int = field(default=10, metadata=dict(kind="integer", least=1))
+    standoff: float = _fallback("standoff_m")
+    lookahead: int = field(default=10, metadata=dict(
+        key="lookahead_steps", kind="integer", least=1))
     settle_steps: int = field(default=5,
                               metadata=dict(kind="integer", least=0))
     # None: same limit as the swarm (``ScenarioConfig.fuzz_params``
     # resolves it)
-    attacker_a_max: Optional[float] = field(
-        default=None, metadata=dict(kind="number", above=0.0))
+    attacker_a_max: Optional[float] = field(default=None, metadata=dict(
+        key="attacker_a_max_mps2", kind="number", above=0.0))
     # Katz alpha as a fraction of 1 / spectral radius
     alpha_factor: float = field(
         default=0.85, metadata=dict(kind="number", above=0.0, below=1.0))
@@ -413,7 +416,7 @@ def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
                       from_current: bool = False
                       ) -> tuple[np.ndarray, float, list[ForecastStep]]:
     """The candidate of lowest score, its score and the forecast steps its
-    spawn or teleport replays (none unless the probe was spawn-style)."""
+    placement replays (none unless the probe was spawn-style)."""
     # one call scores the whole stack: lookahead_score is the single entry
     # point of probe scoring, which perfbench traces as one layer
     scores = lookahead_score(sim, np.array(candidates), target_id, params,
@@ -453,11 +456,12 @@ class _FuzzDriver:
     An attacker touching a swarm agent invalidates the test case, and the
     sequence restarts with a forced epoch. One rule decides each epoch's
     move: with no attacker yet, under ``ma`` or when forced, the attacker
-    relocates (spawns or teleports), else it flies; ``sa`` selects its
-    test case globally or within its reach by the same rule. The attacker
-    flies and pursues by a probe's kernels, on one row, so it moves as it
-    was forecast to.
-    On a spawn or teleport epoch the chosen candidate's forecast already
+    relocates, else it flies; ``sa`` selects its test case globally or
+    within its reach by the same rule. A relocation is one ``place``
+    action: the driver says where, and the mission builds the attacker
+    there (:func:`attacker_agent`). The attacker flies and pursues by a
+    probe's kernels, on one row, so it moves as it was forecast to.
+    On a placement epoch the chosen candidate's forecast already
     holds those steps: each of the first ``min(settle, forecast length)``
     actions carries its forecast step and pursuit command, and the run
     adopts the step (:meth:`Simulation.replay`) instead of simulating it.
@@ -534,14 +538,8 @@ class _FuzzDriver:
             # the attacker materializes at the scored position and starts
             # pursuing immediately -- exactly the lookahead realization,
             # whose steps are replayed while the forecast lasts
-            first = forecast[0] if forecast else None
-            if attacker is None:
-                yield AttackerAction(
-                    spawn=attacker_agent(tc.attack_position.copy()),
-                    forecast=first)
-            else:
-                yield AttackerAction(teleport=tc.attack_position.copy(),
-                                     forecast=first)
+            yield AttackerAction(place=tc.attack_position,
+                                 forecast=forecast[0] if forecast else None)
             for step in forecast[1:]:
                 yield AttackerAction(command=step.command, forecast=step)
             yield from self._pursue(settle - max(len(forecast), 1))
@@ -562,7 +560,7 @@ class _FuzzDriver:
 
     def _next_testcase(self, relocate: bool
                        ) -> tuple[TestCase, list[ForecastStep]]:
-        """The next test case and the forecast steps its spawn or teleport
+        """The next test case and the forecast steps its placement
         replays, empty when none was probed: a target, its ring of
         :func:`spawn_candidates` and one sector. ``sa`` and ``ma`` take the
         lowest lookahead score: around the global key node, probed

@@ -67,11 +67,11 @@ class ForecastStep(NamedTuple):
 
 @dataclass
 class AttackerAction:
-    """Per-step attacker directive applied by the simulation. An action
-    with a ``forecast`` goes to :meth:`Simulation.replay`, which adopts the
-    swarm's half of the step from it."""
-    spawn: Optional[AgentState] = None
-    teleport: Optional[np.ndarray] = None
+    """Per-step attacker directive: ``place`` the attacker at rest at a
+    position, fly it by ``command`` or ``despawn`` it. An action with a
+    ``forecast`` goes to :meth:`Simulation.replay`, which adopts the swarm's
+    half of the step from it."""
+    place: Optional[np.ndarray] = None
     command: Optional[np.ndarray] = None
     despawn: bool = False
     forecast: Optional[ForecastStep] = None
@@ -271,19 +271,16 @@ class Simulation:
             raise InvalidState(f"non-finite state for agent {bad.id}") from None
 
     def _advance_attacker(self, action: AttackerAction | None) -> list[AgentState]:
+        """The attacker after ``action``: gone, :func:`attacker_agent` at
+        ``place`` whether or not one was present, or flown by its command."""
         attacker = self.attacker()
         action = action or AttackerAction()     # None: no directive
         if action.despawn:
             return []
-        if action.spawn is not None:
-            return [action.spawn.copy()]
+        if action.place is not None:
+            return [attacker_agent(np.array(action.place, dtype=float))]
         if attacker is None:
             return []
-        if action.teleport is not None:
-            position = np.array(action.teleport, dtype=float)
-            return [AgentState(attacker.id, position, np.zeros_like(position),
-                               np.zeros_like(position),
-                               attacker.sensing_radius, attacker.role)]
         cmd = action.command if action.command is not None \
             else np.zeros_like(attacker.position)
         return [integrate_step(attacker, cmd, self.attacker_spec)]

@@ -53,19 +53,19 @@ def _key(name: str, required=True, null=False, **check) -> dict:
                         for r, sign, op in _RANGES if r in check])
 
 
-def _keys(cls, names: dict[str, str] | None = None) -> dict[str, dict]:
-    """``names`` (scenario key -> field of ``cls``, by default each checked
-    field's ``key`` or name) with each field's check, resolved once."""
+def _keys(cls) -> dict[str, dict]:
+    """Each checked field of ``cls`` by its scenario key (its ``key``, else
+    its name), with its check resolved once; a field without a check is
+    not a key."""
     out = {}
     for f in fields(cls):
-        fallback = f.metadata.get("fallback", False)
-        bare = f.default is MISSING and f.default_factory is MISSING
-        out[f.name] = _key(f.name, bare and not fallback,
-                           fallback or f.default is None, **f.metadata)
-    if names is None:
-        names = {f.metadata.get("key", f.name): f.name for f in fields(cls)
-                 if f.metadata}
-    return {key: out[name] for key, name in names.items()}
+        if f.metadata:
+            fallback = f.metadata.get("fallback", False)
+            bare = f.default is MISSING and f.default_factory is MISSING
+            out[f.metadata.get("key", f.name)] = _key(
+                f.name, bare and not fallback, fallback or f.default is None,
+                **f.metadata)
+    return out
 
 
 def _fields(values: dict, keys: dict) -> dict:
@@ -219,30 +219,10 @@ class AgentConfig:
 
 _AGENT_FIELDS = _keys(AgentConfig)
 
-# scenario key -> dataclass field, one table per section
-_SECTION_FIELDS = {
-    "apf": _keys(ApfNavigationController, {
-        "influence_radius_m": "influence_radius",
-        "repulsion_gain": "repulsion_gain", "slow_radius_m": "slow_radius",
-        "waypoint_switch_radius_m": "waypoint_switch_radius",
-        "formation_tolerance_m": "formation_tolerance",
-        "formation_frame": "formation_frame"}),
-    "search": _keys(DispersalSearchController, {
-        "bounds_lo_m": "bounds_lo", "bounds_hi_m": "bounds_hi",
-        "targets_m": "targets", "neighbor_radius_m": "neighbor_radius",
-        "sensor_range_m": "sensor_range", "target_radius_m": "target_radius",
-        "cell_size_m": "cell_size", "explore_weight": "explore_weight",
-        "obstacle_gain": "obstacle_gain"}),
-    "spawn": _keys(SpawnGeometry, {
-        "inner_radius_m": "inner_radius", "outer_radius_m": "outer_radius",
-        "sectors": "sectors"}),
-    "fuzz": _keys(FuzzParams, {
-        "lookahead_steps": "lookahead", "settle_steps": "settle_steps",
-        "attacker_v_max_mps": "attacker_v_max",
-        "attacker_a_max_mps2": "attacker_a_max",
-        "graph_radius_m": "graph_radius", "alpha_factor": "alpha_factor",
-        "standoff_m": "standoff", "warmup_steps": "warmup_steps"}),
-}
+# section -> its keys, each declared on the field it sets
+_SECTION_FIELDS = {"apf": _keys(ApfNavigationController),
+                   "search": _keys(DispersalSearchController),
+                   "spawn": _keys(SpawnGeometry), "fuzz": _keys(FuzzParams)}
 
 
 def _section(name: str, controller: str | None = None):

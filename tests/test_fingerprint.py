@@ -128,14 +128,15 @@ ACTION_FINGERPRINT = \
     "f69ea7f5c338025fe36ccaf1140fa0222fa95ddf3f0d0d447c76c02753ecb1e5"
 
 
-def _action_entry(action) -> list:
-    """An action as its kind and vector."""
+def _action_entry(action, sim) -> list:
+    """An action as its kind and vector: a placement is a ``spawn`` when
+    ``sim`` has no attacker before the step, else a ``teleport``."""
     if action is None:
         return [None]
     if action.despawn:
         return ["despawn"]
-    for kind, vector in (("spawn", action.spawn and action.spawn.position),
-                         ("teleport", action.teleport),
+    for kind, vector in (("spawn" if sim.attacker() is None else "teleport",
+                          action.place),
                          ("command", action.command)):
         if vector is not None:
             return [kind, [float(x) for x in vector]]
@@ -151,11 +152,11 @@ def test_driver_action_schedule_fingerprint(monkeypatch):
         step, replay, sim.actions = sim.step, sim.replay, []
 
         def recording_step(action=None):
-            sim.actions.append(_action_entry(action))
+            sim.actions.append(_action_entry(action, sim))
             step(action)
 
         def recording_replay(action):
-            sim.actions.append(_action_entry(action))
+            sim.actions.append(_action_entry(action, sim))
             replay(action)
 
         sim.step, sim.replay = recording_step, recording_replay

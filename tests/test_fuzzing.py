@@ -12,11 +12,11 @@ from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                SpawnGeometry, _FuzzDriver, _pursuit_commands,
                                lookahead_score, random_target, run_fuzzing,
                                spawn_candidates)
-from litelfuzz.mission import ATTACKER_ID, AttackerAction, attacker_agent
+from litelfuzz.mission import AttackerAction
 from litelfuzz.planner import plan_path
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
-from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, Obstacles,
-                             WorldState, clamp_norm, norm)
+from litelfuzz.world import (AgentState, Obstacle, Obstacles, WorldState,
+                             clamp_norm, norm)
 
 
 def make_agent(pos, agent_id=0, sensing=0.5, role="follower"):
@@ -238,7 +238,7 @@ class TestFlight:
         params = scn.fuzz_params()
         for _ in range(params.warmup_steps):
             sim.step()
-        sim.step(AttackerAction(spawn=attacker_agent(np.array([1.2, 1.1]))))
+        sim.step(AttackerAction(place=np.array([1.2, 1.1])))
         path = plan_path(sim.attacker().position, np.array([2.8, 1.1]),
                          sim.world, clearance=sim.spec.safe_distance)
         assert len(path) >= 3       # at least one via point round the wall
@@ -343,10 +343,7 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
     step_len = params.attacker_v_max * probe.spec.dt
     approaching = from_current and probe.attacker() is not None
     if not approaching:
-        spawn = AgentState(ATTACKER_ID, candidate.copy(),
-                           np.zeros_like(candidate), np.zeros_like(candidate),
-                           sensing_radius=1.0, role=ROLE_ATTACKER)
-        probe.step(AttackerAction(spawn=spawn))
+        probe.step(AttackerAction(place=candidate))
     for k in range(params.lookahead - (0 if approaching else 1)):
         if probe.done:
             break

@@ -6,7 +6,8 @@ from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, Simulation,
                                run_mission)
 from litelfuzz.scenarios import a1_navigate, a2_search
-from litelfuzz.world import AgentState, InvalidState, WorldState, norm
+from litelfuzz.world import (ROLE_ATTACKER, AgentState, InvalidState,
+                             WorldState, norm)
 
 
 def snapshot_bytes(trace):
@@ -63,35 +64,40 @@ class TestClone:
         assert sim.clone().trace is None
 
 
-def make_attacker(pos):
-    p = np.asarray(pos, dtype=float)
-    return AgentState(ATTACKER_ID, p, np.zeros_like(p), np.zeros_like(p),
-                      0.5, "attacker")
-
-
 class TestAttackerActions:
     def setup_method(self):
         self.sim = a1_navigate().build_simulation(seed=0)
 
     def test_spawn_despawn(self):
-        self.sim.step(AttackerAction(spawn=make_attacker([2.0, 1.0])))
-        assert self.sim.attacker() is not None
+        # placing with no attacker present spawns attacker_agent at rest
+        assert self.sim.attacker() is None
+        self.sim.step(AttackerAction(place=np.array([2.0, 1.0])))
+        att = self.sim.attacker()
+        assert att.id == ATTACKER_ID and att.role == ROLE_ATTACKER
+        np.testing.assert_array_equal(att.position, [2.0, 1.0])
+        np.testing.assert_array_equal(att.velocity, [0.0, 0.0])
+        np.testing.assert_array_equal(att.acceleration, [0.0, 0.0])
         self.sim.step(AttackerAction(despawn=True))
         assert self.sim.attacker() is None
 
     def test_teleport_zeroes_velocity(self):
-        self.sim.step(AttackerAction(spawn=make_attacker([2.0, 1.0])))
+        # placing over a moving attacker teleports it and brings it to rest
+        self.sim.step(AttackerAction(place=np.array([2.0, 1.0])))
         self.sim.step(AttackerAction(command=np.array([3.0, 0.0])))
-        assert np.linalg.norm(self.sim.attacker().velocity) > 0.0
-        self.sim.step(AttackerAction(teleport=np.array([0.5, 0.5])))
+        moving = self.sim.attacker()
+        assert np.linalg.norm(moving.velocity) > 0.0
+        assert np.linalg.norm(moving.acceleration) > 0.0
+        self.sim.step(AttackerAction(place=np.array([0.5, 0.5])))
         att = self.sim.attacker()
-        np.testing.assert_allclose(att.position, [0.5, 0.5])
-        np.testing.assert_allclose(att.velocity, [0.0, 0.0])
+        assert att.id == ATTACKER_ID and att.role == ROLE_ATTACKER
+        np.testing.assert_array_equal(att.position, [0.5, 0.5])
+        np.testing.assert_array_equal(att.velocity, [0.0, 0.0])
+        np.testing.assert_array_equal(att.acceleration, [0.0, 0.0])
 
     def test_attacker_speed_uses_attacker_spec(self):
         v_att = self.sim.attacker_spec.v_max
         assert v_att > self.sim.spec.v_max
-        self.sim.step(AttackerAction(spawn=make_attacker([2.0, 1.0])))
+        self.sim.step(AttackerAction(place=np.array([2.0, 1.0])))
         for _ in range(40):
             self.sim.step(AttackerAction(command=np.array([v_att, 0.0])))
             if self.sim.done:
@@ -104,7 +110,7 @@ class TestAttackerActions:
     def test_attacker_contact_never_ends_mission(self):
         # park the attacker on top of a follower: no failure may be declared
         victim = self.sim.world.agent(1)
-        self.sim.step(AttackerAction(spawn=make_attacker(victim.position)))
+        self.sim.step(AttackerAction(place=victim.position))
         for _ in range(5):
             self.sim.step(AttackerAction(command=np.zeros(2)))
         assert self.sim.outcome is None or self.sim.failure_kind is None
@@ -163,9 +169,9 @@ class TestLazyRobustness:
         dim = len(target)
         push = np.zeros(dim)
         push[0] = 0.5
-        actions = ([None, AttackerAction(spawn=make_attacker(target + 0.3))]
+        actions = ([None, AttackerAction(place=target + 0.3)]
                    + [AttackerAction(command=push)] * 6
-                   + [AttackerAction(teleport=target - 0.3)]
+                   + [AttackerAction(place=target - 0.3)]
                    + [AttackerAction(command=-push)] * 6
                    + [AttackerAction(despawn=True)] + [None] * 5)
         for action in actions:
@@ -230,9 +236,9 @@ class TestImmutableWorlds:
         target = sim.world.swarm()[1].position
         push = np.zeros(len(target))
         push[0] = 0.5
-        actions = ([None, AttackerAction(spawn=make_attacker(target + 0.3))]
+        actions = ([None, AttackerAction(place=target + 0.3)]
                    + [AttackerAction(command=push)] * 4
-                   + [AttackerAction(teleport=target - 0.3)]
+                   + [AttackerAction(place=target - 0.3)]
                    + [AttackerAction(command=-push)] * 4
                    + [AttackerAction(despawn=True)] + [None] * 3)
         for action in actions:

@@ -1,10 +1,10 @@
-"""A spawn or teleport epoch adopts the chosen probe row's swarm steps
-through ``Simulation.replay`` instead of simulating them again.
+"""A placement epoch (a spawn or a teleport) adopts the chosen probe row's
+swarm steps through ``Simulation.replay`` instead of simulating them again.
 
 Computing every replayed step through ``Simulation.step`` instead must give
 the same run: the same record, trace bytes, events and action schedule.
 An epoch's selection and its realization read one relocation rule, so a
-probe's own step is a spawn or teleport exactly when it was spawn-style.
+probe's own step is a placement exactly when it was spawn-style.
 """
 import pytest
 
@@ -30,9 +30,8 @@ RUNS = [CONTACT_IN_WINDOW, FAILURE_AT_FORECAST_END,
 def _action_key(action) -> tuple:
     if action is None:
         return (None,)
-    spawn = action.spawn and action.spawn.position
     return tuple(None if v is None else v.tobytes() for v in (
-        spawn, action.teleport, action.command)) + (action.despawn,)
+        action.place, action.command)) + (action.despawn,)
 
 
 def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
@@ -89,8 +88,8 @@ def test_replayed_run_equals_computed_run(preset, scheme, seed, monkeypatch):
     # spawn-style probe; a continuation spends its probe's step planning
     for t, spawn_style in replayed["probes"]:
         key = replayed["actions"][t][1]
-        if spawn_style:     # a spawn or a teleport
-            assert key[0] is not None or key[1] is not None, t
+        if spawn_style:     # a placement: a spawn or a teleport
+            assert key[0] is not None, t
         else:
             assert key == (None,), t
     # the first epoch always spawns from a spawn-style probe

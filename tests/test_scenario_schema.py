@@ -53,6 +53,12 @@ BAD = [
     # the attacker's id: that agent's distances were read as the attacker's
     ("a1_navigate", ("agents", 3, "id"), 1000,
      "agents[3]: id 1000 is reserved for the attacker"),
+    # a controller field without a check in its metadata is run state,
+    # not a key
+    ("a1_navigate", ("apf", "waypoint_index"), 0,
+     "apf: unknown key(s): waypoint_index"),
+    ("a2_search", ("search", "visits"), None,
+     "search: unknown key(s): visits"),
 ]
 
 
