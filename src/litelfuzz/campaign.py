@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .fuzzing import OUTCOME_SUCCESSFUL_ATTACK, check_run, run_fuzzing
 from .mission import Trace
 from .world import FailureKind
@@ -182,38 +184,65 @@ def summarize(report: CampaignReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _literal(value) -> str:
+    """``value`` as JSON, escaped for a ``%`` template."""
+    return json.dumps(value).replace("%", "%%")
+
+
 def trace_to_jsonl(trace: Trace) -> str:
-    """Serialize a mission trace, one JSON object per step."""
-    events_by_step: dict[int, list[str]] = {}
+    """Serialize a mission trace, one JSON object per step, keys sorted.
+
+    A line is ``json.dumps(..., sort_keys=True)`` of the step's ``t``, its
+    agents' ids, roles and ``pos``, ``vel`` and ``acc``, its ``events`` and
+    its ``rob`` record (``per_agent`` ids, ``normalized`` margins and
+    ``individual`` sums, ``swarm`` and ``min``), written by filling one
+    template per agent layout, the swarm with or without the attacker,
+    from one ``tolist()`` of each scored batch's stacked kinematics and
+    margins (:meth:`Trace.scored`). A float is written as its ``repr``,
+    as ``json.dumps`` writes it, which is valid JSON because every number
+    is finite: integration raises :class:`InvalidState` on a non-finite
+    state, and every margin substitutes a full margin where it has no data
+    (no peer in sight, fewer than two goal distances in its window).
+    """
+    events: dict[int, list[str]] = {}
     for step, message in trace.events:
-        events_by_step.setdefault(step, []).append(message)
+        events.setdefault(step, []).append(message)
+    events = {step: json.dumps(messages) for step, messages in events.items()}
     lines = []
-    # snapshots[0] is the initial world; robustness[k] matches snapshots[k+1]
-    for k, record in enumerate(trace.robustness):
-        world = trace.snapshots[k + 1]
-        obj = {
-            "t": world.step_index,
-            "agents": [
-                {"id": a.id,
-                 "pos": a.position.tolist(),
-                 "vel": a.velocity.tolist(),
-                 "acc": a.acceleration.tolist(),
-                 "role": a.role}
-                for a in world.agents
-            ],
-            "events": events_by_step.get(world.step_index, []),
-            "rob": {
-                "per_agent": [
-                    {"id": ar.agent_id,
-                     "normalized": [float(x) for x in ar.normalized],
-                     "individual": float(ar.individual)}
-                    for ar in record.per_agent
-                ],
-                "swarm": float(record.swarm),
-                "min": float(record.min_margin),
-            },
-        }
-        lines.append(json.dumps(obj, sort_keys=True))
+    # snapshots[0] is the initial world; the k-th scored step is
+    # snapshots[k + 1]
+    worlds = iter(trace.snapshots[1:])
+    for rows, records in trace.scored():
+        agents = rows.layout.agents
+        size, dim = len(records.ids), rows.position.shape[2]
+        vector = "[" + ", ".join(["%r"] * dim) + "]"
+        entries = [f'{{"acc": {vector}, "id": {_literal(a.id)}, "pos": '
+                   f'{vector}, "role": {_literal(a.role)}, "vel": {vector}}}'
+                   for a in agents]
+        scores = ", ".join(
+            f'{{"id": {_literal(i)}, "individual": %r, "normalized": '
+            f'[%r, %r, %r, %r, %r]}}' for i in records.ids)
+        tail = (f'], "events": %s, "rob": {{"min": %r, "per_agent": '
+                f'[{scores}], "swarm": %r}}, "t": %d}}')
+        # the attacker's column is the last: absent, then present
+        templates = ['{"agents": [' + ", ".join(entries[:n]) + tail
+                     for n in (size, size + 1)]
+        cuts = [3 * dim * n for n in (size, size + 1)]
+        values = np.concatenate([
+            np.stack([rows.acceleration, rows.position, rows.velocity],
+                     axis=2).reshape(len(records), -1),
+            records.lowest[:, None],
+            np.concatenate([records.individual[..., None],
+                            records.normalized], axis=2).reshape(
+                                len(records), -1),
+            np.array([record.swarm for record in records])[:, None]],
+            axis=1).tolist()
+        for row, world in zip(values, worlds):
+            present = len(world.agents) > size
+            t = world.step_index
+            lines.append(templates[present] % (
+                *row[:cuts[present]], events.get(t, "[]"), *row[cuts[1]:],
+                t))
     return "\n".join(lines) + "\n" if lines else ""
 
 

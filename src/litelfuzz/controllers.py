@@ -32,7 +32,14 @@ on the world as a batch of one row (``WorldState.rows``), which the world
 builds once, so one main mission step resolves one layout and one table.
 The navigator keeps scalar ``update`` and ``commands`` for the main
 mission step: views of its array forms, which resolve a new layout for
-every world, ran ``a1_sa`` slower.
+every world, ran ``a1_sa`` slower. Its scalar ``commands`` is one pass
+per world: one :func:`_attraction_rows` call over the agents, the
+potential field summed term by term in Python floats from the world's
+:class:`Distances` (:func:`_repulsions`), and one :func:`clamp_norms`.
+The field equals the array form's bit for bit: each term is formed by
+the same IEEE elementwise operations and added in the same order to a
+total that starts at +0.0. Only the norms stay numpy, because
+``ndarray.dot`` rounds differently from a Python sum.
 """
 from __future__ import annotations
 
@@ -42,26 +49,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, RowsLayout,
-                    WorldRows, WorldState, _index, clamp_norm, clamp_norms,
+                    WorldRows, WorldState, _index, clamp_norms,
                     norm, row_norms)
 
 _EPS = 1e-9
 
 
-def _attraction(position: np.ndarray, target: np.ndarray, v_max: float,
-                slow_radius: float) -> np.ndarray:
-    """Full-speed pull toward ``target``, ramping down inside ``slow_radius``."""
-    delta = target - position
-    dist = norm(delta)
-    if dist < _EPS:
-        return np.zeros_like(position)
-    speed = v_max * min(1.0, dist / slow_radius)
-    return delta * (speed / dist)
-
-
 def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
                      slow_radius: float) -> np.ndarray:
-    """:func:`_attraction` of every vector along the last axis."""
+    """Full-speed pull toward ``target``, ramping down inside
+    ``slow_radius``, of every vector along the last axis; +0.0 within
+    ``_EPS`` of the target."""
     delta = target - position
     dist = row_norms(delta)
     far = dist >= _EPS
@@ -72,7 +70,7 @@ def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
 
 def _repulsion_rows(rows: WorldRows, influence_radius: float,
                     gain: float) -> np.ndarray:
-    """:func:`_repulsion` of every swarm column of ``rows``: (B, S, d).
+    """:func:`_repulsions` of every swarm column of ``rows``: (B, S, d).
 
     The terms are added one at a time in the scalar order, obstacles in
     list order and then agents in world order, with +0.0 for a term out of
@@ -109,32 +107,34 @@ def _repulsion_rows(rows: WorldRows, influence_radius: float,
     return total
 
 
-def _repulsion(agent_id: int, world: WorldState, influence_radius: float,
-               gain: float) -> np.ndarray:
-    """Potential-field push on an agent of ``world`` away from obstacles and
-    agents within range. One :class:`Obstacles` pass gives the obstacles'
-    directions when one is in range; ``total`` starts at +0.0, so the sign
-    of a zero component cannot show."""
+def _repulsions(world: WorldState, influence_radius: float,
+                gain: float) -> list[list[float]]:
+    """Potential-field push on every swarm agent of ``world`` away from
+    obstacles and agents within range, as Python floats (M, d); an
+    attacker gets +0.0. The terms are :func:`_repulsion_rows`' elementwise
+    operations, added in its order, read from the world's
+    :class:`Distances`."""
     table = world.distances()
-    col = table.column[agent_id]
-    position = world.agents[col].position
-    total = np.zeros_like(position)
-    near = [(o, d) for o, d in enumerate(table.obstacles[col])
-            if d < influence_radius]
-    if near:
-        directions = world.obstacles.outward_directions(position)
-        for o, d in near:
-            d = max(d, 1e-6)
-            mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
-            total = total + mag * directions[o]
-    for k, (other, d) in enumerate(zip(world.agents, table.agents[col])):
-        if k == col or not d < influence_radius:
-            continue
-        away = position - other.position
-        d = max(d, 1e-6)
-        mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
-        total = total + mag * (away / d)
-    return total
+    points = table.points
+    reach = 1.0 / influence_radius
+    pushes = []
+    for k, (agent, p) in enumerate(zip(world.agents, points)):
+        total = [0.0] * len(p)
+        if agent.role != ROLE_ATTACKER:
+            for o, d in enumerate(table.obstacles[k]):
+                if d < influence_radius:
+                    d = max(d, 1e-6)
+                    mag = gain * (1.0 / d - reach) / (d * d)
+                    total = [t + mag * u
+                             for t, u in zip(total, table.outward[k][o])]
+            for j, d in enumerate(table.agents[k]):
+                if d < influence_radius and j != k:
+                    d = max(d, 1e-6)
+                    mag = gain * (1.0 / d - reach) / (d * d)
+                    total = [t + mag * ((x - y) / d)
+                             for t, x, y in zip(total, p, points[j])]
+        pushes.append(total)
+    return pushes
 
 
 @dataclass
@@ -199,28 +199,33 @@ class ApfNavigationController:
             self.waypoint_index += 1
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
-        cmds: dict[int, np.ndarray] = {}
-        for agent in world.agents:
-            if agent.role == ROLE_ATTACKER:
-                continue
+        """One pass over the world: the leaders pull toward the waypoint
+        and the followers toward their slots in one
+        :func:`_attraction_rows` call, :func:`_repulsions` adds the
+        field, and one :func:`clamp_norms` caps the sums. An agent
+        without a target (a leader at the goal, a follower without a
+        leader, the attacker) targets its own position, which pulls with
+        +0.0."""
+        if not world.agents:
+            return {}
+        table = world.distances()
+        target = table.position.copy()
+        leader = self._leader(world)
+        for k, agent in enumerate(world.agents):
             if agent.role == ROLE_LEADER:
-                target = self._current_waypoint(world)
-                att = _attraction(agent.position, target, spec.v_max,
-                                  self.slow_radius)
-                if norm(agent.position - spec.goal) <= spec.goal_tolerance:
-                    att = np.zeros_like(att)
-            else:
-                slot = self._slot(agent.id, world)
-                if slot is None:
-                    # counterfactual without any reference agent: hold
-                    att = np.zeros_like(agent.position)
-                else:
-                    att = _attraction(agent.position, slot, spec.v_max,
-                                      self.slow_radius)
-            rep = _repulsion(agent.id, world, self.influence_radius,
-                             self.repulsion_gain)
-            cmds[agent.id] = clamp_norm(att + rep, spec.v_max)
-        return cmds
+                if norm(agent.position - spec.goal) > spec.goal_tolerance:
+                    target[k] = self._current_waypoint(world)
+            elif agent.role != ROLE_ATTACKER:
+                offset = self.formation_offsets[agent.id]
+                if leader is not None:
+                    target[k] = leader.position + offset
+        pull = _attraction_rows(table.position, target, spec.v_max,
+                                self.slow_radius)
+        cmds = clamp_norms(pull + _repulsions(world, self.influence_radius,
+                                              self.repulsion_gain),
+                           spec.v_max)
+        return {a.id: cmds[k] for k, a in enumerate(world.agents)
+                if a.role != ROLE_ATTACKER}
 
     def mission_complete(self, world: WorldState, spec: MissionSpec) -> bool:
         leader = self._leader(world)

