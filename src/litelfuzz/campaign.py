@@ -204,10 +204,10 @@ def trace_to_jsonl(trace: Trace) -> str:
     state, and every margin substitutes a full margin where it has no data
     (no peer in sight, fewer than two goal distances in its window).
     """
-    events: dict[int, list[str]] = {}
+    messages: dict[int, list[str]] = {}
     for step, message in trace.events:
-        events.setdefault(step, []).append(message)
-    events = {step: json.dumps(messages) for step, messages in events.items()}
+        messages.setdefault(step, []).append(message)
+    events = {step: json.dumps(texts) for step, texts in messages.items()}
     lines = []
     # snapshots[0] is the initial world; the k-th scored step is
     # snapshots[k + 1]

@@ -142,10 +142,10 @@ class Trace:
         if not pending:
             return
         fields = [np.stack(f) for f in zip(*self._kinematics[done:])]
-        rows = WorldRows(self._layout, *(
-            np.concatenate([swarm, attacker[:, None]], axis=1)
-            for swarm, attacker in zip(fields[:3], fields[3:])))
-        records = swarm_robustness(rows, np.stack(self._windows[done:]),
+        kinematics = [np.concatenate([swarm, attacker[:, None]], axis=1)
+                      for swarm, attacker in zip(fields[:3], fields[3:])]
+        records = swarm_robustness(WorldRows(self._layout, *kinematics),
+                                   np.stack(self._windows[done:]),
                                    self.cparams)
         for n, agent, constraint in violations_rows(records.ids, records.raw,
                                                     self.cparams):
@@ -155,7 +155,8 @@ class Trace:
                     pending[n].step_index,
                     f"violation agent={agent} constraint={constraint}"))
         self._records.extend(records)
-        self._batches.append((rows, records))
+        # a batch of its own: the scored one holds the distance table
+        self._batches.append((WorldRows(self._layout, *kinematics), records))
 
 
 class Simulation:

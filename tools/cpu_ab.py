@@ -5,12 +5,13 @@ Run from anywhere, naming the two checkouts' roots:
     python3 tools/cpu_ab.py BASE HEAD --preset a3_navigate3d --scheme ma \\
         --seeds 11-40 --trace
 
-Both checkouts' ``src/litelfuzz`` are imported side by side, under the
-package names ``litelfuzz_base`` and ``litelfuzz_head``. After one
-untimed warm-up run on each, every seed runs one fuzzing execution on
+Both checkouts' ``src/litelfuzz`` are imported side by side, afresh for
+each repetition (``--repeat``) and in alternating import order, under the
+package names ``litelfuzz_base_<rep>`` and ``litelfuzz_head_<rep>``. After
+one untimed warm-up run on each, every seed runs one fuzzing execution on
 each, in alternating order (BASE first on even positions), timed in
 process CPU time: the execution and, with ``--trace``, writing its JSONL
-trace. The two sides must give equal records and equal JSONL text; the
+trace. Use an even ``--repeat`` so that each import order runs as often. The two sides must give equal records and equal JSONL text; the
 script exits 1 at the first seed where they differ. For each repetition it prints the p50 and the total CPU per
 execution of each side and on how many executions HEAD was faster; its
 last line is one JSON object with the same numbers.
@@ -70,13 +71,17 @@ def main(argv=None) -> int:
                         help="record each trace and write it as JSONL")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args(argv)
-    sides = {"base": load(args.base.resolve(), "litelfuzz_base"),
-             "head": load(args.head.resolve(), "litelfuzz_head")}
-    for lf in sides.values():    # untimed: lazy set-up in this process
-        run(lf, args.preset, args.scheme, args.seeds[0], args.budget,
-            args.trace)
+    roots = {"base": args.base.resolve(), "head": args.head.resolve()}
     rounds = []
     for rep in range(args.repeat):
+        # the package imported first ran about 2% faster in an A/A run of
+        # one checkout against itself, so the import order alternates too
+        sides = {}
+        for side in ("base", "head") if rep % 2 == 0 else ("head", "base"):
+            sides[side] = load(roots[side], f"litelfuzz_{side}_{rep}")
+            # untimed: lazy set-up in this process
+            run(sides[side], args.preset, args.scheme, args.seeds[0],
+                args.budget, args.trace)
         cpu = {"base": [], "head": []}
         for n, seed in enumerate(args.seeds):
             order = ("base", "head") if n % 2 == 0 else ("head", "base")
