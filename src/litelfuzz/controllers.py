@@ -113,9 +113,11 @@ def _repulsions(world: WorldState, influence_radius: float,
     obstacles and agents within range, as Python floats (M, d); an
     attacker gets +0.0. The terms are :func:`_repulsion_rows`' elementwise
     operations, added in its order, read from the world's
-    :class:`Distances`."""
+    :class:`Distances`; the points and, once an obstacle is in range,
+    every agent's outward directions are converted to floats once."""
     table = world.distances()
-    points = table.points
+    points = table.position.tolist()
+    outward = None
     reach = 1.0 / influence_radius
     pushes = []
     for k, (agent, p) in enumerate(zip(world.agents, points)):
@@ -123,10 +125,12 @@ def _repulsions(world: WorldState, influence_radius: float,
         if agent.role != ROLE_ATTACKER:
             for o, d in enumerate(table.obstacles[k]):
                 if d < influence_radius:
+                    if outward is None:
+                        outward = world.obstacles.outward_directions(
+                            table.position).tolist()
                     d = max(d, 1e-6)
                     mag = gain * (1.0 / d - reach) / (d * d)
-                    total = [t + mag * u
-                             for t, u in zip(total, table.outward[k][o])]
+                    total = [t + mag * u for t, u in zip(total, outward[k][o])]
             for j, d in enumerate(table.agents[k]):
                 if d < influence_radius and j != k:
                     d = max(d, 1e-6)

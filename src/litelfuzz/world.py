@@ -181,49 +181,31 @@ class MissionSpec:
 
 @dataclass(frozen=True)
 class Distances:
-    """Every agent-agent and agent-obstacle distance of one world, and the
-    positions and obstacle directions a controller reads beside them.
+    """Every agent-agent and agent-obstacle distance of one world.
 
     ``agents[i][j]`` is ``norm(p_i - p_j)`` and ``obstacles[i][o]`` is
     the signed surface distance from ``p_i`` to obstacle ``o`` (< 0
     inside), for the positions ``p`` of the world's agents in world order;
     ``column`` maps an agent id to its index. Entries are Python floats,
     and ``norm(a - b) == norm(b - a)``, so either triangle serves.
-    ``position`` stacks the points ``p`` (M, d) and ``stack`` is the
-    world's :class:`Obstacles`; :attr:`points` holds the points and
-    :attr:`outward` every agent's outward direction from every obstacle
-    as Python floats, each built on first use, so a world builds them once
-    for all its agents.
+    ``position`` is the (M, d) stack of the points ``p`` the table was
+    measured from, which a controller reads rather than stacking them
+    again.
     """
 
     column: dict[int, int]
     agents: list[list[float]]
     obstacles: list[list[float]]
     position: np.ndarray = field(repr=False, compare=False)
-    stack: Obstacles = field(repr=False, compare=False)
 
     @staticmethod
     def of(world: "WorldState") -> "Distances":
         column = {a.id: k for k, a in enumerate(world.agents)}
         if not world.agents:
-            return Distances(column, [], [], np.empty((0, 0)),
-                             world.obstacles)
+            return Distances(column, [], [], np.empty((0, 0)))
         pos = np.array([a.position for a in world.agents])
         return Distances(column, row_norms(pos[:, None] - pos[None]).tolist(),
-                         world.obstacles.surface_distances(pos).tolist(),
-                         pos, world.obstacles)
-
-    @cached_property
-    def points(self) -> list[list[float]]:
-        """``position`` as Python floats: (M, d)."""
-        return self.position.tolist()
-
-    @cached_property
-    def outward(self) -> list[list[list[float]]]:
-        """(M, O, d) Python floats: ``outward[i][o]`` is the unit vector
-        pointing away from obstacle ``o`` at ``p_i``, from one
-        :class:`Obstacles` pass."""
-        return self.stack.outward_directions(self.position).tolist()
+                         world.obstacles.surface_distances(pos).tolist(), pos)
 
 
 @dataclass
