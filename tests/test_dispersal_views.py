@@ -78,7 +78,7 @@ class ScalarDispersal(DispersalSearchController):
                 if hi_gap < self.sensor_range:
                     cmd[axis] -= push * (1.0 - max(hi_gap, 0.0) / self.sensor_range)
             drift = attraction(agent.position, drift_target, spec.v_max,
-                                self.cell_size)
+                               self.cell_size)
             cmds[agent.id] = clamp_norm(cmd + self.explore_weight * drift,
                                         spec.v_max)
         return cmds
