@@ -209,25 +209,20 @@ def trace_to_jsonl(trace: Trace) -> str:
         messages.setdefault(step, []).append(message)
     events = {step: json.dumps(texts) for step, texts in messages.items()}
     lines = []
-    # snapshots[0] is the initial world; the k-th scored step is
-    # snapshots[k + 1]
-    worlds = iter(trace.snapshots[1:])
-    for rows, records in trace.scored():
-        agents = rows.layout.agents
-        size, dim = len(records.ids), rows.position.shape[2]
+    for steps, agents, rows, records in trace.scored():
+        columns, dim = rows.position.shape[1:]
         vector = "[" + ", ".join(["%r"] * dim) + "]"
         entries = [f'{{"acc": {vector}, "id": {_literal(a.id)}, "pos": '
                    f'{vector}, "role": {_literal(a.role)}, "vel": {vector}}}'
-                   for a in agents]
+                   for a in rows.layout.agents]
         scores = ", ".join(
             f'{{"id": {_literal(i)}, "individual": %r, "normalized": '
             f'[%r, %r, %r, %r, %r]}}' for i in records.ids)
         tail = (f'], "events": %s, "rob": {{"min": %r, "per_agent": '
                 f'[{scores}], "swarm": %r}}, "t": %d}}')
-        # the attacker's column is the last: absent, then present
-        templates = ['{"agents": [' + ", ".join(entries[:n]) + tail
-                     for n in (size, size + 1)]
-        cuts = [3 * dim * n for n in (size, size + 1)]
+        # a step's agents are the leading columns of its row
+        templates = {n: '{"agents": [' + ", ".join(entries[:n]) + tail
+                     for n in set(agents)}
         values = np.concatenate([
             np.stack([rows.acceleration, rows.position, rows.velocity],
                      axis=2).reshape(len(records), -1),
@@ -237,12 +232,10 @@ def trace_to_jsonl(trace: Trace) -> str:
                                 len(records), -1),
             np.array([record.swarm for record in records])[:, None]],
             axis=1).tolist()
-        for row, world in zip(values, worlds):
-            present = len(world.agents) > size
-            t = world.step_index
-            lines.append(templates[present] % (
-                *row[:cuts[present]], events.get(t, "[]"), *row[cuts[1]:],
-                t))
+        scored = 3 * dim * columns      # where the scores start in a row
+        for row, t, n in zip(values, steps, agents):
+            lines.append(templates[n] % (
+                *row[:3 * dim * n], events.get(t, "[]"), *row[scored:], t))
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -78,18 +78,30 @@ class AttackerAction:
     forecast: Optional[ForecastStep] = None
 
 
+class ScoredSteps(NamedTuple):
+    """Recorded steps scored in one batch: each step's ``step_index``, how
+    many leading columns of ``rows`` are agents in it (the attacker's
+    column is the last, NaN while the attacker is absent), the stacked
+    kinematics ``rows`` (N, S + 1, d) and their ``records``."""
+    steps: list[int]
+    agents: list[int]
+    rows: WorldRows
+    records: RobustnessRows
+
+
 class Trace:
     """Every world of a traced run, its outcome and its events.
 
     ``snapshots[0]`` is the initial world and ``robustness[k]`` the record
     of ``snapshots[k + 1]``. The swarm of the recorded worlds is fixed, so
     the kinematics of the steps not yet scored stack into one
-    :class:`WorldRows` batch with an attacker column, NaN while the
-    attacker is absent. Reading :attr:`robustness`, :attr:`events` or
-    :meth:`scored` scores that batch in one pass, and the trace keeps the
-    batch with its :class:`RobustnessRows`, whose stacked margins give the
-    violations and the trace's JSONL lines; a violation event goes before
-    the other events of its step, where the run emitted it.
+    :class:`WorldRows` batch with an attacker column. Reading
+    :attr:`robustness`, :attr:`events` or :meth:`scored` scores that batch
+    in one pass; the trace then keeps the batch, and not the steps' own
+    kinematics and windows, as a :class:`ScoredSteps`, whose stacked
+    margins give the violations and the trace's JSONL lines. A violation
+    event goes before the other events of its step, where the run emitted
+    it.
     """
 
     def __init__(self, first: WorldState, cparams: ConstraintParams):
@@ -99,11 +111,12 @@ class Trace:
         self.cparams = cparams
         # events other than violations, in the order they were emitted
         self.notes: list[tuple[int, str]] = []
-        # per recorded step, the swarm's (S, W) goal-distance window
+        # per recorded step not yet scored, the swarm's (S, W) goal-distance
+        # window and its kinematics
         self._windows: list[np.ndarray] = []
         self._kinematics: list[tuple[np.ndarray, ...]] = []
         self._records: list[RobustnessRecord] = []
-        self._batches: list[tuple[WorldRows, RobustnessRows]] = []
+        self._batches: list[ScoredSteps] = []
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
         self._layout = RowsLayout(first.swarm() + [attacker_agent()],
@@ -129,34 +142,34 @@ class Trace:
         return list(heapq.merge(self._violations, self.notes,
                                 key=itemgetter(0)))
 
-    def scored(self) -> list[tuple[WorldRows, RobustnessRows]]:
-        """Every recorded step, in order, as the batches it was scored in:
-        the kinematics (N, S + 1, d), the attacker's column last, and
-        their records."""
+    def scored(self) -> list[ScoredSteps]:
+        """Every recorded step, in order, as the batches it was scored in."""
         self._score()
         return self._batches
 
     def _score(self) -> None:
-        done = len(self._records)
-        pending = self.snapshots[done + 1:]
-        if not pending:
+        if not self._kinematics:
             return
-        fields = [np.stack(f) for f in zip(*self._kinematics[done:])]
+        pending = self.snapshots[-len(self._kinematics):]
+        fields = [np.stack(f) for f in zip(*self._kinematics)]
         kinematics = [np.concatenate([swarm, attacker[:, None]], axis=1)
                       for swarm, attacker in zip(fields[:3], fields[3:])]
         records = swarm_robustness(WorldRows(self._layout, *kinematics),
-                                   np.stack(self._windows[done:]),
-                                   self.cparams)
+                                   np.stack(self._windows), self.cparams)
+        self._kinematics.clear()
+        self._windows.clear()
+        steps = [world.step_index for world in pending]
         for n, agent, constraint in violations_rows(records.ids, records.raw,
                                                     self.cparams):
             if (agent, constraint) not in self._seen:
                 self._seen.add((agent, constraint))
-                self._violations.append((
-                    pending[n].step_index,
-                    f"violation agent={agent} constraint={constraint}"))
+                self._violations.append((steps[n], f"violation agent={agent} "
+                                                   f"constraint={constraint}"))
         self._records.extend(records)
-        # a batch of its own: the scored one holds the distance table
-        self._batches.append((WorldRows(self._layout, *kinematics), records))
+        # rows of their own: the scored ones hold the distance table
+        self._batches.append(ScoredSteps(
+            steps, [len(world.agents) for world in pending],
+            WorldRows(self._layout, *kinematics), records))
 
 
 class Simulation:

@@ -15,7 +15,8 @@ _EPS = 1e-9
 
 def attraction(position: np.ndarray, target: np.ndarray, v_max: float,
                slow_radius: float) -> np.ndarray:
-    """Full-speed pull toward ``target``, ramping down inside ``slow_radius``."""
+    """Full-speed pull toward ``target``, ramping down inside
+    ``slow_radius``."""
     delta = target - position
     dist = norm(delta)
     if dist < _EPS:

@@ -8,11 +8,13 @@ Run from anywhere, naming the two checkouts' roots:
 Both checkouts' ``src/litelfuzz`` are imported side by side, afresh for
 each repetition (``--repeat``) and in alternating import order, under the
 package names ``litelfuzz_base_<rep>`` and ``litelfuzz_head_<rep>``. After
-one untimed warm-up run on each, every seed runs one fuzzing execution on
-each, in alternating order (BASE first on even positions), timed in
-process CPU time: the execution and, with ``--trace``, writing its JSONL
-trace. Use an even ``--repeat`` so that each import order runs as often. The two sides must give equal records and equal JSONL text; the
-script exits 1 at the first seed where they differ. For each repetition it prints the p50 and the total CPU per
+one untimed warm-up run on each, every seed runs one fuzzing execution of
+budget ``BUDGET`` on each, in alternating order (BASE first on even
+positions), timed in process CPU time: the execution and, with
+``--trace``, writing its JSONL trace. Use an even ``--repeat`` so that
+each import order runs as often. The two sides must give equal records
+and equal JSONL text; the script exits 1 at the first seed where they
+differ. For each repetition it prints the p50 and the total CPU per
 execution of each side and on how many executions HEAD was faster; its
 last line is one JSON object with the same numbers.
 """
@@ -26,6 +28,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+BUDGET = 5      # test cases per execution, as in every perfbench workload
 
 
 def load(root: Path, name: str):
@@ -41,13 +45,13 @@ def load(root: Path, name: str):
     return package
 
 
-def run(lf, preset: str, scheme: str, seed: int, budget: int,
+def run(lf, preset: str, scheme: str, seed: int,
         trace: bool) -> tuple[float, dict, str]:
     """CPU seconds of one execution, its record and its JSONL text."""
     scenario = lf.builtin_scenario(preset)
     gc.collect()
     start = time.process_time()
-    result = lf.run_fuzzing(scenario, scheme, budget=budget, seed=seed,
+    result = lf.run_fuzzing(scenario, scheme, budget=BUDGET, seed=seed,
                             record_trace=trace)
     text = lf.trace_to_jsonl(result.trace) if trace else ""
     return time.process_time() - start, result.to_record(), text
@@ -66,7 +70,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scheme", default="ma")
     parser.add_argument("--seeds", type=seed_range, default="11-40",
                         help="first-last, inclusive")
-    parser.add_argument("--budget", type=int, default=5)
     parser.add_argument("--trace", action="store_true",
                         help="record each trace and write it as JSONL")
     parser.add_argument("--repeat", type=int, default=1)
@@ -81,15 +84,14 @@ def main(argv=None) -> int:
             sides[side] = load(roots[side], f"litelfuzz_{side}_{rep}")
             # untimed: lazy set-up in this process
             run(sides[side], args.preset, args.scheme, args.seeds[0],
-                args.budget, args.trace)
+                args.trace)
         cpu = {"base": [], "head": []}
         for n, seed in enumerate(args.seeds):
             order = ("base", "head") if n % 2 == 0 else ("head", "base")
             out = {}
             for side in order:
                 seconds, record, text = run(sides[side], args.preset,
-                                            args.scheme, seed, args.budget,
-                                            args.trace)
+                                            args.scheme, seed, args.trace)
                 cpu[side].append(seconds)
                 out[side] = record, text
             if out["base"] != out["head"]:
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
               f"{summary['executions']}", flush=True)
     print(json.dumps({"preset": args.preset, "scheme": args.scheme,
                       "seeds": [args.seeds[0], args.seeds[-1]],
-                      "budget": args.budget, "trace": args.trace,
+                      "budget": BUDGET, "trace": args.trace,
                       "rounds": rounds}))
     return 0
 
