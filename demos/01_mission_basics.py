@@ -33,8 +33,8 @@ def main() -> None:
 
     for scenario in scenarios:
         trace = run_mission(scenario, seed=args.seed)
-        steps = len(trace.snapshots) - 1
-        final = trace.robustness[-1]
+        records = trace.robustness      # one per step
+        steps, final = len(records), records[-1]
         print(f"{scenario.name}: {trace.outcome} after {steps} steps "
               f"(nominal {scenario.nominal_steps})")
         print(f"  final swarm robustness {final.swarm:.3f}, "

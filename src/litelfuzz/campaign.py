@@ -209,7 +209,7 @@ def trace_to_jsonl(trace: Trace) -> str:
         messages.setdefault(step, []).append(message)
     events = {step: json.dumps(texts) for step, texts in messages.items()}
     lines = []
-    for steps, agents, rows, records in trace.scored():
+    for steps, agents, rows, margins in trace.scored():
         columns, dim = rows.position.shape[1:]
         vector = "[" + ", ".join(["%r"] * dim) + "]"
         entries = [f'{{"acc": {vector}, "id": {_literal(a.id)}, "pos": '
@@ -217,7 +217,7 @@ def trace_to_jsonl(trace: Trace) -> str:
                    for a in rows.layout.agents]
         scores = ", ".join(
             f'{{"id": {_literal(i)}, "individual": %r, "normalized": '
-            f'[%r, %r, %r, %r, %r]}}' for i in records.ids)
+            f'[%r, %r, %r, %r, %r]}}' for i in margins.ids)
         tail = (f'], "events": %s, "rob": {{"min": %r, "per_agent": '
                 f'[{scores}], "swarm": %r}}, "t": %d}}')
         # a step's agents are the leading columns of its row
@@ -225,17 +225,16 @@ def trace_to_jsonl(trace: Trace) -> str:
                      for n in set(agents)}
         values = np.concatenate([
             np.stack([rows.acceleration, rows.position, rows.velocity],
-                     axis=2).reshape(len(records), -1),
-            records.lowest[:, None],
-            np.concatenate([records.individual[..., None],
-                            records.normalized], axis=2).reshape(
-                                len(records), -1),
-            np.array([record.swarm for record in records])[:, None]],
-            axis=1).tolist()
+                     axis=2).reshape(len(steps), -1),
+            margins.lowest[:, None],
+            np.concatenate([margins.individual[..., None],
+                            margins.normalized], axis=2).reshape(
+                                len(steps), -1)], axis=1).tolist()
         scored = 3 * dim * columns      # where the scores start in a row
-        for row, t, n in zip(values, steps, agents):
+        for row, swarm, t, n in zip(values, margins.swarm, steps, agents):
             lines.append(templates[n] % (
-                *row[:3 * dim * n], events.get(t, "[]"), *row[scored:], t))
+                *row[:3 * dim * n], events.get(t, "[]"), *row[scored:],
+                swarm, t))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -246,9 +245,9 @@ def export_trace(trace: Trace, path) -> None:
 def robustness_curve_csv(trace: Trace) -> str:
     """Per-iteration swarm robustness curve, for plotting."""
     lines = ["iteration,swarm_robustness,min_margin"]
-    for k, record in enumerate(trace.robustness):
-        lines.append(f"{trace.snapshots[k + 1].step_index},"
-                     f"{record.swarm:.9g},{record.min_margin:.9g}")
+    for steps, _, _, margins in trace.scored():
+        lines += [f"{t},{swarm:.9g},{low:.9g}" for t, swarm, low
+                  in zip(steps, margins.swarm, margins.lowest.tolist())]
     return "\n".join(lines) + "\n"
 
 

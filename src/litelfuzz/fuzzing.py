@@ -335,9 +335,9 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
         scored = ended & ~failed
         if not scored.any():
             return
-        records = probe.robustness_rows(rows.select(scored), windows[scored])
-        for row, record in zip(live[scored], records):
-            scores[row] = record.swarm
+        margins = probe.robustness_rows(rows.select(scored), windows[scored])
+        for row, swarm in zip(live[scored], margins.swarm):
+            scores[row] = swarm
 
     keep_step(None)
     if probe.done:

@@ -2,17 +2,17 @@
 
 A :class:`Simulation` owns one world plus its controller, and the
 swarm's goal distances over the last ``window + 1`` steps as one (S, W)
-array, :attr:`Simulation.windows`. A traced run keeps every world it
-steps through and each step's window on its :class:`Trace`, which scores
-all the steps not yet scored in one batched pass when its robustness
-records or its events are first read. Each step then has one record, and
-a violation event marks the first time each (agent, constraint) pair is
-violated. An untraced run keeps only the current window, from which
-:meth:`Simulation.robustness_rows` scores a world on demand, and emits no
-violation events. Worlds and windows are never mutated, so a trace
-snapshot is the world itself and a clone starts from the same world and
-windows as its original. Simulations are cheap to clone, which the fuzzer
-uses for lookahead scoring on throwaway copies.
+array, :attr:`Simulation.windows`. A traced run keeps each step's index,
+windows and kinematics on its :class:`Trace`, and no world; the trace
+scores all the steps not yet scored in one batched pass when its
+robustness records or its events are first read. Each step then has one
+row of stacked margins, and a violation event marks the first time each
+(agent, constraint) pair is violated. An untraced run keeps only the
+current window, from which :meth:`Simulation.robustness_rows` scores a
+world on demand, and emits no violation events. Worlds and windows are
+never mutated, so a clone starts from the same world and windows as its
+original. Simulations are cheap to clone, which the fuzzer uses for
+lookahead scoring on throwaway copies.
 
 :meth:`Simulation.step` computes a step: the controller updates and
 commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
@@ -31,8 +31,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# Every record of a traced run and of a probe is scored through this name,
-# a batch of worlds at a time, so that one span can time the kernel.
+# Every step of a traced run and every probe row is scored through this
+# name, a batch of worlds at a time, so that one span can time the kernel.
 from .robustness import robustness_rows as swarm_robustness
 from .robustness import (ConstraintParams, RobustnessRecord, RobustnessRows,
                          violations_rows)
@@ -82,59 +82,51 @@ class ScoredSteps(NamedTuple):
     """Recorded steps scored in one batch: each step's ``step_index``, how
     many leading columns of ``rows`` are agents in it (the attacker's
     column is the last, NaN while the attacker is absent), the stacked
-    kinematics ``rows`` (N, S + 1, d) and their ``records``."""
+    kinematics ``rows`` (N, S + 1, d) and their ``margins``."""
     steps: list[int]
     agents: list[int]
     rows: WorldRows
-    records: RobustnessRows
+    margins: RobustnessRows
 
 
 class Trace:
-    """Every world of a traced run, its outcome and its events.
+    """The steps of a traced run, its outcome and its events.
 
-    ``snapshots[0]`` is the initial world and ``robustness[k]`` the record
-    of ``snapshots[k + 1]``. The swarm of the recorded worlds is fixed, so
-    the kinematics of the steps not yet scored stack into one
-    :class:`WorldRows` batch with an attacker column. Reading
-    :attr:`robustness`, :attr:`events` or :meth:`scored` scores that batch
-    in one pass; the trace then keeps the batch, and not the steps' own
-    kinematics and windows, as a :class:`ScoredSteps`, whose stacked
-    margins give the violations and the trace's JSONL lines. A violation
-    event goes before the other events of its step, where the run emitted
-    it.
+    The trace keeps no world: a recorded step is its index, the swarm's
+    goal-distance windows and its kinematics. The swarm of a run is fixed,
+    so the steps not yet scored stack into one :class:`WorldRows` batch
+    with an attacker column. Reading :attr:`robustness`, :attr:`events` or
+    :meth:`scored` scores that batch in one pass and keeps it, in place of
+    those steps, as a :class:`ScoredSteps`, whose stacked margins give the
+    violations, the JSONL lines and, when read, the records. A violation
+    event goes before the other events of its step, as the run emitted it.
     """
 
     def __init__(self, first: WorldState, cparams: ConstraintParams):
-        self.snapshots = [first]
         self.outcome = OUTCOME_SWARM_SECURE
         self.failure_kind: Optional[FailureKind] = None
         self.cparams = cparams
         # events other than violations, in the order they were emitted
         self.notes: list[tuple[int, str]] = []
-        # per recorded step not yet scored, the swarm's (S, W) goal-distance
-        # window and its kinematics
-        self._windows: list[np.ndarray] = []
-        self._kinematics: list[tuple[np.ndarray, ...]] = []
-        self._records: list[RobustnessRecord] = []
+        # (step index, windows, kinematics) of each step not yet scored
+        self._pending: list[tuple[int, np.ndarray, tuple]] = []
         self._batches: list[ScoredSteps] = []
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
         self._layout = RowsLayout(first.swarm() + [attacker_agent()],
                                   first.obstacles, first.leader_waypoints)
 
-    def record(self, world: WorldState, windows: np.ndarray,
+    def record(self, step: int, windows: np.ndarray,
                kinematics: tuple[np.ndarray, ...]) -> None:
-        """Keep a step's world, its swarm's goal-distance windows and
-        kinematics: the swarm's (S, d), then the attacker's (d,) pos, vel
-        and acc."""
-        self.snapshots.append(world)
-        self._windows.append(windows)
-        self._kinematics.append(kinematics)
+        """Keep a step: its index, the swarm's (S, W) goal distances, and
+        the swarm's (S, d) then the attacker's (d,) pos, vel and acc."""
+        self._pending.append((step, windows, kinematics))
 
     @property
     def robustness(self) -> list[RobustnessRecord]:
-        self._score()
-        return self._records
+        """The record of every recorded step, built on each read."""
+        return [record for batch in self.scored()
+                for record in batch.margins.records()]
 
     @property
     def events(self) -> list[tuple[int, str]]:
@@ -148,28 +140,27 @@ class Trace:
         return self._batches
 
     def _score(self) -> None:
-        if not self._kinematics:
+        if not self._pending:
             return
-        pending = self.snapshots[-len(self._kinematics):]
-        fields = [np.stack(f) for f in zip(*self._kinematics)]
+        steps, windows, kinematics = zip(*self._pending)
+        self._pending = []
+        fields = [np.stack(f) for f in zip(*kinematics)]
         kinematics = [np.concatenate([swarm, attacker[:, None]], axis=1)
                       for swarm, attacker in zip(fields[:3], fields[3:])]
-        records = swarm_robustness(WorldRows(self._layout, *kinematics),
-                                   np.stack(self._windows), self.cparams)
-        self._kinematics.clear()
-        self._windows.clear()
-        steps = [world.step_index for world in pending]
-        for n, agent, constraint in violations_rows(records.ids, records.raw,
+        margins = swarm_robustness(WorldRows(self._layout, *kinematics),
+                                   np.stack(windows), self.cparams)
+        for n, agent, constraint in violations_rows(margins.ids, margins.raw,
                                                     self.cparams):
             if (agent, constraint) not in self._seen:
                 self._seen.add((agent, constraint))
                 self._violations.append((steps[n], f"violation agent={agent} "
                                                    f"constraint={constraint}"))
-        self._records.extend(records)
+        # the swarm's columns, and the attacker's where its position is set
+        agents = (fields[0].shape[1] + ~np.isnan(fields[3][:, 0])).tolist()
         # rows of their own: the scored ones hold the distance table
         self._batches.append(ScoredSteps(
-            steps, [len(world.agents) for world in pending],
-            WorldRows(self._layout, *kinematics), records))
+            list(steps), agents, WorldRows(self._layout, *kinematics),
+            margins))
 
 
 class Simulation:
@@ -177,10 +168,10 @@ class Simulation:
 
     :attr:`windows` holds each swarm agent's goal distances over the last
     ``window + 1`` steps, oldest first: (S, W), NaN for a step without a
-    goal or before the first. With ``record_trace`` every step's world and
-    windows go to :attr:`trace`, which scores them and emits the violation
-    events when read. Without it only the current windows are kept, and no
-    violation events are emitted.
+    goal or before the first. With ``record_trace`` every step's windows
+    and kinematics go to :attr:`trace`, which scores them and emits the
+    violation events when read. Without it only the current windows are
+    kept, and no violation events are emitted.
     """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
@@ -213,8 +204,8 @@ class Simulation:
         return sim
 
     def robustness_rows(self, rows: WorldRows,
-                        windows: np.ndarray) -> list[RobustnessRecord]:
-        """The record of every row of ``rows`` with goal-distance
+                        windows: np.ndarray) -> RobustnessRows:
+        """The stacked margins of every row of ``rows`` with goal-distance
         ``windows`` (N, S, W), as :attr:`windows` lays out each row's,
         under this mission's constraint parameters."""
         return swarm_robustness(rows, windows, self.cparams)
@@ -266,7 +257,8 @@ class Simulation:
     def _finish_step(self, swarm: list[AgentState], kinematics: tuple,
                      attacker_action: AttackerAction | None) -> None:
         """Move the attacker, build the next world from the swarm's (S, d)
-        ``kinematics``, record it and check the outcome."""
+        ``kinematics``, shift the windows, record the step and check the
+        outcome."""
         world = self.world
         pos, vel, acc = kinematics
         attacker = self._advance_attacker(attacker_action)
@@ -274,9 +266,13 @@ class Simulation:
             AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius, a.role)
             for k, a in enumerate(swarm)] + attacker, world.obstacles,
             world.leader_waypoints)
-        self._record_step(kinematics + next(
-            ((a.position, a.velocity, a.acceleration) for a in attacker),
-            (self._absent,) * 3))
+        self.windows = self.shifted_windows(
+            self.windows[None], self.controller.row_state(1), pos[None])[0]
+        if self.trace is not None:
+            self.trace.record(self.world.step_index, self.windows,
+                              kinematics + next(
+                                  ((a.position, a.velocity, a.acceleration)
+                                   for a in attacker), (self._absent,) * 3))
         self._check_outcome()
 
     def _integrate_swarm(self, swarm: list[AgentState],
@@ -320,13 +316,6 @@ class Simulation:
         goals = self.controller.goal_rows(state, pos, self.spec)
         return np.concatenate([windows[..., 1:],
                                row_norms(pos - goals)[..., None]], axis=-1)
-
-    def _record_step(self, kinematics: tuple[np.ndarray, ...]) -> None:
-        self.windows = self.shifted_windows(
-            self.windows[None], self.controller.row_state(1),
-            kinematics[0][None])[0]
-        if self.trace is not None:
-            self.trace.record(self.world, self.windows, kinematics)
 
     def _check_outcome(self) -> None:
         failure = detect_failure(self.world, self.spec)

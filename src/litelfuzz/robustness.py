@@ -18,9 +18,9 @@ the sum over agents.
 The margins are elementwise array rules. :func:`robustness_rows` applies
 them to a stack of N worlds of one swarm in one pass, reading the
 batch's distance table; an attacker column may be absent (NaN) in some of
-those worlds. Its records keep the stacked margins (:class:`RobustnessRows`),
-from which a trace finds its violations and writes its lines.
-:func:`swarm_robustness` is its view of one world.
+those worlds. Its stacked margins (:class:`RobustnessRows`) give a probe
+its scores and a trace its violations and lines, and build a record per
+world only on request. :func:`swarm_robustness` is its view of one world.
 """
 from __future__ import annotations
 
@@ -139,37 +139,42 @@ def _progress(windows: np.ndarray, params: ConstraintParams):
             np.where(some, _clamp_unit(best / full), 1.0))
 
 
-class RobustnessRows(list):
-    """The records of :func:`robustness_rows`, as a list, and the stacked
-    margins it read them from, with the agents in the records' order (by
-    id): ``ids`` (S,), ``raw`` and ``normalized`` (N, S, 5), ``individual``
-    (N, S) and the least counted margin ``lowest`` (N,)."""
+@dataclass(frozen=True, eq=False)
+class RobustnessRows:
+    """The stacked margins of :func:`robustness_rows`, agents by id:
+    ``ids`` (S,), ``raw`` and ``normalized`` (N, S, 5), ``individual``
+    (N, S), the least counted margin ``lowest`` (N,) and ``swarm``, each
+    row's builtin ``sum`` of ``individual``, left to right."""
 
-    def __init__(self, records: list[RobustnessRecord], ids: list[int],
-                 raw: np.ndarray, normalized: np.ndarray,
-                 individual: np.ndarray, lowest: np.ndarray):
-        super().__init__(records)
-        self.ids = ids
-        self.raw = raw
-        self.normalized = normalized
-        self.individual = individual
-        self.lowest = lowest
+    ids: list[int]
+    raw: np.ndarray
+    normalized: np.ndarray
+    individual: np.ndarray
+    lowest: np.ndarray
+    swarm: list[float]
+
+    def records(self) -> list[RobustnessRecord]:
+        """One :class:`RobustnessRecord` per row."""
+        return [RobustnessRecord(
+            [AgentRobustness(i, tuple(r), tuple(n), s) for i, r, n, s
+             in zip(self.ids, raw, normalized, individual)], swarm, low)
+            for raw, normalized, individual, swarm, low in zip(
+                self.raw.tolist(), self.normalized.tolist(),
+                self.individual.tolist(), self.swarm, self.lowest.tolist())]
 
 
 def robustness_rows(rows: WorldRows, windows: np.ndarray,
                     params: ConstraintParams) -> RobustnessRows:
-    """The robustness record of every row of ``rows``, in one pass.
+    """The robustness margins of every row of ``rows``, in one pass.
 
     The rows are N worlds of one swarm: ``rows.position``, ``velocity``
     and ``acceleration`` are (N, M, d), and a column whose position is NaN
     (an attacker absent from that world) is no agent there. ``windows`` is
     (N, S, W): the goal distances of each swarm column, oldest first,
     where a NaN entry is a step without a goal (or before the first),
-    which clears the entries before it. Per-agent entries
-    are sorted by agent id, and each record equals, with ``==``, the one
-    the margins give agent by agent, summed with the builtin ``sum``. The
-    records come as a :class:`RobustnessRows`, which keeps the stacked
-    margins they were read from.
+    which clears the entries before it. Agents are sorted by id, and each
+    row's :meth:`RobustnessRows.records` entry equals, with ``==``, the
+    record the margins give agent by agent, summed with the builtin ``sum``.
     """
     layout = rows.layout
     swarm = layout.swarm_columns
@@ -205,13 +210,8 @@ def robustness_rows(rows: WorldRows, windows: np.ndarray,
     # the limits are positive, so no margin is -0.0 and this least value
     # is the one the scalar min picks
     lowest = normalized[..., counted].min(axis=(1, 2))
-    return RobustnessRows([RobustnessRecord(
-        [AgentRobustness(i, tuple(r), tuple(n), s) for i, r, n, s
-         in zip(ids, raw_b, norm_b, individual_b)],
-        sum(individual_b), low)
-        for raw_b, norm_b, individual_b, low in zip(
-            raw.tolist(), normalized.tolist(), individual.tolist(),
-            lowest.tolist())], ids, raw, normalized, individual, lowest)
+    return RobustnessRows(ids, raw, normalized, individual, lowest,
+                          [sum(row) for row in individual.tolist()])
 
 
 def swarm_robustness(world: WorldState,
@@ -231,7 +231,7 @@ def swarm_robustness(world: WorldState,
     windows = np.full((1, len(kept), width), math.nan)
     for n, history in enumerate(kept):
         windows[0, n, width - len(history):] = history
-    return robustness_rows(rows, windows, params)[0]
+    return robustness_rows(rows, windows, params).records()[0]
 
 
 def violations_rows(ids: list[int], raw: np.ndarray,

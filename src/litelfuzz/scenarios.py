@@ -415,9 +415,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return config
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's pairs as a dict; a repeated key raises, named."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"repeated key '{key}'")
+        data[key] = value
+    return data
+
+
 def load_scenario(path) -> ScenarioConfig:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(data)

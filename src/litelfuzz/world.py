@@ -213,8 +213,8 @@ class WorldState:
     """One instant of a mission: its agents, obstacles and waypoints.
 
     A world and its agents are never mutated once built; a step makes a
-    new world. That makes it safe to share a world between simulations
-    and trace snapshots, and to cache its :class:`Distances` and its
+    new world. That makes it safe to share a world between a simulation
+    and its clones, and to cache its :class:`Distances` and its
     batch of one row, which :meth:`distances` and :meth:`rows` build on
     first use. :meth:`without` returns a new world, which builds its own.
     """

@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from trace_oracle import traced_worlds
 
 import litelfuzz.campaign
 from litelfuzz.campaign import (CampaignConfig, CampaignReport,
@@ -9,6 +10,7 @@ from litelfuzz.campaign import (CampaignConfig, CampaignReport,
                                 run_campaign, scheme_comparison_csv,
                                 summarize, summarize_records, trace_to_jsonl)
 from litelfuzz.fuzzing import OUTCOME_SUCCESSFUL_ATTACK, run_fuzzing
+from litelfuzz.robustness import RobustnessRecord
 from litelfuzz.scenarios import a1_navigate
 
 
@@ -137,13 +139,16 @@ class TestWorkerInvariance:
 
 class TestTraceExports:
     def setup_method(self):
-        self.result = run_fuzzing(a1_navigate(), "random", budget=1, seed=0,
-                                  record_trace=True)
+        with traced_worlds() as worlds:
+            self.result = run_fuzzing(a1_navigate(), "random", budget=1,
+                                      seed=0, record_trace=True)
+        # the worlds the run stepped through, after each step
+        self.worlds = worlds[self.result.trace]
 
     def test_jsonl_row_per_step(self):
         text = trace_to_jsonl(self.result.trace)
         rows = [json.loads(line) for line in text.splitlines()]
-        assert len(rows) == len(self.result.trace.robustness)
+        assert len(rows) == len(self.worlds)
         for row in rows:
             assert {"t", "agents", "events", "rob"} <= row.keys()
 
@@ -151,20 +156,44 @@ class TestTraceExports:
         text = trace_to_jsonl(self.result.trace)
         rows = [json.loads(line) for line in text.splitlines()]
         for row, record, world in zip(rows, self.result.trace.robustness,
-                                      self.result.trace.snapshots[1:]):
+                                      self.worlds, strict=True):
             assert row["rob"]["swarm"] == pytest.approx(record.swarm)
             assert row["t"] == world.step_index
-            for entry, agent in zip(row["agents"], world.agents):
+            for entry, agent in zip(row["agents"], world.agents, strict=True):
                 assert entry["pos"] == pytest.approx(list(agent.position))
 
     def test_curve_csv(self):
         csv = robustness_curve_csv(self.result.trace)
-        lines = csv.splitlines()
-        assert lines[0] == "iteration,swarm_robustness,min_margin"
-        assert len(lines) == 1 + len(self.result.trace.robustness)
-        first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(
-            self.result.trace.robustness[0].swarm)
+        assert csv == "iteration,swarm_robustness,min_margin\n" + "".join(
+            f"{world.step_index},{record.swarm:.9g},{record.min_margin:.9g}\n"
+            for world, record in zip(self.worlds,
+                                     self.result.trace.robustness,
+                                     strict=True))
+        # one line per step, numbered by the step index from 1
+        assert [line.split(",")[0] for line in csv.splitlines()[1:]] \
+            == [str(k) for k in range(1, len(self.worlds) + 1)]
+
+    def test_traced_campaign_and_exports_build_no_record(self, tmp_path,
+                                                         monkeypatch):
+        """Probes, trace files and the curve read the stacked margins; only
+        ``Trace.robustness`` builds records."""
+        built = []
+        init = RobustnessRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RobustnessRecord, "__init__", counted)
+        run_campaign(a1_navigate(), CampaignConfig(
+            scheme="sa", executions=2, budget=2, save_traces=True,
+            out_dir=str(tmp_path)))
+        trace = run_fuzzing(a1_navigate(), "ma", budget=2, seed=0,
+                            record_trace=True).trace
+        trace_to_jsonl(trace)
+        robustness_curve_csv(trace)
+        assert built == []
+        assert len(trace.robustness) == len(built) > 0
 
     def test_scheme_comparison_csv(self):
         r1 = summarize_records("sa", 0, [fake_record(0, "Timeout", 10)])

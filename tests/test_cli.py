@@ -65,6 +65,16 @@ def test_unreadable_scenario_names_its_file(tmp_path, capsys, content):
     assert f"cannot read scenario {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "scenario-dump"])
+def test_repeated_key_exits_2(tmp_path, capsys, command):
+    data = json.dumps(a1_navigate().to_dict(), indent=2)
+    path = tmp_path / "repeated.json"
+    path.write_text(data.replace('"dt_s": 0.05,',
+                                 '"dt_s": 0.05,\n  "dt_s": 0.5,', 1))
+    assert main([command, str(path)]) == 2
+    assert "repeated key 'dt_s'" in capsys.readouterr().err
+
+
 def test_missing_search_key_exits_2(tmp_path, capsys):
     data = a2_search().to_dict()
     del data["search"]["bounds_lo_m"]

@@ -367,8 +367,9 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
         return _FAILURE_SCORE_BASE + probe.step_index, ended
     if sim.done:
         return math.inf, ended  # a finished mission never stepped: no record
-    return probe.robustness_rows(probe.world.rows(),
-                                 probe.windows[None])[0].swarm, ended
+    (record,) = probe.robustness_rows(probe.world.rows(),
+                                      probe.windows[None]).records()
+    return record.swarm, ended
 
 
 def expected_probe_scores(scalar):
@@ -552,13 +553,15 @@ class TestProbeWork:
         monkeypatch.setattr(Obstacles, "__new__", counted)
         scn = a1_navigate()
         sim = scn.build_simulation(seed=0, record_trace=True)
+        first = sim.world
         for _ in range(20):
             sim.step()
-        sim.trace.robustness    # the traced steps, scored as one batch
+        (batch,) = sim.trace.scored()   # the traced steps, as one batch
         target = sim.world.swarm()[0]
         points = spawn_candidates(target, sim.world, scn.spawn_geometry(),
                                   sim.spec.safe_distance)
         lookahead_score(sim, np.array(points), target.id, scn.fuzz_params())
         monkeypatch.undo()
         assert len(stacked) == 1
-        assert sim.world.obstacles is sim.trace.snapshots[0].obstacles
+        assert sim.world.obstacles is first.obstacles
+        assert batch.rows.layout.obstacles is first.obstacles

@@ -1,33 +1,41 @@
 """Simulation loop tests: determinism, cloning and attacker actions."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from trace_oracle import oracle_jsonl
 
+from litelfuzz.campaign import trace_to_jsonl
 from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, Simulation,
                                run_mission)
-from litelfuzz.scenarios import a1_navigate, a2_search
+from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, InvalidState,
                              WorldState, norm)
 
 
-def snapshot_bytes(trace):
-    return b"".join(a.position.tobytes() + a.velocity.tobytes()
-                    for snap in trace.snapshots for a in snap.agents)
+def run_bytes(scenario, seed):
+    """A traced mission's outcome and JSONL, and the bytes of every world
+    it stepped through, the initial one first."""
+    sim = scenario.build_simulation(seed=seed)
+    worlds = [sim.world]
+    while not sim.done:
+        sim.step()
+        worlds.append(sim.world)
+    return sim.outcome, trace_to_jsonl(sim.trace), b"".join(
+        a.position.tobytes() + a.velocity.tobytes()
+        for world in worlds for a in world.agents)
 
 
 class TestDeterminism:
     def test_same_seed_identical_trace(self):
         scn = a1_navigate()
-        t1 = run_mission(scn, seed=3)
-        t2 = run_mission(scn, seed=3)
-        assert t1.outcome == t2.outcome
-        assert snapshot_bytes(t1) == snapshot_bytes(t2)
+        assert run_bytes(scn, seed=3) == run_bytes(scn, seed=3)
 
     def test_different_seed_different_start(self):
         scn = a1_navigate()
-        t1 = run_mission(scn, seed=0)
-        t2 = run_mission(scn, seed=1)
-        assert snapshot_bytes(t1) != snapshot_bytes(t2)
+        assert run_bytes(scn, seed=0)[2] != run_bytes(scn, seed=1)[2]
 
 
 class TestBaselines:
@@ -145,9 +153,11 @@ class TestRecording:
                                       np.array(distances[-width:]).T)
 
     def test_robustness_recorded_per_step(self):
-        trace = run_mission(a1_navigate(), seed=0)
-        assert len(trace.robustness) == len(trace.snapshots) - 1
-        assert all(np.isfinite(r.swarm) for r in trace.robustness)
+        sim = a1_navigate().build_simulation(seed=0)
+        while not sim.done:
+            sim.step()
+        assert len(sim.trace.robustness) == sim.step_index
+        assert all(np.isfinite(r.swarm) for r in sim.trace.robustness)
 
 
 class TestLazyRobustness:
@@ -178,7 +188,7 @@ class TestLazyRobustness:
             traced.step(action)
             lazy.step(action)
             assert lazy.robustness_rows(lazy.world.rows(),
-                                        lazy.windows[None]) \
+                                        lazy.windows[None]).records() \
                 == traced.trace.robustness[-1:]
             if traced.done:
                 break
@@ -212,8 +222,9 @@ class TestBatchedTraceScoring:
         monkeypatch.setattr(Simulation, "step", reading_step)
         monkeypatch.setattr(Simulation, "replay", reading_replay)
         every = run_fuzzing(scenario(), "sa", budget=5, seed=1,
-                            record_trace=True).trace
-        assert len(reads) == len(once.snapshots) - 1
+                            record_trace=True)
+        assert len(reads) == every.total_steps
+        every = every.trace
         assert every.robustness == once.robustness
         assert every.events == once.events
         assert any(m.startswith("violation") for _, m in once.events)
@@ -230,7 +241,7 @@ def world_bytes(world):
 
 class TestImmutableWorlds:
     @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
-    def test_worlds_and_snapshots_never_change(self, scenario):
+    def test_worlds_never_change(self, scenario):
         sim = scenario().build_simulation(seed=4)
         seen = [(sim.world, world_bytes(sim.world))]
         target = sim.world.swarm()[1].position
@@ -252,11 +263,45 @@ class TestImmutableWorlds:
             seen.append((probe.world, world_bytes(probe.world)))
             if sim.done:
                 break
-        snapshots = [(w, world_bytes(w)) for w in sim.trace.snapshots]
         for _ in range(5):
             sim.step()
-        for world, before in seen + snapshots:
+        for world, before in seen:
             assert world_bytes(world) == before
+
+
+class TestTraceKeepsNoWorld:
+    """A trace stores each step as its index, windows and kinematics: once
+    a traced run steps on, no world but the current one stays alive, and
+    the trace still gives what an untraced run scores world by world."""
+
+    @pytest.mark.parametrize("scenario", [a1_navigate, a3_navigate3d])
+    def test_only_the_current_world_is_alive(self, scenario):
+        sim = scenario().build_simulation(seed=0)
+        twin = sim.clone()      # untraced, stepped alongside
+        alive = [weakref.ref(sim.world)]
+        target = sim.world.swarm()[1].position
+        push = np.zeros(len(target))
+        push[0] = 0.5
+        actions = ([None, AttackerAction(place=target + 0.3)]
+                   + [AttackerAction(command=push)] * 4
+                   + [AttackerAction(despawn=True)])
+        worlds, records = [], []
+        while not sim.done:
+            action = actions.pop(0) if actions else None   # then the run-out
+            sim.step(action)
+            twin.step(action)
+            alive.append(weakref.ref(sim.world))
+            worlds.append(twin.world)
+            records += twin.robustness_rows(twin.world.rows(),
+                                            twin.windows[None]).records()
+        assert not actions and len(alive) > 20
+        gc.collect()
+        assert [ref() for ref in alive if ref() is not None] == [sim.world]
+        assert sim.trace.robustness == records
+        assert trace_to_jsonl(sim.trace) == oracle_jsonl(
+            worlds, records, sim.trace.events)
+        assert [event for event in sim.events
+                if not event[1].startswith("violation")] == twin.events
 
 
 class TestInvalidState:

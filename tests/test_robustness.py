@@ -191,7 +191,7 @@ class TestProgressMargin:
             history = goal_history(history, distance, window)
             assert len(history) <= window + 1
             (got,) = robustness_rows(world.rows(), windows[None],
-                                     params)[0].per_agent
+                                     params).records()[0].per_agent
             expected = individual_robustness(0, world, history, params)
             assert (got.raw[4], got.normalized[4]) \
                 == (expected.raw[4], expected.normalized[4])
@@ -210,7 +210,7 @@ class TestProgressMargin:
         params = dataclasses.replace(PARAMS, window=window)
         world = WorldState(0, [make_agent([0.0, 0.0])], [])
         (got,) = robustness_rows(world.rows(), windows[None],
-                                 params)[0].per_agent
+                                 params).records()[0].per_agent
         return got.raw[4], got.normalized[4]
 
     def test_history_keeps_window_and_clears_without_goal(self):
@@ -471,7 +471,7 @@ class TestBatchedRobustness:
     @example(_agents_in_and_on_a_box())
     def test_every_world_equals_the_scalar_oracle(self, case):
         worlds, windows, params = case
-        records = robustness_rows(_stack(worlds), windows, params)
+        records = robustness_rows(_stack(worlds), windows, params).records()
         assert len(records) == len(worlds)
         for world, window, record in zip(worlds, windows, records):
             histories = {a.id: _kept(w)
@@ -487,16 +487,19 @@ class TestBatchedRobustness:
     @example(_agents_in_and_on_a_box())
     def test_records_keep_the_stacked_margins_they_were_read_from(self, case):
         worlds, windows, params = case
-        records = robustness_rows(_stack(worlds), windows, params)
+        margins = robustness_rows(_stack(worlds), windows, params)
+        records = margins.records()
+        assert len(records) == len(margins.swarm) == len(worlds)
         for n, record in enumerate(records):
-            assert records.ids == [e.agent_id for e in record.per_agent]
-            assert records.raw[n].tolist() \
+            assert margins.ids == [e.agent_id for e in record.per_agent]
+            assert margins.raw[n].tolist() \
                 == [list(e.raw) for e in record.per_agent]
-            assert records.normalized[n].tolist() \
+            assert margins.normalized[n].tolist() \
                 == [list(e.normalized) for e in record.per_agent]
-            assert records.individual[n].tolist() \
+            assert margins.individual[n].tolist() \
                 == [e.individual for e in record.per_agent]
-            assert records.lowest[n] == record.min_margin
+            assert margins.lowest[n] == record.min_margin
+            assert margins.swarm[n] == record.swarm
 
     def test_swarm_total_is_the_builtin_sum(self):
         world = WorldState(0, [make_agent([0.1 * k, 0.0], agent_id=k)

@@ -83,6 +83,19 @@ class TestStrictParsing:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key", ["dt_s", "kind", "formation_frame"])
+    def test_repeated_key_rejected_at_any_depth(self, tmp_path, key):
+        # the key is written a second time right after its first value,
+        # at the top level, in an obstacle and in the apf section
+        text = a1_navigate().to_json()
+        end = text.index("\n", text.index(f'"{key}"'))
+        repeat = text[text.rindex("\n", 0, end) + 1:end].rstrip(",")
+        path = tmp_path / "repeated.json"
+        path.write_text(text[:end].rstrip(",") + ",\n" + repeat + ","
+                        + text[end:])
+        with pytest.raises(ScenarioError, match=f"^repeated key '{key}'$"):
+            load_scenario(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
