@@ -209,7 +209,9 @@ class TestBatchedTraceScoring:
 
         def read(sim):
             if sim.trace is not None:
-                reads.append((list(sim.trace.robustness), sim.trace.events))
+                # a read scores the one step not yet scored, as a batch
+                batch = sim.trace.scored()[-1]
+                reads.append((batch.margins.records(), sim.trace.events))
 
         def reading_step(self, action=None):
             step(self, action)
@@ -223,13 +225,14 @@ class TestBatchedTraceScoring:
         monkeypatch.setattr(Simulation, "replay", reading_replay)
         every = run_fuzzing(scenario(), "sa", budget=5, seed=1,
                             record_trace=True)
-        assert len(reads) == every.total_steps
+        assert len(reads) == len(every.trace.scored()) == every.total_steps
         every = every.trace
         assert every.robustness == once.robustness
+        assert [r for records, _ in reads for r in records] \
+            == once.robustness
         assert every.events == once.events
         assert any(m.startswith("violation") for _, m in once.events)
-        for records, events in reads:
-            assert records == once.robustness[:len(records)]
+        for _, events in reads:
             assert events == once.events[:len(events)]
 
 
