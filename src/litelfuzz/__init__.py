@@ -18,11 +18,11 @@ from .influence import (InfluenceGraph, KeyNodeSequence,
 from .mission import (ATTACKER_ID, OUTCOME_FAILURE, OUTCOME_SUCCESS,
                       OUTCOME_SWARM_SECURE, AttackerAction, Simulation, Trace,
                       run_mission)
-from .planner import Infeasible, path_clearance, plan_path
+from .planner import Infeasible, plan_path
 from .robustness import (AgentRobustness, ConstraintParams, RobustnessRecord,
                          constraint_violations, margin_formation,
-                         margin_kinematics, margin_progress,
-                         margin_safe_distance, swarm_robustness)
+                         margin_kinematics, margin_safe_distance,
+                         swarm_robustness)
 from .scenarios import (BUILTIN_SCENARIOS, ScenarioConfig, ScenarioError,
                         a1_navigate, a2_search, a3_navigate3d,
                         builtin_scenario, load_scenario,

@@ -11,13 +11,14 @@ Each controller also has array forms (``*_rows``) of ``update``,
 ``commands`` and ``mission_complete`` that act on a :class:`WorldRows`
 batch, with the mutable state held per row as a tuple of arrays (see
 ``row_state``). Row by row they compute exactly what the scalar forms
-compute: the lookahead steps all spawn candidates of an epoch this way.
+compute: ``mission.RowStepper`` steps a probe's candidates and the
+reference runs of ``measure_nominal_steps`` this way.
 ``adopt_row``, the inverse of ``row_state(1)``, sets the controller to one
 row's state, so that the mission step can replay a step a probe computed.
 They read two things the batch holds. Its distance table
-(``WorldRows.distances``) is built once per batch: in a probe, the failure
-check of the rows a step produced builds it and the next step's commands
-read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
+(``WorldRows.distances``) is built once per batch: in a row stepper, the
+failure check of the rows a step produced builds it and the next step's
+commands read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
 columns, the masks, the waypoint array and, in ``derived``, the
 navigator's formation offsets once per probe, and every step's batch
 shares it. The :class:`Obstacles` stack, which a mission's worlds and

@@ -21,16 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .influence import build_influence_graph, key_node_sequence
 from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, ForecastStep,
-                      Simulation, attacker_agent)
+                      RowStepper, Simulation)
 from .planner import Infeasible, plan_path
-from .world import (ROLE_ATTACKER, AgentState, FailureKind, RowsLayout,
-                    WorldRows, clamp_norms, failed_rows, integrate_rows, norm,
+from .world import (ROLE_ATTACKER, AgentState, FailureKind, clamp_norms, norm,
                     row_norms)
 
 SCHEMES = ("sa", "ma", "random", "target_only")
@@ -213,36 +212,17 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
                     clamp_norms((held - attacker) / dt, v_max), cmd)
 
 
-class ProbeScores(list):
-    """The B scores of a probe, as a list (``+inf``: not scored), and the
-    steps it simulated: :meth:`forecast` copies one row's."""
-
-    def __init__(self, scores: list[float]):
-        super().__init__(scores)
-        # per step: the candidate index of each row still stepping, their
-        # controller row state, swarm (B, S, d) kinematics and attacker
-        # (B, d) commands (None on the step that places the attacker)
-        self.steps: list[tuple] = []
-
-    def forecast(self, row: int, steps: int) -> list[ForecastStep]:
-        """Copies of candidate ``row``'s first ``steps`` steps, up to the one
-        where it left the batch; they share no array with the batch."""
-        forecast = []
-        for live, state, kinematics, command in self.steps[:steps]:
-            live = live.tolist()
-            if row not in live:
-                break
-            k = live.index(row)
-            forecast.append(ForecastStep(
-                tuple(a[k:k + 1].copy() for a in state),
-                tuple(a[k].copy() for a in kinematics),
-                None if command is None else command[k].copy()))
-        return forecast
+class Probe(NamedTuple):
+    """A probe's B ``scores`` (``+inf``: not scored) and, of a spawn-style
+    probe, its ``steps``: per step, the candidate index of each row still
+    stepping, their controller row state, swarm (B, S, d) kinematics and
+    attacker (B, d) commands (None on the step that places it)."""
+    scores: list[float]
+    steps: list[tuple]
 
 
 def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
-                    params: FuzzParams,
-                    from_current: bool = False) -> ProbeScores:
+                    params: FuzzParams, from_current: bool = False) -> Probe:
     """Swarm robustness after a short simulated attack via each candidate.
 
     ``candidates`` is a ``(B, d)`` stack; the result holds their B scores.
@@ -256,123 +236,88 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
 
     The probes of one epoch start from the same world and differ only in
     the attacker, so they are stepped together as the rows of a
-    :class:`WorldRows` batch, with the controller state, goal-distance
-    windows and outcome kept per row. A row that fails or completes the
-    mission is scored then and leaves the batch. The first failing step
-    ends the probe: a row still stepping could only score higher, so it
-    stays ``+inf``, not scored. ``target_id`` must name a swarm agent, and
-    ``params.lookahead`` must be at least 1.
+    :class:`RowStepper`, whose last column is the attacker this function
+    commands. A row that fails or completes the mission is scored then and
+    leaves the batch. The first failing step ends the probe: a row still
+    stepping could only score higher, so it stays ``+inf``, not scored.
+    ``target_id`` must name a swarm agent, and ``params.lookahead`` must be
+    at least 1.
 
     A spawn-style probe also keeps the swarm's half of every step it
-    simulates (:class:`ProbeScores`), so that the run can adopt the chosen
+    simulates (:attr:`Probe.steps`), so that the run can adopt the chosen
     row's steps rather than simulate them again.
     """
+    steps: list[tuple] = []
     if sim.done:
         # a finished mission does not step, and has no record to score
-        return ProbeScores([_FAILURE_SCORE_BASE + sim.step_index
-                            if sim.failure_kind is not None else math.inf]
-                           * len(candidates))
-    spec = sim.spec
+        return Probe([_FAILURE_SCORE_BASE + sim.step_index
+                      if sim.failure_kind is not None else math.inf]
+                     * len(candidates), steps)
+    dt = sim.spec.dt
     attack = np.asarray(candidates, dtype=float)
     count = len(attack)
     probe = sim.clone()
     attacker = probe.attacker()
     approach = np.full(count, from_current and attacker is not None)
+    start = attack, None, None      # at rest at the candidate
     if approach.any():
         target = sim.world.agent(target_id)
-        att_pos = np.broadcast_to(attacker.position, attack.shape)
+        position = np.broadcast_to(attacker.position, attack.shape)
         command, approach = _attacker_command(
-            att_pos, target.position[None], target.velocity[None], attack,
-            approach, spec.dt, params)
-        att_pos, att_vel, att_acc = integrate_rows(
-            att_pos, np.broadcast_to(attacker.velocity, attack.shape),
-            command, params.attacker_v_max, params.attacker_a_max, spec.dt)
-    else:
-        att_pos, att_vel, att_acc = attack, np.zeros_like(attack), \
-            np.zeros_like(attack)
+            position, target.position[None], target.velocity[None], attack,
+            approach, dt, params)
+        start = position, np.broadcast_to(attacker.velocity, attack.shape), \
+            command
     # The first step moves the swarm alike in every row: its commands read
     # the pre-step world, and failure, completion and goal distances never
     # read the attacker. One scalar step without the attacker stands in.
     probe.step(AttackerAction(despawn=True))
-    swarm = probe.world.agents
-    size = len(swarm)
-
-    def stacked(name: str, attacker_rows: np.ndarray) -> np.ndarray:
-        shared = np.array([getattr(a, name) for a in swarm])
-        return np.concatenate([np.broadcast_to(shared, (count,) + shared.shape),
-                               attacker_rows[:, None]], axis=1)
-
-    # the layout, and what it resolves, serves every step of the probe
-    layout = RowsLayout(swarm + [attacker_agent()], probe.world.obstacles,
-                        probe.world.leader_waypoints)
-    rows = WorldRows(layout, stacked("position", att_pos),
-                     stacked("velocity", att_vel),
-                     stacked("acceleration", att_acc))
-    target_col = [a.id for a in swarm].index(target_id)
-    # the swarm's limits, then the attacker's, one per column
-    v_max = np.append(np.full(size, spec.v_max), params.attacker_v_max)
-    a_max = np.append(np.full(size, spec.a_max), params.attacker_a_max)
-    controller = probe.controller
-    state = controller.row_state(count)
-    live = np.arange(count)     # candidate index of each row still stepping
-    steps = probe.step_index
-    # every row's goal-distance windows, shifted as the main step's are
-    windows = np.broadcast_to(probe.windows, (count,) + probe.windows.shape)
-    scores = ProbeScores([math.inf] * count)
+    target_col = [a.id for a in probe.world.agents].index(target_id)
+    batch = RowStepper(probe, [probe.world] * count, start)
+    scores = [math.inf] * count
 
     def keep_step(command: np.ndarray | None) -> None:
         if not from_current:
-            scores.steps.append((live, state, (
-                rows.position[:, :size], rows.velocity[:, :size],
-                rows.acceleration[:, :size]), command))
+            rows = batch.rows     # the swarm's columns, then the attacker's
+            steps.append((batch.live, batch.state, (
+                rows.position[:, :-1], rows.velocity[:, :-1],
+                rows.acceleration[:, :-1]), command))
 
-    def finish(rows: WorldRows, windows: np.ndarray, ended: np.ndarray,
-               failed: np.ndarray) -> None:
+    def finish(ended: np.ndarray, failed: np.ndarray) -> None:
         """Score the rows that end at this step: a failed row by the step
         of its failure, the others by one batched robustness pass."""
+        live = batch.live
         for k in np.flatnonzero(ended & failed):
-            scores[live[k]] = _FAILURE_SCORE_BASE + steps
+            scores[live[k]] = _FAILURE_SCORE_BASE + batch.step_index
         scored = ended & ~failed
-        if not scored.any():
-            return
-        margins = probe.robustness_rows(rows.select(scored), windows[scored])
-        for row, swarm in zip(live[scored], margins.swarm):
-            scores[row] = swarm
+        if scored.any():
+            for row, margin in zip(live[scored],
+                                   batch.robustness(scored).swarm):
+                scores[row] = margin
 
     keep_step(None)
     if probe.done:
-        finish(rows, windows, np.ones(count, bool),
+        finish(np.ones(count, bool),
                np.full(count, probe.failure_kind is not None))
-        return scores
+        return Probe(scores, steps)
     for _ in range(1, params.lookahead):
-        attacker_command, approach = _attacker_command(
+        rows = batch.rows
+        command, approach = _attacker_command(
             rows.position[:, -1], rows.position[:, target_col],
-            rows.velocity[:, target_col], attack, approach, spec.dt, params)
-        state = controller.update_rows(state, rows, spec)
-        commands = np.concatenate(
-            [controller.commands_rows(state, rows, spec),
-             attacker_command[:, None]], axis=1)
-        # every column, the attacker's last, in one step
-        rows = WorldRows(layout, *integrate_rows(
-            rows.position, rows.velocity, commands, v_max, a_max, spec.dt))
-        steps += 1
-        keep_step(attacker_command)
-        windows = probe.shifted_windows(windows, state,
-                                        rows.position[:, :size])
-        failed = failed_rows(rows, steps, spec)
-        ended = failed | controller.mission_complete_rows(state, rows, spec)
+            rows.velocity[:, target_col], attack, approach, dt, params)
+        failed, ended = batch.step(command)
+        keep_step(command)
         if ended.any():
-            finish(rows, windows, ended, failed)
+            finish(ended, failed)
             if failed.any():    # every row still stepping scores higher
-                return scores
-            keep = ~ended
-            live, rows, windows = live[keep], rows.select(keep), windows[keep]
-            state = tuple(a[keep] for a in state)
-            attack, approach = attack[keep], approach[keep]
-            if not live.size:
-                return scores
-    finish(rows, windows, np.ones(len(live), bool), np.zeros(len(live), bool))
-    return scores
+                return Probe(scores, steps)
+            batch.drop(ended)
+            attack, approach = attack[~ended], approach[~ended]
+            if not batch.live.size:
+                return Probe(scores, steps)
+    rest = len(batch.live)
+    finish(np.ones(rest, bool), np.zeros(rest, bool))
+    return Probe(scores, steps)
 
 
 def _attacker_command(position, target, target_velocity, candidates,
@@ -415,21 +360,31 @@ def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
                       target_id: int, params: FuzzParams,
                       from_current: bool = False
                       ) -> tuple[np.ndarray, float, list[ForecastStep]]:
-    """The candidate of lowest score, its score and the forecast steps its
-    placement replays (none unless the probe was spawn-style)."""
+    """The candidate of lowest score, its score and the forecast its
+    placement replays: its row's first settle steps, if spawn-style."""
     # one call scores the whole stack: lookahead_score is the single entry
     # point of probe scoring, which perfbench traces as one layer
-    scores = lookahead_score(sim, np.array(candidates), target_id, params,
-                             from_current)
+    probe = lookahead_score(sim, np.array(candidates), target_id, params,
+                            from_current)
     best = None
     best_score = math.inf
-    for row, score in enumerate(scores):    # ties: lowest index
+    for row, score in enumerate(probe.scores):    # ties: lowest index
         if score < best_score:
             best, best_score = row, score
     if best is None:
         return None, best_score, []
-    return candidates[best], best_score, scores.forecast(
-        best, max(_settle_steps(best_score, params), 1))
+    forecast = []   # copies, which share no array with the probe's batch
+    for live, state, kinematics, command in \
+            probe.steps[:max(_settle_steps(best_score, params), 1)]:
+        live = live.tolist()
+        if best not in live:    # the row left the batch
+            break
+        k = live.index(best)
+        forecast.append(ForecastStep(
+            tuple(a[k:k + 1].copy() for a in state),
+            tuple(a[k].copy() for a in kinematics),
+            None if command is None else command[k].copy()))
+    return candidates[best], best_score, forecast
 
 
 def _key_node(sim: Simulation, params: FuzzParams,
@@ -459,8 +414,8 @@ class _FuzzDriver:
     relocates, else it flies; ``sa`` selects its test case globally or
     within its reach by the same rule. A relocation is one ``place``
     action: the driver says where, and the mission builds the attacker
-    there (:func:`attacker_agent`). The attacker flies and pursues by a
-    probe's kernels, on one row, so it moves as it was forecast to.
+    there (:func:`mission.attacker_agent`). The attacker flies and pursues
+    by a probe's kernels, on one row, so it moves as it was forecast to.
     On a placement epoch the chosen candidate's forecast already
     holds those steps: each of the first ``min(settle, forecast length)``
     actions carries its forecast step and pursuit command, and the run

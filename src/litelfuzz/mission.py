@@ -8,8 +8,7 @@ scores all the steps not yet scored in one batched pass when its
 robustness records or its events are first read. Each step then has one
 row of stacked margins, and a violation event marks the first time each
 (agent, constraint) pair is violated. An untraced run keeps only the
-current window, from which :meth:`Simulation.robustness_rows` scores a
-world on demand, and emits no violation events. Worlds and windows are
+current window and emits no violation events. Worlds and windows are
 never mutated, so a clone starts from the same world and windows as its
 original. Simulations are cheap to clone, which the fuzzer uses for
 lookahead scoring on throwaway copies.
@@ -20,6 +19,10 @@ a step a probe already computed from the same world, the controller's row
 state and the swarm's kinematics carried by the action's
 :class:`ForecastStep`. Both then move the attacker, record the step and
 check the outcome the same way.
+
+A :class:`RowStepper` takes that step over a batch of rows: the probe's
+candidates and ``measure_nominal_steps``' reference runs. Both steps
+shift the windows by the one rule, :meth:`Simulation.shifted_windows`.
 """
 from __future__ import annotations
 
@@ -38,7 +41,8 @@ from .robustness import (ConstraintParams, RobustnessRecord, RobustnessRows,
                          violations_rows)
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, InvalidState,
                     MissionSpec, RowsLayout, WorldRows, WorldState,
-                    detect_failure, integrate_rows, integrate_step, row_norms)
+                    detect_failure, failed_rows, integrate_rows,
+                    integrate_step, row_norms)
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_FAILURE = "Failure"
@@ -203,13 +207,6 @@ class Simulation:
         sim.failure_kind = self.failure_kind
         return sim
 
-    def robustness_rows(self, rows: WorldRows,
-                        windows: np.ndarray) -> RobustnessRows:
-        """The stacked margins of every row of ``rows`` with goal-distance
-        ``windows`` (N, S, W), as :attr:`windows` lays out each row's,
-        under this mission's constraint parameters."""
-        return swarm_robustness(rows, windows, self.cparams)
-
     @property
     def done(self) -> bool:
         return self.outcome is not None
@@ -329,6 +326,90 @@ class Simulation:
         if self.trace is not None and self.outcome is not None:
             self.trace.outcome = self.outcome
             self.trace.failure_kind = self.failure_kind
+
+
+class RowStepper:
+    """:meth:`Simulation.step` over the rows of a :class:`WorldRows` batch.
+
+    Row k starts from the swarm of ``worlds[k]`` (no attacker) and every
+    row from ``sim``'s controller state, windows and step index; each
+    keeps its own :attr:`rows`, controller row :attr:`state`, (B, S, W)
+    :attr:`windows` and :attr:`live`, its index among the starting rows.
+    Row by row a step computes what the scalar step does, bit for bit.
+    With ``attacker``, the (B, d) position, velocity and command of an
+    attacker before the step the rows start at, the batch has one more
+    column, the last, that the command flew under ``sim``'s attacker
+    limits (a None command: at rest at the position).
+    """
+
+    def __init__(self, sim: Simulation, worlds: list[WorldState],
+                 attacker: tuple | None = None):
+        self._sim = sim
+        batches = [world.rows() for world in worlds]
+        kinematics = [np.concatenate([getattr(b, name) for b in batches])
+                      for name in ("position", "velocity", "acceleration")]
+        layout = batches[0].layout
+        spec = sim.spec
+        self._limits = spec.v_max, spec.a_max
+        if attacker is not None:
+            position, velocity, command = attacker
+            fly = sim.attacker_spec
+            if command is None:
+                rest = np.zeros_like(position)
+                column = position, rest, rest
+            else:
+                column = integrate_rows(position, velocity, command,
+                                        fly.v_max, fly.a_max, spec.dt)
+            kinematics = [np.concatenate([k, c[:, None]], axis=1)
+                          for k, c in zip(kinematics, column)]
+            # the swarm's limits, then the attacker's, one per column
+            size = len(layout.agents)
+            self._limits = (np.append(np.full(size, spec.v_max), fly.v_max),
+                            np.append(np.full(size, spec.a_max), fly.a_max))
+            layout = RowsLayout(layout.agents + [attacker_agent()],
+                                layout.obstacles, layout.leader_waypoints)
+        self.rows = WorldRows(layout, *kinematics)
+        count = len(worlds)
+        self.state = sim.controller.row_state(count)
+        self.windows = np.broadcast_to(sim.windows,
+                                       (count,) + sim.windows.shape)
+        self.step_index = sim.step_index
+        self.live = np.arange(count)
+
+    def step(self, attacker: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Step every row, the attacker column by the (B, d) commands
+        ``attacker``. Returns the (B,) masks of the rows that failed and of
+        the rows that ended: failed, or completed the mission."""
+        sim, rows = self._sim, self.rows
+        controller, spec = sim.controller, sim.spec
+        self.state = state = controller.update_rows(self.state, rows, spec)
+        commands = controller.commands_rows(state, rows, spec)
+        if attacker is not None:
+            commands = np.concatenate([commands, attacker[:, None]], axis=1)
+        # every column, the attacker's last, in one step
+        self.rows = rows = WorldRows(rows.layout, *integrate_rows(
+            rows.position, rows.velocity, commands, *self._limits, spec.dt))
+        self.step_index += 1
+        self.windows = sim.shifted_windows(
+            self.windows, state, rows.position[:, rows.layout.swarm])
+        failed = failed_rows(rows, self.step_index, spec)
+        return failed, failed | controller.mission_complete_rows(
+            state, rows, spec)
+
+    def drop(self, ended: np.ndarray) -> None:
+        """Remove the rows picked by the mask ``ended``."""
+        keep = ~ended
+        self.rows = self.rows.select(keep)
+        self.state = tuple(a[keep] for a in self.state)
+        self.windows = self.windows[keep]
+        self.live = self.live[keep]
+
+    def robustness(self, chosen: np.ndarray) -> RobustnessRows:
+        """The stacked margins of the rows picked by the mask ``chosen``,
+        under the mission's constraint parameters."""
+        return swarm_robustness(self.rows.select(chosen),
+                                self.windows[chosen], self._sim.cparams)
 
 
 def run_mission(scenario, seed: int = 0) -> Trace:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import ROLE_ATTACKER, WorldState, norm, row_norms
+from .world import ROLE_ATTACKER, WorldState, norm
 
 _VIA_SCALES = (1.05, 1.2, 1.5, 2.0, 3.0)
 _MAX_VIAS = 200
@@ -171,22 +171,6 @@ def _route_greedy(a: np.ndarray, b: np.ndarray, field: _CircleField,
 def _path_length(path: list[np.ndarray]) -> float:
     return sum(norm(path[k + 1] - path[k])
                for k in range(len(path) - 1))
-
-
-def path_clearance(path: list[np.ndarray], world: WorldState,
-                   ignore_ids: tuple[int, ...] = (),
-                   samples_per_segment: int = 64) -> float:
-    """Sampled minimum distance from the polyline to obstacles/agents."""
-    if len(path) < 2:
-        return np.inf
-    s = np.linspace(0.0, 1.0, samples_per_segment)[:, None]
-    points = np.concatenate([a * (1.0 - s) + b * s
-                             for a, b in zip(path, path[1:])])
-    others = np.array([a.position for a in world.agents if a.id not in ignore_ids
-                       and a.role != ROLE_ATTACKER])
-    gaps = row_norms(others.reshape(-1, 1, points.shape[1]) - points)
-    return float(min(world.obstacles.surface_distances(points).min(
-        initial=np.inf), gaps.min(initial=np.inf)))
 
 
 def plan_path(start: np.ndarray, goal: np.ndarray, world: WorldState,

@@ -111,17 +111,6 @@ def margin_formation(pairwise_distances, params: ConstraintParams):
     return raw, _clamp_unit(raw / half_span)
 
 
-def margin_progress(goal_distance_history: Sequence[float],
-                    params: ConstraintParams) -> tuple[float, float]:
-    """Windowed-max per-step progress toward the goal (eventually-semantics)
-    over one history of at least two goal distances."""
-    h = np.asarray(goal_distance_history, dtype=float)
-    if len(h) < 2:
-        raise ValueError("progress margin needs at least two history entries")
-    raw, norm = _progress(h, params)
-    return float(raw), float(norm)
-
-
 def _progress(windows: np.ndarray, params: ConstraintParams):
     """Progress margins of (..., W) goal-distance windows. A NaN entry (a
     step without a goal) clears itself and every entry before it; a window

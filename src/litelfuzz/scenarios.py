@@ -26,7 +26,7 @@ import numpy as np
 
 from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import FuzzParams, SpawnGeometry
-from .mission import ATTACKER_ID, Simulation
+from .mission import ATTACKER_ID, OUTCOME_FAILURE, RowStepper, Simulation
 from .robustness import ConstraintParams
 from .world import (ROLE_LEADER, SWARM_ROLES, AgentState, MissionSpec,
                     Obstacle, WorldState, norm)
@@ -291,6 +291,10 @@ class ScenarioConfig:
         if apf and not self.leader_waypoints:
             raise ScenarioError("apf_navigate requires leader_waypoints_m")
         # a mission that can never complete would only ever time out
+        if apf and all(a.role != ROLE_LEADER for a in self.agents):
+            raise ScenarioError(f"apf_navigate requires an agent with role "
+                                f"{ROLE_LEADER!r}: without one the mission "
+                                f"never completes")
         if apf and norm(self.goal - self.leader_waypoints[-1]) \
                 > self.goal_tolerance:
             raise ScenarioError(
@@ -639,15 +643,20 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 
 
 def measure_nominal_steps(config: ScenarioConfig) -> int:
-    """Mean completion steps over 50 attacker-free reference runs, seeds 0-49."""
-    from .mission import OUTCOME_SUCCESS
-    steps = []
-    for seed in range(50):
-        sim = config.build_simulation(seed=seed, record_trace=False)
-        while not sim.done:
-            sim.step()
-        if sim.outcome != OUTCOME_SUCCESS:
-            raise RuntimeError(f"reference run {seed} did not complete "
-                               f"(outcome {sim.outcome})")
-        steps.append(sim.step_index)
-    return int(math.ceil(sum(steps) / len(steps)))
+    """Mean completion steps over 50 attacker-free reference runs, seeds
+    0-49, stepped together as the rows of one :class:`RowStepper`: fresh
+    runs of one scenario differ only in their worlds. Raises naming the
+    lowest seed whose run did not complete."""
+    sims = [config.build_simulation(seed=seed, record_trace=False)
+            for seed in range(50)]
+    batch = RowStepper(sims[0], [sim.world for sim in sims])
+    steps, failed_seeds = np.zeros(len(sims), dtype=int), []
+    while batch.live.size:
+        failed, ended = batch.step()
+        steps[batch.live[ended]] = batch.step_index
+        failed_seeds += batch.live[failed].tolist()
+        batch.drop(ended)
+    if failed_seeds:
+        raise RuntimeError(f"reference run {min(failed_seeds)} did not "
+                           f"complete (outcome {OUTCOME_FAILURE})")
+    return int(math.ceil(steps.sum() / len(steps)))

@@ -14,6 +14,7 @@ from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                spawn_candidates)
 from litelfuzz.mission import AttackerAction
 from litelfuzz.planner import plan_path
+from litelfuzz.robustness import robustness_rows
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (AgentState, Obstacle, Obstacles, WorldState,
                              clamp_norm, norm)
@@ -324,7 +325,8 @@ class TestLookaheadScore:
         target = sim.world.swarm()[1]
         points = spawn_candidates(target, sim.world, geom,
                                   sim.spec.safe_distance)
-        scores = lookahead_score(sim, np.array(points), target.id, params)
+        scores = lookahead_score(sim, np.array(points), target.id,
+                                 params).scores
         assert len(scores) == len(points)
         for s in scores:
             assert s <= -1e8 or abs(s) < 1e3
@@ -367,8 +369,8 @@ def scalar_lookahead_score(sim, candidate, target_id, params,
         return _FAILURE_SCORE_BASE + probe.step_index, ended
     if sim.done:
         return math.inf, ended  # a finished mission never stepped: no record
-    (record,) = probe.robustness_rows(probe.world.rows(),
-                                      probe.windows[None]).records()
+    (record,) = robustness_rows(probe.world.rows(), probe.windows[None],
+                                probe.cparams).records()
     return record.swarm, ended
 
 
@@ -401,13 +403,13 @@ class TestBatchedLookahead:
                           for c in candidates]
                 expected = expected_probe_scores(scalar)
                 scores = lookahead_score(sim, np.array(candidates), target_id,
-                                         p, from_current)
+                                         p, from_current).scores
                 assert scores == expected
                 # the cut rows could not have been chosen
                 assert lowest(scores) == lowest([s for s, _ in scalar])
                 # a stack of one scores as it does alone
                 assert lookahead_score(sim, np.array(candidates[:1]),
-                                       target_id, p, from_current) \
+                                       target_id, p, from_current).scores \
                     == [scalar[0][0]]
                 attacker = sim.attacker() is not None
                 seen.add(("attacker", attacker, from_current))
@@ -437,7 +439,8 @@ class TestBatchedLookahead:
         points = spawn_candidates(target, sim.world, scn.spawn_geometry(),
                                   sim.spec.safe_distance)
         params = scn.fuzz_params()
-        scores = lookahead_score(sim, np.array(points), target.id, params)
+        scores = lookahead_score(sim, np.array(points), target.id,
+                                 params).scores
         assert scores == [scalar_lookahead_score(sim, p, target.id, params)[0]
                           for p in points]
         assert scores == [math.inf] * len(points)
@@ -500,7 +503,8 @@ class TestProbeWork:
             controllers.ApfNavigationController, "commands_rows", counted(
                 "steps", controllers.ApfNavigationController.commands_rows,
                 lambda args: True))
-        scores = lookahead_score(sim, np.array(points), target.id, params)
+        scores = lookahead_score(sim, np.array(points), target.id,
+                                 params).scores
         monkeypatch.undo()
         scalar = [scalar_lookahead_score(sim, p, target.id, params)
                   for p in points]

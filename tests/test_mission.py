@@ -8,8 +8,9 @@ from trace_oracle import oracle_jsonl
 
 from litelfuzz.campaign import trace_to_jsonl
 from litelfuzz.fuzzing import run_fuzzing
-from litelfuzz.mission import (ATTACKER_ID, AttackerAction, Simulation,
-                               run_mission)
+from litelfuzz.mission import (ATTACKER_ID, AttackerAction, RowStepper,
+                               Simulation, run_mission)
+from litelfuzz.robustness import robustness_rows
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, InvalidState,
                              WorldState, norm)
@@ -70,6 +71,50 @@ class TestClone:
     def test_clone_does_not_record_trace(self):
         sim = a1_navigate().build_simulation(seed=0)
         assert sim.clone().trace is None
+
+
+class TestRowStepper:
+    @staticmethod
+    def ending(failed, kinematics, windows):
+        """What a run leaves: whether it failed, and the bytes of its
+        swarm's final (S, d) kinematics and (S, W) windows."""
+        return failed, b"".join(a.tobytes() for a in kinematics), \
+            windows.tobytes()
+
+    @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
+                                        a3_navigate3d])
+    def test_attacker_free_rows_equal_scalar_runs(self, preset):
+        """Seeds 0-5 from step 0, as the rows of one batch stepped and
+        dropped until none is left, end as six scalar runs do, bit for
+        bit: at the same step, with the same outcome, kinematics and
+        windows."""
+        scn = preset()
+        seeds = range(6)
+        sims = [scn.build_simulation(seed=seed, record_trace=False)
+                for seed in seeds]
+        batch = RowStepper(sims[0], [sim.world for sim in sims])
+        batched = {}
+        while batch.live.size:
+            failed, ended = batch.step()
+            rows = batch.rows
+            for k in np.flatnonzero(ended):
+                batched[int(batch.live[k])] = (batch.step_index, self.ending(
+                    bool(failed[k]), (rows.position[k], rows.velocity[k],
+                                      rows.acceleration[k]),
+                    batch.windows[k]))
+            batch.drop(ended)
+        scalar = {}
+        for seed in seeds:
+            sim = scn.build_simulation(seed=seed, record_trace=False)
+            while not sim.done:
+                sim.step()
+            swarm = sim.world.swarm()
+            scalar[seed] = (sim.step_index, self.ending(
+                sim.failure_kind is not None,
+                [np.array([getattr(a, name) for a in swarm]) for name in
+                 ("position", "velocity", "acceleration")], sim.windows))
+        assert batched == scalar
+        assert len({step for step, _ in scalar.values()}) > 1
 
 
 class TestAttackerActions:
@@ -187,8 +232,8 @@ class TestLazyRobustness:
         for action in actions:
             traced.step(action)
             lazy.step(action)
-            assert lazy.robustness_rows(lazy.world.rows(),
-                                        lazy.windows[None]).records() \
+            assert robustness_rows(lazy.world.rows(), lazy.windows[None],
+                                   lazy.cparams).records() \
                 == traced.trace.robustness[-1:]
             if traced.done:
                 break
@@ -295,8 +340,8 @@ class TestTraceKeepsNoWorld:
             twin.step(action)
             alive.append(weakref.ref(sim.world))
             worlds.append(twin.world)
-            records += twin.robustness_rows(twin.world.rows(),
-                                            twin.windows[None]).records()
+            records += robustness_rows(twin.world.rows(), twin.windows[None],
+                                       twin.cparams).records()
         assert not actions and len(alive) > 20
         gc.collect()
         assert [ref() for ref in alive if ref() is not None] == [sim.world]

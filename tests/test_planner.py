@@ -2,8 +2,23 @@
 import numpy as np
 import pytest
 
-from litelfuzz.planner import Infeasible, path_clearance, plan_path
-from litelfuzz.world import AgentState, Obstacle, WorldState
+from litelfuzz.planner import Infeasible, plan_path
+from litelfuzz.world import ROLE_ATTACKER, AgentState, Obstacle, WorldState, \
+    row_norms
+
+
+def path_clearance(path, world):
+    """Minimum distance from the polyline ``path``, sampled 64 times per
+    segment, to the world's obstacles and swarm agents: the oracle of the
+    planner's clearance."""
+    s = np.linspace(0.0, 1.0, 64)[:, None]
+    points = np.concatenate([a * (1.0 - s) + b * s
+                             for a, b in zip(path, path[1:])])
+    others = np.array([a.position for a in world.agents
+                       if a.role != ROLE_ATTACKER])
+    gaps = row_norms(others.reshape(-1, 1, points.shape[1]) - points)
+    return float(min(world.obstacles.surface_distances(points).min(
+        initial=np.inf), gaps.min(initial=np.inf)))
 
 
 def make_agent(pos, agent_id=0, role="follower"):

@@ -14,8 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from litelfuzz.robustness import (AgentRobustness, ConstraintParams,
                                   RobustnessRecord, constraint_violations,
-                                  margin_formation,
-                                  margin_kinematics, margin_progress,
+                                  margin_formation, margin_kinematics,
                                   margin_safe_distance, robustness_rows,
                                   swarm_robustness)
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, Obstacle, RowsLayout,
@@ -156,20 +155,30 @@ class TestFormationMargin:
 
 
 class TestProgressMargin:
+    @staticmethod
+    def _history_progress(history):
+        """The raw and normalized progress margin of a one-agent world
+        whose goal distances were ``history``, oldest first."""
+        world = WorldState(0, [make_agent([0.0, 0.0])], [])
+        (got,) = swarm_robustness(world, {0: history}, PARAMS).per_agent
+        return got.raw[4], got.normalized[4]
+
     def test_windowed_best_step(self):
         # distances: shrink by 0.03 once, else grow
         history = [1.0, 1.05, 1.02, 1.06]
-        raw, norm = margin_progress(history, PARAMS)
+        raw, norm = self._history_progress(history)
         assert raw == pytest.approx(0.03)
         assert norm == pytest.approx(0.03 / (PARAMS.v_max * PARAMS.dt))
 
     def test_no_progress_is_violation(self):
-        raw, _ = margin_progress([1.0, 1.0, 1.01], PARAMS)
+        raw, _ = self._history_progress([1.0, 1.0, 1.01])
         assert raw <= 0.0
 
-    def test_requires_two_entries(self):
-        with pytest.raises(ValueError):
-            margin_progress([1.0], PARAMS)
+    def test_fewer_than_two_entries_get_the_full_margin(self):
+        # no step to measure progress over: nothing to violate
+        full = (PARAMS.v_max * PARAMS.dt, 1.0)
+        assert self._history_progress([1.0]) == full
+        assert self._history_progress([]) == full
 
     @settings(deadline=None)
     @given(st.lists(st.one_of(st.none(), st.just(math.nan),

@@ -59,6 +59,12 @@ BAD = [
      "apf: unknown key(s): waypoint_index"),
     ("a2_search", ("search", "visits"), None,
      "search: unknown key(s): visits"),
+    # without a leader the mission never completes, so every run timed out
+    # and every execution read as a successful attack
+    ("a1_navigate", ("agents", 0),
+     {"id": 0, "role": "follower", "start_m": [0.0, 0.0],
+      "sensing_radius_m": 0.5, "formation_offset_m": [0.0, 0.0]},
+     "apf_navigate requires an agent with role 'leader'"),
 ]
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from litelfuzz.mission import OUTCOME_FAILURE, OUTCOME_SUCCESS, run_mission
 from litelfuzz.scenarios import (ScenarioError, a1_navigate, a2_search,
                                  a3_navigate3d, builtin_scenario,
                                  load_scenario, measure_nominal_steps,
@@ -296,6 +297,23 @@ class TestDerivedObjects:
 
     def test_a1_nominal_steps_match_reference_runs(self):
         assert measure_nominal_steps(a1_navigate()) == 59
+
+    def test_a2_a3_nominal_steps_match_reference_runs(self):
+        assert measure_nominal_steps(a2_search()) == 96
+        assert measure_nominal_steps(a3_navigate3d()) == 244
+
+    def test_nominal_steps_name_the_lowest_reference_run_that_timed_out(self):
+        data = a1_navigate().to_dict()
+        data["nominal_steps"] = 58
+        data["timeout_multiplier"] = 1.0
+        scn = scenario_from_dict(data)
+        # some reference runs complete within the tighter budget, some not
+        outcomes = {run_mission(scn, seed).outcome for seed in range(50)}
+        assert outcomes == {OUTCOME_SUCCESS, OUTCOME_FAILURE}
+        assert run_mission(scn, 0).outcome == OUTCOME_SUCCESS
+        with pytest.raises(RuntimeError, match=r"^reference run 1 did not "
+                           r"complete \(outcome Failure\)$"):
+            measure_nominal_steps(scn)
 
     def test_mission_spec_mirrors_config(self):
         scn = a1_navigate()
