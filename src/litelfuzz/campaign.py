@@ -125,7 +125,10 @@ def run_campaign(scenario, config: CampaignConfig) -> CampaignReport:
     from .scenarios import scenario_from_dict
     scenario = scenario_from_dict(scenario.to_dict())
     if config.out_dir is not None:
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"out_dir {config.out_dir}: {exc.strerror}")
     jobs = [(scenario, config, config.base_seed + k)
             for k in range(config.executions)]
     if config.workers > 1:

@@ -61,6 +61,9 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    out = None if args.out is None else Path(args.out)
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        raise ValueError(f"cannot write {out}: not a file in a directory")
     if args.kind == "robustness":
         scenario = _load_scenario_arg(args.scenario)
         result = run_fuzzing(scenario, args.scheme, budget=args.budget,
@@ -68,10 +71,10 @@ def _cmd_plot(args) -> int:
         csv = robustness_curve_csv(result.trace)
     else:
         csv = scheme_comparison_csv([_read_report(p) for p in args.reports])
-    if args.out is None:
+    if out is None:
         sys.stdout.write(csv)
     else:
-        Path(args.out).write_text(csv)
+        out.write_text(csv)
     return 0
 
 

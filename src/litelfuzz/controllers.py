@@ -9,17 +9,20 @@ controller for area search. Controllers keep their mutable state out of
 
 Each controller also has array forms (``*_rows``) of ``update``,
 ``commands`` and ``mission_complete`` that act on a :class:`WorldRows`
-batch, with the mutable state held per row as a tuple of arrays (see
-``row_state``). Row by row they compute exactly what the scalar forms
+batch, with the run state held per row as a tuple of arrays with a
+leading row axis. Row by row they compute exactly what the scalar forms
 compute: ``mission.RowStepper`` steps a probe's candidates and the
-reference runs of ``measure_nominal_steps`` this way.
-``adopt_row``, the inverse of ``row_state(1)``, sets the controller to one
-row's state, so that the mission step can replay a step a probe computed.
-They read two things the batch holds. Its distance table
+reference runs of ``measure_nominal_steps`` this way. A controller holds
+its run state in that one form, as one row, ``state``: the scalar forms
+read it, the mission step replaces it with a row a probe computed, and a
+row stepper broadcasts it to its rows. No code writes a state array in
+place (every array form returns new arrays), so a copy of a controller,
+its original and the rows of a batch share state arrays. The array
+forms read two things the batch holds. Its distance table
 (``WorldRows.distances``) is built once per batch: in a row stepper, the
 failure check of the rows a step produced builds it and the next step's
-commands read it. Its :class:`RowsLayout` resolves the swarm, leader and follower
-columns, the masks, the waypoint array and, in ``derived``, the
+commands read it. Its :class:`RowsLayout` resolves the swarm, leader and
+follower columns, the masks, the waypoint array and, in ``derived``, the
 navigator's formation offsets once per probe, and every step's batch
 shares it. The :class:`Obstacles` stack, which a mission's worlds and
 layouts share, gives every obstacle's surface distance and outward
@@ -45,7 +48,7 @@ total that starts at +0.0. Only the norms stay numpy, because
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +57,10 @@ from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, RowsLayout,
                     norm, row_norms)
 
 _EPS = 1e-9
+
+# every navigator's state until it switches waypoint: an in-place write fails
+_FIRST_WAYPOINT = np.zeros(1, dtype=int)
+_FIRST_WAYPOINT.flags.writeable = False
 
 
 def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
@@ -168,20 +175,14 @@ class ApfNavigationController:
     # scenario files naming it load, and no code reads it
     formation_frame: str = field(
         default="leader", metadata=dict(kind="choice", choices=("leader",)))
-    waypoint_index: int = 0
-
-    def clone(self) -> "ApfNavigationController":
-        return replace(self)
+    # run state, one row of the array forms': (waypoint index,)
+    state: tuple[np.ndarray, ...] = (_FIRST_WAYPOINT,)
 
     def _leader(self, world: WorldState):
         for a in world.agents:
             if a.role == ROLE_LEADER:
                 return a
         return None
-
-    def _current_waypoint(self, world: WorldState) -> np.ndarray:
-        wps = world.leader_waypoints
-        return wps[min(self.waypoint_index, len(wps) - 1)]
 
     def _slot(self, agent_id: int, world: WorldState) -> np.ndarray | None:
         """World-frame formation slot of a follower: the leader's position
@@ -197,11 +198,12 @@ class ApfNavigationController:
         if leader is None:
             return
         wps = world.leader_waypoints
-        if self.waypoint_index >= len(wps) - 1:
+        (index,) = self.state
+        if index[0] >= len(wps) - 1:
             return
         switch = self.waypoint_switch_radius
-        if norm(leader.position - wps[self.waypoint_index]) <= switch:
-            self.waypoint_index += 1
+        if norm(leader.position - wps[index[0]]) <= switch:
+            self.state = (index + 1,)
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
         """One pass over the world: the leaders pull toward the waypoint
@@ -219,7 +221,8 @@ class ApfNavigationController:
         for k, agent in enumerate(world.agents):
             if agent.role == ROLE_LEADER:
                 if norm(agent.position - spec.goal) > spec.goal_tolerance:
-                    target[k] = self._current_waypoint(world)
+                    wps = world.leader_waypoints
+                    target[k] = wps[min(self.state[0][0], len(wps) - 1)]
             elif agent.role != ROLE_ATTACKER:
                 offset = self.formation_offsets[agent.id]
                 if leader is not None:
@@ -236,7 +239,7 @@ class ApfNavigationController:
         leader = self._leader(world)
         if leader is None:
             return False
-        if self.waypoint_index < len(world.leader_waypoints) - 1:
+        if self.state[0][0] < len(world.leader_waypoints) - 1:
             return False
         if norm(leader.position - spec.goal) > spec.goal_tolerance:
             return False
@@ -247,15 +250,7 @@ class ApfNavigationController:
                 return False
         return True
 
-    # -- array forms over WorldRows; the per-row state is (waypoint_index,)
-
-    def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
-        return (np.full(rows, self.waypoint_index),)
-
-    def adopt_row(self, state) -> None:
-        """Take the state of a one-row ``state``: the inverse of
-        ``row_state(1)``."""
-        self.waypoint_index = int(state[0][0])
+    # -- array forms over WorldRows; the per-row state is (waypoint index,)
 
     def _offsets_rows(self, layout: RowsLayout) -> np.ndarray:
         """The followers' formation offsets (F, d), resolved once per
@@ -379,29 +374,25 @@ class DispersalSearchController:
     # scales obstacle/wall repulsion vs v_max
     obstacle_gain: float = field(
         default=2.0, metadata=dict(kind="number", least=0.0))
-    visits: np.ndarray | None = None
-    found: list[bool] = field(default_factory=list)
+    # run state, one row of the array forms': (visits, found) of shapes
+    # (1, *grid) and (1, K), none visited and none found when not given
+    state: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if not np.all(np.less(self.bounds_lo, self.bounds_hi)):
             raise ValueError("need bounds_lo < bounds_hi componentwise")
-        if self.visits is None:
+        if self.state is None:
             shape = tuple(int(math.ceil((hi - lo) / self.cell_size))
                           for lo, hi in zip(self.bounds_lo, self.bounds_hi))
-            self.visits = np.zeros(shape, dtype=np.int64)
-        if not self.found:
-            self.found = [False] * len(self.targets)
+            self.state = (np.zeros((1,) + shape, dtype=np.int64),
+                          np.zeros((1, len(self.targets)), dtype=bool))
         self._targets = np.asarray(self.targets, dtype=float)   # (K, d)
-
-    def clone(self) -> "DispersalSearchController":
-        return replace(self, visits=self.visits.copy(), found=list(self.found))
 
     def update(self, world: WorldState, spec: MissionSpec) -> None:
         """:meth:`update_rows` of ``world`` as a batch of one row."""
         rows = world.rows()
         if rows.layout.swarm:
-            visits, found = self.update_rows(self.row_state(1), rows, spec)
-            self.visits, self.found = visits[0], found[0].tolist()
+            self.state = self.update_rows(self.state, rows, spec)
 
     def commands(self, world: WorldState, spec: MissionSpec) -> dict[int, np.ndarray]:
         """:meth:`commands_rows` of ``world`` as a batch of one row."""
@@ -409,35 +400,14 @@ class DispersalSearchController:
         layout = rows.layout
         if not layout.swarm:
             return {}
-        cmds = self.commands_rows(self.row_state(1), rows, spec)[0]
+        cmds = self.commands_rows(self.state, rows, spec)[0]
         return {layout.agents[k].id: cmds[n]
                 for n, k in enumerate(layout.swarm_columns)}
 
     def mission_complete(self, world: WorldState, spec: MissionSpec) -> bool:
-        return bool(self.found) and all(self.found)
+        return bool(self.targets) and bool(self.state[1].all())
 
     # -- array forms over WorldRows; the per-row state is (visits, found)
-
-    def row_state(self, rows: int) -> tuple[np.ndarray, ...]:
-        """Read-only views: no array form writes a state in place. One row
-        is a plain view, which costs less than ``np.broadcast_to``."""
-        state = self.visits[None], np.array(self.found, dtype=bool)[None]
-        for a in state:
-            a.flags.writeable = False
-        return state if rows == 1 else tuple(
-            np.broadcast_to(a, (rows,) + a.shape[1:]) for a in state)
-
-    def adopt_row(self, state) -> None:
-        """Take the state of a one-row ``state``: the inverse of
-        ``row_state(1)``. The visit grid is copied, so it is never a
-        read-only view or a view into a batch."""
-        visits, found = state
-        self.visits, self.found = visits[0].copy(), found[0].tolist()
-
-    def _cells_rows(self, position: np.ndarray) -> np.ndarray:
-        """The visit-grid cell of every point: integer indices (..., d)."""
-        idx = np.floor((position - self.bounds_lo) / self.cell_size).astype(int)
-        return np.clip(idx, 0, np.asarray(self.visits.shape) - 1)
 
     def _target_distances(self, position: np.ndarray) -> np.ndarray:
         """(B, S, K) distances from swarm points (B, S, d) to the targets."""
@@ -447,7 +417,8 @@ class DispersalSearchController:
         visits, found = state
         pos = rows.position[:, rows.layout.swarm]
         visits = visits.copy()
-        cells = self._cells_rows(pos)
+        cells = np.floor((pos - self.bounds_lo) / self.cell_size).astype(int)
+        cells = np.clip(cells, 0, np.asarray(visits.shape[1:]) - 1)
         np.add.at(visits, (np.arange(len(pos))[:, None],
                            *np.moveaxis(cells, -1, 0)), 1)
         if self.targets:
@@ -468,7 +439,7 @@ class DispersalSearchController:
         cell_order = np.argsort(visits.reshape(count, -1), axis=1,
                                 kind="stable")
         least = cell_order[:, rank % cell_order.shape[1]]
-        cells = np.stack(np.unravel_index(least, self.visits.shape), axis=-1)
+        cells = np.stack(np.unravel_index(least, visits.shape[1:]), axis=-1)
         drift_target = self.bounds_lo + (cells.astype(float) + 0.5) \
             * self.cell_size
         # neighbours in world order; co-located ones splay by agent rank

@@ -15,8 +15,8 @@ lookahead scoring on throwaway copies.
 
 :meth:`Simulation.step` computes a step: the controller updates and
 commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
-a step a probe already computed from the same world, the controller's row
-state and the swarm's kinematics carried by the action's
+a step a probe already computed from the same world: the controller's
+``state`` and the swarm's kinematics carried by the action's
 :class:`ForecastStep`. Both then move the attacker, record the step and
 check the outcome the same way.
 
@@ -60,11 +60,11 @@ def attacker_agent(position: np.ndarray | None = None) -> AgentState:
 
 
 class ForecastStep(NamedTuple):
-    """One step of one probe row: the controller's row state after the
-    step's update, as :meth:`row_state` lays out one row, the swarm's
-    (S, d) position, velocity and acceleration after the step, and the
-    attacker's command that drove it (None on the step that places the
-    attacker)."""
+    """One step of one probe row: the controller's ``state`` after the
+    step's update, one row of its array forms' state as the controller
+    holds it, the swarm's (S, d) position, velocity and acceleration
+    after the step, and the attacker's command that drove it (None on the
+    step that places the attacker)."""
     state: tuple[np.ndarray, ...]
     kinematics: tuple[np.ndarray, np.ndarray, np.ndarray]
     command: Optional[np.ndarray]
@@ -199,7 +199,7 @@ class Simulation:
         self._absent = np.full(len(spec.goal), math.nan)  # attacker's row
 
     def clone(self) -> "Simulation":
-        sim = Simulation(self.world, self.controller.clone(), self.spec,
+        sim = Simulation(self.world, replace(self.controller), self.spec,
                          self.cparams, self.attacker_spec.v_max,
                          self.attacker_spec.a_max, record_trace=False)
         sim.windows = self.windows
@@ -241,13 +241,13 @@ class Simulation:
 
     def replay(self, attacker_action: AttackerAction) -> None:
         """Adopt one step a probe computed from this world: the controller
-        takes the forecast's row state and the swarm its kinematics, then
-        the attacker acts and the step is recorded and checked as in
-        :meth:`step`."""
+        takes the forecast's state, which no code writes in place, and the
+        swarm its kinematics, then the attacker acts and the step is
+        recorded and checked as in :meth:`step`."""
         if self.done:
             return
         forecast = attacker_action.forecast
-        self.controller.adopt_row(forecast.state)
+        self.controller.state = forecast.state
         self._finish_step(self.world.swarm(), forecast.kinematics,
                           attacker_action)
 
@@ -264,7 +264,7 @@ class Simulation:
             for k, a in enumerate(swarm)] + attacker, world.obstacles,
             world.leader_waypoints)
         self.windows = self.shifted_windows(
-            self.windows[None], self.controller.row_state(1), pos[None])[0]
+            self.windows[None], self.controller.state, pos[None])[0]
         if self.trace is not None:
             self.trace.record(self.world.step_index, self.windows,
                               kinematics + next(
@@ -332,9 +332,11 @@ class RowStepper:
     """:meth:`Simulation.step` over the rows of a :class:`WorldRows` batch.
 
     Row k starts from the swarm of ``worlds[k]`` (no attacker) and every
-    row from ``sim``'s controller state, windows and step index; each
-    keeps its own :attr:`rows`, controller row :attr:`state`, (B, S, W)
-    :attr:`windows` and :attr:`live`, its index among the starting rows.
+    row from ``sim``'s windows, step index and controller ``state``,
+    broadcast to the rows (a read-only view: no array form writes a state
+    in place); each keeps its own :attr:`rows`, controller row
+    :attr:`state`, (B, S, W) :attr:`windows` and :attr:`live`, its index
+    among the starting rows.
     Row by row a step computes what the scalar step does, bit for bit.
     With ``attacker``, the (B, d) position, velocity and command of an
     attacker before the step the rows start at, the batch has one more
@@ -370,7 +372,8 @@ class RowStepper:
                                 layout.obstacles, layout.leader_waypoints)
         self.rows = WorldRows(layout, *kinematics)
         count = len(worlds)
-        self.state = sim.controller.row_state(count)
+        self.state = tuple(np.broadcast_to(a, (count,) + a.shape[1:])
+                           for a in sim.controller.state)
         self.windows = np.broadcast_to(sim.windows,
                                        (count,) + sim.windows.shape)
         self.step_index = sim.step_index

@@ -61,7 +61,7 @@ def commands(controller, world, spec) -> dict[int, np.ndarray]:
             continue
         if agent.role == ROLE_LEADER:
             wps = world.leader_waypoints
-            target = wps[min(controller.waypoint_index, len(wps) - 1)]
+            target = wps[min(controller.state[0][0], len(wps) - 1)]
             att = attraction(agent.position, target, spec.v_max,
                              controller.slow_radius)
             if norm(agent.position - spec.goal) <= spec.goal_tolerance:

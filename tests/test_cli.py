@@ -37,6 +37,16 @@ def test_save_traces_without_out_exits_2(capsys):
     assert "save_traces needs an out_dir" in capsys.readouterr().err
 
 
+def test_run_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "a1_navigate", "--budget", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
+    assert "Traceback" not in err
+
+
 def test_run_accepts_scenario_file(tmp_path, capsys):
     path = tmp_path / "scn.json"
     a1_navigate().save(path)
@@ -176,6 +186,23 @@ def test_plot_robustness(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "iteration,swarm_robustness,min_margin"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("where", ["missing/curve.csv", "."])
+def test_plot_out_that_is_no_file_path_exits_2(tmp_path, capsys, monkeypatch,
+                                              where):
+    """A file in a missing directory, or a directory: the path is checked
+    before the execution runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("run_fuzzing was called")
+
+    monkeypatch.setattr("litelfuzz.cli.run_fuzzing", never)
+    out = tmp_path / where
+    assert main(["plot", "robustness", "a1_navigate", "--budget", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_plot_schemes(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Controller behaviour tests for both built-in swarm controllers."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from navigator_oracle import attraction, repulsion
@@ -70,7 +72,7 @@ class TestApfNavigation:
 
     def test_leader_stops_at_goal(self):
         ctl = apf()
-        ctl.waypoint_index = 1
+        ctl.state = (np.array([1]),)
         spec = make_spec()
         world = leader_world(leader_pos=(4.0, 0.0), follower_pos=(3.7, 0.0))
         cmds = ctl.commands(world, spec)
@@ -81,9 +83,9 @@ class TestApfNavigation:
         spec = make_spec()
         world = leader_world(leader_pos=(1.9, 0.0), follower_pos=(1.6, 0.0))
         ctl.update(world, spec)
-        assert ctl.waypoint_index == 1
+        assert ctl.state[0].tolist() == [1]
         ctl.update(world, spec)  # not within switch radius of the last one
-        assert ctl.waypoint_index == 1
+        assert ctl.state[0].tolist() == [1]
 
     def test_follower_attracted_to_slot(self):
         ctl = apf()
@@ -102,13 +104,24 @@ class TestApfNavigation:
 
     def test_clone_is_independent(self):
         ctl = apf()
-        twin = ctl.clone()
-        twin.waypoint_index = 5
-        assert ctl.waypoint_index == 0
+        twin = replace(ctl)
+        assert twin.state is ctl.state
+        twin.update(leader_world(leader_pos=(1.9, 0.0),
+                                 follower_pos=(1.6, 0.0)), make_spec())
+        assert twin.state[0].tolist() == [1]
+        assert ctl.state[0].tolist() == [0]
+
+    def test_first_waypoint_state_is_read_only(self):
+        """Every new navigator shares its state array, so an in-place
+        write must fail rather than move every navigator on."""
+        ctl = apf()
+        assert ctl.state[0] is apf().state[0]
+        with pytest.raises(ValueError):
+            ctl.state[0][0] = 1
 
     def test_mission_complete_leader_frame(self):
         ctl = apf()
-        ctl.waypoint_index = 1
+        ctl.state = (np.array([1]),)
         spec = make_spec()
         done = leader_world(leader_pos=(4.0, 0.0), follower_pos=(3.7, 0.0))
         assert ctl.mission_complete(done, spec)
@@ -119,13 +132,13 @@ class TestApfNavigation:
         ctl = apf()
         spec = make_spec()
         world = leader_world(leader_pos=(4.0, 0.0), follower_pos=(3.7, 0.0))
-        assert not ctl.mission_complete(world, spec)  # waypoint_index still 0
+        assert not ctl.mission_complete(world, spec)  # still on waypoint 0
 
     def test_goal_rows_is_mission_goal(self):
         ctl = apf()
         spec = make_spec()
         pos = np.array([[a.position for a in leader_world().swarm()]])
-        goals = ctl.goal_rows(ctl.row_state(1), pos, spec)
+        goals = ctl.goal_rows(ctl.state, pos, spec)
         np.testing.assert_array_equal(np.broadcast_to(goals, pos.shape),
                                       [[spec.goal, spec.goal]])
 
@@ -145,12 +158,12 @@ class TestDispersalSearch:
         world = WorldState(0, [make_agent([8.2, 8.0], agent_id=0,
                                           role="searcher", sensing=2.0)], [])
         ctl.update(world, spec)
-        assert ctl.found == [True, False]
+        assert ctl.state[1].tolist() == [[True, False]]
         assert not ctl.mission_complete(world, spec)
 
     def test_mission_complete_when_all_found(self):
         ctl = search_controller()
-        ctl.found = [True, True]
+        ctl.state = (ctl.state[0], np.array([[True, True]]))
         spec = make_spec()
         assert ctl.mission_complete(WorldState(0, [], []), spec)
 
@@ -176,21 +189,22 @@ class TestDispersalSearch:
         ctl = search_controller()
         spec = make_spec()
         pos = np.array([[[7.0, 7.5], [1.0, 6.0]]])
+        np.testing.assert_array_equal(ctl.goal_rows(ctl.state, pos, spec),
+                                      [[[8.0, 8.0], [2.0, 7.0]]])
+        visits = ctl.state[0]
         np.testing.assert_array_equal(
-            ctl.goal_rows(ctl.row_state(1), pos, spec),
-            [[[8.0, 8.0], [2.0, 7.0]]])
-        ctl.found = [False, True]
-        np.testing.assert_array_equal(
-            ctl.goal_rows(ctl.row_state(1), pos, spec),
+            ctl.goal_rows((visits, np.array([[False, True]])), pos, spec),
             [[[8.0, 8.0], [8.0, 8.0]]])
-        ctl.found = [True, True]
-        goals = ctl.goal_rows(ctl.row_state(1), pos, spec)
+        goals = ctl.goal_rows((visits, np.array([[True, True]])), pos, spec)
         assert goals.shape == pos.shape and np.isnan(goals).all()
 
     def test_clone_is_independent(self):
         ctl = search_controller()
-        twin = ctl.clone()
-        twin.visits[0, 0] = 99
-        twin.found[0] = True
-        assert ctl.visits[0, 0] == 0
-        assert ctl.found[0] is False
+        before = [a.copy() for a in ctl.state]
+        twin = replace(ctl)
+        twin.update(WorldState(0, [make_agent([8.2, 8.0], role="searcher")],
+                               []), make_spec())
+        assert twin.state[0].sum() == 1
+        assert twin.state[1].tolist() == [[True, False]]
+        for got, want in zip(ctl.state, before):
+            np.testing.assert_array_equal(got, want)

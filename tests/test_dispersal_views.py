@@ -2,10 +2,12 @@
 (a batch of one row) of ``update_rows`` and ``commands_rows``.
 
 ``ScalarDispersal`` keeps the per-agent loops the views replaced, verbatim,
-as the oracle: on random worlds the views must give the same visit counts,
-found flags and commands, bit for bit.
+as the oracle, over a visit grid and found list of its own: on random
+worlds the views must give the same visit counts, found flags and
+commands, bit for bit.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,11 @@ from litelfuzz.world import (AgentState, MissionSpec, Obstacle, RowsDistances,
 
 
 class ScalarDispersal(DispersalSearchController):
+    def __post_init__(self):
+        super().__post_init__()
+        self.visits = self.state[0][0].copy()
+        self.found = self.state[1][0].tolist()
+
     def _cell_of(self, position: np.ndarray) -> tuple[int, ...]:
         idx = np.floor((position - self.bounds_lo) / self.cell_size).astype(int)
         idx = np.clip(idx, 0, np.asarray(self.visits.shape) - 1)
@@ -104,13 +111,13 @@ def controllers(visits=None, found=None, **overrides):
                   cell_size=4.0, explore_weight=1.0, obstacle_gain=2.5)
     kwargs.update(overrides)
     view = DispersalSearchController(**kwargs)
+    grid, flags = view.state
     if visits is not None:
-        view.visits = np.array(visits, dtype=np.int64).reshape(
-            view.visits.shape)
+        grid = np.array(visits, dtype=np.int64).reshape(grid.shape)
     if found is not None:
-        view.found = list(found)
-    return view, ScalarDispersal(**kwargs, visits=view.visits.copy(),
-                                 found=list(view.found))
+        flags = np.array(found, dtype=bool).reshape(flags.shape)
+    view.state = grid, flags
+    return view, ScalarDispersal(**kwargs, state=view.state)
 
 
 def assert_views_match(world, view, oracle):
@@ -121,8 +128,8 @@ def assert_views_match(world, view, oracle):
             assert got[agent_id].tobytes() == cmd.tobytes()
         view.update(world, SPEC)
         oracle.update(world, SPEC)
-        assert np.array_equal(view.visits, oracle.visits)
-        assert view.found == oracle.found
+        assert np.array_equal(view.state[0][0], oracle.visits)
+        assert view.state[1][0].tolist() == oracle.found
 
 
 def searcher(agent_id, point, role="searcher"):
@@ -158,21 +165,16 @@ def test_views_equal_the_scalar_forms(scene):
     assert_views_match(*scene)
 
 
-def _owns_its_grid(controller) -> bool:
-    """The visit grid is a writable array of its own, not a view."""
-    return controller.visits.flags.writeable and controller.visits.flags.owndata
-
-
 @settings(max_examples=100, deadline=None)
 @given(scenes(), st.lists(st.lists(POINT, min_size=7, max_size=7),
                           max_size=2))
 def test_adopting_a_row_equals_the_scalar_update(scene, more_rows):
+    """Row k of ``update_rows`` over a batch that starts every row from
+    the controller's state, as a row stepper does, is the ``state`` the
+    scalar ``update`` leaves on row k's world, in shape and dtype too; the
+    controller's state is not written."""
     world, view, _ = scene
-    same = view.clone()
-    same.adopt_row(view.row_state(1))
-    assert np.array_equal(same.visits, view.visits)
-    assert same.visits.dtype == view.visits.dtype
-    assert same.found == view.found and _owns_its_grid(same)
+    before = [a.copy() for a in view.state]
     # row 0 is the world; the other rows move its agents elsewhere
     agents = world.agents
     position = np.array([[a.position for a in agents]] + [
@@ -181,15 +183,17 @@ def test_adopting_a_row_equals_the_scalar_update(scene, more_rows):
                                 world.leader_waypoints),
                      position, np.zeros_like(position),
                      np.zeros_like(position))
-    updated = view.update_rows(view.row_state(len(position)), rows, SPEC)
+    updated = view.update_rows(
+        tuple(np.broadcast_to(a, (len(position),) + a.shape[1:])
+              for a in view.state), rows, SPEC)
     for k in range(len(position)):
-        scalar = view.clone()
+        scalar = replace(view)
         scalar.update(rows.world(k, world.step_index), SPEC)
-        adopted = view.clone()
-        adopted.adopt_row(tuple(a[k:k + 1] for a in updated))
-        assert np.array_equal(adopted.visits, scalar.visits)
-        assert adopted.visits.dtype == scalar.visits.dtype
-        assert adopted.found == scalar.found and _owns_its_grid(adopted)
+        for got, want in zip((a[k:k + 1] for a in updated), scalar.state):
+            assert np.array_equal(got, want)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    for got, want in zip(view.state, before):
+        assert np.array_equal(got, want)
 
 
 def test_edge_worlds():
@@ -200,6 +204,7 @@ def test_edge_worlds():
         [searcher(0, [5.0, 5.0])],                       # singleton swarm
         [searcher(0, [-1.0, 0.0]), searcher(1, [4.0, -4.0])],  # in obstacles
         [searcher(1000, [0.0, 0.0], role="attacker")],   # no swarm at all
+        [],                                              # no agent at all
     ]
     for agents in worlds:
         assert_views_match(WorldState(3, agents, OBSTACLES), *controllers())

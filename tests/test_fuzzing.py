@@ -333,6 +333,33 @@ class TestLookaheadScore:
         # scoring must not advance the caller's simulation
         assert sim.step_index == params.warmup_steps
 
+    @pytest.mark.parametrize("preset", [a1_navigate, a2_search])
+    def test_probe_leaves_the_callers_controller_state(self, preset):
+        """The probe's clone and rows start from the caller's state arrays,
+        which no code writes in place: after a probe the caller's
+        ``controller.state`` equals the one before. The mission is probed
+        at each step until a probe's rows move their state on (a2: the
+        visit grid at once; a1: the leader's waypoint switch)."""
+        scn = preset()
+        sim = scn.build_simulation(seed=0, record_trace=False)
+        params = scn.fuzz_params()
+        moved = False
+        while not moved:
+            assert not sim.done
+            target = sim.world.swarm()[0]
+            points = spawn_candidates(target, WorldState(0, [target], []),
+                                      scn.spawn_geometry(),
+                                      sim.spec.safe_distance)
+            state = sim.controller.state
+            before = [a.copy() for a in state]
+            probe = lookahead_score(sim, np.array(points), target.id, params)
+            assert sim.controller.state is state
+            for got, want in zip(state, before):
+                assert got.tobytes() == want.tobytes()
+            moved = any((rows[0] != before[0]).any()
+                        for _, rows, _, _ in probe.steps)
+            sim.step()
+
 
 def scalar_lookahead_score(sim, candidate, target_id, params,
                            from_current=False):

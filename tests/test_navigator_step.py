@@ -63,7 +63,7 @@ def cases(draw):
         influence_radius=draw(st.sampled_from([0.3, 0.75, 2.0])),
         repulsion_gain=draw(st.sampled_from([0.0, 0.05, 2.0])),
         slow_radius=draw(st.sampled_from([0.3, 2.0])),
-        waypoint_index=draw(st.integers(0, len(waypoints))))
+        state=(np.array([draw(st.integers(0, len(waypoints)))]),))
     spec = _spec(draw(spot | point), draw(st.sampled_from([0.05, 0.5, 4.0])))
     return world, controller, spec
 

@@ -123,6 +123,11 @@ def _lone_leader():
         (np.array([1, 1]),), _spec(goal, 0.5, 0.05, True), 3
 
 
+def _row(state, k: int) -> tuple:
+    """Row k of a batch's controller state, as a controller holds it."""
+    return tuple(a[k:k + 1] for a in state)
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases())
 @example(_edge_case())
@@ -140,9 +145,9 @@ def test_row_forms_equal_scalar_forms(case):
                               rows.position.shape[2])
     for k in range(len(rows.position)):
         world = rows.world(k, step)
-        scalar = replace(controller, waypoint_index=int(state[0][k]))
+        scalar = replace(controller, state=_row(state, k))
         scalar.update(world, spec)
-        assert updated[0][k] == scalar.waypoint_index
+        assert updated[0][k] == scalar.state[0][0]
         want = scalar.commands(world, spec)
         assert sorted(want) == sorted(layout.agents[c].id for c in swarm)
         for n, c in enumerate(swarm):
@@ -182,17 +187,18 @@ def test_select_keeps_the_table_of_the_kept_rows(case, data):
 @settings(max_examples=100, deadline=None)
 @given(cases())
 def test_adopting_a_row_equals_the_scalar_update(case):
+    """Row k of ``update_rows`` is the ``state`` the scalar ``update``
+    leaves on row k's world, in shape and dtype too, and the batch's state
+    is not written."""
     rows, controller, state, spec, step = case
-    controller = replace(controller, waypoint_index=int(state[0][0]))
-    same = controller.clone()
-    same.adopt_row(controller.row_state(1))
-    assert same.waypoint_index == controller.waypoint_index
-    updated = controller.update_rows(
-        controller.row_state(len(rows.position)), rows, spec)
+    before = [a.copy() for a in state]
+    updated = controller.update_rows(state, rows, spec)
     for k in range(len(rows.position)):
-        scalar = controller.clone()
+        scalar = replace(controller, state=_row(state, k))
         scalar.update(rows.world(k, step), spec)
-        adopted = controller.clone()
-        adopted.adopt_row(tuple(a[k:k + 1] for a in updated))
-        assert adopted.waypoint_index == scalar.waypoint_index
-        assert type(adopted.waypoint_index) is int
+        for got, want in zip(_row(updated, k), scalar.state):
+            assert got.tobytes() == want.tobytes()
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    for got, want in zip(state, before):
+        assert got.tobytes() == want.tobytes()
+

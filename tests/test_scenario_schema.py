@@ -57,6 +57,10 @@ BAD = [
     # not a key
     ("a1_navigate", ("apf", "waypoint_index"), 0,
      "apf: unknown key(s): waypoint_index"),
+    ("a1_navigate", ("apf", "state"), [0],
+     "apf: unknown key(s): state"),
+    ("a2_search", ("search", "state"), None,
+     "search: unknown key(s): state"),
     ("a2_search", ("search", "visits"), None,
      "search: unknown key(s): visits"),
     # without a leader the mission never completes, so every run timed out
