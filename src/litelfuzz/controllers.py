@@ -23,8 +23,8 @@ forms read two things the batch holds. Its distance table
 failure check of the rows a step produced builds it and the next step's
 commands read it. Its :class:`RowsLayout` resolves the swarm, leader and
 follower columns, the masks, the waypoint array and, in ``derived``, the
-navigator's formation offsets once per probe, and every step's batch
-shares it. The :class:`Obstacles` stack, which a mission's worlds and
+navigator's formation offsets once per run, whose probes' batches all
+share it. The :class:`Obstacles` stack, which a mission's worlds and
 layouts share, gives every obstacle's surface distance and outward
 direction in one pass each, to the scalar forms as to the array forms.
 

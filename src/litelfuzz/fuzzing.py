@@ -366,20 +366,16 @@ def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
     # point of probe scoring, which perfbench traces as one layer
     probe = lookahead_score(sim, np.array(candidates), target_id, params,
                             from_current)
-    best = None
-    best_score = math.inf
-    for row, score in enumerate(probe.scores):    # ties: lowest index
-        if score < best_score:
-            best, best_score = row, score
-    if best is None:
-        return None, best_score, []
+    # every probe scores at least one row; ties go to the lowest index
+    best_score = min(probe.scores)
+    best = probe.scores.index(best_score)
     forecast = []   # copies, which share no array with the probe's batch
     for live, state, kinematics, command in \
             probe.steps[:max(_settle_steps(best_score, params), 1)]:
-        live = live.tolist()
-        if best not in live:    # the row left the batch
+        at = np.flatnonzero(live == best)
+        if not at.size:     # the row left the batch
             break
-        k = live.index(best)
+        k = at[0]
         forecast.append(ForecastStep(
             tuple(a[k:k + 1].copy() for a in state),
             tuple(a[k].copy() for a in kinematics),
@@ -448,22 +444,21 @@ class _FuzzDriver:
             self.actions = self._epochs(forced=True)
         return next(self.actions)
 
-    def _gaps(self, attacker: AgentState) -> list[float]:
-        """The attacker's row of the world's distance table: its distance
-        from each agent, in world order."""
-        table = self.sim.world.distances()
-        return table.agents[table.column[attacker.id]]
+    def _gaps(self, attacker: AgentState) -> list[tuple[float, int]]:
+        """The attacker's distance from each swarm agent, with the agent's
+        id, in world order, from the world's distance table."""
+        world = self.sim.world
+        table = world.distances()
+        return [(d, a.id) for a, d in zip(world.agents, table.agents[
+            table.column[attacker.id]]) if a.role != ROLE_ATTACKER]
 
     def _contact(self) -> Optional[int]:
         """Id of the first swarm agent within collision radius of the attacker."""
         attacker = self.sim.attacker()
         if attacker is None:
             return None
-        for agent, d in zip(self.sim.world.agents, self._gaps(attacker)):
-            if agent.role != ROLE_ATTACKER and \
-                    d < self.sim.spec.collision_radius:
-                return agent.id
-        return None
+        return next((agent_id for d, agent_id in self._gaps(attacker)
+                     if d < self.sim.spec.collision_radius), None)
 
     def _epochs(self, forced: bool = False) -> _Actions:
         while self.budget is None or len(self.test_cases) < self.budget:
@@ -539,9 +534,7 @@ class _FuzzDriver:
             # the reachable disk is where it can meet the swarm's sensing disks
             attacker = sim.attacker()
             reach = params.reach_radius(sim.spec.dt)
-            gaps = [(d, a.id) for a, d in zip(world.agents,
-                                              self._gaps(attacker))
-                    if a.role != ROLE_ATTACKER]
+            gaps = self._gaps(attacker)
             near = [i for d, i in gaps if d <= reach]
             target_id = _key_node(sim, params, node_ids=near) if near \
                 else min(gaps)[1]

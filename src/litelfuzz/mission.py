@@ -9,9 +9,8 @@ robustness records or its events are first read. Each step then has one
 row of stacked margins, and a violation event marks the first time each
 (agent, constraint) pair is violated. An untraced run keeps only the
 current window and emits no violation events. Worlds and windows are
-never mutated, so a clone starts from the same world and windows as its
-original. Simulations are cheap to clone, which the fuzzer uses for
-lookahead scoring on throwaway copies.
+never mutated, so a clone, which the fuzzer steps to score its
+lookahead, shares them with its original.
 
 :meth:`Simulation.step` computes a step: the controller updates and
 commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
@@ -97,28 +96,28 @@ class Trace:
     """The steps of a traced run, its outcome and its events.
 
     The trace keeps no world: a recorded step is its index, the swarm's
-    goal-distance windows and its kinematics. The swarm of a run is fixed,
-    so the steps not yet scored stack into one :class:`WorldRows` batch
-    with an attacker column. Reading :attr:`robustness`, :attr:`events` or
-    :meth:`scored` scores that batch in one pass and keeps it, in place of
-    those steps, as a :class:`ScoredSteps`, whose stacked margins give the
-    violations, the JSONL lines and, when read, the records. A violation
-    event goes before the other events of its step, as the run emitted it.
+    goal-distance windows and its kinematics. The steps not yet scored
+    stack into one :class:`WorldRows` batch of the run's ``layout``.
+    Reading :attr:`robustness`, :attr:`events` or :meth:`scored` scores
+    that batch in one pass and keeps it, in place of those steps, as a
+    :class:`ScoredSteps`, whose stacked margins give the violations, the
+    JSONL lines and, when read, the records, built once. A violation event
+    goes before the other events of its step, as the run emitted it.
     """
 
-    def __init__(self, first: WorldState, cparams: ConstraintParams):
+    def __init__(self, layout: RowsLayout, cparams: ConstraintParams):
         self.outcome = OUTCOME_SWARM_SECURE
         self.failure_kind: Optional[FailureKind] = None
         self.cparams = cparams
+        self._layout = layout
         # events other than violations, in the order they were emitted
         self.notes: list[tuple[int, str]] = []
         # (step index, windows, kinematics) of each step not yet scored
         self._pending: list[tuple[int, np.ndarray, tuple]] = []
         self._batches: list[ScoredSteps] = []
+        self._records: list[list[RobustnessRecord]] = []   # per batch read
         self._violations: list[tuple[int, str]] = []
         self._seen: set[tuple[int, int]] = set()
-        self._layout = RowsLayout(first.swarm() + [attacker_agent()],
-                                  first.obstacles, first.leader_waypoints)
 
     def record(self, step: int, windows: np.ndarray,
                kinematics: tuple[np.ndarray, ...]) -> None:
@@ -128,9 +127,10 @@ class Trace:
 
     @property
     def robustness(self) -> list[RobustnessRecord]:
-        """The record of every recorded step, built on each read."""
-        return [record for batch in self.scored()
-                for record in batch.margins.records()]
+        """The record of every recorded step, built once per batch."""
+        self._records += [batch.margins.records()
+                          for batch in self.scored()[len(self._records):]]
+        return [record for records in self._records for record in records]
 
     @property
     def events(self) -> list[tuple[int, str]]:
@@ -176,6 +176,10 @@ class Simulation:
     and kinematics go to :attr:`trace`, which scores them and emits the
     violation events when read. Without it only the current windows are
     kept, and no violation events are emitted.
+
+    :attr:`layout`, the run's one batch layout (the swarm's columns, then
+    an attacker's), and :attr:`limits`, its columns' speed and acceleration
+    limits, are shared by the trace, every clone and every probe's rows.
     """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
@@ -188,23 +192,28 @@ class Simulation:
         # the mission spec with the attacker's speed and acceleration limits
         self.attacker_spec = replace(spec, v_max=attacker_v_max,
                                      a_max=attacker_a_max)
+        swarm = world.swarm()
+        self.layout = RowsLayout(swarm + [attacker_agent()], world.obstacles,
+                                 world.leader_waypoints)
+        size = len(swarm)   # the swarm's limits, then the attacker's
+        self.limits = (np.append(np.full(size, spec.v_max), attacker_v_max),
+                       np.append(np.full(size, spec.a_max), attacker_a_max))
         # replaced (never changed) each step
-        self.windows = np.full((len(world.swarm()),
-                                constraint_params.window + 1), math.nan)
-        self.trace = Trace(world, constraint_params) if record_trace else None
-        self._notes: list[tuple[int, str]] = \
-            self.trace.notes if self.trace is not None else []
+        self.windows = np.full((size, constraint_params.window + 1), math.nan)
+        self.trace = Trace(self.layout, self.cparams) if record_trace else None
+        self._notes = self.trace.notes if record_trace else []
         self.outcome: str | None = None
         self.failure_kind: FailureKind | None = None
         self._absent = np.full(len(spec.goal), math.nan)  # attacker's row
 
     def clone(self) -> "Simulation":
-        sim = Simulation(self.world, replace(self.controller), self.spec,
-                         self.cparams, self.attacker_spec.v_max,
-                         self.attacker_spec.a_max, record_trace=False)
-        sim.windows = self.windows
-        sim.outcome = self.outcome
-        sim.failure_kind = self.failure_kind
+        """An untraced copy, with no events, sharing all but the controller."""
+        sim = object.__new__(Simulation)
+        for name in ("world", "spec", "cparams", "attacker_spec", "_absent",
+                     "layout", "limits", "windows", "outcome", "failure_kind"):
+            setattr(sim, name, getattr(self, name))
+        sim.controller = replace(self.controller)
+        sim.trace, sim._notes = None, []
         return sim
 
     @property
@@ -339,9 +348,10 @@ class RowStepper:
     among the starting rows.
     Row by row a step computes what the scalar step does, bit for bit.
     With ``attacker``, the (B, d) position, velocity and command of an
-    attacker before the step the rows start at, the batch has one more
-    column, the last, that the command flew under ``sim``'s attacker
-    limits (a None command: at rest at the position).
+    attacker before the step the rows start at, the batch has ``sim``'s
+    :attr:`~Simulation.layout` and :attr:`~Simulation.limits`: one more
+    column, the last, that the command flew under the attacker's limits
+    (a None command: at rest at the position).
     """
 
     def __init__(self, sim: Simulation, worlds: list[WorldState],
@@ -350,9 +360,8 @@ class RowStepper:
         batches = [world.rows() for world in worlds]
         kinematics = [np.concatenate([getattr(b, name) for b in batches])
                       for name in ("position", "velocity", "acceleration")]
-        layout = batches[0].layout
         spec = sim.spec
-        self._limits = spec.v_max, spec.a_max
+        layout, self._limits = batches[0].layout, (spec.v_max, spec.a_max)
         if attacker is not None:
             position, velocity, command = attacker
             fly = sim.attacker_spec
@@ -364,12 +373,7 @@ class RowStepper:
                                         fly.v_max, fly.a_max, spec.dt)
             kinematics = [np.concatenate([k, c[:, None]], axis=1)
                           for k, c in zip(kinematics, column)]
-            # the swarm's limits, then the attacker's, one per column
-            size = len(layout.agents)
-            self._limits = (np.append(np.full(size, spec.v_max), fly.v_max),
-                            np.append(np.full(size, spec.a_max), fly.a_max))
-            layout = RowsLayout(layout.agents + [attacker_agent()],
-                                layout.obstacles, layout.leader_waypoints)
+            layout, self._limits = sim.layout, sim.limits
         self.rows = WorldRows(layout, *kinematics)
         count = len(worlds)
         self.state = tuple(np.broadcast_to(a, (count,) + a.shape[1:])

@@ -280,9 +280,9 @@ class RowsLayout:
     obstacles and the leader waypoints.
 
     The index sets, masks and arrays below depend on nothing else, so each
-    is resolved on first use and kept for the life of the layout, which is
-    one probe: every step's rows, and every :meth:`WorldRows.select` of
-    them, carry the same layout. ``derived`` holds what a controller
+    is resolved on first use and kept for the life of the layout. A run's
+    probes and trace share one (``mission.Simulation.layout``), as do every
+    step's rows and their selections. ``derived`` holds what a controller
     derives from the layout and its own fixed parameters, on the same
     terms. An index into a column axis is a basic slice when its columns
     are consecutive (see ``_index``), so reading it gives a view.

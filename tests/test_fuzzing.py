@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from obstacle_oracle import surface_distance
 
 from litelfuzz import controllers, fuzzing, world
@@ -12,7 +12,7 @@ from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
                                SpawnGeometry, _FuzzDriver, _pursuit_commands,
                                lookahead_score, random_target, run_fuzzing,
                                spawn_candidates)
-from litelfuzz.mission import AttackerAction
+from litelfuzz.mission import AttackerAction, RowStepper, Simulation
 from litelfuzz.planner import plan_path
 from litelfuzz.robustness import robustness_rows
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
@@ -471,6 +471,77 @@ class TestBatchedLookahead:
         assert scores == [scalar_lookahead_score(sim, p, target.id, params)[0]
                           for p in points]
         assert scores == [math.inf] * len(points)
+
+
+class TestOneLayoutPerRun:
+    """A simulation builds its batch layout with an attacker column and the
+    columns' limits once; its trace, its clones and every probe's row
+    stepper hold those objects, and a clone is made without ``__init__``."""
+
+    @pytest.mark.parametrize("preset,scheme", [
+        (a1_navigate, "sa"), (a2_search, "ma"), (a3_navigate3d, "sa")])
+    def test_trace_clones_and_probes_share_the_layout(self, monkeypatch,
+                                                      preset, scheme):
+        built, clones, steppers = [], [], []
+        init, clone = Simulation.__init__, Simulation.clone
+        stepper_init = RowStepper.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def kept_clone(self):
+            twin = clone(self)
+            clones.append((self, twin))
+            return twin
+
+        def kept_stepper(self, sim, worlds, attacker=None):
+            stepper_init(self, sim, worlds, attacker)
+            if attacker is not None:
+                steppers.append(self)
+
+        monkeypatch.setattr(Simulation, "__init__", counted_init)
+        monkeypatch.setattr(Simulation, "clone", kept_clone)
+        monkeypatch.setattr(RowStepper, "__init__", kept_stepper)
+        result = run_fuzzing(preset(), scheme, budget=3, seed=1,
+                             record_trace=True)
+        (sim,) = built      # the run's simulation; no clone ran __init__
+        assert sim.trace is result.trace
+        assert sim.trace._layout is sim.layout
+        assert clones and steppers
+        for original, twin in clones:
+            assert original is sim and twin.trace is None
+            assert twin.layout is sim.layout and twin.limits is sim.limits
+        for stepper in steppers:
+            assert stepper.rows.layout is sim.layout
+            assert stepper._limits is sim.limits
+        layout = sim.layout
+        assert [a.role for a in layout.agents[:-1]] \
+            == [a.role for a in sim.world.swarm()]
+        assert layout.agents[-1].role == "attacker"
+
+    @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
+                                        a3_navigate3d])
+    @pytest.mark.parametrize("scheme", ["sa", "ma"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16))
+    def test_every_probe_scores_a_row(self, preset, scheme, seed):
+        """A probe always scores at least one of its candidates, so the
+        driver always has a lowest score to take."""
+        probes = []
+        score = fuzzing.lookahead_score
+
+        def kept(*args, **kwargs):
+            probe = score(*args, **kwargs)
+            probes.append(probe.scores)
+            return probe
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fuzzing, "lookahead_score", kept)
+            run_fuzzing(preset(), scheme, budget=3, seed=seed)
+        assert probes
+        for scores in probes:
+            assert any(math.isfinite(s) for s in scores)
 
 
 def ring_probe():

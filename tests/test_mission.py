@@ -10,7 +10,7 @@ from litelfuzz.campaign import trace_to_jsonl
 from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, RowStepper,
                                Simulation, run_mission)
-from litelfuzz.robustness import robustness_rows
+from litelfuzz.robustness import RobustnessRows, robustness_rows
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, InvalidState,
                              WorldState, norm)
@@ -279,6 +279,39 @@ class TestBatchedTraceScoring:
         assert any(m.startswith("violation") for _, m in once.events)
         for _, events in reads:
             assert events == once.events[:len(events)]
+
+    def test_reading_records_every_step_builds_each_batch_once(
+            self, monkeypatch):
+        """Reading ``trace.robustness`` after every step of an a2 run
+        builds each scored batch's records once, not every batch's on
+        every read."""
+        once = run_fuzzing(a2_search(), "sa", budget=5, seed=1,
+                           record_trace=True).trace.robustness
+        step, replay = Simulation.step, Simulation.replay
+        records, built = RobustnessRows.records, []
+
+        def counted(self):
+            built.append(self)
+            return records(self)
+
+        def reading_step(self, action=None):
+            step(self, action)
+            if self.trace is not None:
+                self.trace.robustness
+
+        def reading_replay(self, action):
+            replay(self, action)
+            self.trace.robustness
+
+        monkeypatch.setattr(RobustnessRows, "records", counted)
+        monkeypatch.setattr(Simulation, "step", reading_step)
+        monkeypatch.setattr(Simulation, "replay", reading_replay)
+        trace = run_fuzzing(a2_search(), "sa", budget=5, seed=1,
+                            record_trace=True).trace
+        assert trace.robustness == once
+        batches = trace.scored()
+        assert len(batches) == len(once) > 20
+        assert [id(m) for m in built] == [id(b.margins) for b in batches]
 
 
 def world_bytes(world):
