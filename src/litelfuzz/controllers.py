@@ -15,9 +15,9 @@ compute: ``mission.RowStepper`` steps a probe's candidates and the
 reference runs of ``measure_nominal_steps`` this way. A controller holds
 its run state in that one form, as one row, ``state``: the scalar forms
 read it, the mission step replaces it with a row a probe computed, and a
-row stepper broadcasts it to its rows. No code writes a state array in
-place (every array form returns new arrays), so a copy of a controller,
-its original and the rows of a batch share state arrays. The array
+row stepper concatenates its simulations' states into its rows. No code
+writes a state array in place (every array form returns new arrays), so
+a copy of a controller and its original share state arrays. The array
 forms read two things the batch holds. Its distance table
 (``WorldRows.distances``) is built once per batch: in a row stepper, the
 failure check of the rows a step produced builds it and the next step's

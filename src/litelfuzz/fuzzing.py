@@ -273,7 +273,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     # read the attacker. One scalar step without the attacker stands in.
     probe.step(AttackerAction(despawn=True))
     target_col = [a.id for a in probe.world.agents].index(target_id)
-    batch = RowStepper(probe, [probe.world] * count, start)
+    batch = RowStepper([probe] * count, start)
     scores = [math.inf] * count
 
     def keep_step(command: np.ndarray | None) -> None:

@@ -19,9 +19,10 @@ a step a probe already computed from the same world: the controller's
 :class:`ForecastStep`. Both then move the attacker, record the step and
 check the outcome the same way.
 
-A :class:`RowStepper` takes that step over a batch of rows: the probe's
-candidates and ``measure_nominal_steps``' reference runs. Both steps
-shift the windows by the one rule, :meth:`Simulation.shifted_windows`.
+A :class:`RowStepper` takes that step over a batch of rows, each
+started from a simulation of its own: the probe's candidates and
+``measure_nominal_steps``' reference runs. Both steps shift the windows
+by the one rule, :meth:`Simulation.shifted_windows`.
 """
 from __future__ import annotations
 
@@ -340,48 +341,46 @@ class Simulation:
 class RowStepper:
     """:meth:`Simulation.step` over the rows of a :class:`WorldRows` batch.
 
-    Row k starts from the swarm of ``worlds[k]`` (no attacker) and every
-    row from ``sim``'s windows, step index and controller ``state``,
-    broadcast to the rows (a read-only view: no array form writes a state
-    in place); each keeps its own :attr:`rows`, controller row
-    :attr:`state`, (B, S, W) :attr:`windows` and :attr:`live`, its index
-    among the starting rows.
+    Row k starts from ``sims[k]``: its swarm (no attacker), controller
+    ``state`` and windows. The simulations run one scenario and must all
+    be at ``sims[0]``'s step index, where every row starts. Each row keeps
+    its own :attr:`rows`, controller row :attr:`state`, (B, S, W)
+    :attr:`windows` and :attr:`live`, its index among the starting rows.
     Row by row a step computes what the scalar step does, bit for bit.
     With ``attacker``, the (B, d) position, velocity and command of an
-    attacker before the step the rows start at, the batch has ``sim``'s
+    attacker before the step the rows start at, the batch has ``sims[0]``'s
     :attr:`~Simulation.layout` and :attr:`~Simulation.limits`: one more
     column, the last, that the command flew under the attacker's limits
-    (a None command: at rest at the position).
+    (a None command: at rest at the position). Without one, the batch's
+    layout is the swarm's alone.
     """
 
-    def __init__(self, sim: Simulation, worlds: list[WorldState],
-                 attacker: tuple | None = None):
-        self._sim = sim
-        batches = [world.rows() for world in worlds]
-        kinematics = [np.concatenate([getattr(b, name) for b in batches])
+    def __init__(self, sims: list[Simulation], attacker: tuple | None = None):
+        self._sim = sim = sims[0]
+        swarms = [s.world.swarm() for s in sims]
+        kinematics = [np.array([[getattr(a, name) for a in swarm]
+                                for swarm in swarms])
                       for name in ("position", "velocity", "acceleration")]
-        spec = sim.spec
-        layout, self._limits = batches[0].layout, (spec.v_max, spec.a_max)
-        if attacker is not None:
+        spec, world = sim.spec, sim.world
+        if attacker is None:
+            layout = RowsLayout(swarms[0], world.obstacles,
+                                world.leader_waypoints)
+            self._limits = spec.v_max, spec.a_max
+        else:
             position, velocity, command = attacker
-            fly = sim.attacker_spec
-            if command is None:
-                rest = np.zeros_like(position)
-                column = position, rest, rest
-            else:
-                column = integrate_rows(position, velocity, command,
-                                        fly.v_max, fly.a_max, spec.dt)
+            rest = np.zeros_like(position)
+            column = (position, rest, rest) if command is None else \
+                integrate_rows(position, velocity, command,
+                               *(limit[-1] for limit in sim.limits), spec.dt)
             kinematics = [np.concatenate([k, c[:, None]], axis=1)
                           for k, c in zip(kinematics, column)]
             layout, self._limits = sim.layout, sim.limits
         self.rows = WorldRows(layout, *kinematics)
-        count = len(worlds)
-        self.state = tuple(np.broadcast_to(a, (count,) + a.shape[1:])
-                           for a in sim.controller.state)
-        self.windows = np.broadcast_to(sim.windows,
-                                       (count,) + sim.windows.shape)
+        self.state = tuple(map(np.concatenate,
+                               zip(*(s.controller.state for s in sims))))
+        self.windows = np.stack([s.windows for s in sims])
         self.step_index = sim.step_index
-        self.live = np.arange(count)
+        self.live = np.arange(len(sims))
 
     def step(self, attacker: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray]:

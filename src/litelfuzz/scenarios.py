@@ -644,13 +644,12 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 
 def measure_nominal_steps(config: ScenarioConfig) -> int:
     """Mean completion steps over 50 attacker-free reference runs, seeds
-    0-49, stepped together as the rows of one :class:`RowStepper`: fresh
-    runs of one scenario differ only in their worlds. Raises naming the
-    lowest seed whose run did not complete."""
-    sims = [config.build_simulation(seed=seed, record_trace=False)
-            for seed in range(50)]
-    batch = RowStepper(sims[0], [sim.world for sim in sims])
-    steps, failed_seeds = np.zeros(len(sims), dtype=int), []
+    0-49, each the row of one :class:`RowStepper` started from its own
+    simulation. Raises naming the lowest seed whose run did not
+    complete."""
+    batch = RowStepper([config.build_simulation(seed=seed, record_trace=False)
+                        for seed in range(50)])
+    steps, failed_seeds = np.zeros(batch.live.size, dtype=int), []
     while batch.live.size:
         failed, ended = batch.step()
         steps[batch.live[ended]] = batch.step_index

@@ -15,9 +15,10 @@ from litelfuzz.fuzzing import (_FAILURE_SCORE_BASE, FuzzParams, NoValidSpawn,
 from litelfuzz.mission import AttackerAction, RowStepper, Simulation
 from litelfuzz.planner import plan_path
 from litelfuzz.robustness import robustness_rows
-from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
-from litelfuzz.world import (AgentState, Obstacle, Obstacles, WorldState,
-                             clamp_norm, norm)
+from litelfuzz.scenarios import (a1_navigate, a2_search, a3_navigate3d,
+                                 measure_nominal_steps)
+from litelfuzz.world import (AgentState, Obstacle, Obstacles, RowsLayout,
+                             WorldState, clamp_norm, norm)
 
 
 def make_agent(pos, agent_id=0, sensing=0.5, role="follower"):
@@ -495,8 +496,8 @@ class TestOneLayoutPerRun:
             clones.append((self, twin))
             return twin
 
-        def kept_stepper(self, sim, worlds, attacker=None):
-            stepper_init(self, sim, worlds, attacker)
+        def kept_stepper(self, sims, attacker=None):
+            stepper_init(self, sims, attacker)
             if attacker is not None:
                 steppers.append(self)
 
@@ -519,6 +520,36 @@ class TestOneLayoutPerRun:
         assert [a.role for a in layout.agents[:-1]] \
             == [a.role for a in sim.world.swarm()]
         assert layout.agents[-1].role == "attacker"
+
+    @staticmethod
+    def counted_layouts(monkeypatch) -> list:
+        """Every :class:`RowsLayout` built from here on."""
+        built, init = [], RowsLayout.__init__
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(RowsLayout, "__init__", counted_init)
+        return built
+
+    @pytest.mark.parametrize("preset", [a1_navigate, a3_navigate3d])
+    @pytest.mark.parametrize("scheme", ["sa", "ma"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_navigator_run_builds_one_layout(self, monkeypatch, preset,
+                                               scheme, traced):
+        """A navigator run builds its simulation's layout and no other: its
+        probes start their rows from clones, not from their worlds' rows.
+        (The dispersal controller's scalar forms build one per world.)"""
+        built = self.counted_layouts(monkeypatch)
+        run_fuzzing(preset(), scheme, budget=5, seed=11, record_trace=traced)
+        assert len(built) == 1
+
+    def test_nominal_steps_build_a_layout_per_run_and_one_batch(
+            self, monkeypatch):
+        built = self.counted_layouts(monkeypatch)
+        measure_nominal_steps(a1_navigate())
+        assert len(built) == 50 + 1
 
     @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
                                         a3_navigate3d])

@@ -81,28 +81,42 @@ class TestRowStepper:
         return failed, b"".join(a.tobytes() for a in kinematics), \
             windows.tobytes()
 
-    @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
-                                        a3_navigate3d])
-    def test_attacker_free_rows_equal_scalar_runs(self, preset):
-        """Seeds 0-5 from step 0, as the rows of one batch stepped and
-        dropped until none is left, end as six scalar runs do, bit for
-        bit: at the same step, with the same outcome, kinematics and
-        windows."""
-        scn = preset()
-        seeds = range(6)
+    def batched(self, scn, seeds, start):
+        """How seeds ``seeds`` end, each run ``start`` steps alone and then
+        as a row of one batch stepped and dropped until none is left."""
         sims = [scn.build_simulation(seed=seed, record_trace=False)
                 for seed in seeds]
-        batch = RowStepper(sims[0], [sim.world for sim in sims])
-        batched = {}
+        for sim in sims:
+            for _ in range(start):
+                sim.step()
+            assert not sim.done
+        batch = RowStepper(sims)
+        for k, sim in enumerate(sims):      # row k starts from sims[k]
+            np.testing.assert_array_equal(batch.windows[k], sim.windows)
+            for rows, row in zip(batch.state, sim.controller.state):
+                np.testing.assert_array_equal(rows[k], row[0])
+        ends = {}
         while batch.live.size:
             failed, ended = batch.step()
             rows = batch.rows
             for k in np.flatnonzero(ended):
-                batched[int(batch.live[k])] = (batch.step_index, self.ending(
+                ends[seeds[batch.live[k]]] = (batch.step_index, self.ending(
                     bool(failed[k]), (rows.position[k], rows.velocity[k],
                                       rows.acceleration[k]),
                     batch.windows[k]))
             batch.drop(ended)
+        return ends
+
+    @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
+                                        a3_navigate3d])
+    def test_attacker_free_rows_equal_scalar_runs(self, preset):
+        """Seeds 0-5 from step 0, and from step 15 after each ran alone,
+        as the rows of one batch end as six scalar runs do, bit for bit:
+        at the same step, with the same outcome, kinematics and windows.
+        From step 15 each row starts from its own simulation's controller
+        state and windows, which differ between seeds."""
+        scn = preset()
+        seeds = range(6)
         scalar = {}
         for seed in seeds:
             sim = scn.build_simulation(seed=seed, record_trace=False)
@@ -113,7 +127,8 @@ class TestRowStepper:
                 sim.failure_kind is not None,
                 [np.array([getattr(a, name) for a in swarm]) for name in
                  ("position", "velocity", "acceleration")], sim.windows))
-        assert batched == scalar
+        assert self.batched(scn, seeds, 0) == scalar
+        assert self.batched(scn, seeds, 15) == scalar
         assert len({step for step, _ in scalar.values()}) > 1
 
 

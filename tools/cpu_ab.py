@@ -15,8 +15,10 @@ positions), timed in process CPU time: the execution and, with
 each import order runs as often. The two sides must give equal records
 and equal JSONL text; the script exits 1 at the first seed where they
 differ. For each repetition it prints the p50 and the total CPU per
-execution of each side and on how many executions HEAD was faster; its
-last line is one JSON object with the same numbers.
+execution of each side, on how many executions HEAD was faster and the
+quartiles of the per-seed HEAD/BASE CPU ratio, the spread against which
+a shift in the totals is read; its last line is one JSON object with the
+same numbers.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 BUDGET = 5      # test cases per execution, as in every perfbench workload
 
@@ -103,6 +107,8 @@ def main(argv=None) -> int:
         summary["head_faster"] = sum(h < b for b, h in
                                      zip(cpu["base"], cpu["head"]))
         summary["executions"] = len(args.seeds)
+        summary["ratio_quartiles"] = np.percentile(
+            np.divide(cpu["head"], cpu["base"]), [25, 50, 75]).tolist()
         rounds.append(summary)
         base, head = summary["base"], summary["head"]
         print(f"rep {rep + 1}: p50 {base['p50_ms']:.1f} -> "
@@ -111,7 +117,9 @@ def main(argv=None) -> int:
               f"total {base['total_s']:.2f} -> {head['total_s']:.2f} s "
               f"({100 * (head['total_s'] / base['total_s'] - 1):+.1f}%), "
               f"head faster on {summary['head_faster']} of "
-              f"{summary['executions']}", flush=True)
+              f"{summary['executions']}, head/base ratio quartiles "
+              + " ".join(f"{q:.3f}" for q in summary["ratio_quartiles"]),
+              flush=True)
     print(json.dumps({"preset": args.preset, "scheme": args.scheme,
                       "seeds": [args.seeds[0], args.seeds[-1]],
                       "budget": BUDGET, "trace": args.trace,
