@@ -32,11 +32,10 @@ A controller states its goals once, as ``goal_rows`` over (B, S, d)
 swarm positions; the main mission step calls it on a batch of one row.
 
 The dispersal controller's ``update`` and ``commands`` are its array forms
-on the world as a batch of one row (``WorldState.rows``), which the world
-builds once, so one main mission step resolves one layout and one table.
-The navigator keeps scalar ``update`` and ``commands`` for the main
-mission step: views of its array forms, which resolve a new layout for
-every world, ran ``a1_sa`` slower. Its scalar ``commands`` is one pass
+on the world as a batch of one row (``WorldState.rows``), built once per
+world over the run's layout of its agents. The navigator keeps scalar
+``update`` and ``commands`` for the main mission step, where views of its
+array forms ran ``a1_sa`` slower. Its scalar ``commands`` is one pass
 per world: one :func:`_attraction_rows` call over the agents, the
 potential field summed term by term in Python floats from the world's
 :class:`Distances` (:func:`_repulsions`), and one :func:`clamp_norms`.

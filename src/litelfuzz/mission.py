@@ -178,9 +178,10 @@ class Simulation:
     violation events when read. Without it only the current windows are
     kept, and no violation events are emitted.
 
-    :attr:`layout`, the run's one batch layout (the swarm's columns, then
-    an attacker's), and :attr:`limits`, its columns' speed and acceleration
-    limits, are shared by the trace, every clone and every probe's rows.
+    :attr:`layout`, the batch layout of the swarm's columns, then an
+    attacker's, and :attr:`limits`, its columns' speed and acceleration
+    limits, are shared by the trace, every clone, every probe's rows and
+    every world of the run with the attacker present.
     """
 
     def __init__(self, world: WorldState, controller, spec: MissionSpec,
@@ -194,8 +195,8 @@ class Simulation:
         self.attacker_spec = replace(spec, v_max=attacker_v_max,
                                      a_max=attacker_a_max)
         swarm = world.swarm()
-        self.layout = RowsLayout(swarm + [attacker_agent()], world.obstacles,
-                                 world.leader_waypoints)
+        self.layout = world.obstacles.layout(swarm + [attacker_agent()],
+                                             world.leader_waypoints)
         size = len(swarm)   # the swarm's limits, then the attacker's
         self.limits = (np.append(np.full(size, spec.v_max), attacker_v_max),
                        np.append(np.full(size, spec.a_max), attacker_a_max))
@@ -226,8 +227,7 @@ class Simulation:
         return self.world.step_index
 
     def attacker(self) -> AgentState | None:
-        attackers = self.world.attackers()
-        return attackers[0] if attackers else None
+        return next(iter(self.world.attackers()), None)
 
     @property
     def events(self) -> list[tuple[int, str]]:
@@ -352,7 +352,7 @@ class RowStepper:
     :attr:`~Simulation.layout` and :attr:`~Simulation.limits`: one more
     column, the last, that the command flew under the attacker's limits
     (a None command: at rest at the position). Without one, the batch's
-    layout is the swarm's alone.
+    layout is the swarm's alone, as an attacker-free world's is.
     """
 
     def __init__(self, sims: list[Simulation], attacker: tuple | None = None):
@@ -363,8 +363,7 @@ class RowStepper:
                       for name in ("position", "velocity", "acceleration")]
         spec, world = sim.spec, sim.world
         if attacker is None:
-            layout = RowsLayout(swarms[0], world.obstacles,
-                                world.leader_waypoints)
+            layout = world.obstacles.layout(swarms[0], world.leader_waypoints)
             self._limits = spec.v_max, spec.a_max
         else:
             position, velocity, command = attacker

@@ -88,7 +88,7 @@ class Obstacles(tuple):
     measured alone: the kernels equal the scalar oracle in
     ``tests/obstacle_oracle.py`` with ``==``.
     ``Obstacles(stack)`` is ``stack``: a world stacks a plain list once,
-    and the worlds stepped from it and their layouts share the stack."""
+    and the run's worlds and batches share the stack and its layouts."""
 
     def __new__(cls, obstacles=()):
         if type(obstacles) is Obstacles:
@@ -99,7 +99,19 @@ class Obstacles(tuple):
         self.lo, self.hi = (np.array([o.center if o.kind == "circle" else
                                       getattr(o, end) for o in self])
                             for end in ("lo", "hi"))
+        self._layouts = {}
         return self
+
+    def layout(self, agents: list[AgentState],
+               leader_waypoints: list[np.ndarray]) -> RowsLayout:
+        """The :class:`RowsLayout` of ``agents`` (their ids, roles and
+        sensing radii) with the list ``leader_waypoints``, built once; it
+        keeps the list, so no other list takes the list's ``id``."""
+        key = (tuple((a.id, a.role, a.sensing_radius) for a in agents),
+               id(leader_waypoints))
+        if key not in self._layouts:
+            self._layouts[key] = RowsLayout(agents, self, leader_waypoints)
+        return self._layouts[key]
 
     def surface_distances(self, points: np.ndarray) -> np.ndarray:
         """(..., O) signed surface distances of points (..., d)."""
@@ -238,10 +250,11 @@ class WorldState:
         return self._distances
 
     def rows(self) -> "WorldRows":
-        """The world as a :class:`WorldRows` batch of one row, built once."""
+        """The world as a :class:`WorldRows` batch of one row, built once
+        over the :meth:`Obstacles.layout` of its agents."""
         if self._rows is None:
             self._rows = WorldRows(
-                RowsLayout(self.agents, self.obstacles, self.leader_waypoints),
+                self.obstacles.layout(self.agents, self.leader_waypoints),
                 *(np.array([getattr(a, name) for a in self.agents])[None]
                   for name in ("position", "velocity", "acceleration")))
         return self._rows
@@ -280,12 +293,12 @@ class RowsLayout:
     obstacles and the leader waypoints.
 
     The index sets, masks and arrays below depend on nothing else, so each
-    is resolved on first use and kept for the life of the layout. A run's
-    probes and trace share one (``mission.Simulation.layout``), as do every
-    step's rows and their selections. ``derived`` holds what a controller
-    derives from the layout and its own fixed parameters, on the same
-    terms. An index into a column axis is a basic slice when its columns
-    are consecutive (see ``_index``), so reading it gives a view.
+    is resolved on first use and kept for the life of the layout, which
+    :meth:`Obstacles.layout` builds once per agent set of a run: the probes,
+    trace and attacker-present worlds share ``mission.Simulation.layout``.
+    ``derived`` holds what a controller derives from the layout and its
+    own fixed parameters, on the same terms. An index into a column axis
+    is a basic slice when its columns are consecutive (see ``_index``).
     """
 
     def __init__(self, agents: list[AgentState], obstacles: list[Obstacle],
@@ -307,10 +320,8 @@ class RowsLayout:
     @cached_property
     def leader(self) -> int | None:
         """Column of the first leader, or None."""
-        for k, a in enumerate(self.agents):
-            if a.role == ROLE_LEADER:
-                return k
-        return None
+        return next((k for k, a in enumerate(self.agents)
+                     if a.role == ROLE_LEADER), None)
 
     @cached_property
     def leads(self) -> slice | list[int]:
@@ -411,15 +422,6 @@ class WorldRows:
         if self._distances is not None:
             rows._distances = self._distances.select(keep)
         return rows
-
-    def world(self, row: int, step_index: int) -> WorldState:
-        """Row ``row`` as a :class:`WorldState`."""
-        layout = self.layout
-        return WorldState(step_index, [
-            AgentState(a.id, self.position[row, k], self.velocity[row, k],
-                       self.acceleration[row, k], a.sensing_radius, a.role)
-            for k, a in enumerate(layout.agents)],
-            layout.obstacles, layout.leader_waypoints)
 
 
 def clamp_norm(v: np.ndarray, limit: float) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from navigator_oracle import attraction
 from obstacle_oracle import outward_direction
+from test_row_forms import row_world
 
 from litelfuzz.controllers import DispersalSearchController
 from litelfuzz.scenarios import a2_search
@@ -188,7 +189,7 @@ def test_adopting_a_row_equals_the_scalar_update(scene, more_rows):
               for a in view.state), rows, SPEC)
     for k in range(len(position)):
         scalar = replace(view)
-        scalar.update(rows.world(k, world.step_index), SPEC)
+        scalar.update(row_world(rows, k, world.step_index), SPEC)
         for got, want in zip((a[k:k + 1] for a in updated), scalar.state):
             assert np.array_equal(got, want)
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
@@ -212,8 +213,8 @@ def test_edge_worlds():
 
 def test_main_step_builds_one_batch(monkeypatch):
     """The views' ``update`` and ``commands`` in one a2 main step share the
-    world's batch of one row: one layout and one batch distance table per
-    step."""
+    world's batch of one row, whose distance table is built once per step;
+    every world's batch reads the one layout of the swarm's agent set."""
     sim = a2_search().build_simulation(seed=0, record_trace=False)
     counts = {"layouts": 0, "tables": 0}
     layout_init, table_of = RowsLayout.__init__, RowsDistances.of
@@ -232,4 +233,4 @@ def test_main_step_builds_one_batch(monkeypatch):
     for _ in range(steps):
         sim.step()
     assert sim.step_index == steps and not sim.done
-    assert counts == {"layouts": steps, "tables": steps}
+    assert counts == {"layouts": 1, "tables": steps}

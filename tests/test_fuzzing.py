@@ -539,11 +539,42 @@ class TestOneLayoutPerRun:
     def test_a_navigator_run_builds_one_layout(self, monkeypatch, preset,
                                                scheme, traced):
         """A navigator run builds its simulation's layout and no other: its
-        probes start their rows from clones, not from their worlds' rows.
-        (The dispersal controller's scalar forms build one per world.)"""
+        probes start their rows from clones, not from their worlds' rows."""
         built = self.counted_layouts(monkeypatch)
         run_fuzzing(preset(), scheme, budget=5, seed=11, record_trace=traced)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("scheme", ["sa", "ma"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_dispersal_run_builds_a_layout_per_agent_set(
+            self, monkeypatch, scheme, traced):
+        """The dispersal controller's scalar forms read every world of a
+        run, its influence counterfactuals among them, as a batch of one
+        row, and the run's worlds and batches share one layout per agent
+        set: the swarm's, with the attacker and without one agent."""
+        agent_sets = set()
+
+        def kept(agents):
+            agent_sets.add(tuple((a.id, a.role) for a in agents))
+
+        post_init, stepper_init = WorldState.__post_init__, RowStepper.__init__
+
+        def kept_world(self):
+            post_init(self)
+            kept(self.agents)
+
+        def kept_stepper(self, sims, attacker=None):
+            stepper_init(self, sims, attacker)
+            kept(self.rows.layout.agents)
+
+        monkeypatch.setattr(WorldState, "__post_init__", kept_world)
+        monkeypatch.setattr(RowStepper, "__init__", kept_stepper)
+        built = self.counted_layouts(monkeypatch)
+        run_fuzzing(a2_search(), scheme, budget=5, seed=11,
+                    record_trace=traced)
+        assert len(built) == len(agent_sets) == len(
+            {tuple((a.id, a.role) for a in layout.agents)
+             for layout in built}) > 2
 
     def test_nominal_steps_build_a_layout_per_run_and_one_batch(
             self, monkeypatch):

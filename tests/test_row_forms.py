@@ -2,7 +2,7 @@
 equal the scalar forms on every row, byte for byte.
 
 Each row ``k`` of a random batch is also a :class:`WorldState`
-(``rows.world(k, step)``); the scalar ``update``, ``commands``,
+(``row_world(rows, k, step)``); the scalar ``update``, ``commands``,
 ``mission_complete``, ``detect_failure`` and ``Distances`` of that world
 are the oracle for row ``k`` of the array forms.
 """
@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from litelfuzz.controllers import ApfNavigationController
 from litelfuzz.world import (ROLE_ATTACKER, ROLE_FOLLOWER, ROLE_LEADER,
                              AgentState, MissionSpec, Obstacle, RowsDistances,
-                             RowsLayout, WorldRows, detect_failure,
-                             failed_rows)
+                             RowsLayout, WorldRows, WorldState,
+                             detect_failure, failed_rows)
 
 # grid values put points on box faces, inside boxes and at circle centres;
 # few distinct values make co-located agents and in-range pairs common
@@ -123,6 +123,16 @@ def _lone_leader():
         (np.array([1, 1]),), _spec(goal, 0.5, 0.05, True), 3
 
 
+def row_world(rows: WorldRows, row: int, step_index: int) -> WorldState:
+    """Row ``row`` of ``rows`` as a :class:`WorldState`."""
+    layout = rows.layout
+    return WorldState(step_index, [
+        AgentState(a.id, rows.position[row, k], rows.velocity[row, k],
+                   rows.acceleration[row, k], a.sensing_radius, a.role)
+        for k, a in enumerate(layout.agents)],
+        layout.obstacles, layout.leader_waypoints)
+
+
 def _row(state, k: int) -> tuple:
     """Row k of a batch's controller state, as a controller holds it."""
     return tuple(a[k:k + 1] for a in state)
@@ -144,7 +154,7 @@ def test_row_forms_equal_scalar_forms(case):
     assert commands.shape == (len(rows.position), len(swarm),
                               rows.position.shape[2])
     for k in range(len(rows.position)):
-        world = rows.world(k, step)
+        world = row_world(rows, k, step)
         scalar = replace(controller, state=_row(state, k))
         scalar.update(world, spec)
         assert updated[0][k] == scalar.state[0][0]
@@ -195,7 +205,7 @@ def test_adopting_a_row_equals_the_scalar_update(case):
     updated = controller.update_rows(state, rows, spec)
     for k in range(len(rows.position)):
         scalar = replace(controller, state=_row(state, k))
-        scalar.update(rows.world(k, step), spec)
+        scalar.update(row_world(rows, k, step), spec)
         for got, want in zip(_row(updated, k), scalar.state):
             assert got.tobytes() == want.tobytes()
             assert (got.shape, got.dtype) == (want.shape, want.dtype)

@@ -7,9 +7,9 @@ from hypothesis import example, given, strategies as st
 from obstacle_oracle import outward_direction, surface_distance
 
 from litelfuzz.world import (AgentState, Distances, FailureKind, InvalidState,
-                             MissionSpec, Obstacle, Obstacles, WorldState,
-                             clamp_norm, clamp_norms, detect_failure,
-                             integrate_rows, integrate_step,
+                             MissionSpec, Obstacle, Obstacles, RowsLayout,
+                             WorldState, clamp_norm, clamp_norms,
+                             detect_failure, integrate_rows, integrate_step,
                              min_obstacle_distance, norm, row_norms)
 
 
@@ -289,6 +289,58 @@ class TestWorldState:
         b = make_agent([0.25, 0.0], agent_id=1)
         w = WorldState(0, [a, b], [])
         assert min_obstacle_distance(a, w) == pytest.approx(0.25)
+
+
+class TestObstaclesLayout:
+    ROLES = ["follower", "leader", "attacker", "follower", "leader"]
+    CACHED = ("swarm_columns", "swarm", "leader", "leads", "follower_columns",
+              "follows", "others", "not_self", "waypoints")
+
+    def agents(self, roles=ROLES, sensing=0.5):
+        return [make_agent([float(k), 0.0], agent_id=k, sensing=sensing,
+                           role=role) for k, role in enumerate(roles)]
+
+    def test_one_layout_per_agent_set_and_waypoint_list(self):
+        stack = Obstacles([Obstacle.circle([5.0, 5.0], 1.0)])
+        waypoints = [np.array([1.0, 1.0]), np.array([2.0, 0.0])]
+        layout = stack.layout(self.agents(), waypoints)
+        assert layout.obstacles is stack
+        # other agent objects (moved) with the same ids, roles and radii
+        moved = [make_agent(a.position + 1.0, agent_id=a.id,
+                            role=a.role) for a in self.agents()]
+        assert stack.layout(moved, waypoints) is layout
+        others = [stack.layout(self.agents(self.ROLES[:-1]), waypoints),
+                  stack.layout(self.agents(self.ROLES[::-1]), waypoints),
+                  stack.layout(self.agents(sensing=0.7), waypoints),
+                  stack.layout(self.agents(), list(waypoints))]
+        assert len({id(o) for o in others + [layout]}) == 5
+        assert Obstacles(stack).layout(self.agents(), waypoints) is layout
+
+    @pytest.mark.parametrize("roles", [ROLES, ["leader"], ["attacker"], [],
+                                       ["follower", "attacker", "leader"]])
+    def test_cached_index_sets_equal_a_fresh_layouts(self, roles):
+        stack = Obstacles([])
+        agents, waypoints = self.agents(roles), [np.array([1.0, 2.0])]
+        cached = stack.layout(agents, waypoints)
+        for _ in range(2):      # resolved on the first read, kept after
+            fresh = RowsLayout(agents, stack, waypoints)
+            for name in self.CACHED:
+                got, want = getattr(cached, name), getattr(fresh, name)
+                assert type(got) is type(want), name
+                assert np.array_equal(got, want) \
+                    if isinstance(want, np.ndarray) else got == want, name
+            assert stack.layout(agents, waypoints) is cached
+
+    def test_a_worlds_batch_reads_its_stacks_layout(self):
+        agents = self.agents()
+        world = WorldState(0, agents, [])
+        later = WorldState(1, [make_agent(a.position + 1.0, agent_id=a.id,
+                                          role=a.role) for a in agents],
+                           world.obstacles, world.leader_waypoints)
+        assert later.rows() is not world.rows()
+        assert later.rows().layout is world.rows().layout \
+            is world.obstacles.layout(agents, world.leader_waypoints)
+        assert world.without(1).rows().layout is not world.rows().layout
 
 
 # -- distance table ----------------------------------------------------------
