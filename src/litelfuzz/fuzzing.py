@@ -618,6 +618,9 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
     # them frees those frames, and any forecast left unreplayed, now
     # rather than at the next full cycle collection.
     driver.actions = None
+    # Likewise the stack and its layouts, which hold the stack, until
+    # the stack forgets them: then reference counting frees the run.
+    sim.world.obstacles.forget_layouts()
     failed = sim.failure_kind is not None
     return FuzzResult(
         scheme=scheme,

@@ -227,7 +227,8 @@ class Simulation:
         return self.world.step_index
 
     def attacker(self) -> AgentState | None:
-        return next(iter(self.world.attackers()), None)
+        attackers = self.world.attackers()
+        return attackers[0] if attackers else None
 
     @property
     def events(self) -> list[tuple[int, str]]:

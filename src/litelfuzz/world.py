@@ -88,7 +88,8 @@ class Obstacles(tuple):
     measured alone: the kernels equal the scalar oracle in
     ``tests/obstacle_oracle.py`` with ``==``.
     ``Obstacles(stack)`` is ``stack``: a world stacks a plain list once,
-    and the run's worlds and batches share the stack and its layouts."""
+    and the run's worlds and batches share the stack and its layouts,
+    which the end of a fuzzing run forgets."""
 
     def __new__(cls, obstacles=()):
         if type(obstacles) is Obstacles:
@@ -105,13 +106,20 @@ class Obstacles(tuple):
     def layout(self, agents: list[AgentState],
                leader_waypoints: list[np.ndarray]) -> RowsLayout:
         """The :class:`RowsLayout` of ``agents`` (their ids, roles and
-        sensing radii) with the list ``leader_waypoints``, built once; it
-        keeps the list, so no other list takes the list's ``id``."""
+        sensing radii) with the list ``leader_waypoints``, built once until
+        :meth:`forget_layouts`; it keeps the list, so no other list takes
+        the list's ``id``."""
         key = (tuple((a.id, a.role, a.sensing_radius) for a in agents),
                id(leader_waypoints))
         if key not in self._layouts:
             self._layouts[key] = RowsLayout(agents, self, leader_waypoints)
         return self._layouts[key]
+
+    def forget_layouts(self) -> None:
+        """Drop the layouts built so far. Each holds the stack, so until
+        then the stack and its layouts are a cycle, which only the cyclic
+        collector frees; a layout still held elsewhere keeps working."""
+        self._layouts.clear()
 
     def surface_distances(self, points: np.ndarray) -> np.ndarray:
         """(..., O) signed surface distances of points (..., d)."""
@@ -320,8 +328,10 @@ class RowsLayout:
     @cached_property
     def leader(self) -> int | None:
         """Column of the first leader, or None."""
-        return next((k for k, a in enumerate(self.agents)
-                     if a.role == ROLE_LEADER), None)
+        for k, a in enumerate(self.agents):
+            if a.role == ROLE_LEADER:
+                return k
+        return None
 
     @cached_property
     def leads(self) -> slice | list[int]:

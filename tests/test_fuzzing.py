@@ -1,6 +1,8 @@
 """Fuzzing engine tests: spawn geometry, schemes and determinism."""
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -575,6 +577,28 @@ class TestOneLayoutPerRun:
         assert len(built) == len(agent_sets) == len(
             {tuple((a.id, a.role) for a in layout.agents)
              for layout in built}) > 2
+
+    @pytest.mark.parametrize("preset,scheme", [
+        (a1_navigate, "sa"), (a2_search, "sa"), (a2_search, "ma"),
+        (a3_navigate3d, "ma")])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_finished_run_frees_its_layouts_by_reference_counting(
+            self, monkeypatch, preset, scheme, traced):
+        """With the cyclic collector off, a finished run's layouts are freed
+        once nothing holds them; a trace holds its run's layout alone."""
+        built = self.counted_layouts(monkeypatch)
+        gc.disable()
+        try:
+            result = run_fuzzing(preset(), scheme, budget=5, seed=11,
+                                 record_trace=traced)
+            layouts = [weakref.ref(layout) for layout in built]
+            del built[:]
+            held = [ref() for ref in layouts if ref() is not None]
+            assert held == ([result.trace._layout] if traced else [])
+            del held, result
+            assert all(ref() is None for ref in layouts)
+        finally:
+            gc.enable()
 
     def test_nominal_steps_build_a_layout_per_run_and_one_batch(
             self, monkeypatch):

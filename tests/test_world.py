@@ -1,5 +1,7 @@
 """Unit tests for the kinematic world model."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -330,6 +332,21 @@ class TestObstaclesLayout:
                 assert np.array_equal(got, want) \
                     if isinstance(want, np.ndarray) else got == want, name
             assert stack.layout(agents, waypoints) is cached
+
+    def test_forgotten_layouts_are_freed_by_reference_counting(self):
+        stack, waypoints = Obstacles([]), [np.array([1.0, 2.0])]
+        kept = stack.layout(self.agents(), waypoints)
+        gc.disable()
+        try:
+            dropped = weakref.ref(stack.layout(self.agents(["leader"]),
+                                               waypoints))
+            stack.forget_layouts()
+            assert dropped() is None
+        finally:
+            gc.enable()
+        # a layout held elsewhere keeps working; the stack builds anew
+        assert kept.leader == 1 and kept.obstacles is stack
+        assert stack.layout(self.agents(), waypoints) is not kept
 
     def test_a_worlds_batch_reads_its_stacks_layout(self):
         agents = self.agents()
