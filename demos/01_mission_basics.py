@@ -1,8 +1,10 @@
 """Run the built-in missions without an attacker and export their traces.
 
 Shows the simulation layer on its own: load a scenario (built-in preset
-or JSON file), run it to completion, inspect the per-step robustness
-record, and write the trace as JSONL plus a robustness CSV curve.
+or JSON file), run its nominal mission to completion as a fuzzing run
+with a budget of 0 (no attacker is ever placed), inspect the per-step
+robustness record, and write the trace as JSONL plus a robustness CSV
+curve.
 
 Usage:
     python demos/01_mission_basics.py [scenario.json] [--out DIR]
@@ -11,7 +13,7 @@ import argparse
 from pathlib import Path
 
 from litelfuzz import (a1_navigate, a2_search, a3_navigate3d, export_trace,
-                       load_scenario, robustness_curve_csv, run_mission)
+                       load_scenario, robustness_curve_csv, run_fuzzing)
 
 
 def main() -> None:
@@ -32,7 +34,9 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     for scenario in scenarios:
-        trace = run_mission(scenario, seed=args.seed)
+        # budget 0: the attacker-free mission, whatever the scheme
+        trace = run_fuzzing(scenario, "sa", budget=0, seed=args.seed,
+                            record_trace=True).trace
         records = trace.robustness      # one per step
         steps, final = len(records), records[-1]
         print(f"{scenario.name}: {trace.outcome} after {steps} steps "

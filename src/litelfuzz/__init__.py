@@ -16,8 +16,7 @@ from .influence import (InfluenceGraph, KeyNodeSequence,
                         build_influence_graph, katz_centrality,
                         key_node_sequence)
 from .mission import (ATTACKER_ID, OUTCOME_FAILURE, OUTCOME_SUCCESS,
-                      OUTCOME_SWARM_SECURE, AttackerAction, Simulation, Trace,
-                      run_mission)
+                      OUTCOME_SWARM_SECURE, AttackerAction, Simulation, Trace)
 from .planner import Infeasible, plan_path
 from .robustness import (AgentRobustness, ConstraintParams, RobustnessRecord,
                          constraint_violations, margin_formation,

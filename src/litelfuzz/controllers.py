@@ -56,6 +56,9 @@ from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, RowsLayout,
                     norm, row_norms)
 
 _EPS = 1e-9
+# the most cells a dispersal visit grid may have, checked before it is
+# allocated: every row of a batch holds a grid, and each step sorts it
+MAX_VISIT_CELLS = 100_000
 
 # every navigator's state until it switches waypoint: an in-place write fails
 _FIRST_WAYPOINT = np.zeros(1, dtype=int)
@@ -381,9 +384,13 @@ class DispersalSearchController:
         if not np.all(np.less(self.bounds_lo, self.bounds_hi)):
             raise ValueError("need bounds_lo < bounds_hi componentwise")
         if self.state is None:
-            shape = tuple(int(math.ceil((hi - lo) / self.cell_size))
-                          for lo, hi in zip(self.bounds_lo, self.bounds_hi))
-            self.state = (np.zeros((1,) + shape, dtype=np.int64),
+            shape = np.ceil((self.bounds_hi - self.bounds_lo) / self.cell_size)
+            cells = math.prod(shape.tolist())
+            if cells > MAX_VISIT_CELLS:
+                raise ValueError(f"the visit grid of bounds_lo to bounds_hi "
+                                 f"in cells of cell_size has {cells:g} "
+                                 f"cells, above {MAX_VISIT_CELLS}")
+            self.state = (np.zeros((1, *shape.astype(int)), dtype=np.int64),
                           np.zeros((1, len(self.targets)), dtype=bool))
         self._targets = np.asarray(self.targets, dtype=float)   # (K, d)
 

@@ -591,7 +591,8 @@ class _FuzzDriver:
 
 
 def check_run(scheme: str, budget: Optional[int], seed: int) -> None:
-    """Reject an unknown scheme, a negative budget (None: unlimited) or seed."""
+    """Reject an unknown scheme, a negative budget (None: unlimited; 0: the
+    attacker-free mission) or seed."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
     if budget is not None and budget < 0:
@@ -602,7 +603,11 @@ def check_run(scheme: str, budget: Optional[int], seed: int) -> None:
 
 def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
                 seed: int = 0, record_trace: bool = False) -> FuzzResult:
-    """One fuzzing execution of ``scheme`` with at most ``budget`` epochs."""
+    """One fuzzing execution of ``scheme`` with at most ``budget`` epochs.
+
+    Budget 0 runs the nominal mission: no attacker is placed, whatever
+    the scheme, and the run steps the swarm alone to completion, failure
+    or timeout. Identical inputs and seed give identical results."""
     check_run(scheme, budget, seed)
     sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
     rng = np.random.default_rng([seed, 0x51A9])

@@ -1,4 +1,5 @@
-"""Mission execution: the deterministic world-stepping loop.
+"""Mission execution: the deterministic world step. Its one loop is
+:func:`fuzzing.run_fuzzing`'s, whose budget 0 is the attacker-free mission.
 
 A :class:`Simulation` owns one world plus its controller, and the
 swarm's goal distances over the last ``window + 1`` steps as one (S, W)
@@ -416,15 +417,3 @@ class RowStepper:
         under the mission's constraint parameters."""
         return swarm_robustness(self.rows.select(chosen),
                                 self.windows[chosen], self._sim.cparams)
-
-
-def run_mission(scenario, seed: int = 0) -> Trace:
-    """Run one attacker-free, traced mission to completion, failure or
-    timeout.
-
-    Identical inputs and seed produce identical traces.
-    """
-    sim = scenario.build_simulation(seed=seed)
-    while not sim.done:
-        sim.step()
-    return sim.trace

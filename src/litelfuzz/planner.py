@@ -15,21 +15,33 @@ from .world import ROLE_ATTACKER, WorldState, norm
 _VIA_SCALES = (1.05, 1.2, 1.5, 2.0, 3.0)
 _MAX_VIAS = 200
 _MAX_ESCALATIONS = 64
+# the most tiles a box's cover may have, checked when a scenario loads: a
+# cover's cost grows with its tiles, and with a box's aspect ratio
+MAX_COVER_TILES = 10_000
 
 
 class Infeasible(RuntimeError):
     """No clearance-keeping path exists for the requested endpoints."""
 
 
-def _cover_box(lo: np.ndarray, hi: np.ndarray,
-               cell_target: float) -> list[tuple[np.ndarray, float]]:
-    """Cover an axis-aligned box with a grid of circumscribed tile circles."""
+def cover_tiles(lo: np.ndarray, hi: np.ndarray,
+                clearance: float) -> np.ndarray:
+    """The tile count along each axis of the grid covering the box
+    ``lo``..``hi`` for a path at ``clearance``, as floats: each tile spans
+    about twice the clearance, or a quarter of the box's least extent."""
     extent = hi - lo
-    counts = np.maximum(np.ceil(extent / cell_target).astype(int), 1)
-    cell = extent / counts
+    cell_target = max(2.0 * clearance, float(np.min(extent)) / 4.0)
+    return np.maximum(np.ceil(extent / cell_target), 1.0)
+
+
+def _cover_box(lo: np.ndarray, hi: np.ndarray,
+               clearance: float) -> list[tuple[np.ndarray, float]]:
+    """Cover an axis-aligned box with a grid of circumscribed tile circles."""
+    counts = cover_tiles(lo, hi, clearance)
+    cell = (hi - lo) / counts
     radius = 0.5 * norm(cell)
     return [(lo + (np.asarray(idx, dtype=float) + 0.5) * cell, radius)
-            for idx in np.ndindex(*counts)]
+            for idx in np.ndindex(*counts.astype(int))]
 
 
 def _inflated_circles(world: WorldState, clearance: float,
@@ -37,9 +49,7 @@ def _inflated_circles(world: WorldState, clearance: float,
     circles = []
     for obs in world.obstacles:
         if obs.kind == "box":
-            extent = obs.hi - obs.lo
-            cell_target = max(2.0 * clearance, float(np.min(extent)) / 4.0)
-            for center, radius in _cover_box(obs.lo, obs.hi, cell_target):
+            for center, radius in _cover_box(obs.lo, obs.hi, clearance):
                 circles.append((center, radius + clearance))
         else:
             circles.append((obs.center, obs.radius + clearance))

@@ -27,6 +27,7 @@ import numpy as np
 from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import FuzzParams, SpawnGeometry
 from .mission import ATTACKER_ID, OUTCOME_FAILURE, RowStepper, Simulation
+from .planner import MAX_COVER_TILES, cover_tiles
 from .robustness import ConstraintParams
 from .world import (ROLE_LEADER, SWARM_ROLES, AgentState, MissionSpec,
                     Obstacle, WorldState, norm)
@@ -300,6 +301,16 @@ class ScenarioConfig:
             raise ScenarioError(
                 "apf_navigate requires goal_m within goal_tolerance_m of the "
                 "last leader_waypoints_m entry, where the leader parks")
+        for k, obs in enumerate(self.obstacles):
+            # the planner covers a box at the mission's safe distance
+            tiles = math.prod(cover_tiles(obs.lo, obs.hi, self.safe_distance)
+                              .tolist()) if obs.kind == "box" else 0
+            if tiles > MAX_COVER_TILES:
+                raise ScenarioError(
+                    f"obstacles[{k}]: the planner covers this box with "
+                    f"{tiles:g} tiles at a clearance of safe_distance_m, "
+                    f"above {MAX_COVER_TILES} (keys lo_m, hi_m, "
+                    f"safe_distance_m)")
         if not apf and not self.search.get("targets_m"):
             raise ScenarioError("search: dispersal_search requires at least "
                                 "one entry in targets_m")

@@ -1,5 +1,7 @@
 """Simulation loop tests: determinism, cloning and attacker actions."""
 import gc
+import hashlib
+import json
 import weakref
 
 import numpy as np
@@ -7,9 +9,9 @@ import pytest
 from trace_oracle import oracle_jsonl
 
 from litelfuzz.campaign import trace_to_jsonl
-from litelfuzz.fuzzing import run_fuzzing
+from litelfuzz.fuzzing import SCHEMES, run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, RowStepper,
-                               Simulation, run_mission)
+                               Simulation)
 from litelfuzz.robustness import RobustnessRows, robustness_rows
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
 from litelfuzz.world import (ROLE_ATTACKER, AgentState, InvalidState,
@@ -41,13 +43,42 @@ class TestDeterminism:
 
 class TestBaselines:
     def test_navigate_completes(self):
-        trace = run_mission(a1_navigate(), seed=0)
+        # budget 0: the attacker-free mission
+        trace = run_fuzzing(a1_navigate(), "sa", budget=0, seed=0,
+                            record_trace=True).trace
         assert trace.outcome == "Success"
         assert trace.failure_kind is None
 
     def test_search_completes(self):
-        trace = run_mission(a2_search(), seed=0)
+        trace = run_fuzzing(a2_search(), "sa", budget=0, seed=0,
+                            record_trace=True).trace
         assert trace.outcome == "Success"
+
+    # seeds 0-2, one after the other: the sha256 of each traced mission's
+    # outcome and events as JSON, then its JSONL, as the attacker-free
+    # stepping loop that a budget-0 fuzzing run replaced wrote them
+    NOMINAL_DIGESTS = {
+        "a1_navigate":
+            "6ac4204561e21113c1bc47770f4c49a6992311f577b9bd239003b52e566a323e",
+        "a2_search":
+            "a8e00142609c2085f9e86f01c60ae5971074b389e5669544f4ebe244544d42a3",
+        "a3_navigate3d":
+            "d003b6c251c53852c124673f4c6eb31903cf005160f8254da512fadc579548f4",
+    }
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
+                                        a3_navigate3d])
+    def test_budget_zero_runs_the_nominal_mission(self, preset, scheme):
+        digest = hashlib.sha256()
+        for seed in range(3):
+            result = run_fuzzing(preset(), scheme, budget=0, seed=seed,
+                                 record_trace=True)
+            assert result.test_cases == [] and result.invalid_count == 0
+            trace = result.trace
+            digest.update(json.dumps([trace.outcome, trace.events]).encode())
+            digest.update(trace_to_jsonl(trace).encode())
+        assert digest.hexdigest() == self.NOMINAL_DIGESTS[preset.__name__]
 
 
 class TestClone:

@@ -1,8 +1,10 @@
 """Path planner tests: clearance keeping, detours and infeasibility."""
+import math
+
 import numpy as np
 import pytest
 
-from litelfuzz.planner import Infeasible, plan_path
+from litelfuzz.planner import Infeasible, _cover_box, cover_tiles, plan_path
 from litelfuzz.world import ROLE_ATTACKER, AgentState, Obstacle, WorldState, \
     row_norms
 
@@ -107,3 +109,22 @@ class TestPathClearance:
         world = WorldState(0, [], [Obstacle.circle([1.0, 0.5], 0.2)])
         path = [np.array([0.0, 0.0]), np.array([2.0, 0.0])]
         assert path_clearance(path, world) == pytest.approx(0.3, abs=1e-3)
+
+
+class TestCoverTiles:
+    @pytest.mark.parametrize("lo,hi,clearance,counts", [
+        # a1's boxes at its safe distance: tiles of a quarter of 0.8 m
+        ([1.6, 0.4], [2.4, 1.8], 0.1, [4, 7]),
+        # a2's box: tiles of twice its 0.5 m safe distance
+        ([-2.0, -1.0], [0.0, 1.0], 0.5, [2, 2]),
+        ([0.0, 0.0, 0.0], [1.0, 9.0, 0.5], 0.05, [8, 72, 4])])
+    def test_counts_the_tiles_the_cover_builds(self, lo, hi, clearance,
+                                               counts):
+        lo, hi = np.array(lo), np.array(hi)
+        tiles = cover_tiles(lo, hi, clearance)
+        assert tiles.tolist() == counts
+        cover = _cover_box(lo, hi, clearance)
+        assert len(cover) == math.prod(counts)
+        # the tiles' circles cover the box's corners
+        assert all(any(np.linalg.norm(corner - c) <= r + 1e-12
+                       for c, r in cover) for corner in (lo, hi))

@@ -94,6 +94,45 @@ def test_bad_value_exits_2_at_load(tmp_path, capsys, preset, path, value,
     assert named in err and "Traceback" not in err
 
 
+# (preset, key path, value, what the error must name); each loaded, or
+# began to, and then ran out of memory: sizes bounded at load, far above
+# the presets' (a2's visit grid has 16 cells, a1's and a2's box covers 28
+# and 4 tiles). The load is asserted to fail before any command runs: a
+# scenario with the long box that loads spends all memory in its first
+# planned flight.
+TOO_LARGE = [
+    # a (1, 4, 2.5e11) visit grid
+    ("a2_search", ("search", "bounds_hi_m", 1), 1e12,
+     "search: the visit grid of bounds_lo to bounds_hi in cells of "
+     "cell_size has 1e+12 cells, above 100000 (keys bounds_lo_m, "
+     "bounds_hi_m, cell_size_m)"),
+    # a box 1e12 m long, which the planner tiles with 2e12 circles
+    ("a2_search", ("obstacles", 0, "lo_m", 0), -1e12,
+     "obstacles[0]: the planner covers this box with 2e+12 tiles at a "
+     "clearance of safe_distance_m, above 10000 (keys lo_m, hi_m, "
+     "safe_distance_m)"),
+]
+
+
+@pytest.mark.parametrize("preset,path,value,named", TOO_LARGE,
+                         ids=_ids(TOO_LARGE))
+def test_too_large_a_size_exits_2_at_load(tmp_path, capsys, preset, path,
+                                          value, named):
+    data = PRESETS[preset]().to_dict()
+    _set(data, path, value)
+    with pytest.raises(ScenarioError) as error:
+        scenario_from_dict(data)
+    assert named in str(error.value)
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps(data))
+    for command in (["scenario-dump", str(scenario)],
+                    ["run", str(scenario), "--executions", "1",
+                     "--budget", "2"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
 # sha256 of ``litelfuzz scenario-dump <preset>``, as the per-key dump wrote
 # it before the one-table walker replaced it
 DUMPS = {

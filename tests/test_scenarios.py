@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from litelfuzz.mission import OUTCOME_FAILURE, OUTCOME_SUCCESS, run_mission
+from litelfuzz.fuzzing import run_fuzzing
+from litelfuzz.mission import OUTCOME_FAILURE, OUTCOME_SUCCESS
 from litelfuzz.scenarios import (ScenarioError, a1_navigate, a2_search,
                                  a3_navigate3d, builtin_scenario,
                                  load_scenario, measure_nominal_steps,
@@ -307,10 +308,13 @@ class TestDerivedObjects:
         data["nominal_steps"] = 58
         data["timeout_multiplier"] = 1.0
         scn = scenario_from_dict(data)
-        # some reference runs complete within the tighter budget, some not
-        outcomes = {run_mission(scn, seed).outcome for seed in range(50)}
-        assert outcomes == {OUTCOME_SUCCESS, OUTCOME_FAILURE}
-        assert run_mission(scn, 0).outcome == OUTCOME_SUCCESS
+        # some reference runs complete within the tighter budget, some not;
+        # a reference run is the attacker-free mission, a budget-0 run
+        outcomes = [run_fuzzing(scn, "sa", budget=0, seed=seed,
+                                record_trace=True).trace.outcome
+                    for seed in range(50)]
+        assert set(outcomes) == {OUTCOME_SUCCESS, OUTCOME_FAILURE}
+        assert outcomes[0] == OUTCOME_SUCCESS
         with pytest.raises(RuntimeError, match=r"^reference run 1 did not "
                            r"complete \(outcome Failure\)$"):
             measure_nominal_steps(scn)
