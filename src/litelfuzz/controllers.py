@@ -21,12 +21,14 @@ a copy of a controller and its original share state arrays. The array
 forms read two things the batch holds. Its distance table
 (``WorldRows.distances``) is built once per batch: in a row stepper, the
 failure check of the rows a step produced builds it and the next step's
-commands read it. Its :class:`RowsLayout` resolves the swarm, leader and
-follower columns, the masks, the waypoint array and, in ``derived``, the
-navigator's formation offsets once per run, whose probes' batches all
-share it. The :class:`Obstacles` stack, which a mission's worlds and
-layouts share, gives every obstacle's surface distance and outward
-direction in one pass each, to the scalar forms as to the array forms.
+commands read it. A world's batch of one row shares the world's table,
+the one table a world builds, which the scalar forms read too. Its
+:class:`RowsLayout` resolves the swarm, leader and follower columns, the
+masks, the waypoint array and, in ``derived``, the navigator's formation
+offsets once per run, whose probes' batches all share it. The
+:class:`Obstacles` stack, which a mission's worlds and layouts share,
+gives every obstacle's surface distance and outward direction in one
+pass each, to the scalar forms as to the array forms.
 
 A controller states its goals once, as ``goal_rows`` over (B, S, d)
 swarm positions; the main mission step calls it on a batch of one row.
@@ -37,11 +39,12 @@ world over the run's layout of its agents. The navigator keeps scalar
 ``update`` and ``commands`` for the main mission step, where views of its
 array forms ran ``a1_sa`` slower. Its scalar ``commands`` is one pass
 per world: one :func:`_attraction_rows` call over the agents, the
-potential field summed term by term in Python floats from the world's
-:class:`Distances` (:func:`_repulsions`), and one :func:`clamp_norms`.
+potential field summed term by term in Python floats from row 0 of the
+world's distance table (:func:`_repulsions`), and one :func:`clamp_norms`.
 The field equals the array form's bit for bit: each term is formed by
 the same IEEE elementwise operations and added in the same order to a
-total that starts at +0.0. Only the norms stay numpy, because
+total that starts at +0.0, which the array forms' :func:`_fold` does in
+one ``np.add.accumulate``. Only the norms stay numpy, because
 ``ndarray.dot`` rounds differently from a Python sum.
 """
 from __future__ import annotations
@@ -52,8 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .world import (ROLE_ATTACKER, ROLE_LEADER, MissionSpec, RowsLayout,
-                    WorldRows, WorldState, _index, clamp_norms,
-                    norm, row_norms)
+                    WorldRows, WorldState, clamp_norms, norm, row_norms)
 
 _EPS = 1e-9
 # the most cells a dispersal visit grid may have, checked before it is
@@ -78,43 +80,42 @@ def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
     return np.where(far[..., None], delta * (speed / dist)[..., None], 0.0)
 
 
+def _fold(*terms: np.ndarray) -> np.ndarray:
+    """The (B, S, d) sum of the (B, S, C, d) ``terms`` over their C axes,
+    in order: ``np.add.accumulate`` adds left to right over a term axis
+    led by a +0.0 column, as the scalar loop adds to a total that starts
+    at +0.0, so a first term of -0.0 gives +0.0 and an out-of-range +0.0
+    term changes nothing. A ``sum`` may add pairwise and round otherwise."""
+    lead = np.zeros_like(terms[0][:, :, :1])
+    return np.add.accumulate(np.concatenate((lead, *terms), axis=2),
+                             axis=2)[:, :, -1]
+
+
 def _repulsion_rows(rows: WorldRows, influence_radius: float,
                     gain: float) -> np.ndarray:
     """:func:`_repulsions` of every swarm column of ``rows``: (B, S, d).
 
-    The terms are added one at a time in the scalar order, obstacles in
-    list order and then agents in world order, with +0.0 for a term out of
-    range (``total`` starts at +0.0 and so is never -0.0, which makes that
-    add exact); a single ``sum(axis=...)`` would round differently. For
-    the same reason a column with no pair in range in any row is skipped.
+    The terms are :func:`_fold`-ed in the scalar order, obstacles in list
+    order and then agents in world order, with +0.0 for a term out of
+    range; the obstacles' terms are left out when none is in range.
     """
     table = rows.distances()
     layout = rows.layout
     pos = rows.position[:, layout.swarm]
-    total = np.zeros_like(pos)
 
     def push(near, d, direction):
         mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
         return np.where(near[..., None], mag[..., None] * direction, 0.0)
 
+    d = np.maximum(table.agents, 1e-6)
+    terms = [push((table.agents < influence_radius) & layout.others, d,
+                  table.away / d[..., None])]
     near = table.obstacles < influence_radius
-    columns = near.any(axis=(0, 1)).nonzero()[0]
-    if columns.size:
+    if near.any():
         # every obstacle in one pass
-        terms = push(near, np.maximum(table.obstacles, 1e-6),
-                     layout.obstacles.outward_directions(pos))
-        for o in columns:
-            total = total + terms[:, :, o]
-    near = (table.agents < influence_radius) & layout.others
-    columns = near.any(axis=(0, 1)).nonzero()[0].tolist()
-    if columns:
-        index = _index(columns)
-        d = np.maximum(table.agents[:, :, index], 1e-6)
-        terms = push(near[:, :, index], d,
-                     table.away[:, :, index] / d[..., None])
-        for n in range(len(columns)):
-            total = total + terms[:, :, n]
-    return total
+        terms.insert(0, push(near, np.maximum(table.obstacles, 1e-6),
+                             layout.obstacles.outward_directions(pos)))
+    return _fold(*terms)
 
 
 def _repulsions(world: WorldState, influence_radius: float,
@@ -122,26 +123,28 @@ def _repulsions(world: WorldState, influence_radius: float,
     """Potential-field push on every swarm agent of ``world`` away from
     obstacles and agents within range, as Python floats (M, d); an
     attacker gets +0.0. The terms are :func:`_repulsion_rows`' elementwise
-    operations, added in its order, read from the world's
-    :class:`Distances`; the points and, once an obstacle is in range,
-    every agent's outward directions are converted to floats once."""
+    operations, added in its order, read from row 0 of the world's
+    distance table; the points and, once an obstacle is in range, every
+    agent's outward directions are converted to floats once."""
     table = world.distances()
-    points = table.position.tolist()
+    points = world.position.tolist()
+    swarm_rows = zip(table.obstacles.tolist()[0], table.agents.tolist()[0])
     outward = None
     reach = 1.0 / influence_radius
     pushes = []
     for k, (agent, p) in enumerate(zip(world.agents, points)):
         total = [0.0] * len(p)
         if agent.role != ROLE_ATTACKER:
-            for o, d in enumerate(table.obstacles[k]):
+            obstacles, agents = next(swarm_rows)
+            for o, d in enumerate(obstacles):
                 if d < influence_radius:
                     if outward is None:
                         outward = world.obstacles.outward_directions(
-                            table.position).tolist()
+                            world.position).tolist()
                     d = max(d, 1e-6)
                     mag = gain * (1.0 / d - reach) / (d * d)
                     total = [t + mag * u for t, u in zip(total, outward[k][o])]
-            for j, d in enumerate(table.agents[k]):
+            for j, d in enumerate(agents):
                 if d < influence_radius and j != k:
                     d = max(d, 1e-6)
                     mag = gain * (1.0 / d - reach) / (d * d)
@@ -217,8 +220,7 @@ class ApfNavigationController:
         +0.0."""
         if not world.agents:
             return {}
-        table = world.distances()
-        target = table.position.copy()
+        target = world.position.copy()
         leader = self._leader(world)
         for k, agent in enumerate(world.agents):
             if agent.role == ROLE_LEADER:
@@ -229,7 +231,7 @@ class ApfNavigationController:
                 offset = self.formation_offsets[agent.id]
                 if leader is not None:
                     target[k] = leader.position + offset
-        pull = _attraction_rows(table.position, target, spec.v_max,
+        pull = _attraction_rows(world.position, target, spec.v_max,
                                 self.slow_radius)
         cmds = clamp_norms(pull + _repulsions(world, self.influence_radius,
                                               self.repulsion_gain),
@@ -459,24 +461,18 @@ class DispersalSearchController:
         close = d < 1e-9
         away = np.where(close[..., None], splay[:, None], away)
         d = np.where(close, 1.0, d)
-        terms = np.where(near[..., None], (away / d[..., None]) * spec.v_max
-                         * (1.0 - d / self.neighbor_radius)[..., None], 0.0)
-        # terms out of range add +0.0, which leaves cmd (never -0.0) as it
-        # is, so a column with none in range in any row is skipped
-        cmd = np.zeros_like(pos)
-        for k in near.any(axis=(0, 1)).nonzero()[0]:
-            cmd = cmd + terms[:, :, k]
+        terms = [np.where(near[..., None], (away / d[..., None]) * spec.v_max
+                          * (1.0 - d / self.neighbor_radius)[..., None], 0.0)]
         push = self.obstacle_gain * spec.v_max
         near = table.obstacles < self.sensor_range
-        columns = near.any(axis=(0, 1)).nonzero()[0]
-        if columns.size:
+        if near.any():
             # every obstacle in one pass
             ramp = 1.0 - np.maximum(table.obstacles, 1e-6) / self.sensor_range
-            terms = np.where(near[..., None], layout.obstacles
-                             .outward_directions(pos) * push * ramp[..., None],
-                             0.0)
-            for o in columns:
-                cmd = cmd + terms[:, :, o]
+            terms.append(np.where(near[..., None], layout.obstacles
+                                  .outward_directions(pos) * push
+                                  * ramp[..., None], 0.0))
+        # the neighbours' terms, then the obstacles', out of range +0.0
+        cmd = _fold(*terms)
         # masked-out wall terms add or subtract +0.0, which leaves cmd as is
         for axis in range(dim):
             lo_gap = pos[..., axis] - self.bounds_lo[axis]

@@ -148,8 +148,7 @@ def spawn_candidates(target: AgentState, world, geom: SpawnGeometry,
     keep_out = [max(safe_distance, a.sensing_radius) if a.id != target.id
                 and a.role != ROLE_ATTACKER else safe_distance
                 for a in world.agents]
-    gaps = row_norms(np.array([a.position for a in world.agents])
-                     .reshape(-1, 1, dim) - points)
+    gaps = row_norms(world.position.reshape(-1, 1, dim) - points)
     ok = (gaps >= np.array(keep_out)[:, None]).all(axis=0) \
         & (world.obstacles.surface_distances(points) > 0.0).all(axis=1)
     candidates = list(points[ok])
@@ -446,11 +445,12 @@ class _FuzzDriver:
 
     def _gaps(self, attacker: AgentState) -> list[tuple[float, int]]:
         """The attacker's distance from each swarm agent, with the agent's
-        id, in world order, from the world's distance table."""
+        id, in world order: the attacker's column of the world's distance
+        table."""
         world = self.sim.world
-        table = world.distances()
-        return [(d, a.id) for a, d in zip(world.agents, table.agents[
-            table.column[attacker.id]]) if a.role != ROLE_ATTACKER]
+        swarm = [a.id for a in world.agents if a.role != ROLE_ATTACKER]
+        col = [a.id for a in world.agents].index(attacker.id)
+        return list(zip(world.distances().agents[0, :, col].tolist(), swarm))
 
     def _contact(self) -> Optional[int]:
         """Id of the first swarm agent within collision radius of the attacker."""

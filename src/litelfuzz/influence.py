@@ -55,15 +55,17 @@ def build_influence_graph(world: WorldState, controller, spec: MissionSpec,
     graph = InfluenceGraph(nodes=list(ids))
     if len(ids) < 2:
         return graph
-    table = world.distances()
+    rows = {a.id: n for n, a in enumerate(world.swarm())}   # table rows
+    columns = {a.id: k for k, a in enumerate(world.agents)}
+    distances = world.distances().agents.tolist()[0]
     baseline = controller.commands(world, spec)
     removed_cache: dict[int, dict[int, np.ndarray]] = {}
     for i in ids:
-        row = table.agents[table.column[i]]
+        row = distances[rows[i]]
         for j in ids:
             if i == j:
                 continue
-            if row[table.column[j]] > influence_radius:
+            if row[columns[j]] > influence_radius:
                 continue
             if i not in removed_cache:
                 removed_cache[i] = controller.commands(world.without(i), spec)

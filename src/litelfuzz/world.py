@@ -123,11 +123,11 @@ class Obstacles(tuple):
 
     def surface_distances(self, points: np.ndarray) -> np.ndarray:
         """(..., O) signed surface distances of points (..., d)."""
-        if not self:
-            return np.empty(points.shape[:-1] + (0,))
+        if not (self and points.size):
+            return np.empty(points.shape[:-1] + (len(self),))
         p = points[..., None, :]
         n = row_norms(p - np.minimum(np.maximum(p, self.lo), self.hi))
-        if (n == 0.0).any():
+        if not n.all():
             # inside a box: negative penetration depth to the nearest face
             n = np.where(self.box & (n == 0.0), -np.min(
                 np.minimum(p - self.lo, self.hi - p), axis=-1), n)
@@ -199,72 +199,54 @@ class MissionSpec:
         return step_index > self.nominal_steps * self.timeout_multiplier
 
 
-@dataclass(frozen=True)
-class Distances:
-    """Every agent-agent and agent-obstacle distance of one world.
-
-    ``agents[i][j]`` is ``norm(p_i - p_j)`` and ``obstacles[i][o]`` is
-    the signed surface distance from ``p_i`` to obstacle ``o`` (< 0
-    inside), for the positions ``p`` of the world's agents in world order;
-    ``column`` maps an agent id to its index. Entries are Python floats,
-    and ``norm(a - b) == norm(b - a)``, so either triangle serves.
-    ``position`` is the (M, d) stack of the points ``p`` the table was
-    measured from, which a controller reads rather than stacking them
-    again.
-    """
-
-    column: dict[int, int]
-    agents: list[list[float]]
-    obstacles: list[list[float]]
-    position: np.ndarray = field(repr=False, compare=False)
-
-    @staticmethod
-    def of(world: "WorldState") -> "Distances":
-        column = {a.id: k for k, a in enumerate(world.agents)}
-        if not world.agents:
-            return Distances(column, [], [], np.empty((0, 0)))
-        pos = np.array([a.position for a in world.agents])
-        return Distances(column, row_norms(pos[:, None] - pos[None]).tolist(),
-                         world.obstacles.surface_distances(pos).tolist(), pos)
-
-
 @dataclass
 class WorldState:
     """One instant of a mission: its agents, obstacles and waypoints.
 
     A world and its agents are never mutated once built; a step makes a
     new world. That makes it safe to share a world between a simulation
-    and its clones, and to cache its :class:`Distances` and its
-    batch of one row, which :meth:`distances` and :meth:`rows` build on
-    first use. :meth:`without` returns a new world, which builds its own.
+    and its clones, and to cache its distance table and its batch of one
+    row, which :meth:`distances` and :meth:`rows` build on first use and
+    share. :meth:`without` returns a new world, which builds its own.
     """
 
     step_index: int
     agents: list[AgentState]
     obstacles: Obstacles     # a plain list is stacked once, at construction
     leader_waypoints: list[np.ndarray] = field(default_factory=list)
-    _distances: Distances | None = field(default=None, init=False,
-                                         repr=False, compare=False)
+    # the agents' positions in world order, (M, d), or (0, 0)
+    position: np.ndarray = field(init=False, repr=False, compare=False)
+    _distances: RowsDistances | None = field(default=None, init=False,
+                                             repr=False, compare=False)
     _rows: "WorldRows | None" = field(default=None, init=False, repr=False,
                                       compare=False)
 
     def __post_init__(self):
         self.obstacles = Obstacles(self.obstacles)
+        self.position = np.array([a.position for a in self.agents]
+                                 or np.empty((0, 0)))
 
-    def distances(self) -> Distances:
-        """The world's distance table, built once."""
+    def distances(self) -> RowsDistances:
+        """The world's distance table, a batch of one row built once from
+        the stacked positions, with no :class:`RowsLayout`: row 0's swarm
+        agent ``n`` is the ``n``-th of :meth:`swarm`."""
         if self._distances is None:
-            self._distances = Distances.of(self)
+            self._distances = RowsDistances.of(self.position[None], _index(
+                [k for k, a in enumerate(self.agents)
+                 if a.role != ROLE_ATTACKER]), self.obstacles)
         return self._distances
 
     def rows(self) -> "WorldRows":
         """The world as a :class:`WorldRows` batch of one row, built once
-        over the :meth:`Obstacles.layout` of its agents."""
+        over the :meth:`Obstacles.layout` of its agents, whose distance
+        table is the world's."""
         if self._rows is None:
             self._rows = WorldRows(
                 self.obstacles.layout(self.agents, self.leader_waypoints),
+                self.position[None],
                 *(np.array([getattr(a, name) for a in self.agents])[None]
-                  for name in ("position", "velocity", "acceleration")))
+                  for name in ("velocity", "acceleration")))
+            self._rows._distances = self.distances()
         return self._rows
 
     def agent(self, agent_id: int) -> AgentState:
@@ -370,14 +352,16 @@ class RowsLayout:
 
 @dataclass(frozen=True)
 class RowsDistances:
-    """:class:`Distances` of every row of a :class:`WorldRows`, as arrays.
+    """The distance table of a :class:`WorldRows` batch, or of a world as
+    one row, which the one kernel :meth:`of` builds.
 
-    For swarm column ``s`` (the ``n``-th of ``layout.swarm_columns``) and
-    column ``k`` of row ``b``: ``away[b, n, k]`` is ``p_s - p_k``,
-    ``agents[b, n, k]`` is its :func:`row_norms` and ``obstacles[b, n, o]``
-    the signed surface distance from ``p_s`` to obstacle ``o``, from one
-    pass of :class:`Obstacles`. Both kernels treat every vector alone, so
-    the entries equal :class:`Distances`' with ``==``.
+    For swarm column ``s`` (the ``n``-th swarm column) and column ``k`` of
+    row ``b``: ``away[b, n, k]`` is ``p_s - p_k``, ``agents[b, n, k]`` is
+    its :func:`row_norms` and ``obstacles[b, n, o]`` the signed surface
+    distance from ``p_s`` to obstacle ``o``, from one pass of
+    :class:`Obstacles`. Both kernels treat every vector alone, so entries
+    equal the scalar forms' with ``==``. An attacker has no row; as
+    ``norm(a - b) == norm(b - a)``, its column holds its distances.
     """
 
     away: np.ndarray        # (B, S, M, d)
@@ -385,11 +369,13 @@ class RowsDistances:
     obstacles: np.ndarray   # (B, S, O)
 
     @staticmethod
-    def of(rows: "WorldRows") -> "RowsDistances":
-        pos = rows.position[:, rows.layout.swarm]
-        away = pos[:, :, None] - rows.position[:, None]
+    def of(position: np.ndarray, swarm: slice | list[int],
+           obstacles: Obstacles) -> "RowsDistances":
+        """The table of (B, M, d) ``position``, swarm columns ``swarm``."""
+        pos = position[:, swarm]
+        away = pos[:, :, None] - position[:, None]
         return RowsDistances(away, row_norms(away),
-                             rows.layout.obstacles.surface_distances(pos))
+                             obstacles.surface_distances(pos))
 
     def select(self, keep: np.ndarray) -> "RowsDistances":
         """The rows picked by the boolean mask ``keep``."""
@@ -405,8 +391,8 @@ class WorldRows:
     column k holds agent ``layout.agents[k]`` of every variant. The
     variants share the :class:`RowsLayout`; only the kinematics differ.
     A batch is never mutated once built, so :meth:`distances` builds its
-    :class:`RowsDistances` on first use, as :meth:`WorldState.distances`
-    does, and :meth:`select` carries the kept rows of a built table over.
+    :class:`RowsDistances` on first use (a world's batch has the world's),
+    and :meth:`select` carries the kept rows of a built table over.
     A probe step thus computes each distance once: the failure check of
     the rows a step produced builds the table, and the repulsion of the
     next step's commands reads it.
@@ -422,7 +408,8 @@ class WorldRows:
     def distances(self) -> RowsDistances:
         """The batch's distance table, built once."""
         if self._distances is None:
-            self._distances = RowsDistances.of(self)
+            self._distances = RowsDistances.of(
+                self.position, self.layout.swarm, self.layout.obstacles)
         return self._distances
 
     def select(self, keep: np.ndarray) -> "WorldRows":
@@ -487,14 +474,22 @@ def integrate_rows(position: np.ndarray, velocity: np.ndarray,
 def min_obstacle_distance(agent: AgentState, world: WorldState) -> float:
     """Minimum surface distance to obstacles and other agents, in [0, sensing_radius].
 
-    ``agent`` is one of the agents of ``world``.
+    ``agent`` is one of the agents of ``world``. An attacker, which has no
+    row of the world's table, reads its column and measures the rest.
     """
     table = world.distances()
-    col = table.column[agent.id]
-    row = table.agents[col]
-    # obstacles in list order, then the other agents in world order
-    best = min((agent.sensing_radius, *table.obstacles[col], *row[:col],
-                *row[col + 1:]))
+    col = [a.id for a in world.agents].index(agent.id)
+    if agent.role != ROLE_ATTACKER:
+        n = sum(a.role != ROLE_ATTACKER for a in world.agents[:col])
+        obstacles, row = table.obstacles[0, n], table.agents[0, n].tolist()
+        others = row[:col] + row[col + 1:]
+    else:
+        obstacles = world.obstacles.surface_distances(agent.position)
+        others = table.agents[0, :, col].tolist() + [
+            norm(agent.position - a.position) for a in world.attackers()
+            if a.id != agent.id]
+    # obstacles in list order first: a -0.0 surface distance wins a tie
+    best = min((agent.sensing_radius, *obstacles.tolist(), *others))
     return float(min(max(best, 0.0), agent.sensing_radius))
 
 
@@ -508,13 +503,12 @@ def detect_failure(world: WorldState, spec: MissionSpec) -> FailureKind | None:
     table = world.distances()
     swarm = [k for k, a in enumerate(world.agents) if a.role != ROLE_ATTACKER]
     if spec.formation_enabled:
-        for n, i in enumerate(swarm):
-            row = table.agents[i]
+        for n, row in enumerate(table.agents.tolist()[0]):
             for j in swarm[n + 1:]:
                 if row[j] < spec.collision_radius:
                     return FailureKind.DRONES_COLLIDE
-    for i in swarm:
-        for d in table.obstacles[i]:
+    for row in table.obstacles.tolist()[0]:
+        for d in row:
             if d <= 0.0:
                 return FailureKind.OBSTACLE_CRASH
     if spec.timed_out(world.step_index):

@@ -27,14 +27,16 @@ def attraction(position: np.ndarray, target: np.ndarray, v_max: float,
 
 def repulsion(agent_id: int, world, influence_radius: float,
               gain: float) -> np.ndarray:
-    """Potential-field push on an agent of ``world`` away from obstacles and
-    agents within range; ``total`` starts at +0.0, so the sign of a zero
+    """Potential-field push on a swarm agent of ``world`` away from
+    obstacles and agents within range, read from its row of the world's
+    distance table; ``total`` starts at +0.0, so the sign of a zero
     component cannot show."""
     table = world.distances()
-    col = table.column[agent_id]
+    col = [a.id for a in world.agents].index(agent_id)
+    n = [a.id for a in world.swarm()].index(agent_id)    # the agent's row
     position = world.agents[col].position
     total = np.zeros_like(position)
-    near = [(o, d) for o, d in enumerate(table.obstacles[col])
+    near = [(o, d) for o, d in enumerate(table.obstacles[0, n].tolist())
             if d < influence_radius]
     if near:
         directions = world.obstacles.outward_directions(position)
@@ -42,7 +44,8 @@ def repulsion(agent_id: int, world, influence_radius: float,
             d = max(d, 1e-6)
             mag = gain * (1.0 / d - 1.0 / influence_radius) / (d * d)
             total = total + mag * directions[o]
-    for k, (other, d) in enumerate(zip(world.agents, table.agents[col])):
+    for k, (other, d) in enumerate(zip(world.agents,
+                                       table.agents[0, n].tolist())):
         if k == col or not d < influence_radius:
             continue
         away = position - other.position

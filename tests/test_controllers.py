@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from navigator_oracle import attraction, repulsion
 
 from litelfuzz.controllers import (ApfNavigationController,
-                                   DispersalSearchController)
+                                   DispersalSearchController, _fold)
 from litelfuzz.world import AgentState, MissionSpec, Obstacle, WorldState
 
 
@@ -47,6 +49,43 @@ class TestFields:
                            [Obstacle.circle([0.12, 0.0], 0.05)])
         v = repulsion(0, world, 0.15, 0.05)
         assert v[0] < 0.0
+
+
+def term_by_term(*terms: np.ndarray) -> np.ndarray:
+    """The oracle of ``_fold``: a total that starts at +0.0 and adds each
+    (B, S, d) term of every (B, S, C, d) array in order."""
+    total = np.zeros_like(terms[0][:, :, 0])
+    for array in terms:
+        for c in range(array.shape[2]):
+            total = total + array[:, :, c]
+    return total
+
+
+# signed zeros, subnormals and magnitudes far apart, so the order of the
+# adds shows in the rounding
+_TERM = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-16, -1e-16, 5e-324,
+                         1e16, -1e16, 0.1, 0.7, -0.3]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _term_batches(draw):
+    b, s, d = (draw(st.integers(1, 3)) for _ in range(3))
+    return [draw(arrays(float, (b, s, draw(st.integers(1, 6)), d),
+                        elements=_TERM))
+            for _ in range(draw(st.integers(1, 2)))]
+
+
+@given(_term_batches())
+@example([np.full((1, 2, 1, 2), -0.0)])
+@example([np.array([[[[-0.0, 1.0], [1e16, -0.0]], [[1.0, 1e-16],
+                                                   [-1e16, 1.0]]]])])
+# one component: numpy would sum the term axis as its inner loop, pairwise
+@example([np.array([1e16] + [1.0] * 6).reshape(1, 1, 7, 1),
+          np.array([1.0] * 4 + [-1e16]).reshape(1, 1, 5, 1)])
+def test_fold_adds_term_by_term(terms):
+    got, want = _fold(*terms), term_by_term(*terms)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def leader_world(leader_pos=(0.0, 0.0), follower_pos=(-0.3, 0.0),

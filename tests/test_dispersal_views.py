@@ -10,12 +10,14 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from navigator_oracle import attraction
 from obstacle_oracle import outward_direction
 from test_row_forms import row_world
 
 from litelfuzz.controllers import DispersalSearchController
+from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.scenarios import a2_search
 from litelfuzz.world import (AgentState, MissionSpec, Obstacle, RowsDistances,
                              RowsLayout, WorldRows, WorldState, clamp_norm,
@@ -56,9 +58,10 @@ class ScalarDispersal(DispersalSearchController):
                                      self.visits.shape)
             drift_target = self._cell_center(least)
             cmd = np.zeros_like(agent.position)
-            col = table.column[agent.id]
+            col = [a.id for a in world.agents].index(agent.id)
+            n = [a.id for a in world.swarm()].index(agent.id)   # its row
             for k, (other, d) in enumerate(zip(world.agents,
-                                               table.agents[col])):
+                                               table.agents[0, n].tolist())):
                 if k == col or d >= self.neighbor_radius:
                     continue
                 if d < 1e-9:
@@ -72,7 +75,7 @@ class ScalarDispersal(DispersalSearchController):
                     away = agent.position - other.position
                 cmd = cmd + (away / d) * spec.v_max * (1.0 - d / self.neighbor_radius)
             push = self.obstacle_gain * spec.v_max
-            for obs, d in zip(world.obstacles, table.obstacles[col]):
+            for obs, d in zip(world.obstacles, table.obstacles[0, n].tolist()):
                 if d < self.sensor_range:
                     d = max(d, 1e-6)
                     cmd = cmd + outward_direction(obs, agent.position) * \
@@ -213,8 +216,10 @@ def test_edge_worlds():
 
 def test_main_step_builds_one_batch(monkeypatch):
     """The views' ``update`` and ``commands`` in one a2 main step share the
-    world's batch of one row, whose distance table is built once per step;
-    every world's batch reads the one layout of the swarm's agent set."""
+    world's batch of one row, whose distance table is the one the failure
+    check of the step that made the world built: one table per world, the
+    first included. Every world's batch reads the one layout of the
+    swarm's agent set."""
     sim = a2_search().build_simulation(seed=0, record_trace=False)
     counts = {"layouts": 0, "tables": 0}
     layout_init, table_of = RowsLayout.__init__, RowsDistances.of
@@ -223,9 +228,9 @@ def test_main_step_builds_one_batch(monkeypatch):
         counts["layouts"] += 1
         layout_init(self, *args)
 
-    def counted_of(rows):
+    def counted_of(*args):
         counts["tables"] += 1
-        return table_of(rows)
+        return table_of(*args)
 
     monkeypatch.setattr(RowsLayout, "__init__", counted_init)
     monkeypatch.setattr(RowsDistances, "of", staticmethod(counted_of))
@@ -233,4 +238,24 @@ def test_main_step_builds_one_batch(monkeypatch):
     for _ in range(steps):
         sim.step()
     assert sim.step_index == steps and not sim.done
-    assert counts == {"layouts": 1, "tables": steps}
+    assert counts == {"layouts": 1, "tables": steps + 1}
+
+
+@pytest.mark.parametrize("scheme", ["sa", "ma"])
+def test_a_run_builds_at_most_one_table_per_world(monkeypatch, scheme):
+    """Every world of an a2 run, main step or probe, holds at most one
+    distance table: the one its failure check, its views and its batch of
+    one row all read."""
+    worlds = []
+    post_init = WorldState.__post_init__
+
+    def kept(self):
+        post_init(self)
+        worlds.append(self)
+
+    monkeypatch.setattr(WorldState, "__post_init__", kept)
+    run_fuzzing(a2_search(), scheme, budget=2, seed=0)
+    tables = [{id(t) for t in (w._distances, w._rows and w._rows._distances)
+               if t is not None} for w in worlds]
+    assert sum(map(len, tables)) > 50
+    assert max(map(len, tables)) == 1

@@ -648,9 +648,10 @@ def ring_probe():
 class TestProbeWork:
     def test_each_batch_measures_its_distances_once(self, monkeypatch):
         """One a1 probe of 8 candidates: every batch the rollout steps
-        through (the start batch and the one each batched step makes) gets
-        one pairwise table and one surface-distance pass over all its
-        obstacles, shared by the repulsion and the failure check."""
+        through (the start batch and the one each batched step makes) and
+        the world its first, scalar step makes get one pairwise table and
+        one surface-distance pass over all its obstacles, shared by the
+        repulsion and the failure check."""
         sim, params, target, points = ring_probe()
         counts = {"steps": 0, "pairwise": 0, "surface": 0}
         in_obstacle_pass = []
@@ -671,9 +672,9 @@ class TestProbeWork:
                     in_obstacle_pass.pop()
             return wrapper
 
-        # scalar worlds measure (M, d) points and (M, M, d) pairs; a batch
-        # measures (B, S, d) points and (B, S, M, d) pairs, and its
-        # (B, S, O, d) obstacle vectors inside the obstacle kernels
+        # a batch or a world (one row) measures (B, S, d) points and
+        # (B, S, M, d) pairs, and its (B, S, O, d) obstacle vectors inside
+        # the obstacle kernels
         monkeypatch.setattr(Obstacles, "surface_distances", obstacle_pass(
             counted("surface", Obstacles.surface_distances,
                     lambda args: args[1].ndim == 3)))
@@ -694,10 +695,10 @@ class TestProbeWork:
                   for p in points]
         assert scores == expected_probe_scores(scalar)
         assert lowest(scores) == lowest([s for s, _ in scalar])
-        batches = counts["steps"] + 1
+        tables = counts["steps"] + 2
         assert counts["steps"] >= params.lookahead // 2
-        assert counts["pairwise"] == batches
-        assert counts["surface"] == batches
+        assert counts["pairwise"] == tables
+        assert counts["surface"] == tables
 
     def test_a_probe_steps_to_its_first_failure(self, monkeypatch):
         """A probe makes as many batched steps as its first forecast failure

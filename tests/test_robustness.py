@@ -36,9 +36,9 @@ def make_agent(pos, vel=(0.0, 0.0), acc=(0.0, 0.0), agent_id=0, sensing=0.5):
 
 def _visible_pairwise(agent_id, world, params):
     table = world.distances()
-    row = table.agents[table.column[agent_id]]
+    row = table.agents[0, [a.id for a in world.swarm()].index(agent_id)]
     out = []
-    for other, d in zip(world.agents, row):
+    for other, d in zip(world.agents, row.tolist()):
         if other.role == ROLE_ATTACKER or other.id == agent_id:
             continue
         if d <= params.sensing_radius:

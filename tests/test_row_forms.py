@@ -3,20 +3,22 @@ equal the scalar forms on every row, byte for byte.
 
 Each row ``k`` of a random batch is also a :class:`WorldState`
 (``row_world(rows, k, step)``); the scalar ``update``, ``commands``,
-``mission_complete``, ``detect_failure`` and ``Distances`` of that world
-are the oracle for row ``k`` of the array forms.
+``mission_complete`` and ``detect_failure`` of that world, and the
+scalar :func:`norm` and obstacle oracle of its points, are the oracle for
+row ``k`` of the array forms.
 """
 import math
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from obstacle_oracle import surface_distance
 
 from litelfuzz.controllers import ApfNavigationController
 from litelfuzz.world import (ROLE_ATTACKER, ROLE_FOLLOWER, ROLE_LEADER,
                              AgentState, MissionSpec, Obstacle, RowsDistances,
                              RowsLayout, WorldRows, WorldState,
-                             detect_failure, failed_rows)
+                             detect_failure, failed_rows, norm)
 
 # grid values put points on box faces, inside boxes and at circle centres;
 # few distinct values make co-located agents and in-range pairs common
@@ -165,16 +167,15 @@ def test_row_forms_equal_scalar_forms(case):
                 == want[layout.agents[c].id].tobytes()
         assert complete[k] == scalar.mission_complete(world, spec)
         assert failed[k] == (detect_failure(world, spec) is not None)
-        scalar_table = world.distances()
         for n, c in enumerate(swarm):
             p = world.agents[c].position
             for m, other in enumerate(world.agents):
                 assert table.away[k, n, m].tobytes() \
                     == (p - other.position).tobytes()
-                assert _same(table.agents[k, n, m],
-                             scalar_table.agents[c][m])
-            for o, d in enumerate(scalar_table.obstacles[c]):
-                assert _same(table.obstacles[k, n, o], d)
+                assert _same(table.agents[k, n, m], norm(p - other.position))
+            for o, obs in enumerate(world.obstacles):
+                assert _same(table.obstacles[k, n, o],
+                             surface_distance(obs, p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,7 +188,8 @@ def test_select_keeps_the_table_of_the_kept_rows(case, data):
     rows.distances()
     kept = rows.select(keep)
     assert kept.layout is rows.layout
-    fresh = RowsDistances.of(kept)
+    fresh = RowsDistances.of(kept.position, kept.layout.swarm,
+                             kept.layout.obstacles)
     got = kept.distances()
     for name in ("away", "agents", "obstacles"):
         assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()

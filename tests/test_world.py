@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 from obstacle_oracle import outward_direction, surface_distance
 
-from litelfuzz.world import (AgentState, Distances, FailureKind, InvalidState,
-                             MissionSpec, Obstacle, Obstacles, RowsLayout,
-                             WorldState, clamp_norm, clamp_norms,
+from litelfuzz.fuzzing import _FuzzDriver
+from litelfuzz.world import (AgentState, FailureKind, InvalidState,
+                             MissionSpec, Obstacle, Obstacles, RowsDistances,
+                             RowsLayout, WorldState, clamp_norm, clamp_norms,
                              detect_failure, integrate_rows, integrate_step,
                              min_obstacle_distance, norm, row_norms)
 
@@ -291,6 +292,14 @@ class TestWorldState:
         b = make_agent([0.25, 0.0], agent_id=1)
         w = WorldState(0, [a, b], [])
         assert min_obstacle_distance(a, w) == pytest.approx(0.25)
+        # an attacker has no row of the table: the swarm is in its column,
+        # and another attacker is measured apart
+        c = make_agent([0.0, 0.4], agent_id=7, role="attacker")
+        d = make_agent([0.1, 0.4], agent_id=8, role="attacker")
+        w = WorldState(0, [c, a, d, b], [])
+        assert min_obstacle_distance(c, w) == pytest.approx(0.1)
+        assert min_obstacle_distance(d, w) == pytest.approx(0.1)
+        assert min_obstacle_distance(a, w) == pytest.approx(0.25)
 
 
 class TestObstaclesLayout:
@@ -382,9 +391,10 @@ def _worlds(draw):
     picks = draw(st.lists(st.integers(0, len(spots) - 1), min_size=1,
                           max_size=5))
     agents = [make_agent(spots[k], agent_id=n) for n, k in enumerate(picks)]
-    if draw(st.booleans()):
-        agents.append(make_agent(spots[draw(st.integers(0, len(spots) - 1))],
-                                 agent_id=1000, role="attacker"))
+    if draw(st.booleans()):     # the attacker, in any column
+        agents.insert(draw(st.integers(0, len(agents))), make_agent(
+            spots[draw(st.integers(0, len(spots) - 1))], agent_id=1000,
+            role="attacker"))
     return WorldState(0, agents, draw(st.sampled_from(_OBSTACLE_SETS[dim])))
 
 
@@ -398,17 +408,32 @@ class TestDistances:
     @given(_worlds())
     def test_entries_equal_scalar_forms(self, world):
         table = world.distances()
-        assert table.column == {a.id: k for k, a in enumerate(world.agents)}
-        for i, a in enumerate(world.agents):
+        swarm = world.swarm()
+        assert table.agents.shape == (1, len(swarm), len(world.agents))
+        assert table.obstacles.shape == (1, len(swarm), len(world.obstacles))
+        for n, a in enumerate(swarm):
             for j, b in enumerate(world.agents):
-                assert _same(table.agents[i][j], norm(a.position - b.position))
-            assert len(table.obstacles[i]) == len(world.obstacles)
-            for d, obs in zip(table.obstacles[i], world.obstacles):
+                assert table.away[0, n, j].tobytes() \
+                    == (a.position - b.position).tobytes()
+                assert _same(table.agents[0, n, j].item(),
+                             norm(a.position - b.position))
+            for d, obs in zip(table.obstacles[0, n].tolist(),
+                              world.obstacles):
                 assert _same(d, surface_distance(obs, a.position))
         assert world.distances() is table
+        assert world.rows().distances() is table
+
+    @given(_worlds())
+    def test_a_worlds_batch_and_world_share_one_table(self, world):
+        table = world.rows().distances()
+        assert world.distances() is table
+        _assert_same_tables(table, RowsDistances.of(
+            world.position[None], world.rows().layout.swarm, world.obstacles))
 
     @given(_worlds())
     def test_min_obstacle_distance_equals_scalar_reduction(self, world):
+        """``min_obstacle_distance``, and the attacker's gaps the fuzzer
+        reads from its column of the table, equal the scalar oracle."""
         for a in world.agents:
             best = a.sensing_radius
             for obs in world.obstacles:
@@ -418,16 +443,25 @@ class TestDistances:
                     best = min(best, norm(other.position - a.position))
             expected = float(min(max(best, 0.0), a.sensing_radius))
             assert _same(min_obstacle_distance(a, world), expected)
+        for attacker in world.attackers():
+            driver = object.__new__(_FuzzDriver)
+            driver.sim = type("Sim", (), {"world": world})
+            gaps = driver._gaps(attacker)
+            assert [i for _, i in gaps] == [a.id for a in world.swarm()]
+            for (d, _), a in zip(gaps, world.swarm()):
+                assert _same(d, norm(attacker.position - a.position))
 
     def test_empty_world_and_derived_world_tables(self):
         empty = WorldState(0, [], [Obstacle.circle([0.0, 0.0], 1.0)])
         table = empty.distances()
-        assert (table.column, table.agents, table.obstacles) == ({}, [], [])
+        assert (table.away.shape, table.agents.shape, table.obstacles.shape) \
+            == ((1, 0, 0, 0), (1, 0, 0), (1, 0, 1))
+        assert detect_failure(empty, make_spec()) is None
         w = WorldState(0, [make_agent([0, 0], agent_id=1),
                            make_agent([3, 4], agent_id=2)], [])
-        assert w.distances().agents == [[0.0, 5.0], [5.0, 0.0]]
-        assert w.distances().obstacles == [[], []]
-        assert w.without(1).distances().agents == [[0.0]]
+        assert w.distances().agents.tolist() == [[[0.0, 5.0], [5.0, 0.0]]]
+        assert w.distances().obstacles.shape == (1, 2, 0)
+        assert w.without(1).distances().agents.tolist() == [[[0.0]]]
         assert "_distances" not in repr(w)
 
     @given(_worlds())
@@ -437,7 +471,7 @@ class TestDistances:
             derived = world.without(a.id)
             assert [b.id for b in derived.agents] \
                 == [b.id for b in world.agents if b.id != a.id]
-            _assert_same_tables(derived.distances(), Distances.of(derived))
+            _assert_same_tables(derived.distances(), _fresh_table(derived))
         assert world.distances() is table
 
     def test_without_leaves_a_singleton_swarm(self):
@@ -451,19 +485,21 @@ class TestDistances:
             derived = world.without(first)
             derived = derived.without(second)
             assert len(derived.agents) == 1
-            _assert_same_tables(derived.distances(), Distances.of(derived))
+            _assert_same_tables(derived.distances(), _fresh_table(derived))
         # an id the world lacks: a copy with every agent
         assert [a.id for a in world.without(7).agents] == [0, 1, 1000]
 
 
-def _assert_same_tables(got: Distances, want: Distances) -> None:
-    assert got.column == want.column
-    for field_got, field_want in ((got.agents, want.agents),
-                                  (got.obstacles, want.obstacles)):
-        assert len(field_got) == len(field_want)
-        for row_got, row_want in zip(field_got, field_want):
-            assert len(row_got) == len(row_want)
-            assert all(_same(x, y) for x, y in zip(row_got, row_want))
+def _fresh_table(world: WorldState) -> RowsDistances:
+    """The table of a new world with ``world``'s agents and obstacles."""
+    return WorldState(world.step_index, list(world.agents), world.obstacles,
+                      world.leader_waypoints).distances()
+
+
+def _assert_same_tables(got: RowsDistances, want: RowsDistances) -> None:
+    for name in ("away", "agents", "obstacles"):
+        assert getattr(got, name).shape == getattr(want, name).shape
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 # -- failure detection -------------------------------------------------------
