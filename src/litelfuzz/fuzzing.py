@@ -26,8 +26,8 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .influence import build_influence_graph, key_node_sequence
-from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, ForecastStep,
-                      RowStepper, Simulation)
+from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, RowStepper,
+                      Simulation)
 from .planner import Infeasible, plan_path
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, clamp_norms, norm,
                     row_norms)
@@ -213,9 +213,10 @@ def _pursuit_commands(attacker: np.ndarray, target: np.ndarray,
 
 class Probe(NamedTuple):
     """A probe's B ``scores`` (``+inf``: not scored) and, of a spawn-style
-    probe, its ``steps``: per step, the candidate index of each row still
-    stepping, their controller row state, swarm (B, S, d) kinematics and
-    attacker (B, d) commands (None on the step that places it)."""
+    probe, its ``steps`` as its batch holds them: the candidate index of
+    each row still stepping, their controller row state, their rows (the
+    attacker's column last) and attacker (B, d) commands (None on the step
+    that places it)."""
     scores: list[float]
     steps: list[tuple]
 
@@ -242,8 +243,8 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
     ``target_id`` must name a swarm agent, and ``params.lookahead`` must be
     at least 1.
 
-    A spawn-style probe also keeps the swarm's half of every step it
-    simulates (:attr:`Probe.steps`), so that the run can adopt the chosen
+    A spawn-style probe also keeps every step it simulates, as its batch
+    holds it (:attr:`Probe.steps`), so that the run can adopt the chosen
     row's steps rather than simulate them again.
     """
     steps: list[tuple] = []
@@ -277,10 +278,7 @@ def lookahead_score(sim: Simulation, candidates: np.ndarray, target_id: int,
 
     def keep_step(command: np.ndarray | None) -> None:
         if not from_current:
-            rows = batch.rows     # the swarm's columns, then the attacker's
-            steps.append((batch.live, batch.state, (
-                rows.position[:, :-1], rows.velocity[:, :-1],
-                rows.acceleration[:, :-1]), command))
+            steps.append((batch.live, batch.state, batch.rows, command))
 
     def finish(ended: np.ndarray, failed: np.ndarray) -> None:
         """Score the rows that end at this step: a failed row by the step
@@ -358,9 +356,11 @@ def _settle_steps(score: float, params: FuzzParams) -> int:
 def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
                       target_id: int, params: FuzzParams,
                       from_current: bool = False
-                      ) -> tuple[np.ndarray, float, list[ForecastStep]]:
-    """The candidate of lowest score, its score and the forecast its
-    placement replays: its row's first settle steps, if spawn-style."""
+                      ) -> tuple[np.ndarray, float, list[AttackerAction]]:
+    """The candidate of lowest score, its score and, if spawn-style, its
+    placement: an action per step of its row's first settle steps, the
+    first placing the attacker, the rest flying it by the row's commands,
+    each carrying the row's state and swarm kinematics."""
     # one call scores the whole stack: lookahead_score is the single entry
     # point of probe scoring, which perfbench traces as one layer
     probe = lookahead_score(sim, np.array(candidates), target_id, params,
@@ -368,18 +368,21 @@ def _argmin_candidate(sim: Simulation, candidates: list[np.ndarray],
     # every probe scores at least one row; ties go to the lowest index
     best_score = min(probe.scores)
     best = probe.scores.index(best_score)
-    forecast = []   # copies, which share no array with the probe's batch
-    for live, state, kinematics, command in \
+    placement = []  # copies, which share no array with the probe's batch
+    for live, state, rows, command in \
             probe.steps[:max(_settle_steps(best_score, params), 1)]:
         at = np.flatnonzero(live == best)
         if not at.size:     # the row left the batch
             break
         k = at[0]
-        forecast.append(ForecastStep(
-            tuple(a[k:k + 1].copy() for a in state),
-            tuple(a[k].copy() for a in kinematics),
-            None if command is None else command[k].copy()))
-    return candidates[best], best_score, forecast
+        placement.append(AttackerAction(
+            place=candidates[best] if command is None else None,
+            command=None if command is None else command[k].copy(),
+            state=tuple(a[k:k + 1].copy() for a in state),
+            # the swarm's columns: all but the attacker's, the last
+            kinematics=tuple(a[k, :-1].copy() for a in (
+                rows.position, rows.velocity, rows.acceleration))))
+    return candidates[best], best_score, placement
 
 
 def _key_node(sim: Simulation, params: FuzzParams,
@@ -411,10 +414,10 @@ class _FuzzDriver:
     action: the driver says where, and the mission builds the attacker
     there (:func:`mission.attacker_agent`). The attacker flies and pursues
     by a probe's kernels, on one row, so it moves as it was forecast to.
-    On a placement epoch the chosen candidate's forecast already
-    holds those steps: each of the first ``min(settle, forecast length)``
-    actions carries its forecast step and pursuit command, and the run
-    adopts the step (:meth:`Simulation.replay`) instead of simulating it.
+    On a placement epoch the chosen probe row already holds those steps:
+    the epoch's first ``min(settle, row length)`` actions are the row's
+    steps (:func:`_argmin_candidate`), which the run adopts
+    (:meth:`Simulation.replay`) instead of simulating them.
     """
 
     def __init__(self, sim: Simulation, scheme: str, geom: SpawnGeometry,
@@ -475,7 +478,7 @@ class _FuzzDriver:
         # the one relocation rule: selection and realization both read it
         relocate = attacker is None or self.scheme == "ma" or forced
         try:
-            tc, forecast = self._next_testcase(relocate)
+            tc, placement = self._next_testcase(relocate)
         except NoValidSpawn:
             # A contact-forced epoch settles at once, without the skip's
             # idle step. The pinned records keep this quirk.
@@ -487,12 +490,10 @@ class _FuzzDriver:
         if relocate:
             # the attacker materializes at the scored position and starts
             # pursuing immediately -- exactly the lookahead realization,
-            # whose steps are replayed while the forecast lasts
-            yield AttackerAction(place=tc.attack_position,
-                                 forecast=forecast[0] if forecast else None)
-            for step in forecast[1:]:
-                yield AttackerAction(command=step.command, forecast=step)
-            yield from self._pursue(settle - max(len(forecast), 1))
+            # whose steps are replayed as far as the probe row reaches
+            placement = placement or [AttackerAction(place=tc.attack_position)]
+            yield from placement
+            yield from self._pursue(settle - len(placement))
             return
         # continuation epoch: fly a clearance-keeping path to the scored
         # attack position, then pursue
@@ -509,9 +510,9 @@ class _FuzzDriver:
         yield from self._pursue(max(settle, 1))
 
     def _next_testcase(self, relocate: bool
-                       ) -> tuple[TestCase, list[ForecastStep]]:
-        """The next test case and the forecast steps its placement
-        replays, empty when none was probed: a target, its ring of
+                       ) -> tuple[TestCase, list[AttackerAction]]:
+        """The next test case and the replayed actions of its placement,
+        empty when none was probed: a target, its ring of
         :func:`spawn_candidates` and one sector. ``sa`` and ``ma`` take the
         lowest lookahead score: around the global key node, probed
         spawn-style, when the attacker relocates; else (``sa``) around the
@@ -542,16 +543,16 @@ class _FuzzDriver:
         candidates = spawn_candidates(target, world, self.geom,
                                       sim.spec.safe_distance)
         if self.scheme in ("random", "target_only"):
-            point, score, forecast = candidates[
+            point, score, placement = candidates[
                 int(self.rng.integers(len(candidates)))], math.inf, []
         else:
             if not relocate:
                 candidates = [p for p in candidates if norm(
                     p - attacker.position) <= reach] or candidates
-            point, score, forecast = _argmin_candidate(
+            point, score, placement = _argmin_candidate(
                 sim, candidates, target_id, params, from_current=not relocate)
         return TestCase(target_id, target.position.copy(),
-                        np.asarray(point, dtype=float), score), forecast
+                        np.asarray(point, dtype=float), score), placement
 
     def _skip(self, message: str, idle: bool = True) -> _Actions:
         """A skipped epoch: an idle step, then settling on the last target."""
@@ -615,12 +616,12 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
                          scenario.fuzz_params(), budget, rng)
     while not sim.done:
         action = driver.act()
-        if action is not None and action.forecast is not None:
+        if action is not None and action.kinematics is not None:
             sim.replay(action)
         else:
             sim.step(action)
     # The action generators' frames refer back to the driver. Dropping
-    # them frees those frames, and any forecast left unreplayed, now
+    # them frees those frames, and any placement left unreplayed, now
     # rather than at the next full cycle collection.
     driver.actions = None
     # Likewise the stack and its layouts, which hold the stack, until

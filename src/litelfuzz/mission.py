@@ -16,9 +16,9 @@ lookahead, shares them with its original.
 :meth:`Simulation.step` computes a step: the controller updates and
 commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
 a step a probe already computed from the same world: the controller's
-``state`` and the swarm's kinematics carried by the action's
-:class:`ForecastStep`. Both then move the attacker, record the step and
-check the outcome the same way.
+``state`` and the swarm's ``kinematics`` that the
+:class:`AttackerAction` carries. Both then move the attacker, record the
+step and check the outcome the same way.
 
 A :class:`RowStepper` takes that step over a batch of rows, each
 started from a simulation of its own: the probe's candidates and
@@ -60,27 +60,19 @@ def attacker_agent(position: np.ndarray | None = None) -> AgentState:
     return AgentState(ATTACKER_ID, position, *rest, 1.0, ROLE_ATTACKER)
 
 
-class ForecastStep(NamedTuple):
-    """One step of one probe row: the controller's ``state`` after the
-    step's update, one row of its array forms' state as the controller
-    holds it, the swarm's (S, d) position, velocity and acceleration
-    after the step, and the attacker's command that drove it (None on the
-    step that places the attacker)."""
-    state: tuple[np.ndarray, ...]
-    kinematics: tuple[np.ndarray, np.ndarray, np.ndarray]
-    command: Optional[np.ndarray]
-
-
 @dataclass
 class AttackerAction:
     """Per-step attacker directive: ``place`` the attacker at rest at a
-    position, fly it by ``command`` or ``despawn`` it. An action with a
-    ``forecast`` goes to :meth:`Simulation.replay`, which adopts the swarm's
-    half of the step from it."""
+    position, fly it by ``command`` or ``despawn`` it. A placement's
+    action may carry the swarm's half of the step as a probe row computed
+    it: the controller's row ``state`` and the swarm's (S, d) position,
+    velocity and acceleration, its ``kinematics``, after the step.
+    :meth:`Simulation.replay` adopts them."""
     place: Optional[np.ndarray] = None
     command: Optional[np.ndarray] = None
     despawn: bool = False
-    forecast: Optional[ForecastStep] = None
+    state: Optional[tuple[np.ndarray, ...]] = None
+    kinematics: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 class ScoredSteps(NamedTuple):
@@ -253,14 +245,13 @@ class Simulation:
 
     def replay(self, attacker_action: AttackerAction) -> None:
         """Adopt one step a probe computed from this world: the controller
-        takes the forecast's state, which no code writes in place, and the
+        takes the action's state, which no code writes in place, and the
         swarm its kinematics, then the attacker acts and the step is
         recorded and checked as in :meth:`step`."""
         if self.done:
             return
-        forecast = attacker_action.forecast
-        self.controller.state = forecast.state
-        self._finish_step(self.world.swarm(), forecast.kinematics,
+        self.controller.state = attacker_action.state
+        self._finish_step(self.world.swarm(), attacker_action.kinematics,
                           attacker_action)
 
     def _finish_step(self, swarm: list[AgentState], kinematics: tuple,
@@ -290,7 +281,7 @@ class Simulation:
         if not swarm:
             return (np.empty((0, len(self._absent))),) * 3
         spec = self.spec
-        position = np.array([a.position for a in swarm])
+        position = self.world.position[:len(swarm)]   # the swarm leads
         velocity = np.array([a.velocity for a in swarm])
         command = np.array([commands[a.id] for a in swarm], dtype=float)
         try:

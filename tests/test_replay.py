@@ -8,11 +8,12 @@ probe's own step is a placement exactly when it was spawn-style.
 """
 import pytest
 
-from litelfuzz import fuzzing
+from litelfuzz import fuzzing, mission
 from litelfuzz.campaign import trace_to_jsonl
 from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.mission import Simulation
 from litelfuzz.scenarios import a1_navigate, a2_search, a3_navigate3d
+from litelfuzz.world import ROLE_ATTACKER
 
 # a1 sa seed 2: the attacker touches the swarm at step 62, inside the
 # replayed window of steps 57-68 of the contact-forced epoch at step 56
@@ -106,3 +107,80 @@ def test_replayed_run_equals_computed_run(preset, scheme, seed, monkeypatch):
         assert end is not None and kinds[end - 1] == "replay"
         assert any(start + length == end and length <= planned
                    for start, planned, length in replayed["windows"])
+
+
+def test_placement_is_the_chosen_rows_actions(monkeypatch):
+    """A spawn-style epoch's placement is the chosen probe row's steps as
+    the actions the run replays: the first places the attacker at the
+    chosen point, each later one flies it by the row's command, and each
+    carries the row's controller state and swarm kinematics."""
+    probes, chosen, replayed = [], [], []
+    probe_score, argmin = fuzzing.lookahead_score, fuzzing._argmin_candidate
+    adopt = Simulation.replay
+
+    def recording_score(*args, **kwargs):
+        probes.append(probe_score(*args, **kwargs))
+        return probes[-1]
+
+    def recording_argmin(*args, **kwargs):
+        chosen.append(argmin(*args, **kwargs))
+        return chosen[-1]
+
+    def recording_replay(self, action):
+        replayed.append(action)
+        adopt(self, action)
+
+    monkeypatch.setattr(fuzzing, "lookahead_score", recording_score)
+    monkeypatch.setattr(fuzzing, "_argmin_candidate", recording_argmin)
+    monkeypatch.setattr(Simulation, "replay", recording_replay)
+    scenario = a1_navigate()
+    run_fuzzing(scenario, "ma", budget=1, seed=3)
+    [probe], [(point, score, placement)] = probes, chosen
+    best = probe.scores.index(min(probe.scores))
+    row_length = sum(best in live for live, *_ in probe.steps)
+    settle = fuzzing._settle_steps(score, scenario.fuzz_params())
+    assert len(placement) == min(max(settle, 1), row_length) > 1
+    first, *rest = placement
+    assert first.place is point and first.command is None
+    assert all(a.command is not None and a.place is None for a in rest)
+    swarm = (len(scenario.agents), scenario.dimension)
+    for action in placement:
+        assert action.state and action.kinematics is not None
+        assert [a.shape for a in action.kinematics] == [swarm] * 3
+    # the run replays those very actions, in order
+    assert len(replayed) == len(placement)
+    assert all(ours is theirs for ours, theirs in zip(replayed, placement))
+    # the placement is its actions: no separate forecast form is left
+    assert not [name for name in vars(mission) if name.startswith("Forecast")]
+    assert "forecast" not in vars(mission.AttackerAction())
+
+
+@pytest.mark.parametrize("preset", [a1_navigate, a2_search, a3_navigate3d],
+                         ids=lambda p: p.__name__)
+@pytest.mark.parametrize("scheme", ["sa", "ma"])
+def test_every_world_leads_with_its_swarm(preset, scheme, monkeypatch):
+    """Every world a simulation steps from or to holds its swarm in its
+    first columns and an attacker, if any, after them, so that
+    ``world.position[:S]`` is the swarm's positions."""
+    step, adopt = Simulation.step, Simulation.replay
+    worlds = []
+
+    def recording_step(self, action=None):
+        worlds.append(self.world)
+        step(self, action)
+        worlds.append(self.world)
+
+    def recording_replay(self, action):
+        worlds.append(self.world)
+        adopt(self, action)
+        worlds.append(self.world)
+
+    monkeypatch.setattr(Simulation, "step", recording_step)
+    monkeypatch.setattr(Simulation, "replay", recording_replay)
+    run_fuzzing(preset(), scheme, budget=5, seed=0)
+    attacked = 0
+    for world in worlds:
+        roles = [a.role == ROLE_ATTACKER for a in world.agents]
+        assert roles == sorted(roles), world.step_index
+        attacked += roles[-1]
+    assert attacked
