@@ -56,7 +56,9 @@ class SpawnGeometry:
     # target sensing radius, and a slightly larger ring bound
     inner_radius: float = _fallback("inner_radius_m")
     outer_radius: float = _fallback("outer_radius_m")
-    sectors: int = field(default=8, metadata=dict(kind="integer"))
+    # a probe row per sector: 10**6 ran out of memory, and 1000 cost an a2
+    # sa budget-2 execution 0.2 s, so tighter would reject cheap rings
+    sectors: int = field(default=8, metadata=dict(kind="integer", below=1000))
 
     def __post_init__(self):
         if not 0 < self.inner_radius < self.outer_radius:

@@ -18,7 +18,6 @@ import math
 import numbers
 import operator
 import re
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -44,6 +43,10 @@ def _field(default=MISSING, factory=MISSING, **check):
 
 _RANGES = (("above", ">", operator.gt), ("least", ">=", operator.ge),
            ("below", "<", operator.lt))
+
+# every number's bound: 1e300 overflowed mid-run; at 1e12 floats resolve
+# 1.2e-4 m, below a1's 0.075 m step, and 1e12 sizes reach their own bounds
+MAX_MAGNITUDE = 1e12
 
 
 def _key(name: str, required=True, null=False, **check) -> dict:
@@ -77,33 +80,34 @@ def _fields(values: dict, keys: dict) -> dict:
 def _number(value, spec: dict, name: str):
     """A finite JSON number (JSON integer for kind ``integer``) in range."""
     integer = spec["kind"] == "integer"
-    # concrete types first skip the abstract-class check; the largest float
-    # bounds out NaN, infinities and integers too big to be a float
+    # concrete types skip the abstract-class check; the bound drops NaN, inf
     typed = isinstance(value, (int, numbers.Integral) if integer else (
         float, int, numbers.Real)) and not isinstance(value, bool)
-    ok = typed and (integer or abs(value) <= sys.float_info.max)
+    ok = typed and abs(value) <= MAX_MAGNITUDE
     for op, limit, _ in spec["ranges"]:
         ok = ok and op(value, limit)
     if ok:
         return int(value) if integer else float(value)
     bound = " and ".join(text for *_, text in spec["ranges"])
+    got = f", got {value!r}" + (f", not |x| <= {MAX_MAGNITUDE:g}" if typed
+                                and abs(value) > MAX_MAGNITUDE else "")
     if integer:
         raise ScenarioError(f"{name} must be an integer"
-                            f"{' ' + bound if bound else ''}, got {value!r}")
+                            f"{' ' + bound if bound else ''}{got}")
     if not typed:
-        raise ScenarioError(f"{name} must be a number, got {value!r}")
+        raise ScenarioError(f"{name} must be a number{got}")
     raise ScenarioError(f"{name} must be finite"
-                        f"{' and ' + bound if bound else ''}, got {value!r}")
+                        f"{' and ' + bound if bound else ''}{got}")
 
 
 def _vec(value, dim: int, name: str) -> np.ndarray:
     """A list of ``dim`` finite JSON numbers, as a float array."""
     if not (isinstance(value, list) and len(value) == dim and all(
             isinstance(x, (float, int, numbers.Real))
-            and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+            and not isinstance(x, bool) and abs(x) <= MAX_MAGNITUDE
             for x in value)):
         raise ScenarioError(f"{name} must be a list of {dim} finite numbers, "
-                            f"got {value!r}")
+                            f"|x| <= {MAX_MAGNITUDE:g}, got {value!r}")
     return np.array(value, dtype=float)
 
 
@@ -258,9 +262,11 @@ class ScenarioConfig:
                                        kind="number", least=1.0)
     formation_constraint_enabled: bool = _field(
         MissionSpec.formation_enabled, kind="choice", choices=(True, False))
+    # (S, window + 1) goal distances per row, and per step when traced:
+    # 999 steps outlast every preset's timeout (a2's 560), at 8 kB an agent
     progress_window: int = _field(ConstraintParams.window,
                                   key="progress_window_steps",
-                                  kind="integer", least=1)
+                                  kind="integer", least=1, below=1000)
     start_jitter: float = _field(0.0, key="start_jitter_m", kind="number",
                                  least=0.0)
     leader_waypoints: list[np.ndarray] = _field(
@@ -658,14 +664,17 @@ def measure_nominal_steps(config: ScenarioConfig) -> int:
     0-49, each the row of one :class:`RowStepper` started from its own
     simulation. Raises naming the lowest seed whose run did not
     complete."""
-    batch = RowStepper([config.build_simulation(seed=seed, record_trace=False)
-                        for seed in range(50)])
+    sims = [config.build_simulation(seed=seed, record_trace=False)
+            for seed in range(50)]
+    batch = RowStepper(sims)
     steps, failed_seeds = np.zeros(batch.live.size, dtype=int), []
     while batch.live.size:
         failed, ended = batch.step()
         steps[batch.live[ended]] = batch.step_index
         failed_seeds += batch.live[failed].tolist()
         batch.drop(ended)
+    for sim in sims:    # each stack and its layouts are a cycle
+        sim.world.obstacles.forget_layouts()
     if failed_seeds:
         raise RuntimeError(f"reference run {min(failed_seeds)} did not "
                            f"complete (outcome {OUTCOME_FAILURE})")

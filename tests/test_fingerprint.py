@@ -19,11 +19,16 @@ from litelfuzz.scenarios import (ScenarioConfig, a1_navigate, a2_search,
 FINGERPRINTS = {
     "sa": "d7ffc0df7cb5413349f1a582c0bd8694cd4c0eb0c2a74e7eb34ef6740acf8f4e",
     "ma": "acb032ea8e05ac43fb8b1d10b52f3d417c384c531a9c6b45fc8ceab37ed9a3df",
+    "random":
+        "ad33829ecc16c011e94dc89c8c84f19b7b6dd169b10351918aa37d46048c98ae",
+    "target_only":
+        "c2014d271b0b58a760ca577389e653ceece7585b362576cca6aef1079c86c543",
 }
 
 # seeds 0-2, budget 5, one worker: the dispersal controller with its
 # ``search`` section (inside lookahead probes under sa and ma), the two
-# uniform draws, and Katz on 3D graphs
+# uniform draws, Katz on 3D graphs, and a3 sa's continuation probes and
+# 3D planned flights
 OTHER_FINGERPRINTS = {
     ("a2_search", "sa"):
         "8ab083f1fea75efbb5040ad9bffbf5d20f819d4ec03efeee4ca0201a908c3cf9",
@@ -35,6 +40,12 @@ OTHER_FINGERPRINTS = {
         "5f06a8825a5fed19cddc1d61ad72d2c1ebf1437370c664d4f7ae360b76a09de8",
     ("a3_navigate3d", "ma"):
         "b54f2971ecf8bbe7921dff34a57496e5b005399b6670dac738ead9af3011a4aa",
+    ("a3_navigate3d", "sa"):
+        "91d55e4715a400b109394bc4a91040deaa0a562a6a9318e57d237a611845827a",
+    ("a3_navigate3d", "random"):
+        "b7070095dd0b7124f4f9349d00dd2b82415428e0295d7bfd7880216cda4d4676",
+    ("a3_navigate3d", "target_only"):
+        "0ba885a7d8f9c4e30dbf423601d60f4ebd775c353ecc4d618d680cb05abaa7b0",
 }
 PRESETS = {"a1_navigate": a1_navigate, "a2_search": a2_search,
            "a3_navigate3d": a3_navigate3d}
@@ -48,7 +59,9 @@ TRACE_FINGERPRINT = \
 # budget 5, the JSONL traces of the seeds one after the other: a1 sa seeds
 # 0-2 spawn, teleport and despawn the attacker and touch the swarm with it;
 # a2 sa and ma seeds 0-1 run without the formation margin and with
-# dispersal goals that come and go
+# dispersal goals that come and go; a3 sa seeds 0-1 trace the continuation
+# flights along 3D plans, and a3 random and target_only the ablations'
+# placements in 3D
 OTHER_TRACE_FINGERPRINTS = {
     ("a1_navigate", "sa", 3):
         "a7d0181832f2a85042cb6ddbddfa327c46052b343c194c9cf05e7a91679328c5",
@@ -56,6 +69,12 @@ OTHER_TRACE_FINGERPRINTS = {
         "16a11e70460d40a268f7edbe349de176a7054dcde142a4ed3e1a0336d8739f6d",
     ("a2_search", "ma", 2):
         "4e5ede904084bd92cbbf3ce574f5f753e1c17d1c5ad4ec6ed4adcd30df468ea7",
+    ("a3_navigate3d", "sa", 2):
+        "d9a14eafe2ca7b882e06beda37f9065cbcdcd19129f23329fbdf9bf679bc7351",
+    ("a3_navigate3d", "random", 2):
+        "ac0fb05a3e148d48ff18f1264b197f9233891b2ddda3ccda82f48ebb9ccc0091",
+    ("a3_navigate3d", "target_only", 2):
+        "7eb4f057d7cb1ac6c9e6b7b4a403229d66aa4a1d38f12781927cf5ba967e901c",
 }
 
 
@@ -89,7 +108,7 @@ def test_a3_trace_fingerprint():
 
 @pytest.mark.parametrize("preset,scheme,seeds",
                          sorted(OTHER_TRACE_FINGERPRINTS))
-def test_a1_a2_trace_fingerprint(preset, scheme, seeds):
+def test_other_trace_fingerprint(preset, scheme, seeds):
     digest = hashlib.sha256()
     for seed in range(seeds):
         result = run_fuzzing(PRESETS[preset](), scheme, budget=5,

@@ -606,6 +606,21 @@ class TestOneLayoutPerRun:
         measure_nominal_steps(a1_navigate())
         assert len(built) == 50 + 1
 
+    def test_nominal_steps_free_their_layouts_by_reference_counting(
+            self, monkeypatch):
+        """With the cyclic collector off, the reference runs' layouts are
+        freed when :func:`measure_nominal_steps` returns."""
+        built = self.counted_layouts(monkeypatch)
+        gc.disable()
+        try:
+            measure_nominal_steps(a1_navigate())
+            layouts = [weakref.ref(layout) for layout in built]
+            del built[:]
+            assert len(layouts) == 51
+            assert all(ref() is None for ref in layouts)
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("preset", [a1_navigate, a2_search,
                                         a3_navigate3d])
     @pytest.mark.parametrize("scheme", ["sa", "ma"])

@@ -69,6 +69,34 @@ BAD = [
      {"id": 0, "role": "follower", "start_m": [0.0, 0.0],
       "sensing_radius_m": 0.5, "formation_offset_m": [0.0, 0.0]},
      "apf_navigate requires an agent with role 'leader'"),
+    # 1e300 in a goal or the last waypoint overflowed in the load's check
+    # that the leader parks at the goal
+    ("a3_navigate3d", ("goal_m", 2), 1e300,
+     "goal_m must be a list of 3 finite numbers, |x| <= 1e+12, got"),
+    ("a1_navigate", ("leader_waypoints_m", 1, 0), -1e300,
+     "leader_waypoints_m[1] must be a list of 2 finite numbers"),
+    # ... and anywhere else it loaded and overflowed mid-run: a1 with this
+    # start exited 0 and reported an ObstacleCrash at step 27
+    ("a1_navigate", ("agents", 1, "start_m", 0), 1e300,
+     "agents[1]: start_m must be a list of 2 finite numbers, |x| <= 1e+12"),
+    ("a3_navigate3d", ("obstacles", 1, "center_m", 1), -1e300,
+     "obstacles[1]: center_m must be a list of 3 finite numbers"),
+    ("a2_search", ("search", "targets_m", 0, 0), 1e300,
+     "search: targets_m[0] must be a list of 2 finite numbers"),
+    ("a1_navigate", ("v_max_mps",), 1e300,
+     "v_max_mps must be finite and > 0, got 1e+300, not |x| <= 1e+12"),
+    ("a1_navigate", ("apf", "repulsion_gain"), 1e300,
+     "apf: repulsion_gain must be finite"),
+    ("a2_search", ("search", "cell_size_m"), 1e300,
+     "search: cell_size_m must be finite and > 0, got 1e+300, not |x| <= "
+     "1e+12"),
+    # the same bound holds a count: these loaded, and then each execution
+    # failed on a count too large for a C size or for a float
+    ("a1_navigate", ("fuzz", "warmup_steps"), 10 ** 30,
+     "fuzz: warmup_steps must be an integer >= 0, got 10000000000000000000"
+     "00000000000, not |x| <= 1e+12"),
+    ("a3_navigate3d", ("nominal_steps",), 10 ** 400,
+     "nominal_steps must be an integer >= 1, got 1000"),
 ]
 
 
@@ -97,7 +125,8 @@ def test_bad_value_exits_2_at_load(tmp_path, capsys, preset, path, value,
 # (preset, key path, value, what the error must name); each loaded, or
 # began to, and then ran out of memory: sizes bounded at load, far above
 # the presets' (a2's visit grid has 16 cells, a1's and a2's box covers 28
-# and 4 tiles). The load is asserted to fail before any command runs: a
+# and 4 tiles, every preset has a 20-step progress window and 8 spawn
+# sectors). The load is asserted to fail before any command runs: a
 # scenario with the long box that loads spends all memory in its first
 # planned flight.
 TOO_LARGE = [
@@ -111,6 +140,13 @@ TOO_LARGE = [
      "obstacles[0]: the planner covers this box with 2e+12 tiles at a "
      "clearance of safe_distance_m, above 10000 (keys lo_m, hi_m, "
      "safe_distance_m)"),
+    # the run's first (S, window + 1) goal-distance windows
+    ("a1_navigate", ("progress_window_steps",), 10 ** 12,
+     "progress_window_steps must be an integer >= 1 and < 1000, got "
+     "1000000000000"),
+    # the first probe, one row per sector
+    ("a3_navigate3d", ("spawn", "sectors"), 10 ** 6,
+     "spawn: sectors must be an integer < 1000, got 1000000"),
 ]
 
 
@@ -155,27 +191,33 @@ def test_scenario_dump_is_byte_stable(capsys, preset):
 
 
 POOL = [math.nan, math.inf, -math.inf, -1, 0, "x", None, True, [], {}]
+# 1e300 loaded in many numbers, vectors' too, and then overflowed mid-run
+HUGE = [1e300, -1e300]
 
 
-def _key_paths(data: dict) -> list[tuple]:
-    """Every key of a scenario dict: top level, in sections, and in each
-    agent and obstacle."""
-    paths = []
-    for key, value in data.items():
-        paths.append((key,))
-        if isinstance(value, dict):
-            paths += [(key, sub) for sub in value]
-        elif isinstance(value, list):
-            paths += [(key, k, sub) for k, item in enumerate(value)
-                      if isinstance(item, dict) for sub in item]
-    return paths
+def _mutations(value, path: tuple = ()) -> list[tuple[tuple, list]]:
+    """Every key of a scenario dict (top level, in sections, and in each
+    agent and obstacle) with ``POOL`` and ``HUGE``, and 10**6 if it holds
+    an integer; and every number inside a vector or a list of vectors,
+    with ``HUGE``."""
+    out = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            count = isinstance(item, int) and not isinstance(item, bool)
+            out.append((path + (key,), POOL + HUGE + [10 ** 6] * count))
+            out += _mutations(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            out += [(path + (k,), HUGE)] if isinstance(item, float) \
+                else _mutations(item, path + (k,))
+    return out
 
 
 DICTS = {name: preset().to_dict() for name, preset in PRESETS.items()}
 MUTATIONS = st.sampled_from(sorted(DICTS)).flatmap(
-    lambda name: st.tuples(st.just(name),
-                           st.sampled_from(_key_paths(DICTS[name])),
-                           st.sampled_from(POOL)))
+    lambda name: st.sampled_from(_mutations(DICTS[name])).flatmap(
+        lambda case: st.tuples(st.just(name), st.just(case[0]),
+                               st.sampled_from(case[1]))))
 
 
 @settings(deadline=None, derandomize=True, max_examples=1500)
