@@ -11,11 +11,12 @@ Each controller also has array forms (``*_rows``) of ``update``,
 ``commands`` and ``mission_complete`` that act on a :class:`WorldRows`
 batch, with the run state held per row as a tuple of arrays with a
 leading row axis. Row by row they compute exactly what the scalar forms
-compute: ``mission.RowStepper`` steps a probe's candidates and the
-reference runs of ``measure_nominal_steps`` this way. A controller holds
-its run state in that one form, as one row, ``state``: the scalar forms
-read it, the mission step replaces it with a row a probe computed, and a
-row stepper concatenates its simulations' states into its rows. No code
+compute: ``mission.RowStepper`` steps a probe's candidates this way, and
+``mission.run_out`` a run's attacker-free run-out and the reference runs
+of ``measure_nominal_steps``. A controller holds its run state in that
+one form, as one row, ``state``: the scalar forms read it, the mission
+step replaces it with a row a probe computed, and a row stepper
+concatenates its simulations' states into its rows. No code
 writes a state array in place (every array form returns new arrays), so
 a copy of a controller and its original share state arrays. The array
 forms read two things the batch holds. Its distance table
@@ -75,6 +76,9 @@ def _attraction_rows(position: np.ndarray, target: np.ndarray, v_max: float,
     delta = target - position
     dist = row_norms(delta)
     far = dist >= _EPS
+    if far.all():       # no target to mask
+        return delta * (v_max * np.minimum(1.0, dist / slow_radius)
+                        / dist)[..., None]
     dist = np.where(far, dist, 1.0)
     speed = v_max * np.minimum(1.0, dist / slow_radius)
     return np.where(far[..., None], delta * (speed / dist)[..., None], 0.0)
@@ -340,7 +344,7 @@ class ApfNavigationController:
             return np.zeros(len(index), dtype=bool)
         done &= row_norms(rows.position[:, leader] - spec.goal) \
             <= spec.goal_tolerance
-        if not layout.follows:
+        if not (layout.follows and done.any()):
             return done
         gaps = rows.position[:, layout.swarm][:, layout.follows] \
             - self._slot_rows(rows)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .influence import build_influence_graph, key_node_sequence
 from .mission import (OUTCOME_SWARM_SECURE, AttackerAction, RowStepper,
-                      Simulation)
+                      Simulation, run_out)
 from .planner import Infeasible, plan_path
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, clamp_norms, norm,
                     row_norms)
@@ -401,13 +401,18 @@ def random_target(rng: np.random.Generator, swarm_ids: list[int]) -> int:
 
 _Actions = Iterator[Optional[AttackerAction]]
 
+# the driver's last action: the budget is spent and the attacker withdrawn,
+# so the mission runs out without it
+_RUN_OUT = AttackerAction()
+
 
 class _FuzzDriver:
     """Steers the attacker through one fuzzing execution.
 
     :attr:`actions` holds the attacker's action for every step, in order:
     the warm-up, then per epoch the test case's selection, its realization
-    and the settle pursuit, then the withdrawal once the budget is spent.
+    and the settle pursuit, then the withdrawal once the budget is spent,
+    after which :meth:`act` hands the mission over to run out.
     An attacker touching a swarm agent invalidates the test case, and the
     sequence restarts with a forced epoch. One rule decides each epoch's
     move: with no attacker yet, under ``ma`` or when forced, the attacker
@@ -439,14 +444,15 @@ class _FuzzDriver:
             repeat(None, max(params.warmup_steps, 1)), self._epochs())
 
     def act(self) -> Optional[AttackerAction]:
-        """The attacker's action for the next step of the simulation."""
+        """The attacker's action for the next step of the simulation, or
+        ``_RUN_OUT`` once the attacker is withdrawn for good."""
         touched = self._contact()
         if touched is not None:
             self.invalid += 1
             self.sim.event(f"invalid test case: attacker contact with "
                            f"agent {touched}")
             self.actions = self._epochs(forced=True)
-        return next(self.actions)
+        return next(self.actions, _RUN_OUT)
 
     def _gaps(self, attacker: AgentState) -> list[tuple[float, int]]:
         """The attacker's distance from each swarm agent, with the agent's
@@ -472,8 +478,6 @@ class _FuzzDriver:
         # budget spent: withdraw the attacker and let the mission run out
         if self.sim.attacker() is not None:
             yield AttackerAction(despawn=True)
-        while True:
-            yield None
 
     def _epoch(self, forced: bool) -> _Actions:
         attacker = self.sim.attacker()
@@ -610,7 +614,10 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
 
     Budget 0 runs the nominal mission: no attacker is placed, whatever
     the scheme, and the run steps the swarm alone to completion, failure
-    or timeout. Identical inputs and seed give identical results."""
+    or timeout. The run steps world by world through the warm-up and
+    while an attacker may act; once the budget is spent and the attacker
+    withdrawn, :func:`mission.run_out` steps the rest as one row.
+    Identical inputs and seed give identical results."""
     check_run(scheme, budget, seed)
     sim = scenario.build_simulation(seed=seed, record_trace=record_trace)
     rng = np.random.default_rng([seed, 0x51A9])
@@ -618,7 +625,9 @@ def run_fuzzing(scenario, scheme: str, budget: Optional[int] = None,
                          scenario.fuzz_params(), budget, rng)
     while not sim.done:
         action = driver.act()
-        if action is not None and action.kinematics is not None:
+        if action is _RUN_OUT:
+            run_out([sim])
+        elif action is not None and action.kinematics is not None:
             sim.replay(action)
         else:
             sim.step(action)

@@ -13,6 +13,7 @@ current window and emits no violation events. Worlds and windows are
 never mutated, so a clone, which the fuzzer steps to score its
 lookahead, shares them with its original.
 
+A run steps world by world until it withdraws the attacker.
 :meth:`Simulation.step` computes a step: the controller updates and
 commands the swarm, which is integrated. :meth:`Simulation.replay` adopts
 a step a probe already computed from the same world: the controller's
@@ -21,9 +22,12 @@ a step a probe already computed from the same world: the controller's
 step and check the outcome the same way.
 
 A :class:`RowStepper` takes that step over a batch of rows, each
-started from a simulation of its own: the probe's candidates and
-``measure_nominal_steps``' reference runs. Both steps shift the windows
-by the one rule, :meth:`Simulation.shifted_windows`.
+started from a simulation of its own: a probe's candidates. Both steps
+shift the windows by the one rule, :meth:`Simulation.shifted_windows`.
+Once the attacker is withdrawn, :func:`run_out` steps the rest of the
+mission as one row, and ``measure_nominal_steps``' reference runs as
+the rows of one batch, checking their outcomes a chunk of steps at a
+time.
 """
 from __future__ import annotations
 
@@ -41,8 +45,8 @@ from .robustness import robustness_rows as swarm_robustness
 from .robustness import (ConstraintParams, RobustnessRecord, RobustnessRows,
                          violations_rows)
 from .world import (ROLE_ATTACKER, AgentState, FailureKind, InvalidState,
-                    MissionSpec, RowsLayout, WorldRows, WorldState,
-                    detect_failure, failed_rows, integrate_rows,
+                    MissionSpec, RowsDistances, RowsLayout, WorldRows,
+                    WorldState, detect_failure, failed_rows, integrate_rows,
                     integrate_step, row_norms)
 
 OUTCOME_SUCCESS = "Success"
@@ -259,21 +263,27 @@ class Simulation:
         """Move the attacker, build the next world from the swarm's (S, d)
         ``kinematics``, shift the windows, record the step and check the
         outcome."""
-        world = self.world
-        pos, vel, acc = kinematics
         attacker = self._advance_attacker(attacker_action)
-        self.world = WorldState(world.step_index + 1, [
-            AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius, a.role)
-            for k, a in enumerate(swarm)] + attacker, world.obstacles,
-            world.leader_waypoints)
+        self._advance(self.world.step_index + 1, swarm, kinematics, attacker)
         self.windows = self.shifted_windows(
-            self.windows[None], self.controller.state, pos[None])[0]
+            self.windows[None], self.controller.state, kinematics[0][None])[0]
         if self.trace is not None:
             self.trace.record(self.world.step_index, self.windows,
                               kinematics + next(
                                   ((a.position, a.velocity, a.acceleration)
                                    for a in attacker), (self._absent,) * 3))
         self._check_outcome()
+
+    def _advance(self, step_index: int, swarm: list[AgentState],
+                 kinematics: tuple, attacker: list[AgentState]) -> None:
+        """Make the world of step ``step_index``: the ``swarm`` with its
+        (S, d) ``kinematics`` pos, vel and acc, then ``attacker``."""
+        world = self.world
+        pos, vel, acc = kinematics
+        self.world = WorldState(step_index, [
+            AgentState(a.id, pos[k], vel[k], acc[k], a.sensing_radius, a.role)
+            for k, a in enumerate(swarm)] + attacker, world.obstacles,
+            world.leader_waypoints)
 
     def _integrate_swarm(self, swarm: list[AgentState],
                          commands: dict[int, np.ndarray]) -> tuple:
@@ -288,10 +298,7 @@ class Simulation:
             return integrate_rows(position, velocity, command, spec.v_max,
                                   spec.a_max, spec.dt)
         except InvalidState:
-            finite = np.isfinite(np.concatenate([command, position, velocity],
-                                                axis=1)).all(axis=1)
-            bad = swarm[int(np.argmin(finite))]
-            raise InvalidState(f"non-finite state for agent {bad.id}") from None
+            raise _non_finite(swarm, command, position, velocity) from None
 
     def _advance_attacker(self, action: AttackerAction | None) -> list[AgentState]:
         """The attacker after ``action``: gone, :func:`attacker_agent` at
@@ -329,6 +336,14 @@ class Simulation:
         if self.trace is not None and self.outcome is not None:
             self.trace.outcome = self.outcome
             self.trace.failure_kind = self.failure_kind
+
+
+def _non_finite(swarm: list[AgentState], *arrays: np.ndarray) -> InvalidState:
+    """The error naming the first agent of ``swarm`` with a non-finite
+    entry in the (..., S, d) ``arrays``, in the first row that has one."""
+    finite = np.isfinite(np.concatenate(arrays, axis=-1)).all(axis=-1)
+    bad = swarm[int(np.argmin(finite.ravel())) % len(swarm)]
+    return InvalidState(f"non-finite state for agent {bad.id}")
 
 
 class RowStepper:
@@ -408,3 +423,96 @@ class RowStepper:
         under the mission's constraint parameters."""
         return swarm_robustness(self.rows.select(chosen),
                                 self.windows[chosen], self._sim.cparams)
+
+
+# the steps a run-out integrates before it checks them in one pass: 8, 16
+# and 32 cost within 2% of each other on a traced a3 ma run
+RUN_OUT_CHUNK = 16
+_KINEMATICS = ("position", "velocity", "acceleration")
+
+
+def _stacked(batches: list, names: tuple[str, ...]) -> list[np.ndarray]:
+    """Each named array of ``batches``, concatenated along the row axis."""
+    return [np.concatenate([getattr(batch, name) for batch in batches])
+            for name in names]
+
+
+def _row(rows: WorldRows, b: int) -> tuple[np.ndarray, ...]:
+    """Row ``b``'s (M, d) kinematics pos, vel and acc."""
+    return tuple(getattr(rows, name)[b] for name in _KINEMATICS)
+
+
+def run_out(sims: list[Simulation]) -> None:
+    """Step attacker-free simulations to their ends as the rows of one
+    :class:`RowStepper`, each as :meth:`Simulation.step` would step it.
+
+    The simulations are not done, have no attacker and are at one step
+    index. The batch integrates :data:`RUN_OUT_CHUNK` steps, then checks
+    them in one pass: their failures (each step at its own index),
+    completions and goal-distance windows. A row ends at its first failing
+    or completing step, and the steps computed after it are dropped, so a
+    non-finite state there never surfaces; one before it raises
+    :class:`InvalidState` naming the agent. A traced simulation records
+    its steps from the chunk. An ended simulation takes its last step's
+    controller state and windows and, built once, its world, whose check
+    sets the outcome and emits its event at that step.
+    """
+    batch = RowStepper(sims)
+    controller, spec = batch._sim.controller, batch._sim.spec
+    layout = batch.rows.layout
+    width = batch.windows.shape[-1]
+    while batch.live.size:
+        live, states, steps = len(batch.live), [], []
+        state, rows = batch.state, batch.rows
+        for _ in range(RUN_OUT_CHUNK):
+            state = controller.update_rows(state, rows, spec)
+            command = controller.commands_rows(state, rows, spec)
+            try:
+                rows = WorldRows(layout, *integrate_rows(
+                    rows.position, rows.velocity, command, *batch._limits,
+                    spec.dt))
+            except InvalidState:
+                if steps:   # the rows may end before it: check them first
+                    break
+                raise _non_finite(layout.agents, command, rows.position,
+                                  rows.velocity) from None
+            states.append(state)
+            steps.append(rows)
+        # the chunk as one batch, step-major: row c * live + b is row b
+        # after step c
+        count = len(steps)
+        chunk = WorldRows(layout, *_stacked(steps, _KINEMATICS))
+        chunk._distances = RowsDistances(*_stacked(
+            [r.distances() for r in steps], ("away", "agents", "obstacles")))
+        chunk_state = tuple(map(np.concatenate, zip(*states)))
+        index = np.repeat(np.arange(batch.step_index + 1,
+                                    batch.step_index + count + 1), live)
+        ended = failed_rows(chunk, index, spec) \
+            | controller.mission_complete_rows(chunk_state, chunk, spec)
+        ended = ended.reshape(count, live)
+        goals = controller.goal_rows(chunk_state, chunk.position, spec)
+        # each row's windows: after step c, columns c + 1 to c + width
+        windows = np.concatenate([batch.windows, row_norms(
+            chunk.position - goals).reshape(count, live, -1).transpose(
+                1, 2, 0)], axis=-1)
+        over, first = ended.any(axis=0), ended.argmax(axis=0).tolist()
+        for b, k in enumerate(batch.live.tolist()):
+            sim = sims[k]
+            last = first[b] if over[b] else count - 1
+            if sim.trace is not None:
+                for c in range(last + 1):
+                    sim.trace.record(batch.step_index + c + 1,
+                                     windows[b, :, c + 1:c + 1 + width],
+                                     _row(steps[c], b) + (sim._absent,) * 3)
+            if over[b]:
+                sim.controller.state = tuple(
+                    a[last * live + b][None] for a in chunk_state)
+                sim.windows = windows[b, :, last + 1:last + 1 + width]
+                sim._advance(batch.step_index + last + 1, sim.world.swarm(),
+                             _row(steps[last], b), [])
+                sim._check_outcome()
+        batch.rows, batch.state = steps[-1], states[-1]
+        batch.windows = windows[:, :, -width:]
+        batch.step_index += count
+        if over.any():
+            batch.drop(over)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .controllers import ApfNavigationController, DispersalSearchController
 from .fuzzing import FuzzParams, SpawnGeometry
-from .mission import ATTACKER_ID, OUTCOME_FAILURE, RowStepper, Simulation
+from .mission import ATTACKER_ID, OUTCOME_FAILURE, Simulation, run_out
 from .planner import MAX_COVER_TILES, cover_tiles
 from .robustness import ConstraintParams
 from .world import (ROLE_LEADER, SWARM_ROLES, AgentState, MissionSpec,
@@ -47,6 +47,12 @@ _RANGES = (("above", ">", operator.gt), ("least", ">=", operator.ge),
 # every number's bound: 1e300 overflowed mid-run; at 1e12 floats resolve
 # 1.2e-4 m, below a1's 0.075 m step, and 1e12 sizes reach their own bounds
 MAX_MAGNITUDE = 1e12
+
+# the most steps a run may take before it times out, nominal_steps x
+# timeout_multiplier: 178 times a2's 560, about 20 s of CPU per a2 run
+# out to it, and as many steps as a search needs to visit each cell of
+# the largest visit grid (MAX_VISIT_CELLS) once
+MAX_TIMEOUT_STEPS = 100_000
 
 
 def _key(name: str, required=True, null=False, **check) -> dict:
@@ -317,6 +323,12 @@ class ScenarioConfig:
                     f"{tiles:g} tiles at a clearance of safe_distance_m, "
                     f"above {MAX_COVER_TILES} (keys lo_m, hi_m, "
                     f"safe_distance_m)")
+        timeout = self.nominal_steps * self.timeout_multiplier
+        if timeout > MAX_TIMEOUT_STEPS:
+            raise ScenarioError(
+                f"nominal_steps x timeout_multiplier, the run's timeout, is "
+                f"{timeout:g} steps, above {MAX_TIMEOUT_STEPS} (keys "
+                f"nominal_steps, timeout_multiplier)")
         if not apf and not self.search.get("targets_m"):
             raise ScenarioError("search: dispersal_search requires at least "
                                 "one entry in targets_m")
@@ -661,21 +673,17 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 
 def measure_nominal_steps(config: ScenarioConfig) -> int:
     """Mean completion steps over 50 attacker-free reference runs, seeds
-    0-49, each the row of one :class:`RowStepper` started from its own
-    simulation. Raises naming the lowest seed whose run did not
-    complete."""
+    0-49, run out (:func:`mission.run_out`) as the rows of one batch, each
+    started from its own simulation. Raises naming the lowest seed whose
+    run did not complete."""
     sims = [config.build_simulation(seed=seed, record_trace=False)
             for seed in range(50)]
-    batch = RowStepper(sims)
-    steps, failed_seeds = np.zeros(batch.live.size, dtype=int), []
-    while batch.live.size:
-        failed, ended = batch.step()
-        steps[batch.live[ended]] = batch.step_index
-        failed_seeds += batch.live[failed].tolist()
-        batch.drop(ended)
+    run_out(sims)
     for sim in sims:    # each stack and its layouts are a cycle
         sim.world.obstacles.forget_layouts()
+    failed_seeds = [seed for seed, sim in enumerate(sims)
+                    if sim.outcome == OUTCOME_FAILURE]
     if failed_seeds:
-        raise RuntimeError(f"reference run {min(failed_seeds)} did not "
+        raise RuntimeError(f"reference run {failed_seeds[0]} did not "
                            f"complete (outcome {OUTCOME_FAILURE})")
-    return int(math.ceil(steps.sum() / len(steps)))
+    return int(math.ceil(sum(sim.step_index for sim in sims) / len(sims)))

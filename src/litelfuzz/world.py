@@ -100,6 +100,7 @@ class Obstacles(tuple):
         self.lo, self.hi = (np.array([o.center if o.kind == "circle" else
                                       getattr(o, end) for o in self])
                             for end in ("lo", "hi"))
+        self.boxes = bool(self.box.any())
         self._layouts = {}
         return self
 
@@ -126,6 +127,8 @@ class Obstacles(tuple):
         if not (self and points.size):
             return np.empty(points.shape[:-1] + (len(self),))
         p = points[..., None, :]
+        if not self.boxes:  # a circle's clip is its centre
+            return row_norms(p - self.lo) - self.radius
         n = row_norms(p - np.minimum(np.maximum(p, self.lo), self.hi))
         if not n.all():
             # inside a box: negative penetration depth to the nearest face
@@ -459,12 +462,12 @@ def integrate_rows(position: np.ndarray, velocity: np.ndarray,
                    dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`integrate_step` of every vector along the last axis at once.
 
-    ``v_max`` and ``a_max`` are scalars or, for (..., M, d) kinematics,
-    per-column (M,) arrays, such as a probe's attacker column's own limits.
-    Returns the new positions, velocities and accelerations.
+    ``position``, ``velocity`` and ``command`` have one shape. ``v_max``
+    and ``a_max`` are scalars or, for (..., M, d) kinematics, per-column
+    (M,) arrays, such as a probe's attacker column's own limits. Returns
+    the new positions, velocities and accelerations.
     """
-    if not (np.isfinite(command).all() and np.isfinite(position).all()
-            and np.isfinite(velocity).all()):
+    if not np.isfinite((command, position, velocity)).all():
         raise InvalidState("non-finite state in a batched step")
     dv = clamp_norms(command - velocity, a_max * dt)
     new_v = clamp_norms(velocity + dv, v_max)
@@ -516,15 +519,16 @@ def detect_failure(world: WorldState, spec: MissionSpec) -> FailureKind | None:
     return None
 
 
-def failed_rows(rows: WorldRows, step_index: int,
+def failed_rows(rows: WorldRows, step_index: int | np.ndarray,
                 spec: MissionSpec) -> np.ndarray:
-    """Rows of ``rows`` in which :func:`detect_failure` reports a failure."""
+    """Rows of ``rows`` in which :func:`detect_failure` reports a failure,
+    at ``step_index``: one for every row, or (B,) each row's own."""
     table = rows.distances()
     layout = rows.layout
-    failed = np.full(len(rows.position), spec.timed_out(step_index))
+    failed = (table.obstacles <= 0.0).any(axis=(1, 2)) \
+        | spec.timed_out(step_index)
     if spec.formation_enabled:
         # norm(a - b) == norm(b - a), so both triangles agree
         close = table.agents[:, :, layout.swarm] < spec.collision_radius
         failed |= (close & layout.not_self).any(axis=(1, 2))
-    failed |= (table.obstacles <= 0.0).any(axis=(1, 2))
     return failed

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from navigator_oracle import attraction
 from obstacle_oracle import outward_direction
 from test_row_forms import row_world
+from trace_oracle import step_run_out
 
+from litelfuzz import fuzzing
 from litelfuzz.controllers import DispersalSearchController
 from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.scenarios import a2_search
@@ -245,7 +247,8 @@ def test_main_step_builds_one_batch(monkeypatch):
 def test_a_run_builds_at_most_one_table_per_world(monkeypatch, scheme):
     """Every world of an a2 run, main step or probe, holds at most one
     distance table: the one its failure check, its views and its batch of
-    one row all read."""
+    one row all read. The run steps its run-out world by world, so that
+    every step has a world."""
     worlds = []
     post_init = WorldState.__post_init__
 
@@ -254,6 +257,7 @@ def test_a_run_builds_at_most_one_table_per_world(monkeypatch, scheme):
         worlds.append(self)
 
     monkeypatch.setattr(WorldState, "__post_init__", kept)
+    monkeypatch.setattr(fuzzing, "run_out", step_run_out)
     run_fuzzing(a2_search(), scheme, budget=2, seed=0)
     tables = [{id(t) for t in (w._distances, w._rows and w._rows._distances)
                if t is not None} for w in worlds]

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from litelfuzz import fuzzing
 from litelfuzz.campaign import CampaignConfig, run_campaign, trace_to_jsonl
 from litelfuzz.fuzzing import run_fuzzing
 from litelfuzz.scenarios import (ScenarioConfig, a1_navigate, a2_search,
@@ -134,7 +135,8 @@ def test_a3_campaign_trace_files_fingerprint(tmp_path):
 
 
 # Every action the fuzzing driver hands ``Simulation.step`` or
-# ``Simulation.replay``, budget 5:
+# ``Simulation.replay``, and a ``None`` for each step it leaves to the
+# run-out after the withdrawal, budget 5:
 # a1_navigate seeds 0-4, a2_search seeds 0-2 (plus sa seed 7) and
 # a3_navigate3d seeds 0-1, under each of the four schemes
 ACTION_RUNS = [(preset, scheme, seed)
@@ -182,7 +184,17 @@ def test_driver_action_schedule_fingerprint(monkeypatch):
         sims.append(sim)
         return sim
 
+    run_out = fuzzing.run_out
+
+    def recording_run_out(run_sims):
+        (sim,) = run_sims
+        start = sim.step_index
+        run_out(run_sims)
+        # the attacker-free steps, each an idle action
+        sim.actions += [[None]] * (sim.step_index - start)
+
     monkeypatch.setattr(ScenarioConfig, "build_simulation", recording_build)
+    monkeypatch.setattr(fuzzing, "run_out", recording_run_out)
     digest = hashlib.sha256()
     forced_skips = 0
     for preset, scheme, seed in ACTION_RUNS:

@@ -538,13 +538,19 @@ class TestOneLayoutPerRun:
     @pytest.mark.parametrize("preset", [a1_navigate, a3_navigate3d])
     @pytest.mark.parametrize("scheme", ["sa", "ma"])
     @pytest.mark.parametrize("traced", [False, True])
-    def test_a_navigator_run_builds_one_layout(self, monkeypatch, preset,
-                                               scheme, traced):
-        """A navigator run builds its simulation's layout and no other: its
-        probes start their rows from clones, not from their worlds' rows."""
+    def test_a_navigator_run_builds_a_layout_per_agent_set(
+            self, monkeypatch, preset, scheme, traced):
+        """A navigator run builds one layout per agent set: its
+        simulation's, with the attacker column, and for a run-out the
+        swarm's alone. Its probes start their rows from clones, not from
+        their worlds' rows."""
         built = self.counted_layouts(monkeypatch)
         run_fuzzing(preset(), scheme, budget=5, seed=11, record_trace=traced)
-        assert len(built) == 1
+        agent_sets = [tuple((a.id, a.role) for a in layout.agents)
+                      for layout in built]
+        assert len(set(agent_sets)) == len(agent_sets)
+        assert agent_sets[0][-1][1] == "attacker"
+        assert agent_sets[1:] in ([], [agent_sets[0][:-1]])
 
     @pytest.mark.parametrize("scheme", ["sa", "ma"])
     @pytest.mark.parametrize("traced", [False, True])

@@ -6,8 +6,9 @@ import weakref
 
 import numpy as np
 import pytest
-from trace_oracle import oracle_jsonl
+from trace_oracle import oracle_jsonl, step_run_out
 
+from litelfuzz import fuzzing
 from litelfuzz.campaign import trace_to_jsonl
 from litelfuzz.fuzzing import SCHEMES, run_fuzzing
 from litelfuzz.mission import (ATTACKER_ID, AttackerAction, RowStepper,
@@ -288,7 +289,9 @@ class TestLazyRobustness:
 
 class TestBatchedTraceScoring:
     """A trace scores the steps it has not scored yet when it is read, so
-    reading it after every step must give what one read at the end gives."""
+    reading it after every step must give what one read at the end gives.
+    The reading runs step their run-out world by world, so that every
+    step is read."""
 
     @pytest.mark.parametrize("scenario", [a1_navigate, a2_search])
     def test_reading_every_step_equals_reading_once(self, scenario,
@@ -314,6 +317,7 @@ class TestBatchedTraceScoring:
 
         monkeypatch.setattr(Simulation, "step", reading_step)
         monkeypatch.setattr(Simulation, "replay", reading_replay)
+        monkeypatch.setattr(fuzzing, "run_out", step_run_out)
         every = run_fuzzing(scenario(), "sa", budget=5, seed=1,
                             record_trace=True)
         assert len(reads) == len(every.trace.scored()) == every.total_steps
@@ -352,6 +356,7 @@ class TestBatchedTraceScoring:
         monkeypatch.setattr(RobustnessRows, "records", counted)
         monkeypatch.setattr(Simulation, "step", reading_step)
         monkeypatch.setattr(Simulation, "replay", reading_replay)
+        monkeypatch.setattr(fuzzing, "run_out", step_run_out)
         trace = run_fuzzing(a2_search(), "sa", budget=5, seed=1,
                             record_trace=True).trace
         assert trace.robustness == once

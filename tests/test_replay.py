@@ -36,9 +36,10 @@ def _action_key(action) -> tuple:
 
 
 def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
-    """One traced execution, its actions, the step of each probe and
-    whether it was spawn-style, and per spawn-style probe the step it ran
-    at and the steps its chosen forecast was planned to replay."""
+    """One traced execution, its actions (an idle step for each step of
+    its run-out), the step of each probe and whether it was spawn-style,
+    and per spawn-style probe the step it ran at and the steps its chosen
+    forecast was planned to replay."""
     step, adopt = Simulation.step, Simulation.replay
     actions, windows, probes = [], [], []
 
@@ -65,10 +66,21 @@ def run(preset, scheme, seed, monkeypatch, replay: bool) -> dict:
                             len(forecast)))
         return point, score, forecast
 
+    run_out = fuzzing.run_out
+
+    def recording_run_out(sims):
+        (sim,) = sims
+        start = sim.step_index
+        run_out(sims)
+        # the attacker-free steps after the withdrawal, each computed idle
+        actions.extend([("step", _action_key(None))]
+                       * (sim.step_index - start))
+
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "step", recording_step)
         patch.setattr(Simulation, "replay", recording_replay)
         patch.setattr(fuzzing, "_argmin_candidate", recording_argmin)
+        patch.setattr(fuzzing, "run_out", recording_run_out)
         result = run_fuzzing(preset(), scheme, budget=5, seed=seed,
                              record_trace=True)
     return dict(record=result.to_record(), events=result.trace.events,

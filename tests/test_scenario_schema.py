@@ -97,6 +97,11 @@ BAD = [
      "00000000000, not |x| <= 1e+12"),
     ("a3_navigate3d", ("nominal_steps",), 10 ** 400,
      "nominal_steps must be an integer >= 1, got 1000"),
+    # a run's length: a2 with 10**12 nominal steps loaded and ran, and a
+    # run whose mission cannot complete would time out after 2e12 steps
+    ("a2_search", ("nominal_steps",), 10 ** 12,
+     "nominal_steps x timeout_multiplier, the run's timeout, is 2e+12 "
+     "steps, above 100000 (keys nominal_steps, timeout_multiplier)"),
 ]
 
 

@@ -4,11 +4,14 @@
 replaced: it builds each step's object from the step's world and record
 and serializes it with ``json.dumps(sort_keys=True)``. ``traced_worlds``
 collects those worlds by wrapping ``Simulation.step`` and
-``Simulation.replay``, so no oracle reads the batches the writer reads.
+``Simulation.replay``, and takes the run-out's from a clone stepped
+through ``Simulation.step``, so no oracle reads the batches the writer
+reads. ``step_run_out`` is the run-out's world-by-world reference.
 """
 import json
 from contextlib import contextmanager
 
+from litelfuzz import fuzzing
 from litelfuzz.mission import Simulation
 
 
@@ -52,9 +55,12 @@ def traced_worlds():
     """While the block runs, collect every world a traced simulation
     steps to, through :meth:`Simulation.step` or
     :meth:`Simulation.replay`: a dict from each such simulation's trace to
-    its worlds after each step, in order."""
+    its worlds after each step, in order. The worlds of its run-out are
+    those of a clone stepped through :meth:`Simulation.step`, which must
+    end at the run-out's step with its outcome."""
     worlds: dict = {}
-    step, replay = Simulation.step, Simulation.replay
+    step, replay, run_out = Simulation.step, Simulation.replay, \
+        fuzzing.run_out
 
     def keep(sim):
         if sim.trace is not None:
@@ -71,8 +77,29 @@ def traced_worlds():
         replay(self, action)
         keep(self)
 
+    def running_out(sims):
+        twins = [sim.clone() for sim in sims]
+        run_out(sims)
+        for sim, twin in zip(sims, twins):
+            while not twin.done:
+                step(twin)
+                if sim.trace is not None:
+                    worlds.setdefault(sim.trace, []).append(twin.world)
+            assert (twin.step_index, twin.outcome, twin.failure_kind) \
+                == (sim.step_index, sim.outcome, sim.failure_kind)
+
     Simulation.step, Simulation.replay = stepping, replaying
+    fuzzing.run_out = running_out
     try:
         yield worlds
     finally:
         Simulation.step, Simulation.replay = step, replay
+        fuzzing.run_out = run_out
+
+
+def step_run_out(sims) -> None:
+    """The reference of ``mission.run_out``: step each simulation to its
+    end through :meth:`Simulation.step`, world by world."""
+    for sim in sims:
+        while not sim.done:
+            sim.step()
