@@ -394,21 +394,34 @@ class RowStepper:
         """Step every row, the attacker column by the (B, d) commands
         ``attacker``. Returns the (B,) masks of the rows that failed and of
         the rows that ended: failed, or completed the mission."""
-        sim, rows = self._sim, self.rows
-        controller, spec = sim.controller, sim.spec
-        self.state = state = controller.update_rows(self.state, rows, spec)
-        commands = controller.commands_rows(state, rows, spec)
-        if attacker is not None:
-            commands = np.concatenate([commands, attacker[:, None]], axis=1)
-        # every column, the attacker's last, in one step
-        self.rows = rows = WorldRows(rows.layout, *integrate_rows(
-            rows.position, rows.velocity, commands, *self._limits, spec.dt))
+        sim = self._sim
+        state, rows = self._next(self.state, self.rows, attacker)
+        self.state, self.rows = state, rows
         self.step_index += 1
         self.windows = sim.shifted_windows(
             self.windows, state, rows.position[:, rows.layout.swarm])
-        failed = failed_rows(rows, self.step_index, spec)
-        return failed, failed | controller.mission_complete_rows(
-            state, rows, spec)
+        failed = failed_rows(rows, self.step_index, sim.spec)
+        return failed, failed | sim.controller.mission_complete_rows(
+            state, rows, sim.spec)
+
+    def _next(self, state: tuple, rows: WorldRows,
+              attacker: np.ndarray | None = None) -> tuple:
+        """The controller row state and the rows one step on from ``state``
+        and ``rows``, the attacker column flown by the (B, d) commands
+        ``attacker``. A non-finite state raises :class:`InvalidState`
+        naming the agent."""
+        controller, spec = self._sim.controller, self._sim.spec
+        state = controller.update_rows(state, rows, spec)
+        commands = controller.commands_rows(state, rows, spec)
+        if attacker is not None:
+            commands = np.concatenate([commands, attacker[:, None]], axis=1)
+        try:    # every column, the attacker's last, in one step
+            kinematics = integrate_rows(rows.position, rows.velocity,
+                                        commands, *self._limits, spec.dt)
+        except InvalidState:
+            raise _non_finite(rows.layout.agents, commands, rows.position,
+                              rows.velocity) from None
+        return state, WorldRows(rows.layout, *kinematics)
 
     def drop(self, ended: np.ndarray) -> None:
         """Remove the rows picked by the mask ``ended``."""
@@ -465,17 +478,12 @@ def run_out(sims: list[Simulation]) -> None:
         live, states, steps = len(batch.live), [], []
         state, rows = batch.state, batch.rows
         for _ in range(RUN_OUT_CHUNK):
-            state = controller.update_rows(state, rows, spec)
-            command = controller.commands_rows(state, rows, spec)
             try:
-                rows = WorldRows(layout, *integrate_rows(
-                    rows.position, rows.velocity, command, *batch._limits,
-                    spec.dt))
+                state, rows = batch._next(state, rows)
             except InvalidState:
                 if steps:   # the rows may end before it: check them first
                     break
-                raise _non_finite(layout.agents, command, rows.position,
-                                  rows.velocity) from None
+                raise
             states.append(state)
             steps.append(rows)
         # the chunk as one batch, step-major: row c * live + b is row b
